@@ -475,11 +475,15 @@ impl NetlistBuilder {
 /// freezes validated cell/net vectors into a [`Netlist`].
 fn finalize(
     name: String,
-    cells: Vec<Cell>,
-    nets: Vec<Net>,
+    mut cells: Vec<Cell>,
+    mut nets: Vec<Net>,
     primary_inputs: Vec<CellId>,
     primary_outputs: Vec<CellId>,
 ) -> Result<Netlist, NetlistError> {
+    // A frozen netlist never grows: drop the builder's doubling slack,
+    // up to half of each table.
+    cells.shrink_to_fit();
+    nets.shrink_to_fit();
     // Fanout lists.
     let mut fanouts: Vec<Vec<CellId>> = vec![Vec::new(); nets.len()];
     for (i, cell) in cells.iter().enumerate() {

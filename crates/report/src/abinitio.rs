@@ -32,7 +32,7 @@ use optpower_explore::{
 use optpower_mult::{Architecture, MultiplierDesign};
 use optpower_netlist::{Library, NetlistStats};
 use optpower_sim::{measure_activity, Engine, SimError};
-use optpower_sta::TimingAnalysis;
+use optpower_sta::{LintReport, TimingAnalysis};
 use optpower_tech::{Flavor, Technology};
 use optpower_units::{Farads, Hertz, SquareMicrons};
 
@@ -45,14 +45,22 @@ use crate::render::{fnum, Table};
 /// result never depends on the worker count, only on the lane split.
 pub const TIMED_LANES: u32 = 8;
 
-/// Errors of the ab-initio flow: either the power model/optimiser
-/// failed, or a simulation failed — and then the error says *which*
-/// architecture's netlist was at fault (the typed replacement for the
-/// old in-library panic on oscillation).
+/// Errors of the ab-initio flow: the power model/optimiser failed, the
+/// lint gate refused a netlist, or a simulation failed — and then the
+/// error says *which* architecture's netlist was at fault (the typed
+/// replacement for the old in-library panic on oscillation).
 #[derive(Debug, Clone, PartialEq)]
 pub enum AbInitioError {
     /// Model building, calibration or optimisation failed.
     Model(ModelError),
+    /// The structural lint found error-severity diagnostics in the
+    /// netlist about to be simulated: its numbers would be meaningless.
+    Lint {
+        /// Name of the rejected netlist.
+        netlist: String,
+        /// The full lint report (error and warning diagnostics).
+        report: LintReport,
+    },
     /// A simulation engine rejected or aborted an architecture's
     /// netlist (invalid library delay, oscillation).
     Sim {
@@ -67,6 +75,11 @@ impl fmt::Display for AbInitioError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Self::Model(e) => write!(f, "{e}"),
+            Self::Lint { netlist, report } => write!(
+                f,
+                "lint rejected netlist '{netlist}' ({} error(s))",
+                report.error_count()
+            ),
             Self::Sim { arch, source } => {
                 write!(f, "simulating {} failed: {source}", arch.paper_name())
             }
@@ -78,6 +91,7 @@ impl std::error::Error for AbInitioError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             Self::Model(e) => Some(e),
+            Self::Lint { .. } => None,
             Self::Sim { source, .. } => Some(source),
         }
     }
@@ -395,10 +409,18 @@ pub fn characterize_architecture_with(
 /// favour of `design.width`; lanes, baseline engine, items, seed and
 /// workers apply as in [`characterize_architecture_with`].
 ///
+/// The netlist passes the structural lint gate before anything is
+/// simulated: warnings (such as the dead cones of a raw netlist) pass,
+/// error-severity diagnostics refuse it. Linting costs a small fraction
+/// of the simulation it protects, and gating here means a netlist is
+/// linted exactly when it is characterized.
+///
 /// # Errors
 ///
-/// As [`characterize_architecture`]: simulation failures carry the
-/// design's architecture, model/optimiser failures are propagated.
+/// [`AbInitioError::Lint`] when the lint gate refuses the netlist;
+/// otherwise as [`characterize_architecture`]: simulation failures
+/// carry the design's architecture, model/optimiser failures are
+/// propagated.
 pub fn characterize_design_with(
     design: &MultiplierDesign,
     lib: &Library,
@@ -407,6 +429,13 @@ pub fn characterize_design_with(
     config: &CharacterizeConfig,
 ) -> Result<AbInitioRow, AbInitioError> {
     let arch = design.arch;
+    let report = LintReport::lint(&design.netlist);
+    if report.gate().is_err() {
+        return Err(AbInitioError::Lint {
+            netlist: design.netlist.name().to_string(),
+            report,
+        });
+    }
     let (baseline_engine, baseline_items) = config.resolved_baseline()?;
     let stats = NetlistStats::measure(&design.netlist, lib);
     let sta = TimingAnalysis::analyze(&design.netlist, lib);

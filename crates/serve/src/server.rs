@@ -2,8 +2,10 @@
 //! queue, N executor threads around a shared cache-backed
 //! [`Runtime`], and the v1 routing table.
 //!
-//! Threading model: the acceptor owns the (non-blocking) listener and
-//! spawns one short-lived handler thread per connection; executors
+//! Threading model: the acceptor owns the listener and blocks in
+//! `accept`, so a connection is handled the moment it arrives; at
+//! shutdown [`ServerHandle::join`] wakes it with one loopback connect.
+//! It spawns one short-lived handler thread per connection; executors
 //! block on the queue. Handlers never execute jobs — they admit,
 //! wait, and frame — so a wedged job can only ever consume an
 //! executor, and the per-request deadline (`request_timeout_ms`)
@@ -21,7 +23,7 @@
 //! `--drain-on-stdin-eof`).
 
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -30,7 +32,9 @@ use std::time::{Duration, Instant};
 
 use optpower_dist::Cluster;
 use optpower_explore::Workers;
-use optpower_workload::{status_json, ErrorBody, JobSpec, Json, Runtime, SubmitMode, WireFormat};
+use optpower_workload::{
+    status_json, Artifact, ErrorBody, JobSpec, Json, Runtime, SubmitMode, WireFormat,
+};
 
 use crate::http::{read_request, HttpError, HttpRequest, HttpResponse};
 use crate::metrics::Metrics;
@@ -45,6 +49,11 @@ const SOCKET_TIMEOUT: Duration = Duration::from_secs(10);
 /// How long [`ServerHandle::join`] waits for in-flight handler
 /// threads to finish writing after the executors exit.
 const CONNECTION_GRACE: Duration = Duration::from_secs(5);
+
+/// How long the acceptor pauses after a failed `accept` (out of file
+/// descriptors, say) before trying again, so a persistent failure
+/// does not spin a core.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(10);
 
 /// Server tuning knobs.
 #[derive(Debug, Clone)]
@@ -176,10 +185,25 @@ impl ServerHandle {
             thread::sleep(Duration::from_millis(5));
         }
         self.shared.stop_accepting.store(true, Ordering::Release);
+        // The acceptor is blocked in `accept`; one connection wakes it
+        // to see the flag.
+        let _ = TcpStream::connect(wake_addr(self.addr));
         if let Some(acceptor) = self.acceptor.take() {
             let _ = acceptor.join();
         }
     }
+}
+
+/// Where a connect reaches the listener bound at `bound`: the bound
+/// address itself, or loopback when the listener took every interface
+/// (an unspecified IP is not a connectable destination).
+fn wake_addr(bound: SocketAddr) -> SocketAddr {
+    let ip = match bound.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => IpAddr::V4(Ipv4Addr::LOCALHOST),
+        IpAddr::V6(ip) if ip.is_unspecified() => IpAddr::V6(Ipv6Addr::LOCALHOST),
+        ip => ip,
+    };
+    SocketAddr::new(ip, bound.port())
 }
 
 /// A detached drain trigger (see [`ServerHandle::drainer`]).
@@ -203,7 +227,6 @@ pub fn start(config: Config) -> io::Result<ServerHandle> {
         runtime = runtime.with_artifact_dir(dir.clone());
     }
     let listener = TcpListener::bind(&config.addr)?;
-    listener.set_nonblocking(true)?;
     let addr = listener.local_addr()?;
 
     let cluster = if config.hosts.is_empty() {
@@ -258,9 +281,12 @@ pub fn start(config: Config) -> io::Result<ServerHandle> {
 }
 
 fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
-    while !shared.stop_accepting.load(Ordering::Acquire) {
-        match listener.accept() {
-            Ok((stream, _)) => {
+    for conn in listener.incoming() {
+        if shared.stop_accepting.load(Ordering::Acquire) {
+            return;
+        }
+        match conn {
+            Ok(stream) => {
                 shared.active_connections.fetch_add(1, Ordering::AcqRel);
                 let shared = Arc::clone(shared);
                 thread::spawn(move || {
@@ -268,10 +294,7 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
                     shared.active_connections.fetch_sub(1, Ordering::AcqRel);
                 });
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                thread::sleep(Duration::from_millis(10));
-            }
-            Err(_) => thread::sleep(Duration::from_millis(10)),
+            Err(_) => thread::sleep(ACCEPT_BACKOFF),
         }
     }
 }
@@ -371,7 +394,6 @@ fn execute_distributed(shared: &Shared, cluster: &Cluster, key: &str, spec: &Job
 }
 
 fn handle_connection(shared: &Shared, mut stream: TcpStream) {
-    let _ = stream.set_nonblocking(false);
     let _ = stream.set_read_timeout(Some(SOCKET_TIMEOUT));
     let _ = stream.set_write_timeout(Some(SOCKET_TIMEOUT));
     let response = match read_request(&mut stream, shared.config.max_body_bytes) {
@@ -492,8 +514,15 @@ fn submit(shared: &Shared, request: &HttpRequest) -> HttpResponse {
     };
     let key = spec.canonical_key();
 
-    // Cache hits bypass the queue entirely: no slot, no executor.
-    if let Some(artifact) = shared.runtime.cache_lookup(&spec) {
+    // Hits bypass the queue entirely: no slot, no executor. A finished
+    // job the artifact cache has since evicted is still answered from
+    // the job store without running anything, so it is a hit too.
+    let lookup_started = Instant::now();
+    let stored = || match shared.store.state(&key) {
+        Some(JobState::Done(done)) => Some(Artifact::clone(&done).into_cache_hit(lookup_started)),
+        _ => None,
+    };
+    if let Some(artifact) = shared.runtime.cache_lookup(&spec).or_else(stored) {
         Metrics::bump(&shared.metrics.accepted);
         Metrics::bump(&shared.metrics.served);
         Metrics::bump(&shared.metrics.cache_hits);
@@ -528,8 +557,9 @@ fn submit(shared: &Shared, request: &HttpRequest) -> HttpResponse {
             }
         }
     }
-    // (an admit() of false coalesced onto an identical in-flight or
-    // finished job — no new queue slot, same key to wait on)
+    // (an admit() of false coalesced onto an identical in-flight job,
+    // or a finished one that failed or finished since the lookup — no
+    // new queue slot, same key to wait on)
 
     match mode {
         SubmitMode::Async => HttpResponse::new(202)
@@ -590,7 +620,7 @@ fn poll(shared: &Shared, key: &str, request: &HttpRequest) -> HttpResponse {
 
 fn artifact_response(
     format: WireFormat,
-    artifact: &optpower_workload::Artifact,
+    artifact: &Artifact,
     key: &str,
     cache: &str,
 ) -> HttpResponse {

@@ -17,6 +17,8 @@
 //!   the stdout of the retired bespoke binary for the same job, so
 //!   rewiring the binaries into shims changed no observable output.
 
+use std::time::Instant;
+
 use optpower_report::ablation::{FitRangeResult, GlitchAblationRow, OptimizerAblationRow};
 use optpower_report::extended::{render_scaling, render_sensitivities, ScalingRow, SensitivityRow};
 use optpower_report::{
@@ -314,6 +316,16 @@ impl Artifact {
     /// The job kind tag.
     pub fn kind(&self) -> &'static str {
         self.spec.kind()
+    }
+
+    /// This artifact as answered from a store without executing
+    /// anything: `meta.cache = hit` and the lookup's own wall time,
+    /// measured from `lookup_started`. The payload and every other
+    /// `meta` field stay as the run that produced it recorded them.
+    pub fn into_cache_hit(mut self, lookup_started: Instant) -> Self {
+        self.meta.cache = Some(CacheStatus::Hit);
+        self.meta.wall_ms = lookup_started.elapsed().as_secs_f64() * 1e3;
+        self
     }
 
     /// The console rendering — byte-identical to the stdout the

@@ -46,8 +46,8 @@ pub enum WorkloadError {
     Sim(SimError),
     /// Netlist generation or validation failed.
     Netlist(NetlistError),
-    /// The lint preflight found error-severity diagnostics: the
-    /// netlist would simulate to meaningless numbers.
+    /// The lint gate found error-severity diagnostics: the netlist
+    /// would simulate to meaningless numbers.
     Lint {
         /// Name of the rejected netlist.
         netlist: String,
@@ -114,8 +114,14 @@ impl From<ModelError> for WorkloadError {
 }
 
 impl From<AbInitioError> for WorkloadError {
+    /// A lint refusal inside characterization surfaces as
+    /// [`WorkloadError::Lint`], the same typed error (and wire code)
+    /// as every other lint gate.
     fn from(e: AbInitioError) -> Self {
-        Self::AbInitio(e)
+        match e {
+            AbInitioError::Lint { netlist, report } => Self::Lint { netlist, report },
+            e => Self::AbInitio(e),
+        }
     }
 }
 

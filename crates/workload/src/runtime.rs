@@ -365,10 +365,8 @@ impl Runtime {
     pub fn cache_lookup(&self, spec: &JobSpec) -> Option<Artifact> {
         let started = Instant::now();
         let cache = self.cache.as_ref()?;
-        let mut artifact = cache.lookup(&spec.canonical_key(), &spec.canonical_json())?;
-        artifact.meta.cache = Some(CacheStatus::Hit);
-        artifact.meta.wall_ms = started.elapsed().as_secs_f64() * 1e3;
-        Some(artifact)
+        let artifact = cache.lookup(&spec.canonical_key(), &spec.canonical_json())?;
+        Some(artifact.into_cache_hit(started))
     }
 
     /// The uncached execution path behind [`Runtime::run`].
@@ -615,7 +613,8 @@ impl Runtime {
 
     /// Ab-initio characterization for a spec: resolve the architecture
     /// subset, then run [`characterize_parallel_with`] on the pool
-    /// (through the row cache when one is attached).
+    /// (through the row cache when one is attached). The lint gate
+    /// runs inside each characterization, so cached rows skip it.
     fn characterize(
         &self,
         s: &AbInitioSpec,
@@ -627,7 +626,6 @@ impl Runtime {
             if !arch.supports_width(s.width) {
                 return Err(width_error(arch, s.width));
             }
-            lint_preflight(&arch.generate(s.width)?.netlist)?;
         }
         let config = CharacterizeConfig {
             width: s.width,
@@ -683,9 +681,6 @@ impl Runtime {
                     "no requested architecture supports width {width}"
                 ))
                 .into());
-            }
-            for &arch in &subset {
-                lint_preflight(&arch.generate(width)?.netlist)?;
             }
             let config = CharacterizeConfig {
                 width,
@@ -746,11 +741,13 @@ impl Runtime {
     }
 }
 
-/// The runtime's preflight: structural lint before any simulation,
-/// failing with the typed [`WorkloadError::Lint`] on error-severity
-/// diagnostics (warnings pass). Generating a netlist is orders of
-/// magnitude cheaper than simulating it, so the gate is effectively
-/// free next to the jobs it protects.
+/// Structural lint for the jobs that use a netlist outside
+/// characterization — the activity measurement and the static STA
+/// rows — failing with the typed [`WorkloadError::Lint`] on
+/// error-severity diagnostics (warnings pass). Characterizing jobs
+/// need no preflight: [`characterize_design_with`] applies the same
+/// gate to the netlist it simulates, so rows served from the row
+/// cache do no netlist work at all.
 fn lint_preflight(netlist: &Netlist) -> Result<(), WorkloadError> {
     let report = LintReport::lint(netlist);
     if report.gate().is_err() {
@@ -886,10 +883,10 @@ impl Runtime {
 /// The dead-cone prune delta job: per (architecture, width), generate
 /// the raw (pre-prune) and production (pruned) netlists and push both
 /// through the identical timed characterization + power optimisation
-/// flow at the paper's working point (ST LL, 31.25 MHz). The raw leg
-/// deliberately skips the lint preflight — surfacing what the dead
-/// cones cost is the point — while the pruned leg keeps it as the
-/// invariant check.
+/// flow at the paper's working point (ST LL, 31.25 MHz). Both legs pass
+/// the lint gate inside [`characterize_design_with`]: the raw leg's
+/// dead cones are warnings, not errors, so surfacing what they cost
+/// stays possible, while an X-source in either leg is still refused.
 fn prune_delta_job(
     s: &PruneDeltaSpec,
     workers: Workers,
@@ -944,7 +941,6 @@ fn prune_delta_job(
         for &arch in &subset {
             let raw = arch.generate_raw(width)?;
             let pruned = arch.generate(width)?;
-            lint_preflight(&pruned.netlist)?;
             let before = characterize_design_with(&raw, &lib, tech, freq, &config)?;
             let after = characterize_design_with(&pruned, &lib, tech, freq, &config)?;
             rows.push(PruneDeltaRow {

@@ -608,7 +608,7 @@ impl JobSpec {
             Self::AbInitio(d) => Self::AbInitio(AbInitioSpec {
                 archs: names_field(doc, "archs", d.archs)?,
                 width: usize_field(doc, "width", d.width)?,
-                lanes: u32_field(doc, "lanes", d.lanes)?,
+                lanes: at_least("lanes", u32_field(doc, "lanes", d.lanes)?, 1)?,
                 engine: engine_field(doc, d.engine)?,
                 plane: plane_field(doc, d.plane)?,
                 items: uint_field(doc, "items", d.items)?,
@@ -621,7 +621,7 @@ impl JobSpec {
                     Some(v) => usize_array(v, "widths")?,
                     None => d.widths,
                 },
-                lanes: u32_field(doc, "lanes", d.lanes)?,
+                lanes: at_least("lanes", u32_field(doc, "lanes", d.lanes)?, 1)?,
                 engine: engine_field(doc, d.engine)?,
                 plane: plane_field(doc, d.plane)?,
                 items: uint_field(doc, "items", d.items)?,
@@ -650,7 +650,8 @@ impl JobSpec {
                 samples: usize_field(doc, "samples", samples)?,
             },
             Self::Figure34 { width, items } => Self::Figure34 {
-                width: usize_field(doc, "width", width)?,
+                // The pipelined arrays need two operand bits to split.
+                width: at_least("width", usize_field(doc, "width", width)?, 2)?,
                 items: uint_field(doc, "items", items)?,
             },
             Self::Pareto { freq_points } => Self::Pareto {
@@ -667,7 +668,7 @@ impl JobSpec {
             Self::Sta(d) => Self::Sta(StaSpec {
                 archs: names_field(doc, "archs", d.archs)?,
                 width: usize_field(doc, "width", d.width)?,
-                lanes: u32_field(doc, "lanes", d.lanes)?,
+                lanes: at_least("lanes", u32_field(doc, "lanes", d.lanes)?, 1)?,
                 items: uint_field(doc, "items", d.items)?,
                 seed: uint_field(doc, "seed", d.seed)?,
                 workers: opt_usize_field(doc, "workers")?,
@@ -811,6 +812,20 @@ fn u32_field(doc: &Json, key: &str, default: u32) -> Result<u32, WorkloadError> 
     uint_field(doc, key, u64::from(default)).and_then(|u| {
         u32::try_from(u).map_err(|_| SpecError::new(format!("{key:?} must fit 32 bits")).into())
     })
+}
+
+/// Rejects a count below the smallest value the job can run with —
+/// a lane split divides by it, a generator asserts on it — so the
+/// value fails here as a spec error instead of panicking an executor.
+fn at_least<T: PartialOrd + std::fmt::Display>(
+    key: &str,
+    value: T,
+    min: T,
+) -> Result<T, WorkloadError> {
+    if value < min {
+        return Err(SpecError::new(format!("{key:?} must be at least {min}, got {value}")).into());
+    }
+    Ok(value)
 }
 
 fn opt_usize_field(doc: &Json, key: &str) -> Result<Option<usize>, WorkloadError> {
@@ -1043,6 +1058,12 @@ mod tests {
             r#"{"job":"table2","samples":4}"#,
             r#"{"schema":7,"job":"table2"}"#,
             r#"["job","table2"]"#,
+            // Values the engines cannot run with fail at parse time.
+            r#"{"job":"ab_initio","lanes":0}"#,
+            r#"{"job":"glitch_sweep","lanes":0}"#,
+            r#"{"job":"sta","lanes":0}"#,
+            r#"{"job":"figure34","width":0}"#,
+            r#"{"job":"figure34","width":1}"#,
         ] {
             let err = JobSpec::from_json(bad).unwrap_err();
             assert!(matches!(err, WorkloadError::Spec(_)), "{bad}: {err:?}");

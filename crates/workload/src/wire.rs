@@ -664,6 +664,51 @@ mod tests {
     }
 
     #[test]
+    fn a_lint_refusal_inside_characterization_is_lint_rejected() {
+        use optpower_mult::{Architecture, MultiplierDesign};
+        use optpower_netlist::{CellKind, Library, NetlistBuilder};
+        use optpower_report::{characterize_design_with, AbInitioError, CharacterizeConfig};
+        use optpower_tech::{Flavor, Technology};
+        use optpower_units::Hertz;
+
+        // Every generator is lint-clean, so the gate is reached with a
+        // multiplier-shaped netlist (a/b operand buses) whose flop is
+        // rewired into a self-loop: no input ever reaches it, so it is
+        // an X-source (L004, the one error-severity rule).
+        let mut b = NetlistBuilder::new("xloop");
+        let a0 = b.add_input("a0");
+        let b0 = b.add_input("b0");
+        let p0 = b.add_cell(CellKind::And2, &[a0, b0]);
+        let q = b.add_cell(CellKind::Dff, &[p0]);
+        b.rewire(q, 0, q);
+        b.add_output("p0", p0);
+        b.add_output("p1", q);
+        let design = MultiplierDesign {
+            arch: Architecture::Rca,
+            width: 1,
+            netlist: b.build().expect("a flop loop is structurally valid"),
+            cycles_per_item: 1,
+            ld_scale: 1.0,
+        };
+        let err = characterize_design_with(
+            &design,
+            &Library::cmos13(),
+            Technology::stm_cmos09(Flavor::LowLeakage),
+            Hertz::new(31.25e6),
+            &CharacterizeConfig::new(8, 1),
+        )
+        .unwrap_err();
+        assert!(
+            matches!(&err, AbInitioError::Lint { netlist, report }
+                if netlist == "xloop" && report.error_count() == 1),
+            "{err:?}"
+        );
+        let body = ErrorBody::of(&WorkloadError::from(err));
+        assert_eq!((body.status, body.code), (422, "lint_rejected"));
+        assert_eq!(body.exit_code(), 3);
+    }
+
+    #[test]
     fn error_body_json_is_schema_tagged() {
         let body = ErrorBody::new(429, "queue_full", "queue is full");
         let json = body.to_json();

@@ -8,7 +8,8 @@
 //! * **content-addressed cache** — resubmitting the same job (even
 //!   respelled: permuted keys, different float spelling) is served
 //!   from the cache with `X-Optpower-Cache: hit` and `meta.cache`
-//!   set, without taking a queue slot;
+//!   set, without taking a queue slot — and still as a hit once the
+//!   cache has evicted it, from the job store's finished run;
 //! * **backpressure** — a full admission queue answers
 //!   `429 queue_full` with `Retry-After`, deterministically (the
 //!   server starts with paused executors);
@@ -260,6 +261,67 @@ fn serve_error_surface_is_the_frozen_mapping() {
         r#"{"job":"table2"}"#,
     );
     assert_eq!(reply.status, 400);
+
+    // Values the engines cannot run with (a zero lane split divides by
+    // zero, a sub-2-bit pipelined array asserts) are refused at parse
+    // time, so they never reach — and kill — the only executor.
+    for bad in [
+        r#"{"job":"ab_initio","lanes":0}"#,
+        r#"{"job":"glitch_sweep","lanes":0}"#,
+        r#"{"job":"sta","lanes":0}"#,
+        r#"{"job":"figure34","width":0}"#,
+        r#"{"job":"figure34","width":1}"#,
+    ] {
+        let reply = post(&addr, "/v1/jobs", "application/json", bad);
+        assert_eq!(reply.status, 400, "{bad}: {}", reply.body_text());
+        assert!(reply.body_text().contains("\"code\":\"invalid_spec\""));
+    }
+    let reply = post(
+        &addr,
+        "/v1/jobs",
+        "application/json",
+        r#"{"job":"figure2","samples":3}"#,
+    );
+    assert_eq!(reply.status, 200, "{}", reply.body_text());
+
+    handle.abort();
+    handle.join();
+}
+
+#[test]
+fn store_served_repeats_are_cache_hits() {
+    // One artifact slot: B evicts A, so the repeat of A is answered
+    // from the job store's finished run. Nothing executes for it, so
+    // it is a hit on the wire, in `meta` and on `/metrics`.
+    let handle = optpower_serve::start(Config {
+        addr: "127.0.0.1:0".to_string(),
+        executors: 1,
+        workers: Workers::Fixed(1),
+        cache_capacity: 1,
+        ..Config::default()
+    })
+    .expect("server starts");
+    let addr = handle.addr().to_string();
+    let a = r#"{"job":"figure2","samples":3}"#;
+    let b = r#"{"job":"figure2","samples":4}"#;
+
+    let first = post(&addr, "/v1/jobs", "application/json", a);
+    assert_eq!(first.header("x-optpower-cache"), Some("miss"));
+    let other = post(&addr, "/v1/jobs", "application/json", b);
+    assert_eq!(other.header("x-optpower-cache"), Some("miss"));
+    let repeat = post(&addr, "/v1/jobs", "application/json", a);
+    assert_eq!(repeat.status, 200, "{}", repeat.body_text());
+    assert_eq!(repeat.header("x-optpower-cache"), Some("hit"));
+    assert_eq!(meta_cache_of(&repeat.body_text()).as_deref(), Some("hit"));
+    assert_eq!(
+        strip_meta(&repeat.body_text()),
+        strip_meta(&first.body_text())
+    );
+
+    let metrics = Json::parse(&get(&addr, "/metrics").body_text()).expect("metrics parse");
+    let count = |name: &str| metrics.get(name).and_then(Json::as_u64);
+    assert_eq!(count("cache_hits"), Some(1));
+    assert_eq!(count("cache_misses"), Some(2));
 
     handle.abort();
     handle.join();
