@@ -17,19 +17,30 @@
 //! * `sta_vs_timed_wallace16` — static path: the dynamic glitch
 //!   measurement (wheel engine, 640 vectors) vs one full static pass
 //!   (STA windows + glitch bound); acceptance ≥ 100×.
+//! * `timed_warmstart_wallace16` — the timed leg at the `cold_suite`
+//!   glitch-sweep shape (8 lanes × 5 counted items, warm-up 4, one
+//!   worker): per-lane `TimedSim::new` stepped from cycle 0 through
+//!   warm-up and window vs `measure_timed_activity_pooled`, which
+//!   compiles the netlist once, warms the lanes up on one zero-delay
+//!   plane and simulates only the counted items on the wheel; the
+//!   transition counts are asserted equal first. Acceptance ≥ 1.5×.
 //!
-//! The `timed_scalar`/`timed_wheel` rows isolate the engine rebuild
-//! itself (identical single-stream workloads, no pooling): what the
-//! integer-tick bucket wheel + allocation-free propagation bought
-//! before any threads enter the picture. Equivalence of all engines'
-//! counts is asserted by `tests/sim_differential.rs` and
-//! `tests/timed_differential.rs`; here only the clock runs.
+//! The `timed_scalar`/`timed_wheel` rows compare the two timed engines
+//! on identical single-stream workloads with no pooling. The scalar row
+//! steps all 66 items (2 warm-up, 64 counted) on the heap engine; the
+//! wheel row is `Engine::Timed`, which runs the 2 warm-up items on a
+//! zero-delay plane and only the 64 counted items on the wheel. Their
+//! ratio is therefore the integer-tick bucket wheel + allocation-free
+//! propagation *plus* the warm start, before any threads enter the
+//! picture. Equivalence of all engines' counts is asserted by
+//! `tests/sim_differential.rs` and `tests/timed_differential.rs`; here
+//! only the clock runs.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use optpower_explore::{measure_timed_activity_pooled, TimedPoolConfig, Workers};
 use optpower_mult::Architecture;
-use optpower_netlist::Library;
-use optpower_sim::{measure_activity, Engine, LANES};
+use optpower_netlist::{Library, Logic, Netlist};
+use optpower_sim::{bus_inputs, lane_seed, measure_activity, Engine, StimulusGen, TimedSim, LANES};
 use optpower_sta::{GlitchProfile, TimingAnalysis};
 
 fn bench_activity_measurement(c: &mut Criterion) {
@@ -198,6 +209,34 @@ fn bench_activity_measurement(c: &mut Criterion) {
             black_box(GlitchProfile::compute(&design.netlist, &sta))
         })
     });
+    // Warm-start acceptance pair at the cold_suite glitch-sweep shape.
+    let warm_config = TimedPoolConfig {
+        lanes: 8,
+        items_per_lane: 5,
+        cycles_per_item: 1,
+        warmup: 4,
+        seed: 42,
+        workers: Workers::Fixed(1),
+    };
+    let pooled = measure_timed_activity_pooled(&design.netlist, &lib, &warm_config)
+        .expect("measures")
+        .transitions;
+    assert_eq!(
+        cold_started_lanes(&design.netlist, &lib, &warm_config),
+        pooled,
+        "warm start must count exactly the cold-started transitions"
+    );
+    c.bench_function("sim/serial_core/timed_warmstart_wallace16", |b| {
+        b.iter(|| black_box(cold_started_lanes(&design.netlist, &lib, &warm_config)))
+    });
+    c.bench_function("sim/parallel/timed_warmstart_wallace16", |b| {
+        b.iter(|| {
+            black_box(
+                measure_timed_activity_pooled(&design.netlist, &lib, &warm_config)
+                    .expect("measures"),
+            )
+        })
+    });
     // Build-cost guard for the dead-cone prune pass: the raw
     // (unpruned) Wallace generator vs the production pruned path.
     // The prune runs *before* the single fanout/topo finalize, so the
@@ -220,6 +259,39 @@ fn bench_activity_measurement(c: &mut Criterion) {
     c.bench_function("sim/parallel/prune_build_wallace16", |b| {
         b.iter(|| black_box(Architecture::Wallace.generate(16).expect("wallace builds")))
     });
+}
+
+/// The pooled timed leg without the warm start: every lane compiles its
+/// own `TimedSim` and steps the reset-free protocol from cycle 0
+/// through warm-up and counted window on the wheel, one lane after the
+/// other. Returns the summed window transitions.
+fn cold_started_lanes(netlist: &Netlist, lib: &Library, config: &TimedPoolConfig) -> u64 {
+    let (a, b) = (bus_inputs(netlist, "a"), bus_inputs(netlist, "b"));
+    let drive = |sim: &mut TimedSim<'_>, bus: &[_], value: u64| {
+        for (i, &pin) in bus.iter().enumerate() {
+            sim.set_input(pin, Logic::from_bool((value >> i) & 1 == 1));
+        }
+    };
+    (0..config.lanes)
+        .map(|lane| {
+            let mut sim = TimedSim::new(netlist, lib).expect("cmos13 delays are valid");
+            let seed = lane_seed(config.seed, lane);
+            let mut stim = StimulusGen::new(seed, a.len() as u32, b.len() as u32);
+            let mut window_start = 0;
+            for item in 0..config.warmup + config.items_per_lane {
+                if item == config.warmup {
+                    window_start = sim.logic_transitions();
+                }
+                let (x, y) = stim.next_item();
+                drive(&mut sim, &a, x);
+                drive(&mut sim, &b, y);
+                for _ in 0..config.cycles_per_item {
+                    sim.step().expect("acyclic netlists settle");
+                }
+            }
+            sim.logic_transitions() - window_start
+        })
+        .sum()
 }
 
 fn config() -> Criterion {

@@ -8,17 +8,28 @@
 //! [`optpower_sim::lane_seed`]-derived independent streams, run one
 //! `TimedSim` per lane, and shard the lanes across the worker pool.
 //!
+//! Only the counted window is sharded. [`TimedLanes::warm_up`]
+//! compiles the netlist once into a program every lane shares
+//! read-only, and runs the uncounted warm-up items of up to 64 lanes at
+//! a time on one zero-delay [`optpower_sim::BitParallelSim`] plane.
+//! This is exact: an acyclic core under inertial delays ends every
+//! cycle at its zero-delay values with an empty event queue, so a
+//! lane's settled net values are its whole state, and the worker that
+//! resumes the lane from them on the event wheel counts exactly the
+//! transitions a lane simulated from cycle 0 would
+//! ([`TimedLanes::measure_lane`]).
+//!
 //! The measurement protocol per lane is exactly
-//! [`optpower_sim::measure_activity`]'s `Driver` protocol (warm-up
-//! windowing, reset pulse, hold cycles), and the combination rule is
+//! [`optpower_sim::measure_activity`]'s (warm-up windowing, reset
+//! pulse, hold cycles), and the combination rule is
 //! [`ActivityReport::combine`] — plain integer sums. Consequently the
 //! pooled result is **bit-identical for any worker count**, and equal
-//! to the sum of dedicated scalar reference runs over the same lane
-//! seeds (`tests/timed_differential.rs` pins both properties at
-//! 1/2/8 workers).
+//! to the sum of dedicated whole-protocol scalar reference runs over
+//! the same lane seeds (`tests/timed_differential.rs` pins both
+//! properties, at 1/2/8 workers and across a 64-lane plane boundary).
 
 use optpower_netlist::{Library, Netlist};
-use optpower_sim::{lane_seed, measure_activity, ActivityReport, Engine, SimError};
+use optpower_sim::{ActivityReport, SimError, TimedLanes};
 
 use crate::pool::{par_map_indexed, Workers};
 
@@ -38,7 +49,8 @@ pub struct TimedPoolConfig {
     /// Warm-up items per lane, simulated but not counted.
     pub warmup: u64,
     /// Base seed; lane `L` draws its stream from
-    /// [`lane_seed`]`(seed, L)`, so lane 0 is the scalar stream.
+    /// [`optpower_sim::lane_seed`]`(seed, L)`, so lane 0 is the scalar
+    /// stream.
     pub seed: u64,
     /// Worker-count policy for sharding lanes across threads.
     pub workers: Workers,
@@ -61,8 +73,10 @@ impl TimedPoolConfig {
 }
 
 /// Measures timed (glitch-counting) switching activity by running
-/// `config.lanes` independent [`optpower_sim::TimedSim`] instances
-/// over lane-seeded stimulus streams, sharded across the worker pool.
+/// `config.lanes` independent [`optpower_sim::TimedSim`] streams over
+/// lane-seeded stimulus: one compiled program, the warm-up on
+/// zero-delay planes, and each lane's counted window sharded across
+/// the worker pool (see the module docs).
 ///
 /// The combined report covers `lanes × items_per_lane` measured items;
 /// its transition total is the plain sum of the per-lane totals, so
@@ -71,32 +85,34 @@ impl TimedPoolConfig {
 ///
 /// # Errors
 ///
-/// The first [`SimError`] in lane order (invalid library delay or an
-/// oscillating netlist). All lanes simulate the same netlist, so in
-/// practice either every lane fails at construction or none does.
+/// [`SimError::InvalidDelay`] when the library holds a delay the timed
+/// engine rejects (found once, when the netlist is compiled), or the
+/// first [`SimError::Oscillation`] in lane order.
 ///
 /// # Panics
 ///
-/// Panics if the netlist has no `a`/`b` input buses, or if
-/// `config.lanes == 0` or `config.items_per_lane == 0`.
+/// Panics if the netlist has no `a`/`b` input buses, if it has a `rst`
+/// bus and `config.warmup` is below [`optpower_sim::MIN_RESET_WARMUP`],
+/// if `config.items_per_lane == 0`, or if `config.lanes` is not in
+/// `1..=`[`optpower_sim::MAX_STIMULUS_LANES`].
 pub fn measure_timed_activity_pooled(
     netlist: &Netlist,
     library: &Library,
     config: &TimedPoolConfig,
 ) -> Result<ActivityReport, SimError> {
-    assert!(config.lanes > 0, "at least one stimulus lane is required");
     assert!(config.items_per_lane > 0, "items_per_lane must be positive");
+    let lanes = TimedLanes::warm_up(
+        netlist,
+        library,
+        config.seed,
+        config.lanes,
+        config.items_per_lane,
+        config.cycles_per_item,
+        config.warmup,
+    )?;
     let workers = config.workers.resolve(config.lanes as usize);
     let reports = par_map_indexed(config.lanes as usize, workers, |lane| {
-        measure_activity(
-            netlist,
-            library,
-            Engine::Timed,
-            config.items_per_lane,
-            config.cycles_per_item,
-            config.warmup,
-            lane_seed(config.seed, lane as u32),
-        )
+        lanes.measure_lane(lane as u32)
     })
     .into_iter()
     .collect::<Result<Vec<_>, _>>()?;
@@ -107,6 +123,7 @@ pub fn measure_timed_activity_pooled(
 mod tests {
     use super::*;
     use optpower_netlist::{CellKind, NetlistBuilder};
+    use optpower_sim::{lane_seed, measure_activity, Engine};
 
     fn small_design() -> Netlist {
         let mut b = NetlistBuilder::new("small");

@@ -137,6 +137,24 @@ impl Architecture {
         }
     }
 
+    /// Whether the generated netlist has a `rst` input bus: the
+    /// round-robin distributors of the parallel variants and the
+    /// controllers of the sequential family do. Activity measurements
+    /// pulse it during their first warm-up item, so these designs need
+    /// at least two warm-up items.
+    pub fn has_reset(self) -> bool {
+        matches!(
+            self,
+            Self::RcaParallel2
+                | Self::RcaParallel4
+                | Self::WallaceParallel2
+                | Self::WallaceParallel4
+                | Self::Sequential
+                | Self::Seq4Wallace
+                | Self::SeqParallel
+        )
+    }
+
     /// Generates the `width × width` instance of this architecture.
     ///
     /// Every generated netlist satisfies the *dead-logic invariant*:
@@ -297,6 +315,22 @@ mod tests {
         assert!(!Architecture::Sequential.supports_width(24));
         assert!(!Architecture::Seq4Wallace.supports_width(4));
         assert!(!Architecture::Rca.supports_width(64));
+    }
+
+    /// `has_reset` is a hand-written list; the generators decide which
+    /// netlists carry a `rst` bus. They must agree at every width an
+    /// architecture accepts.
+    #[test]
+    fn has_reset_matches_the_generated_rst_bus() {
+        for arch in Architecture::ALL {
+            for width in (0..=32).filter(|&w| arch.supports_width(w)) {
+                let design = arch
+                    .generate(width)
+                    .unwrap_or_else(|e| panic!("{arch} @{width}: {e}"));
+                let has_rst = !optpower_sim::bus_inputs(&design.netlist, "rst").is_empty();
+                assert_eq!(arch.has_reset(), has_rst, "{arch} @{width}");
+            }
+        }
     }
 
     #[test]

@@ -8,9 +8,12 @@
 //! consume that single stream; the plane engines
 //! ([`Engine::BitParallel`], [`Engine::BitParallel256`],
 //! [`Engine::BitParallel512`]) run one stream per lane whose seeds come
-//! from [`lane_seed`], with lane 0 being the base seed. Consequences,
-//! locked down by the tests below, `tests/sim_differential.rs` and
-//! `tests/timed_differential.rs`:
+//! from [`lane_seed`], with lane 0 being the base seed. The measurement
+//! protocol — reset pulse on item 0, operands held for
+//! `cycles_per_item` cycles, the first `warmup` items uncounted — is
+//! likewise defined once (`apply_items`) and drives every engine.
+//! Consequences, locked down by the tests below,
+//! `tests/sim_differential.rs` and `tests/timed_differential.rs`:
 //!
 //! * the same `seed` applies the same operands to `ZeroDelay` and
 //!   `Timed`, so their activities differ only by glitches;
@@ -24,12 +27,38 @@
 //!   timed measurement (`optpower_explore::measure_timed_activity_pooled`)
 //!   is bit-identical to the sum of per-lane scalar measurements for
 //!   any worker count.
+//!
+//! The last point holds although `Timed` never simulates its warm-up
+//! on the event wheel. Warm-up transitions are not counted, and an
+//! acyclic core under inertial delays ends every cycle at its
+//! zero-delay values with an empty event queue, so net values are the
+//! whole state between cycles (see [`TimedSim::resume`]).
+//! [`TimedLanes`] therefore runs the warm-up items of up to 64 lanes
+//! at once on a [`BitParallelSim`] plane — same lane seeds, same reset
+//! pulse and hold cycles — and hands each lane its settled net values
+//! and its stimulus generator; only the counted items run on the
+//! wheel, on one [`TimedProgram`] compiled for all lanes. `TimedScalar`
+//! still runs the whole protocol from cycle 0, which is what makes it
+//! the reference for the warm start. With `warmup == 0` there is
+//! nothing to skip and `Timed` starts at cycle 0 too.
+
+use std::ops::Range;
+use std::sync::Arc;
 
 use optpower_netlist::{CellId, Library, Logic, Netlist};
 
 use crate::bit_parallel::LANES;
-use crate::bus::{lane_seed, transpose64, StimulusGen};
-use crate::{bus_inputs, ScalarTimedSim, SimError, TimedSim, WidePlaneSim, ZeroDelaySim};
+use crate::bus::{lane_seed, transpose64, StimulusGen, MAX_STIMULUS_LANES};
+use crate::timed::TimedProgram;
+use crate::{
+    bus_inputs, BitParallelSim, ScalarTimedSim, SimError, TimedSim, WidePlaneSim, ZeroDelaySim,
+};
+
+/// Fewest warm-up items a design with a `rst` input bus can be
+/// measured with: the protocol pulses the reset during item 0 and
+/// releases it in item 1, and neither may fall inside the counting
+/// window.
+pub const MIN_RESET_WARMUP: u64 = 2;
 
 /// Which engine to measure with.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -37,12 +66,13 @@ pub enum Engine {
     /// Zero-delay (glitch-free) counting, one stimulus stream.
     ZeroDelay,
     /// Event-driven with library delays (counts glitches): the
-    /// production [`TimedSim`] on integer ticks and the event wheel.
+    /// production [`TimedSim`] on integer ticks and the event wheel,
+    /// warm-started past the uncounted items (see the module docs).
     Timed,
     /// The frozen pre-wheel timed reference ([`ScalarTimedSim`]):
-    /// binary-heap queue, per-event allocations. Bit-identical to
-    /// [`Engine::Timed`]; exists as the differential baseline and the
-    /// `timed_scalar` bench row.
+    /// binary-heap queue, per-event allocations, whole protocol from
+    /// cycle 0. Bit-identical to [`Engine::Timed`]; exists as the
+    /// differential baseline and the `timed_scalar` bench row.
     TimedScalar,
     /// 64 zero-delay lanes at once ([`crate::BitParallelSim`]): ~64×
     /// the stimulus volume of [`Engine::ZeroDelay`] per unit time,
@@ -73,6 +103,17 @@ pub struct ActivityReport {
 }
 
 impl ActivityReport {
+    /// The report of `transitions` counted over `items` measured items
+    /// of a netlist with `cells` logic cells.
+    fn over(transitions: u64, items: u64, cells: usize) -> ActivityReport {
+        ActivityReport {
+            activity: transitions as f64 / (items as f64 * cells as f64),
+            transitions,
+            items,
+            cells,
+        }
+    }
+
     /// Combines independent per-lane measurements of the *same*
     /// netlist into one report: transitions and items add, and the
     /// activity is re-normalised over the combined window. The result
@@ -94,20 +135,14 @@ impl ActivityReport {
             transitions += r.transitions;
             items += r.items;
         }
-        ActivityReport {
-            activity: transitions as f64 / (items as f64 * cells as f64),
-            transitions,
-            items,
-            cells,
-        }
+        ActivityReport::over(transitions, items, cells)
     }
 }
 
 /// Minimal driving interface shared by the scalar engines. Buses are
-/// resolved to [`CellId`]s once per measurement (in
-/// [`measure_activity`]) and driven pin by pin — re-resolving the
-/// `{prefix}{bit}` names on every item would put string formatting on
-/// the measurement hot path.
+/// resolved to [`CellId`]s once per measurement (in [`Buses::resolve`])
+/// and driven pin by pin — re-resolving the `{prefix}{bit}` names on
+/// every item would put string formatting on the measurement hot path.
 trait Drive {
     fn set_pin(&mut self, pin: CellId, value: Logic);
     fn advance(&mut self) -> Result<(), SimError>;
@@ -186,22 +221,24 @@ impl<const W: usize> LaneDrive for WidePlaneSim<'_, W> {
     }
 }
 
-/// An engine bound to its stimulus source(s): what [`run`] needs to
-/// apply one data item. Keeping this as one enum means the measurement
-/// protocol itself (warm-up windowing, reset pulse, hold cycles) exists
-/// exactly once, in [`run`], for every engine.
-enum Driver<'s, 'n> {
-    /// A scalar engine consuming the single base-seed stream.
+/// An engine bound to its stimulus source(s): what [`apply_items`]
+/// needs to apply one data item. Keeping this as one enum means the
+/// measurement protocol itself (reset pulse, operand draws, hold
+/// cycles) exists exactly once, in [`apply_items`], for every engine
+/// and for both halves of a warm-started timed measurement.
+enum Driver<'s> {
+    /// A scalar engine consuming one stream.
     Scalar {
         sim: &'s mut dyn Drive,
         stim: StimulusGen,
-        buses: Buses,
+        buses: &'s Buses,
     },
-    /// A plane engine consuming one lane-seeded stream per lane.
+    /// A plane engine consuming one stream per driven lane; lanes
+    /// beyond `stims.len()` see all-zero operands.
     Lanes {
-        sim: Box<dyn LaneDrive + 'n>,
-        stims: Vec<StimulusGen>,
-        buses: Buses,
+        sim: &'s mut dyn LaneDrive,
+        stims: &'s mut [StimulusGen],
+        buses: &'s Buses,
         /// Per-lane operand scratch (reused every item so the
         /// transpose allocates nothing on the hot path).
         ops_a: Vec<u64>,
@@ -214,6 +251,7 @@ enum Driver<'s, 'n> {
 
 /// The `a`/`b`/`rst` input buses, resolved to pins once per
 /// measurement.
+#[derive(Debug)]
 struct Buses {
     a: Vec<CellId>,
     b: Vec<CellId>,
@@ -221,18 +259,55 @@ struct Buses {
 }
 
 impl Buses {
-    fn resolve(netlist: &Netlist) -> Buses {
-        Buses {
+    /// Resolves the buses and checks the protocol's preconditions.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the `a` or `b` bus is missing, or if the netlist has a
+    /// `rst` bus and `warmup < MIN_RESET_WARMUP`.
+    fn resolve(netlist: &Netlist, warmup: u64) -> Buses {
+        let buses = Buses {
             a: bus_inputs(netlist, "a"),
             b: bus_inputs(netlist, "b"),
             rst: bus_inputs(netlist, "rst"),
+        };
+        assert!(
+            !buses.a.is_empty() && !buses.b.is_empty(),
+            "activity measurement requires a/b input buses"
+        );
+        if !buses.rst.is_empty() {
+            assert!(
+                warmup >= MIN_RESET_WARMUP,
+                "designs with a reset need warmup >= {MIN_RESET_WARMUP} items"
+            );
         }
+        buses
+    }
+
+    /// The operand stream seeded `seed`, masked to these bus widths.
+    fn stim(&self, seed: u64) -> StimulusGen {
+        StimulusGen::new(seed, self.a.len() as u32, self.b.len() as u32)
     }
 }
 
-impl Driver<'_, '_> {
+impl<'s> Driver<'s> {
+    /// Binds a plane to the streams of its first `stims.len()` lanes.
+    fn lanes(sim: &'s mut dyn LaneDrive, stims: &'s mut [StimulusGen], buses: &'s Buses) -> Self {
+        let lanes = sim.lane_count();
+        debug_assert!(stims.len() <= lanes, "more streams than plane lanes");
+        let plane_words = buses.a.len().max(buses.b.len()) * (lanes / LANES);
+        Driver::Lanes {
+            sim,
+            stims,
+            buses,
+            ops_a: vec![0; lanes],
+            ops_b: vec![0; lanes],
+            plane: vec![0; plane_words],
+        }
+    }
+
     /// Number of stimulus streams one protocol item covers.
-    fn lanes(&self) -> u64 {
+    fn lane_count(&self) -> u64 {
         match self {
             Driver::Scalar { .. } => 1,
             Driver::Lanes { sim, .. } => sim.lane_count() as u64,
@@ -321,27 +396,92 @@ impl Driver<'_, '_> {
     }
 }
 
-/// Builds the lane-seeded plane driver for one width: one
-/// [`StimulusGen`] per lane, seeded `lane_seed(seed, 0..64*W)`.
-fn lanes_driver<'n, const W: usize>(
-    netlist: &'n Netlist,
-    buses: Buses,
-    seed: u64,
-    a_w: u32,
-    b_w: u32,
-) -> Driver<'n, 'n> {
-    let lanes = LANES * W;
-    let plane_words = buses.a.len().max(buses.b.len()) * W;
-    Driver::Lanes {
-        sim: Box::new(WidePlaneSim::<W>::new(netlist)),
-        stims: (0..lanes as u32)
-            .map(|lane| StimulusGen::new(lane_seed(seed, lane), a_w, b_w))
-            .collect(),
-        buses,
-        ops_a: vec![0; lanes],
-        ops_b: vec![0; lanes],
-        plane: vec![0; plane_words],
+/// The measurement protocol, shared by every engine: applies the
+/// protocol items numbered `items`. A `rst` bus is held high for item
+/// 0 and low for every later item, each item draws the next operand
+/// pair from every stream, and each item's operands are held for
+/// `cycles_per_item` clock cycles.
+fn apply_items(
+    driver: &mut Driver<'_>,
+    items: Range<u64>,
+    cycles_per_item: u32,
+) -> Result<(), SimError> {
+    for item in items {
+        driver.set_rst(item == 0);
+        driver.apply_operands();
+        for _ in 0..cycles_per_item.max(1) {
+            driver.advance()?;
+        }
     }
+    Ok(())
+}
+
+/// The whole protocol on one engine from cycle 0: the first `warmup`
+/// items are simulated but fall outside the counting window.
+fn run(
+    mut driver: Driver<'_>,
+    cells: usize,
+    items: u64,
+    cycles_per_item: u32,
+    warmup: u64,
+) -> Result<ActivityReport, SimError> {
+    apply_items(&mut driver, 0..warmup, cycles_per_item)?;
+    let window_start = driver.transitions();
+    apply_items(&mut driver, warmup..warmup + items, cycles_per_item)?;
+    Ok(ActivityReport::over(
+        driver.transitions() - window_start,
+        items * driver.lane_count(),
+        cells,
+    ))
+}
+
+/// The whole protocol on a scalar engine, consuming the stream seeded
+/// `seed`.
+fn run_scalar(
+    sim: &mut dyn Drive,
+    netlist: &Netlist,
+    items: u64,
+    cycles_per_item: u32,
+    warmup: u64,
+    seed: u64,
+) -> Result<ActivityReport, SimError> {
+    let buses = Buses::resolve(netlist, warmup);
+    let driver = Driver::Scalar {
+        sim,
+        stim: buses.stim(seed),
+        buses: &buses,
+    };
+    run(
+        driver,
+        netlist.logic_cell_count(),
+        items,
+        cycles_per_item,
+        warmup,
+    )
+}
+
+/// The whole protocol on a `64 * W`-lane plane, one lane-seeded
+/// stream per lane.
+fn run_plane<const W: usize>(
+    netlist: &Netlist,
+    items: u64,
+    cycles_per_item: u32,
+    warmup: u64,
+    seed: u64,
+) -> Result<ActivityReport, SimError> {
+    let buses = Buses::resolve(netlist, warmup);
+    let mut sim = WidePlaneSim::<W>::new(netlist);
+    let mut stims: Vec<StimulusGen> = (0..(LANES * W) as u32)
+        .map(|lane| buses.stim(lane_seed(seed, lane)))
+        .collect();
+    let driver = Driver::lanes(&mut sim, &mut stims, &buses);
+    run(
+        driver,
+        netlist.logic_cell_count(),
+        items,
+        cycles_per_item,
+        warmup,
+    )
 }
 
 /// Measures switching activity with uniform random operands on the
@@ -353,7 +493,9 @@ fn lanes_driver<'n, const W: usize>(
 /// held stable for that many cycles.
 ///
 /// The first `warmup` items are simulated but not counted (they flush
-/// `X` state and pipeline bubbles). For the plane engines
+/// `X` state and pipeline bubbles); [`Engine::Timed`] simulates them on
+/// the zero-delay plane and only the counted items on the event wheel
+/// (see the module docs). For the plane engines
 /// ([`Engine::BitParallel`] and its 256/512-lane variants), `items`
 /// and `warmup` count *per-lane* items: the report covers
 /// `lanes × items` measured items for the cost of one zero-delay pass.
@@ -366,7 +508,8 @@ fn lanes_driver<'n, const W: usize>(
 ///
 /// # Panics
 ///
-/// Panics if the netlist has no `a`/`b` input buses.
+/// Panics if the netlist has no `a`/`b` input buses, or has a `rst`
+/// bus and `warmup` is below [`MIN_RESET_WARMUP`].
 pub fn measure_activity(
     netlist: &Netlist,
     library: &Library,
@@ -376,126 +519,185 @@ pub fn measure_activity(
     warmup: u64,
     seed: u64,
 ) -> Result<ActivityReport, SimError> {
-    // Resolve the buses once; widths and the reset flag derive from
-    // the same resolution.
-    let buses = Buses::resolve(netlist);
-    let a_w = buses.a.len() as u32;
-    let b_w = buses.b.len() as u32;
-    assert!(
-        a_w > 0 && b_w > 0,
-        "activity measurement requires a/b input buses"
-    );
-    let cells = netlist.logic_cell_count();
-    let has_rst = !buses.rst.is_empty();
-    if has_rst {
-        assert!(warmup >= 2, "designs with a reset need warmup >= 2 items");
-    }
     match engine {
+        // Lane 0 of a lane-seeded measurement is the base-seed stream.
         Engine::Timed => {
-            let mut sim = TimedSim::new(netlist, library)?;
-            run(
-                Driver::Scalar {
-                    sim: &mut sim,
-                    stim: StimulusGen::new(seed, a_w, b_w),
-                    buses,
-                },
-                cells,
-                items,
-                cycles_per_item,
-                warmup,
-                has_rst,
-            )
+            TimedLanes::warm_up(netlist, library, seed, 1, items, cycles_per_item, warmup)?
+                .measure_lane(0)
         }
-        Engine::TimedScalar => {
-            let mut sim = ScalarTimedSim::new(netlist, library)?;
-            run(
-                Driver::Scalar {
-                    sim: &mut sim,
-                    stim: StimulusGen::new(seed, a_w, b_w),
-                    buses,
-                },
-                cells,
-                items,
-                cycles_per_item,
-                warmup,
-                has_rst,
-            )
-        }
-        Engine::ZeroDelay => {
-            let mut sim = ZeroDelaySim::new(netlist);
-            run(
-                Driver::Scalar {
-                    sim: &mut sim,
-                    stim: StimulusGen::new(seed, a_w, b_w),
-                    buses,
-                },
-                cells,
-                items,
-                cycles_per_item,
-                warmup,
-                has_rst,
-            )
-        }
-        Engine::BitParallel => run(
-            lanes_driver::<1>(netlist, buses, seed, a_w, b_w),
-            cells,
+        Engine::TimedScalar => run_scalar(
+            &mut ScalarTimedSim::new(netlist, library)?,
+            netlist,
             items,
             cycles_per_item,
             warmup,
-            has_rst,
+            seed,
         ),
-        Engine::BitParallel256 => run(
-            lanes_driver::<4>(netlist, buses, seed, a_w, b_w),
-            cells,
+        Engine::ZeroDelay => run_scalar(
+            &mut ZeroDelaySim::new(netlist),
+            netlist,
             items,
             cycles_per_item,
             warmup,
-            has_rst,
+            seed,
         ),
-        Engine::BitParallel512 => run(
-            lanes_driver::<8>(netlist, buses, seed, a_w, b_w),
-            cells,
-            items,
-            cycles_per_item,
-            warmup,
-            has_rst,
-        ),
+        Engine::BitParallel => run_plane::<1>(netlist, items, cycles_per_item, warmup, seed),
+        Engine::BitParallel256 => run_plane::<4>(netlist, items, cycles_per_item, warmup, seed),
+        Engine::BitParallel512 => run_plane::<8>(netlist, items, cycles_per_item, warmup, seed),
     }
 }
 
-/// The measurement protocol, shared by every engine: warm-up items are
-/// simulated but fall outside the counting window, designs with a
-/// `rst` bus get it pulsed for the first item only, and each item's
-/// operands are held for `cycles_per_item` clock cycles.
-fn run(
-    mut driver: Driver<'_, '_>,
-    cells: usize,
+/// A timed (glitch-counting) measurement over lane-seeded stimulus
+/// streams, warmed up and ready to measure its counted window lane by
+/// lane.
+///
+/// [`TimedLanes::warm_up`] compiles the netlist once into a program all
+/// lanes share read-only, runs the protocol's `warmup` items for up to 64
+/// lanes at a time on a [`BitParallelSim`] plane (lane `L` seeded
+/// [`lane_seed`]`(seed, L)`, reset pulse and hold cycles as in every
+/// measurement), and keeps each lane's settled net values and its
+/// stimulus generator. [`TimedLanes::measure_lane`] then resumes the
+/// lane on the event wheel and simulates only its counted items. It
+/// takes `&self`, so a pool can shard lanes across worker threads.
+/// Lane `L`'s report is bit-identical to a whole-protocol
+/// [`Engine::TimedScalar`] measurement seeded `lane_seed(seed, L)`
+/// (see the module docs for why).
+#[derive(Debug)]
+pub struct TimedLanes<'n> {
+    program: Arc<TimedProgram<'n>>,
+    buses: Buses,
+    seed: u64,
+    lanes: u32,
     items: u64,
     cycles_per_item: u32,
     warmup: u64,
-    has_rst: bool,
-) -> Result<ActivityReport, SimError> {
-    let mut window_start = 0u64;
-    for item in 0..(warmup + items) {
-        if item == warmup {
-            window_start = driver.transitions();
+    /// Per lane: its net values after the warm-up and its stimulus
+    /// generator positioned at the first counted item. Empty when
+    /// `warmup == 0`: every lane then starts at cycle 0.
+    warm: Vec<(Vec<Logic>, StimulusGen)>,
+}
+
+impl<'n> TimedLanes<'n> {
+    /// Compiles `netlist` and runs the warm-up of `lanes` streams: see
+    /// the type docs. `items` is the counted window per lane.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::InvalidDelay`] if the library holds a delay the
+    /// timed engine rejects.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lanes` is not in `1..=`[`MAX_STIMULUS_LANES`], if the
+    /// netlist has no `a`/`b` input buses, or if it has a `rst` bus and
+    /// `warmup` is below [`MIN_RESET_WARMUP`].
+    pub fn warm_up(
+        netlist: &'n Netlist,
+        library: &Library,
+        seed: u64,
+        lanes: u32,
+        items: u64,
+        cycles_per_item: u32,
+        warmup: u64,
+    ) -> Result<Self, SimError> {
+        assert!(
+            (1..=MAX_STIMULUS_LANES).contains(&lanes),
+            "a timed measurement takes 1..={MAX_STIMULUS_LANES} lanes, got {lanes}"
+        );
+        let buses = Buses::resolve(netlist, warmup);
+        let program = Arc::new(TimedProgram::compile(netlist, library)?);
+        let mut warm = Vec::new();
+        if warmup > 0 {
+            for first in (0..lanes).step_by(LANES) {
+                let block = first..lanes.min(first + LANES as u32);
+                let mut plane = BitParallelSim::new(netlist);
+                let mut stims: Vec<StimulusGen> = block
+                    .map(|lane| buses.stim(lane_seed(seed, lane)))
+                    .collect();
+                let mut driver = Driver::lanes(&mut plane, &mut stims, &buses);
+                apply_items(&mut driver, 0..warmup, cycles_per_item)
+                    .expect("the zero-delay plane cannot fail");
+                warm.extend(
+                    stims
+                        .into_iter()
+                        .enumerate()
+                        .map(|(k, stim)| (plane.lane_values(k), stim)),
+                );
+            }
         }
-        if has_rst {
-            driver.set_rst(item == 0);
-        }
-        driver.apply_operands();
-        for _ in 0..cycles_per_item.max(1) {
-            driver.advance()?;
+        Ok(Self {
+            program,
+            buses,
+            seed,
+            lanes,
+            items,
+            cycles_per_item,
+            warmup,
+            warm,
+        })
+    }
+
+    /// Lane `lane`'s event-wheel simulator, positioned where its
+    /// counted window starts: resumed from the warm-up plane's settled
+    /// state, or at cycle 0 when there is no warm-up.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lane` is not below the lane count given to
+    /// [`TimedLanes::warm_up`].
+    pub fn lane_sim(&self, lane: u32) -> TimedSim<'n> {
+        self.start(lane).0
+    }
+
+    /// Measures lane `lane`'s counted window on the event wheel.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::Oscillation`] if the netlist fails to settle.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lane` is not below the lane count given to
+    /// [`TimedLanes::warm_up`].
+    pub fn measure_lane(&self, lane: u32) -> Result<ActivityReport, SimError> {
+        let (mut sim, stim) = self.start(lane);
+        let mut driver = Driver::Scalar {
+            sim: &mut sim,
+            stim,
+            buses: &self.buses,
+        };
+        apply_items(
+            &mut driver,
+            self.warmup..self.warmup + self.items,
+            self.cycles_per_item,
+        )?;
+        Ok(ActivityReport::over(
+            driver.transitions(),
+            self.items,
+            self.program.netlist().logic_cell_count(),
+        ))
+    }
+
+    /// The lane's simulator and stimulus generator at the start of its
+    /// counted window.
+    fn start(&self, lane: u32) -> (TimedSim<'n>, StimulusGen) {
+        assert!(
+            lane < self.lanes,
+            "lane {lane} out of range (0..{})",
+            self.lanes
+        );
+        let program = Arc::clone(&self.program);
+        match self.warm.get(lane as usize) {
+            Some((values, stim)) => {
+                let cycle = self.warmup * u64::from(self.cycles_per_item.max(1));
+                (TimedSim::resume(program, cycle, values), stim.clone())
+            }
+            None => (
+                TimedSim::from_program(program),
+                self.buses.stim(lane_seed(self.seed, lane)),
+            ),
         }
     }
-    let transitions = driver.transitions() - window_start;
-    let measured = items * driver.lanes();
-    Ok(ActivityReport {
-        activity: transitions as f64 / (measured as f64 * cells as f64),
-        transitions,
-        items: measured,
-        cells,
-    })
 }
 
 #[cfg(test)]

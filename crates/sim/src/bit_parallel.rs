@@ -594,6 +594,13 @@ impl<'n, const W: usize> WidePlaneSim<'n, W> {
         self.values[net.index()].lane(lane)
     }
 
+    /// Every net's current value in one lane, indexed by net: the
+    /// lane's whole state between steps, from which
+    /// [`crate::TimedLanes`] resumes the lane on the event wheel.
+    pub fn lane_values(&self, lane: usize) -> Vec<Logic> {
+        self.values.iter().map(|w| w.lane(lane)).collect()
+    }
+
     /// Decodes an output bus `{prefix}{0..}` in one lane; `None` if any
     /// bit of that lane is `X`.
     pub fn output_bits_lane(&self, prefix: &str, lane: usize) -> Option<u64> {

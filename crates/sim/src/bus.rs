@@ -122,6 +122,10 @@ pub fn transpose64(block: &mut [u64; 64]) {
     }
 }
 
+/// Most stimulus lanes one measurement may use: the domain on which
+/// [`lane_seed`] promises distinct streams (see its docs).
+pub const MAX_STIMULUS_LANES: u32 = 512;
+
 /// The stimulus seed of lane `lane` for a measurement seeded with
 /// `seed`.
 ///
@@ -135,8 +139,9 @@ pub fn transpose64(block: &mut [u64; 64]) {
 /// The mixing function is defined for the full `u32` lane range, but
 /// the *contract* — lane 0 = base seed, no collisions among the lanes
 /// of one measurement — is only claimed (and tested, see
-/// `lane_seed_contract`) for `lane < 512`, the widest plane any engine
-/// exposes ([`crate::BitParallelSim512`]). Widths nest by
+/// `lane_seed_contract`) for `lane <` [`MAX_STIMULUS_LANES`] (512), the
+/// widest plane any engine exposes ([`crate::BitParallelSim512`]) and
+/// the most lanes a pooled timed measurement accepts. Widths nest by
 /// construction: a 512-lane measurement's chunk `c` uses exactly the
 /// seeds `lane_seed(seed, 64c..64c+64)` that a 64-lane run of that
 /// chunk would use, which is what makes wide runs bit-identical to
@@ -185,9 +190,14 @@ mod tests {
         // the base seed and no two lanes of one measurement collide.
         for base in [0u64, 1, 42, 1234, u64::MAX] {
             assert_eq!(lane_seed(base, 0), base, "lane 0 is the base seed");
-            let seeds: std::collections::HashSet<u64> =
-                (0..512).map(|l| lane_seed(base, l)).collect();
-            assert_eq!(seeds.len(), 512, "lanes must not collide (base {base})");
+            let seeds: std::collections::HashSet<u64> = (0..MAX_STIMULUS_LANES)
+                .map(|l| lane_seed(base, l))
+                .collect();
+            assert_eq!(
+                seeds.len(),
+                MAX_STIMULUS_LANES as usize,
+                "lanes must not collide (base {base})"
+            );
         }
         assert_ne!(lane_seed(1234, 1), lane_seed(1235, 1));
     }

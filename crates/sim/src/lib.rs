@@ -14,10 +14,13 @@
 //!   activity the paper observes on diagonal pipelines. Authoritative
 //!   for the paper's activity factor `a` (glitches included). Time is
 //!   kept in **integer picosecond ticks** ([`TICKS_PER_GATE`] ticks
-//!   per gate unit, quantized once in [`TimedSim::new`]): event
-//!   ordering is total (no `NaN` holes), time sums are exact, and the
-//!   event queue is the O(1) bucket wheel of [`event_wheel`] rather
-//!   than a binary heap. The hot path allocates nothing per event.
+//!   per gate unit, quantized once when the engine compiles the
+//!   netlist): event ordering is total (no `NaN` holes), time sums are
+//!   exact, and the event queue is the O(1) bucket wheel of
+//!   [`event_wheel`] rather than a binary heap. The hot path allocates
+//!   nothing per event. One compiled program serves every stream of a
+//!   measurement, and a stream can resume from settled net values
+//!   ([`TimedLanes`]).
 //! * [`ScalarTimedSim`] — the frozen pre-wheel timed engine (binary
 //!   heap, per-event allocations) on the same tick base. Bit-identical
 //!   to [`TimedSim`] by the differential suite
@@ -47,9 +50,11 @@
 //! The timed engines return typed [`SimError`]s (invalid library
 //! delays at construction, oscillation at runtime) instead of
 //! panicking, so sweeps can report which netlist failed;
-//! `optpower_explore::measure_timed_activity_pooled` shards a timed
-//! measurement across lane-seeded streams on a worker pool with
-//! worker-count-invariant sums ([`ActivityReport::combine`]).
+//! [`TimedLanes`] runs a timed measurement's uncounted warm-up on a
+//! zero-delay plane and only the counted items on the event wheel, and
+//! `optpower_explore::measure_timed_activity_pooled` shards those
+//! counted windows across a worker pool with worker-count-invariant
+//! sums ([`ActivityReport::combine`]).
 //!
 //! # Examples
 //!
@@ -85,11 +90,11 @@ mod vcd;
 mod verify;
 mod zero_delay;
 
-pub use activity::{measure_activity, ActivityReport, Engine};
+pub use activity::{measure_activity, ActivityReport, Engine, TimedLanes, MIN_RESET_WARMUP};
 pub use bit_parallel::{BitParallelSim, BitParallelSim256, BitParallelSim512, WidePlaneSim, LANES};
 pub use bus::{
     bus_inputs, bus_outputs, decode_bus, encode_bus, lane_seed, transpose64, width_mask,
-    StimulusGen,
+    StimulusGen, MAX_STIMULUS_LANES,
 };
 pub use error::SimError;
 pub use event_wheel::{EventWheel, TimedEvent};

@@ -5,7 +5,7 @@
 //! # Integer-tick time base
 //!
 //! Library delays are expressed in *gate units* (FO4 inverter = 1.0);
-//! [`TimedSim::new`] quantizes them **once** to integer ticks at
+//! [`TimedProgram::compile`] quantizes them **once** to integer ticks at
 //! [`TICKS_PER_GATE`] ticks per gate unit (with the 0.13 µm library's
 //! FO4 ≈ 1 ns, one tick ≈ 1 ps). All event arithmetic and ordering
 //! then happens in `u64`: ordering is total by construction (the old
@@ -18,19 +18,38 @@
 //!
 //! # Compiled hot path
 //!
-//! [`TimedSim::new`] additionally *compiles* the netlist into flat
-//! index arrays: CSR fanout restricted to evaluable sinks, CSR input
-//! lists, one byte per net of three-valued state, and per-kind truth
-//! tables built by exhaustively calling [`CellKind::eval`] (so the
-//! table semantics cannot drift from the shared cell model). The
+//! [`TimedProgram::compile`] *compiles* the netlist into flat index
+//! arrays: CSR fanout restricted to evaluable sinks, CSR input lists
+//! and per-kind truth tables built by exhaustively calling
+//! [`CellKind::eval`] (so the table semantics cannot drift from the
+//! shared cell model). A [`TimedSim`] is that program, shared through
+//! an [`Arc`], plus one stimulus stream's state: one byte per net of
+//! three-valued values, the per-net schedule and the event wheel. The
 //! steady-state simulation loop touches only these arrays — no
 //! per-event allocation, no pointer chasing through `Vec<Vec<…>>`,
-//! no enum dispatch per evaluation.
+//! no enum dispatch per evaluation. A lane-seeded measurement compiles
+//! once and starts every lane on the same program.
+//!
+//! # Warm start
+//!
+//! Every cycle runs until the event queue is empty, and in an acyclic
+//! core under inertial delays the surviving events leave each cell at
+//! its evaluation of its settled inputs: a cycle ends at the core's
+//! unique fixed point, which is the zero-delay value of every net. Net
+//! values are therefore the whole state between cycles, and
+//! [`TimedSim::resume`] starts a stream at cycle ≥ 1 from them — for
+//! example from one lane of a [`crate::BitParallelSim`] plane that ran
+//! the measurement's uncounted warm-up items ([`crate::TimedLanes`]).
+//! The resumed stream is bit-identical, values and per-cell transition
+//! counts, to one that simulated those cycles on the wheel. Output-port
+//! nets, which this engine never writes, stay `X`.
 //!
 //! The pre-wheel engine survives as [`crate::ScalarTimedSim`], the
 //! frozen reference the wheel engine is locked against bit for bit
 //! (`tests/timed_differential.rs`); `benches/sim.rs` tracks the
 //! `timed_scalar` vs `timed_wheel` throughput ratio.
+
+use std::sync::Arc;
 
 use optpower_netlist::{CellId, CellKind, Library, Logic, NetId, Netlist};
 
@@ -145,6 +164,160 @@ fn build_luts() -> Vec<[u8; 27]> {
         .collect()
 }
 
+/// A netlist compiled for the event-driven engine: delays quantized to
+/// tick/stride units, flat index arrays and truth tables (see the
+/// module docs). Immutable once built, so one program serves every
+/// stimulus stream of a measurement — each [`TimedSim`] holds an
+/// [`Arc`] to it plus its own per-stream state, and lanes on different
+/// worker threads share it read-only.
+#[derive(Debug)]
+pub(crate) struct TimedProgram<'n> {
+    netlist: &'n Netlist,
+    /// Per-cell hot metadata, one packed record per cell.
+    meta: Vec<CellMeta>,
+    /// Flat per-kind truth tables (see [`build_luts`]); a cell's table
+    /// starts at `meta.lut_base`.
+    lut: Vec<u8>,
+    /// CSR fanout restricted to *evaluable* sinks (DFF and output
+    /// ports pre-filtered): net `n`'s sinks are
+    /// `fan_sink[fan_off[n] .. fan_off[n + 1]]`.
+    fan_off: Vec<u32>,
+    fan_sink: Vec<u32>,
+    /// Per-cell output net, duplicated out of [`CellMeta`] as a dense
+    /// 4-byte array for the marking loop's cache behaviour.
+    out_of: Vec<u32>,
+    /// `(cell, d_net, q_net)` triples of the sequential cells.
+    dffs: Vec<(u32, u32, u32)>,
+    /// `(cell, out_net)` pairs of the primary inputs.
+    inputs: Vec<(u32, u32)>,
+    /// `(cell, out_net, value)` of the constant cells.
+    consts: Vec<(u32, u32, u8)>,
+    /// Evaluable (combinational) cells in id order, for the cycle-0
+    /// seeding pass.
+    comb: Vec<u32>,
+    /// Output-port nets. Ports are transparent to the engine, which
+    /// never writes them: they read `X` forever.
+    ports: Vec<u32>,
+    /// Largest delay in stride units (sizes each stream's wheel).
+    max_delay: u64,
+    /// Per-cycle event budget (see [`event_budget`]).
+    budget: u64,
+    /// True when every evaluable cell's delay is ≥ 1 stride unit, so
+    /// the event loop may use the bucket-run drain
+    /// ([`EventWheel::pop_run`]): no event can land in the tick
+    /// currently being processed, and the whole bucket is swapped out
+    /// instead of being frozen in place while it drains event by
+    /// event. False only for zero-delay logic cells (legal but outside
+    /// any real library), which fall back to the per-event pop loop.
+    run_drain: bool,
+}
+
+impl<'n> TimedProgram<'n> {
+    /// Quantizes `library` delays to integer ticks and compiles the
+    /// netlist into the flat hot-path arrays described on the module.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::InvalidDelay`] if any cell's library delay is not
+    /// finite, is negative, or exceeds [`MAX_DELAY_GATES`].
+    pub(crate) fn compile(netlist: &'n Netlist, library: &Library) -> Result<Self, SimError> {
+        let ticks = quantize_delays(netlist, library)?;
+        // Run the wheel on tick/stride units (see [`tick_stride`]):
+        // the cmos13 delays (all multiples of 0.1 gate units) collapse
+        // from a sparse 4096-bucket wheel to a dense 32-bucket one.
+        let stride = tick_stride(&ticks);
+        let delays: Vec<u64> = ticks.iter().map(|&d| d / stride).collect();
+        let max_delay = delays.iter().copied().max().unwrap_or(0);
+
+        let n_cells = netlist.cells().len();
+        let n_nets = netlist.nets().len();
+        // The trailing dummy slot of a stream's values: permanently
+        // `Zero`, so an unused input lane contributes 0 to the
+        // truth-table index.
+        let dummy = n_nets as u32;
+        let mut meta = Vec::with_capacity(n_cells);
+        let mut dffs = Vec::new();
+        let mut inputs = Vec::new();
+        let mut consts = Vec::new();
+        let mut comb = Vec::new();
+        let mut ports = Vec::new();
+        for (i, cell) in netlist.cells().iter().enumerate() {
+            let kind_ix = CellKind::ALL
+                .iter()
+                .position(|&k| k == cell.kind)
+                .expect("CellKind::ALL is exhaustive");
+            let mut ins = [dummy; 3];
+            for (slot, net) in ins.iter_mut().zip(cell.inputs.iter()) {
+                *slot = net.0;
+            }
+            meta.push(CellMeta {
+                ins,
+                lut_base: (kind_ix * 27) as u32,
+                delay: delays[i] as u32,
+                out: cell.output.0,
+            });
+            match cell.kind {
+                CellKind::Dff => dffs.push((i as u32, cell.inputs[0].0, cell.output.0)),
+                CellKind::Input => inputs.push((i as u32, cell.output.0)),
+                CellKind::Const0 => consts.push((i as u32, cell.output.0, 0u8)),
+                CellKind::Const1 => consts.push((i as u32, cell.output.0, 1u8)),
+                CellKind::Output => ports.push(cell.output.0),
+                _ => comb.push(i as u32),
+            }
+        }
+        // Fanout CSR over evaluable sinks only: DFFs capture at edges
+        // and output ports are transparent, so neither is evaluated.
+        let mut fan_off = Vec::with_capacity(n_nets + 1);
+        let mut fan_sink = Vec::new();
+        fan_off.push(0u32);
+        for net in 0..n_nets {
+            for &sink in netlist.fanout(NetId(net as u32)) {
+                match netlist.cell(sink).kind {
+                    CellKind::Dff | CellKind::Output => {}
+                    _ => fan_sink.push(sink.0),
+                }
+            }
+            fan_off.push(fan_sink.len() as u32);
+        }
+        // `NetlistBuilder` creates every cell together with its output
+        // net, so their indices coincide; the transition counters (per
+        // cell) can then be indexed by net directly in the hot loop.
+        for (i, net) in netlist.nets().iter().enumerate() {
+            assert_eq!(
+                net.driver.index(),
+                i,
+                "cell/net index identity violated by the netlist builder"
+            );
+        }
+        let out_of: Vec<u32> = meta.iter().map(|m| m.out).collect();
+        // Bucket-run drain precondition: every cell the flush can
+        // schedule has a delay of at least one stride unit, so a push
+        // from tick `t` always targets a strictly later tick.
+        let run_drain = comb.iter().all(|&c| meta[c as usize].delay >= 1);
+        Ok(Self {
+            netlist,
+            meta,
+            lut: build_luts().concat(),
+            fan_off,
+            fan_sink,
+            out_of,
+            dffs,
+            inputs,
+            consts,
+            comb,
+            ports,
+            max_delay,
+            budget: event_budget(netlist),
+            run_drain,
+        })
+    }
+
+    /// The compiled netlist.
+    pub(crate) fn netlist(&self) -> &'n Netlist {
+        self.netlist
+    }
+}
+
 /// Event-driven gate-level simulator with per-cell *inertial* delays.
 ///
 /// Scheduling is preemptive per net: re-evaluating a cell cancels its
@@ -158,9 +331,13 @@ fn build_luts() -> Vec<[u8; 27]> {
 ///
 /// This is the production engine: time lives in integer ticks (see
 /// the module docs), the event queue is the O(1) [`EventWheel`], the
-/// netlist is compiled to flat arrays at construction, and the hot
-/// loop allocates nothing. Two event-count optimisations apply, both
-/// *equivalence-preserving* for positive delays:
+/// netlist is compiled once into flat index arrays, and the hot loop
+/// allocates nothing. A simulator is that compiled program, shared
+/// through an [`Arc`], plus one stimulus stream's state: it starts at
+/// cycle 0 ([`TimedSim::new`]), or resumes from the settled state a
+/// zero-delay warm-up left ([`crate::TimedLanes::lane_sim`]). Two
+/// event-count optimisations apply, both *equivalence-preserving* for
+/// positive delays:
 ///
 /// * **batched per-tick evaluation** — instead of re-evaluating a
 ///   sink once per arriving input event, sinks touched during a tick
@@ -188,31 +365,15 @@ fn build_luts() -> Vec<[u8; 27]> {
 /// scheme-dependent, so only settled values are comparable there.
 #[derive(Debug, Clone)]
 pub struct TimedSim<'n> {
-    netlist: &'n Netlist,
-    // --- compiled netlist (flat, immutable after `new`) ---
-    /// Per-cell hot metadata, one packed record per cell.
-    meta: Vec<CellMeta>,
-    /// Flat per-kind truth tables (see [`build_luts`]); a cell's table
-    /// starts at `meta.lut_base`.
-    lut: Vec<u8>,
-    /// CSR fanout restricted to *evaluable* sinks (DFF and output
-    /// ports pre-filtered): net `n`'s sinks are
-    /// `fan_sink[fan_off[n] .. fan_off[n + 1]]`.
-    fan_off: Vec<u32>,
-    fan_sink: Vec<u32>,
-    /// Per-cell output net, duplicated out of [`CellMeta`] as a dense
-    /// 4-byte array for the marking loop's cache behaviour.
-    out_of: Vec<u32>,
-    /// `(cell, d_net, q_net)` triples of the sequential cells.
-    dffs: Vec<(u32, u32, u32)>,
-    /// `(cell, out_net)` pairs of the primary inputs.
-    inputs: Vec<(u32, u32)>,
-    /// `(cell, out_net, value)` of the constant cells.
-    consts: Vec<(u32, u32, u8)>,
-    /// Evaluable (combinational) cells in id order, for the cycle-0
-    /// seeding pass.
-    comb: Vec<u32>,
-    // --- simulation state ---
+    program: Arc<TimedProgram<'n>>,
+    stream: Stream,
+}
+
+/// The per-stream state of a [`TimedSim`]: everything one stimulus
+/// stream mutates. The hot-path methods take the shared program as a
+/// separate read-only argument.
+#[derive(Debug, Clone)]
+struct Stream {
     /// Three-valued value code per net (see [`code_of`]), plus one
     /// trailing dummy slot pinned to `0` that the unused input lanes
     /// of narrow cells point at (keeps evaluation branchless).
@@ -233,14 +394,6 @@ pub struct TimedSim<'n> {
     dirty: Vec<u32>,
     /// Reusable buffer for the pre-edge D values (two-phase capture).
     dff_scratch: Vec<u8>,
-    /// True when every evaluable cell's delay is ≥ 1 stride unit, so
-    /// the event loop may use the bucket-run drain
-    /// ([`EventWheel::pop_run`]): no event can land in the tick
-    /// currently being processed, and the whole bucket is swapped out
-    /// instead of being frozen in place while it drains event by
-    /// event. False only for zero-delay logic cells (legal but outside
-    /// any real library), which fall back to the per-event pop loop.
-    run_drain: bool,
     /// Reusable bucket-run buffer for the run-drain loop.
     run_buf: Vec<TimedEvent>,
     /// When set, every popped event is appended to `events_log` before
@@ -289,130 +442,78 @@ struct NetSched {
 
 impl<'n> TimedSim<'n> {
     /// Creates a timing simulator using `library` delays, quantized to
-    /// integer ticks, and compiles the netlist into the flat hot-path
-    /// arrays described on the module.
+    /// integer ticks: compiles the netlist and starts a stream on it at
+    /// cycle 0, every net `X`.
     ///
     /// # Errors
     ///
     /// [`SimError::InvalidDelay`] if any cell's library delay is not
     /// finite, is negative, or exceeds [`MAX_DELAY_GATES`].
     pub fn new(netlist: &'n Netlist, library: &Library) -> Result<Self, SimError> {
-        let ticks = quantize_delays(netlist, library)?;
-        // Run the wheel on tick/stride units (see [`tick_stride`]):
-        // the cmos13 delays (all multiples of 0.1 gate units) collapse
-        // from a sparse 4096-bucket wheel to a dense 32-bucket one.
-        let stride = tick_stride(&ticks);
-        let delays: Vec<u64> = ticks.iter().map(|&d| d / stride).collect();
-        let max_delay = delays.iter().copied().max().unwrap_or(0);
+        Ok(Self::from_program(Arc::new(TimedProgram::compile(
+            netlist, library,
+        )?)))
+    }
 
-        let n_cells = netlist.cells().len();
-        let n_nets = netlist.nets().len();
-        // The trailing dummy slot of `values`: permanently `Zero`, so
-        // an unused input lane contributes 0 to the truth-table index.
-        let dummy = n_nets as u32;
-        let mut meta = Vec::with_capacity(n_cells);
-        let mut dffs = Vec::new();
-        let mut inputs = Vec::new();
-        let mut consts = Vec::new();
-        let mut comb = Vec::new();
-        for (i, cell) in netlist.cells().iter().enumerate() {
-            let kind_ix = CellKind::ALL
-                .iter()
-                .position(|&k| k == cell.kind)
-                .expect("CellKind::ALL is exhaustive");
-            let mut ins = [dummy; 3];
-            for (slot, net) in ins.iter_mut().zip(cell.inputs.iter()) {
-                *slot = net.0;
-            }
-            meta.push(CellMeta {
-                ins,
-                lut_base: (kind_ix * 27) as u32,
-                delay: delays[i] as u32,
-                out: cell.output.0,
-            });
-            match cell.kind {
-                CellKind::Dff => dffs.push((i as u32, cell.inputs[0].0, cell.output.0)),
-                CellKind::Input => inputs.push((i as u32, cell.output.0)),
-                CellKind::Const0 => consts.push((i as u32, cell.output.0, 0u8)),
-                CellKind::Const1 => consts.push((i as u32, cell.output.0, 1u8)),
-                CellKind::Output => {}
-                _ => comb.push(i as u32),
-            }
+    /// Starts a stream at cycle 0 (every net `X`) on a shared compiled
+    /// program: what [`TimedSim::new`] does, minus the compilation.
+    pub(crate) fn from_program(program: Arc<TimedProgram<'n>>) -> Self {
+        let stream = Stream::new(&program);
+        Self { program, stream }
+    }
+
+    /// Resumes a stream from a settled state at the start of cycle
+    /// `cycle`: the simulator continues exactly as one that had
+    /// simulated the preceding `cycle` cycles itself and ended them
+    /// with net `n` at `values[n]`.
+    ///
+    /// Net values are the whole state between cycles. Each cycle runs
+    /// until the event queue is empty, and in an acyclic combinational
+    /// core every inertial-delay event that survives preemption
+    /// carries the cell's evaluation of its then-current inputs, so a
+    /// cycle ends at the unique fixed point of the core — the
+    /// zero-delay values of the same cycle. Preemption sequence
+    /// numbers, the dirty list and the wheel carry nothing across a
+    /// settled edge; transition counters start at zero (the counting
+    /// window opens here), and each primary input keeps its last
+    /// applied value until set again. Output-port nets, which the
+    /// engine never writes, stay `X` whatever `values` holds for them.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cycle == 0` (cycle 0 seeds the core and has no
+    /// settled predecessor) or `values` does not hold one value per
+    /// net.
+    pub(crate) fn resume(program: Arc<TimedProgram<'n>>, cycle: u64, values: &[Logic]) -> Self {
+        assert!(cycle >= 1, "a settled state exists only after cycle 0");
+        let p = &*program;
+        assert_eq!(
+            values.len(),
+            p.netlist.nets().len(),
+            "resume needs one value per net"
+        );
+        let mut stream = Stream::new(p);
+        for (slot, &v) in stream.values.iter_mut().zip(values) {
+            *slot = code_of(v);
         }
-        // Fanout CSR over evaluable sinks only: DFFs capture at edges
-        // and output ports are transparent, so neither is evaluated.
-        let mut fan_off = Vec::with_capacity(n_nets + 1);
-        let mut fan_sink = Vec::new();
-        fan_off.push(0u32);
-        for net in 0..n_nets {
-            for &sink in netlist.fanout(NetId(net as u32)) {
-                match netlist.cell(sink).kind {
-                    CellKind::Dff | CellKind::Output => {}
-                    _ => fan_sink.push(sink.0),
-                }
-            }
-            fan_off.push(fan_sink.len() as u32);
+        for &net in &p.ports {
+            stream.values[net as usize] = code_of(Logic::X);
         }
-        // `NetlistBuilder` creates every cell together with its output
-        // net, so their indices coincide; the transition counters (per
-        // cell) can then be indexed by net directly in the hot loop.
-        for (i, net) in netlist.nets().iter().enumerate() {
-            assert_eq!(
-                net.driver.index(),
-                i,
-                "cell/net index identity violated by the netlist builder"
-            );
+        for &(cell, net) in &p.inputs {
+            stream.input_next[cell as usize] = stream.values[net as usize];
         }
-        let out_of: Vec<u32> = meta.iter().map(|m| m.out).collect();
-        let dff_scratch = Vec::with_capacity(dffs.len());
-        // Bucket-run drain precondition: every cell the flush can
-        // schedule has a delay of at least one stride unit, so a push
-        // from tick `t` always targets a strictly later tick.
-        let run_drain = comb.iter().all(|&c| meta[c as usize].delay >= 1);
-        let mut values = vec![code_of(Logic::X); n_nets + 1];
-        values[n_nets] = code_of(Logic::Zero); // the dummy slot
-        Ok(Self {
-            netlist,
-            meta,
-            lut: build_luts().concat(),
-            fan_off,
-            fan_sink,
-            out_of,
-            dffs,
-            inputs,
-            consts,
-            comb,
-            values,
-            input_next: vec![code_of(Logic::X); n_cells],
-            transitions: vec![0; n_cells],
-            wheel: EventWheel::new(max_delay),
-            sched: vec![
-                NetSched {
-                    seq: 0,
-                    due: NOT_PENDING,
-                };
-                n_nets
-            ],
-            dirty_pos: vec![0; n_cells],
-            dirty: Vec::new(),
-            dff_scratch,
-            run_drain,
-            run_buf: Vec::new(),
-            record: false,
-            events_log: Vec::new(),
-            seq: 0,
-            cycle: 0,
-        })
+        stream.cycle = cycle;
+        Self { program, stream }
     }
 
     /// The netlist under simulation.
     pub fn netlist(&self) -> &'n Netlist {
-        self.netlist
+        self.program.netlist
     }
 
     /// Number of clock cycles simulated.
     pub fn cycle(&self) -> u64 {
-        self.cycle
+        self.stream.cycle
     }
 
     /// Sets one primary input (takes effect at the next cycle edge).
@@ -422,15 +523,15 @@ impl<'n> TimedSim<'n> {
     /// Panics if `input` is not a primary-input cell.
     pub fn set_input(&mut self, input: CellId, value: Logic) {
         assert!(
-            self.netlist.cell(input).kind == CellKind::Input,
+            self.netlist().cell(input).kind == CellKind::Input,
             "{input:?} is not a primary input"
         );
-        self.input_next[input.index()] = code_of(value);
+        self.stream.input_next[input.index()] = code_of(value);
     }
 
     /// Sets an entire input bus `{prefix}{0..}` from an integer.
     pub fn set_input_bits(&mut self, prefix: &str, value: u64) {
-        let bus = bus_inputs(self.netlist, prefix);
+        let bus = bus_inputs(self.netlist(), prefix);
         assert!(!bus.is_empty(), "no input bus named {prefix}*");
         for (i, id) in bus.into_iter().enumerate() {
             self.set_input(id, Logic::from_bool((value >> i) & 1 == 1));
@@ -439,18 +540,19 @@ impl<'n> TimedSim<'n> {
 
     /// Current (settled) value of a net.
     pub fn value(&self, net: NetId) -> Logic {
-        logic_of(self.values[net.index()])
+        logic_of(self.stream.values[net.index()])
     }
 
     /// Decodes an output bus `{prefix}{0..}`; `None` if any bit is `X`.
     pub fn output_bits(&self, prefix: &str) -> Option<u64> {
-        let bus = bus_outputs(self.netlist, prefix);
+        let netlist = self.netlist();
+        let bus = bus_outputs(netlist, prefix);
         if bus.is_empty() {
             return None;
         }
         let bits: Vec<Logic> = bus
             .iter()
-            .map(|&id| logic_of(self.values[self.netlist.cell(id).inputs[0].index()]))
+            .map(|&id| self.value(netlist.cell(id).inputs[0]))
             .collect();
         decode_bus(&bits)
     }
@@ -470,6 +572,77 @@ impl<'n> TimedSim<'n> {
     /// after the error the simulator state is undefined and the
     /// instance should be discarded.
     pub fn step(&mut self) -> Result<u64, SimError> {
+        self.stream.step(&self.program)
+    }
+
+    /// Total known↔known transitions of logic-cell outputs so far.
+    pub fn logic_transitions(&self) -> u64 {
+        self.netlist()
+            .logic_cells()
+            .map(|(id, _)| self.stream.transitions[id.index()])
+            .sum()
+    }
+
+    /// Per-cell transition counts (indexable by `CellId`).
+    pub fn transitions(&self) -> &[u64] {
+        &self.stream.transitions
+    }
+
+    /// Resets the transition counters (e.g. after warm-up cycles).
+    pub fn reset_transitions(&mut self) {
+        self.stream.transitions.iter_mut().for_each(|t| *t = 0);
+    }
+
+    /// Turns event recording on or off. While on, every event the
+    /// engine pops — including stale events later swallowed by
+    /// inertial preemption — is kept with its cycle-local due tick, so
+    /// static timing windows can be checked against the engine's real
+    /// event stream (`tests/sta_differential.rs`). Event times are in
+    /// tick/stride units; compare against windows computed on
+    /// [`tick_stride`] of [`quantize_delays`].
+    pub fn record_events(&mut self, on: bool) {
+        self.stream.record = on;
+    }
+
+    /// Drains the recorded event log (see [`TimedSim::record_events`]),
+    /// leaving it empty for further recording.
+    pub fn take_events(&mut self) -> Vec<TimedEvent> {
+        core::mem::take(&mut self.stream.events_log)
+    }
+}
+
+impl Stream {
+    /// A stream at cycle 0: every net `X`, no pending inputs.
+    fn new(p: &TimedProgram<'_>) -> Self {
+        let n_cells = p.meta.len();
+        let n_nets = p.fan_off.len() - 1;
+        let mut values = vec![code_of(Logic::X); n_nets + 1];
+        values[n_nets] = code_of(Logic::Zero); // the dummy slot
+        Self {
+            values,
+            input_next: vec![code_of(Logic::X); n_cells],
+            transitions: vec![0; n_cells],
+            wheel: EventWheel::new(p.max_delay),
+            sched: vec![
+                NetSched {
+                    seq: 0,
+                    due: NOT_PENDING,
+                };
+                n_nets
+            ],
+            dirty_pos: vec![0; n_cells],
+            dirty: Vec::new(),
+            dff_scratch: Vec::with_capacity(p.dffs.len()),
+            run_buf: Vec::new(),
+            record: false,
+            events_log: Vec::new(),
+            seq: 0,
+            cycle: 0,
+        }
+    }
+
+    /// One clock cycle; see [`TimedSim::step`].
+    fn step(&mut self, p: &TimedProgram<'_>) -> Result<u64, SimError> {
         // The queue fully drained last cycle; rewind the wheel so this
         // cycle's events restart at tick 0.
         self.wheel.reset();
@@ -478,12 +651,10 @@ impl<'n> TimedSim<'n> {
         // alone never reach cells whose inputs never change, which
         // would leave their initial `X` in place forever.
         if self.cycle == 0 {
-            for i in 0..self.consts.len() {
-                let (cell, net, code) = self.consts[i];
-                self.commit(cell, net, code);
+            for &(cell, net, code) in &p.consts {
+                self.commit(p, cell, net, code);
             }
-            for i in 0..self.comb.len() {
-                let cell = self.comb[i];
+            for &cell in &p.comb {
                 self.mark_dirty(cell);
             }
         }
@@ -491,27 +662,24 @@ impl<'n> TimedSim<'n> {
         // into the reusable scratch buffer, then update all Q outputs
         // at tick 0 — two-phase so DFF-to-DFF chains see pre-edge
         // values.
-        let dffs = core::mem::take(&mut self.dffs);
         let mut scratch = core::mem::take(&mut self.dff_scratch);
         scratch.clear();
         scratch.extend(
-            dffs.iter()
+            p.dffs
+                .iter()
                 .map(|&(_, d_net, _)| self.values[d_net as usize]),
         );
-        for (&(cell, _, q_net), &q) in dffs.iter().zip(scratch.iter()) {
-            self.commit(cell, q_net, q);
+        for (&(cell, _, q_net), &q) in p.dffs.iter().zip(scratch.iter()) {
+            self.commit(p, cell, q_net, q);
         }
-        self.dffs = dffs;
         self.dff_scratch = scratch;
         // 2. At tick 0: apply primary inputs, then evaluate everything
         // the edge touched exactly once.
-        let inputs = core::mem::take(&mut self.inputs);
-        for &(cell, net) in &inputs {
+        for &(cell, net) in &p.inputs {
             let v = self.input_next[cell as usize];
-            self.commit(cell, net, v);
+            self.commit(p, cell, net, v);
         }
-        self.inputs = inputs;
-        self.flush_dirty(0);
+        self.flush_dirty(p, 0);
         // 3. Event loop until quiescent: drain each tick's events
         // (applying fired values and marking their sinks dirty), then
         // evaluate the tick's dirty sinks in one batch. With all
@@ -520,43 +688,39 @@ impl<'n> TimedSim<'n> {
         // with a per-event "does the tick continue?" probe; both paths
         // apply the identical sequence of value commits and flushes,
         // so results are bit-identical.
-        let budget = event_budget(self.netlist);
+        let oscillation = |cycle| SimError::Oscillation {
+            netlist: p.netlist.name().to_string(),
+            cycle,
+            budget: p.budget,
+        };
         let mut processed = 0u64;
-        if self.run_drain {
+        if p.run_drain {
             let mut run = core::mem::take(&mut self.run_buf);
             while let Some(time) = self.wheel.pop_run(&mut run) {
                 processed += run.len() as u64;
-                if processed > budget {
+                if processed > p.budget {
                     self.run_buf = run;
-                    return Err(SimError::Oscillation {
-                        netlist: self.netlist.name().to_string(),
-                        cycle: self.cycle,
-                        budget,
-                    });
+                    return Err(oscillation(self.cycle));
                 }
                 for ev in &run {
-                    self.apply_event(ev);
+                    self.apply_event(p, ev);
                 }
-                self.flush_dirty(time);
+                self.flush_dirty(p, time);
             }
             self.run_buf = run;
         } else {
             while let Some(ev) = self.wheel.pop() {
                 processed += 1;
-                if processed > budget {
-                    return Err(SimError::Oscillation {
-                        netlist: self.netlist.name().to_string(),
-                        cycle: self.cycle,
-                        budget,
-                    });
+                if processed > p.budget {
+                    return Err(oscillation(self.cycle));
                 }
-                self.apply_event(&ev);
+                self.apply_event(p, &ev);
                 // Tick boundary (or queue drained): evaluate this
                 // tick's dirty sinks, scheduling their outputs one
                 // delay later.
                 let tick_continues = matches!(self.wheel.next_time(), Some(t) if t == ev.time);
                 if !tick_continues {
-                    self.flush_dirty(ev.time);
+                    self.flush_dirty(p, ev.time);
                 }
             }
         }
@@ -568,7 +732,7 @@ impl<'n> TimedSim<'n> {
     /// commit, transition count, dirty-marking of the sinks. Shared by
     /// the per-event pop loop and the bucket-run drain loop.
     #[inline]
-    fn apply_event(&mut self, ev: &TimedEvent) {
+    fn apply_event(&mut self, p: &TimedProgram<'_>, ev: &TimedEvent) {
         if self.record {
             self.events_log.push(*ev);
         }
@@ -582,18 +746,18 @@ impl<'n> TimedSim<'n> {
             if old != new {
                 if old < 2 && new < 2 {
                     // Net index == driving-cell index (asserted in
-                    // `new`).
+                    // `TimedProgram::compile`).
                     self.transitions[net] += 1;
                 }
                 self.values[net] = new;
-                self.mark_sinks_dirty(net as u32, ev.time);
+                self.mark_sinks_dirty(p, net as u32, ev.time);
             }
         }
     }
 
     /// Immediately sets a cell's output (tick-0 edge semantics) and
     /// marks its sinks for the tick-0 evaluation batch.
-    fn commit(&mut self, cell: u32, net: u32, code: u8) {
+    fn commit(&mut self, p: &TimedProgram<'_>, cell: u32, net: u32, code: u8) {
         let old = self.values[net as usize];
         if old == code {
             return;
@@ -602,7 +766,7 @@ impl<'n> TimedSim<'n> {
             self.transitions[cell as usize] += 1;
         }
         self.values[net as usize] = code;
-        self.mark_sinks_dirty(net, 0);
+        self.mark_sinks_dirty(p, net, 0);
     }
 
     /// Marks every evaluable sink of `net` dirty for the current tick
@@ -613,11 +777,11 @@ impl<'n> TimedSim<'n> {
     /// event before it can pop. Pending events due at later ticks need
     /// no eager treatment — the end-of-tick flush preempts or cancels
     /// them before any later tick is processed.
-    fn mark_sinks_dirty(&mut self, net: u32, now: u64) {
-        let lo = self.fan_off[net as usize] as usize;
-        let hi = self.fan_off[net as usize + 1] as usize;
-        for &sink in &self.fan_sink[lo..hi] {
-            let out = self.out_of[sink as usize] as usize;
+    fn mark_sinks_dirty(&mut self, p: &TimedProgram<'_>, net: u32, now: u64) {
+        let lo = p.fan_off[net as usize] as usize;
+        let hi = p.fan_off[net as usize + 1] as usize;
+        for &sink in &p.fan_sink[lo..hi] {
+            let out = p.out_of[sink as usize] as usize;
             if self.sched[out].due == now {
                 self.seq += 1;
                 self.sched[out] = NetSched {
@@ -646,19 +810,19 @@ impl<'n> TimedSim<'n> {
     /// bumping its preemption sequence — no push needed); see the
     /// equivalence argument on [`TimedSim`]. Allocation-free: the
     /// dirty list is reused and evaluation is a truth-table lookup.
-    fn flush_dirty(&mut self, time: u64) {
-        let dirty = core::mem::take(&mut self.dirty);
+    fn flush_dirty(&mut self, p: &TimedProgram<'_>, time: u64) {
+        let mut dirty = core::mem::take(&mut self.dirty);
         for (i, &id) in dirty.iter().enumerate() {
             // Only the cell's latest occurrence evaluates (last-marked
             // order; earlier occurrences were superseded by re-marks).
             if self.dirty_pos[id as usize] != i as u32 {
                 continue;
             }
-            let meta = self.meta[id as usize];
+            let meta = p.meta[id as usize];
             let idx = self.values[meta.ins[0] as usize] as usize
                 + 3 * self.values[meta.ins[1] as usize] as usize
                 + 9 * self.values[meta.ins[2] as usize] as usize;
-            let new = self.lut[meta.lut_base as usize + idx];
+            let new = p.lut[meta.lut_base as usize + idx];
             let net = meta.out as usize;
             if new == self.values[net] {
                 if self.sched[net].due != NOT_PENDING {
@@ -682,44 +846,8 @@ impl<'n> TimedSim<'n> {
                 });
             }
         }
-        let mut dirty = dirty;
         dirty.clear();
         self.dirty = dirty;
-    }
-
-    /// Total known↔known transitions of logic-cell outputs so far.
-    pub fn logic_transitions(&self) -> u64 {
-        self.netlist
-            .logic_cells()
-            .map(|(id, _)| self.transitions[id.index()])
-            .sum()
-    }
-
-    /// Per-cell transition counts (indexable by `CellId`).
-    pub fn transitions(&self) -> &[u64] {
-        &self.transitions
-    }
-
-    /// Resets the transition counters (e.g. after warm-up cycles).
-    pub fn reset_transitions(&mut self) {
-        self.transitions.iter_mut().for_each(|t| *t = 0);
-    }
-
-    /// Turns event recording on or off. While on, every event the
-    /// engine pops — including stale events later swallowed by
-    /// inertial preemption — is kept with its cycle-local due tick, so
-    /// static timing windows can be checked against the engine's real
-    /// event stream (`tests/sta_differential.rs`). Event times are in
-    /// tick/stride units; compare against windows computed on
-    /// [`tick_stride`] of [`quantize_delays`].
-    pub fn record_events(&mut self, on: bool) {
-        self.record = on;
-    }
-
-    /// Drains the recorded event log (see [`TimedSim::record_events`]),
-    /// leaving it empty for further recording.
-    pub fn take_events(&mut self) -> Vec<TimedEvent> {
-        core::mem::take(&mut self.events_log)
     }
 }
 
@@ -910,11 +1038,11 @@ mod tests {
         let nl = glitchy_xor();
         // cmos13: every logic delay is >= 0.1 gate units, i.e. >= 1
         // stride unit after GCD normalisation -> bucket-run drain.
-        let sim = TimedSim::new(&nl, &Library::cmos13()).unwrap();
-        assert!(sim.run_drain);
+        let prog = TimedProgram::compile(&nl, &Library::cmos13()).unwrap();
+        assert!(prog.run_drain);
         // A zero-delay library forces the per-event fallback.
-        let sim = TimedSim::new(&nl, &Library::with_uniform_delay(0.0)).unwrap();
-        assert!(!sim.run_drain);
+        let prog = TimedProgram::compile(&nl, &Library::with_uniform_delay(0.0)).unwrap();
+        assert!(!prog.run_drain);
     }
 
     #[test]
@@ -925,8 +1053,9 @@ mod tests {
         let nl = glitchy_xor();
         let lib = Library::cmos13();
         let mut fast = TimedSim::new(&nl, &lib).unwrap();
-        let mut slow = TimedSim::new(&nl, &lib).unwrap();
-        slow.run_drain = false;
+        let mut pop_loop = TimedProgram::compile(&nl, &lib).unwrap();
+        pop_loop.run_drain = false;
+        let mut slow = TimedSim::from_program(Arc::new(pop_loop));
         for v in [0u64, 3, 1, 2, 0, 3, 3, 1] {
             fast.set_input_bits("a", v & 1);
             fast.set_input_bits("b", (v >> 1) & 1);

@@ -16,8 +16,9 @@
 //!  "engine":"bit_parallel","items":200,"seed":42,"workers":null,"archs":null}
 //! ```
 
+use optpower_mult::Architecture;
 use optpower_report::PlaneTiling;
-use optpower_sim::Engine;
+use optpower_sim::{Engine, MAX_STIMULUS_LANES, MIN_RESET_WARMUP};
 
 use crate::error::{SpecError, WorkloadError};
 use crate::json::Json;
@@ -61,7 +62,7 @@ pub struct AbInitioSpec {
     pub archs: Option<Vec<String>>,
     /// Operand width in bits.
     pub width: usize,
-    /// Stimulus lanes of the pooled timed (glitch) leg.
+    /// Stimulus lanes of the pooled timed (glitch) leg, 1 to 512.
     pub lanes: u32,
     /// Glitch-free baseline engine (`bit_parallel` or `zero_delay`).
     pub engine: Engine,
@@ -117,7 +118,7 @@ pub struct GlitchSweepSpec {
     pub archs: Option<Vec<String>>,
     /// Operand widths to characterize at (e.g. `[8, 16, 24, 32]`).
     pub widths: Vec<usize>,
-    /// Stimulus lanes of the pooled timed leg.
+    /// Stimulus lanes of the pooled timed leg, 1 to 512.
     pub lanes: u32,
     /// Glitch-free baseline engine.
     pub engine: Engine,
@@ -162,7 +163,8 @@ pub struct ActivitySpec {
     pub engine: Engine,
     /// Data items measured (excluding warm-up).
     pub items: u64,
-    /// Warm-up items, simulated but not counted.
+    /// Warm-up items, simulated but not counted; at least 2 on an
+    /// architecture with a reset input.
     pub warmup: u64,
     /// Stimulus seed.
     pub seed: u64,
@@ -203,7 +205,7 @@ pub struct StaSpec {
     pub archs: Option<Vec<String>>,
     /// Operand width in bits.
     pub width: usize,
-    /// Stimulus lanes of the measured (timed pooled) leg.
+    /// Stimulus lanes of the measured (timed pooled) leg, 1 to 512.
     pub lanes: u32,
     /// Stimulus volume of the measured leg; `0` skips simulation
     /// entirely and reports static numbers only.
@@ -608,7 +610,7 @@ impl JobSpec {
             Self::AbInitio(d) => Self::AbInitio(AbInitioSpec {
                 archs: names_field(doc, "archs", d.archs)?,
                 width: usize_field(doc, "width", d.width)?,
-                lanes: at_least("lanes", u32_field(doc, "lanes", d.lanes)?, 1)?,
+                lanes: lanes_field(doc, d.lanes)?,
                 engine: engine_field(doc, d.engine)?,
                 plane: plane_field(doc, d.plane)?,
                 items: uint_field(doc, "items", d.items)?,
@@ -621,7 +623,7 @@ impl JobSpec {
                     Some(v) => usize_array(v, "widths")?,
                     None => d.widths,
                 },
-                lanes: at_least("lanes", u32_field(doc, "lanes", d.lanes)?, 1)?,
+                lanes: lanes_field(doc, d.lanes)?,
                 engine: engine_field(doc, d.engine)?,
                 plane: plane_field(doc, d.plane)?,
                 items: uint_field(doc, "items", d.items)?,
@@ -629,20 +631,24 @@ impl JobSpec {
                 freq_points: usize_field(doc, "freq_points", d.freq_points)?,
                 workers: opt_usize_field(doc, "workers")?,
             }),
-            Self::ActivityMeasure(d) => Self::ActivityMeasure(ActivitySpec {
-                arch: match doc.get("arch") {
+            Self::ActivityMeasure(d) => {
+                let arch = match doc.get("arch") {
                     Some(v) => v
                         .as_str()
                         .ok_or_else(|| SpecError::new("\"arch\" must be a string"))?
                         .to_string(),
                     None => d.arch,
-                },
-                width: usize_field(doc, "width", d.width)?,
-                engine: engine_field(doc, d.engine)?,
-                items: uint_field(doc, "items", d.items)?,
-                warmup: uint_field(doc, "warmup", d.warmup)?,
-                seed: uint_field(doc, "seed", d.seed)?,
-            }),
+                };
+                let warmup = reset_warmup(&arch, uint_field(doc, "warmup", d.warmup)?)?;
+                Self::ActivityMeasure(ActivitySpec {
+                    arch,
+                    width: usize_field(doc, "width", d.width)?,
+                    engine: engine_field(doc, d.engine)?,
+                    items: uint_field(doc, "items", d.items)?,
+                    warmup,
+                    seed: uint_field(doc, "seed", d.seed)?,
+                })
+            }
             Self::Figure1 { samples } => Self::Figure1 {
                 samples: usize_field(doc, "samples", samples)?,
             },
@@ -668,7 +674,7 @@ impl JobSpec {
             Self::Sta(d) => Self::Sta(StaSpec {
                 archs: names_field(doc, "archs", d.archs)?,
                 width: usize_field(doc, "width", d.width)?,
-                lanes: at_least("lanes", u32_field(doc, "lanes", d.lanes)?, 1)?,
+                lanes: lanes_field(doc, d.lanes)?,
                 items: uint_field(doc, "items", d.items)?,
                 seed: uint_field(doc, "seed", d.seed)?,
                 workers: opt_usize_field(doc, "workers")?,
@@ -826,6 +832,37 @@ fn at_least<T: PartialOrd + std::fmt::Display>(
         return Err(SpecError::new(format!("{key:?} must be at least {min}, got {value}")).into());
     }
     Ok(value)
+}
+
+/// The lane count of a pooled timed leg: at least one (the lane split
+/// divides by it) and at most [`MAX_STIMULUS_LANES`], the range on
+/// which `lane_seed` promises distinct streams — a larger count would
+/// also size per-lane buffers from an untrusted number.
+fn lanes_field(doc: &Json, default: u32) -> Result<u32, WorkloadError> {
+    let lanes = at_least("lanes", u32_field(doc, "lanes", default)?, 1)?;
+    if lanes > MAX_STIMULUS_LANES {
+        return Err(SpecError::new(format!(
+            "\"lanes\" must be at most {MAX_STIMULUS_LANES}, got {lanes}"
+        ))
+        .into());
+    }
+    Ok(lanes)
+}
+
+/// An activity measurement pulses a design's `rst` bus during its
+/// first warm-up item, so an architecture with one needs
+/// [`MIN_RESET_WARMUP`] warm-up items; fewer fail here rather than on
+/// the measurement's assertion. Unknown names pass: running the spec
+/// reports them.
+fn reset_warmup(arch: &str, warmup: u64) -> Result<u64, WorkloadError> {
+    match Architecture::from_paper_name(arch) {
+        Some(a) if a.has_reset() && warmup < MIN_RESET_WARMUP => Err(SpecError::new(format!(
+            "\"warmup\" must be at least {MIN_RESET_WARMUP} for {arch:?}, which has a reset \
+             input, got {warmup}"
+        ))
+        .into()),
+        _ => Ok(warmup),
+    }
 }
 
 fn opt_usize_field(doc: &Json, key: &str) -> Result<Option<usize>, WorkloadError> {
@@ -1064,9 +1101,50 @@ mod tests {
             r#"{"job":"sta","lanes":0}"#,
             r#"{"job":"figure34","width":0}"#,
             r#"{"job":"figure34","width":1}"#,
+            // A reset design needs two warm-up items.
+            r#"{"job":"activity_measure","arch":"Sequential","warmup":0}"#,
+            r#"{"job":"activity_measure","arch":"Seq4_16","warmup":1}"#,
+            r#"{"job":"activity_measure","arch":"RCA parallel","warmup":1}"#,
+            // Lane seeds are distinct on 512 lanes only.
+            r#"{"job":"ab_initio","archs":["RCA"],"items":1,"lanes":4000000000}"#,
+            r#"{"job":"glitch_sweep","lanes":4000000000}"#,
+            r#"{"job":"sta","lanes":4000000000}"#,
+            r#"{"job":"ab_initio","lanes":513}"#,
         ] {
             let err = JobSpec::from_json(bad).unwrap_err();
             assert!(matches!(err, WorkloadError::Spec(_)), "{bad}: {err:?}");
+        }
+    }
+
+    /// The warm-up rule follows `Architecture::has_reset`, which the
+    /// generators' own tests tie to the `rst` buses they emit.
+    #[test]
+    fn reset_designs_are_refused_short_warm_ups() {
+        for arch in Architecture::ALL {
+            for warmup in 0..=MIN_RESET_WARMUP {
+                let wire =
+                    format!(r#"{{"job":"activity_measure","arch":"{arch}","warmup":{warmup}}}"#);
+                let refused = JobSpec::from_json(&wire).is_err();
+                assert_eq!(
+                    refused,
+                    arch.has_reset() && warmup < MIN_RESET_WARMUP,
+                    "{wire}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn lanes_span_the_lane_seed_domain() {
+        for (lanes, ok) in [
+            (1, true),
+            (MAX_STIMULUS_LANES, true),
+            (MAX_STIMULUS_LANES + 1, false),
+        ] {
+            for kind in ["ab_initio", "glitch_sweep", "sta"] {
+                let wire = format!(r#"{{"job":"{kind}","lanes":{lanes}}}"#);
+                assert_eq!(JobSpec::from_json(&wire).is_ok(), ok, "{wire}");
+            }
         }
     }
 

@@ -263,14 +263,22 @@ fn serve_error_surface_is_the_frozen_mapping() {
     assert_eq!(reply.status, 400);
 
     // Values the engines cannot run with (a zero lane split divides by
-    // zero, a sub-2-bit pipelined array asserts) are refused at parse
-    // time, so they never reach — and kill — the only executor.
+    // zero, a sub-2-bit pipelined array asserts, a reset design
+    // measured with fewer than two warm-up items asserts, four billion
+    // lanes abort on allocation) are refused at parse time, so they
+    // never reach — and kill — the only executor.
     for bad in [
         r#"{"job":"ab_initio","lanes":0}"#,
         r#"{"job":"glitch_sweep","lanes":0}"#,
         r#"{"job":"sta","lanes":0}"#,
         r#"{"job":"figure34","width":0}"#,
         r#"{"job":"figure34","width":1}"#,
+        r#"{"job":"activity_measure","arch":"Sequential","warmup":1}"#,
+        r#"{"job":"activity_measure","arch":"Wallace par4","warmup":0}"#,
+        r#"{"job":"ab_initio","archs":["RCA"],"items":1,"lanes":4000000000}"#,
+        r#"{"job":"glitch_sweep","lanes":4000000000}"#,
+        r#"{"job":"sta","lanes":4000000000}"#,
+        r#"{"job":"ab_initio","lanes":513}"#,
     ] {
         let reply = post(&addr, "/v1/jobs", "application/json", bad);
         assert_eq!(reply.status, 400, "{bad}: {}", reply.body_text());

@@ -7,14 +7,24 @@
 //!   [`ScalarTimedSim`] (the pre-wheel binary-heap engine) on random
 //!   mixed combinational/sequential netlists and on the full
 //!   13-architecture multiplier suite;
+//! * an `Engine::Timed` measurement, which runs its warm-up on the
+//!   zero-delay plane and resumes each lane on the wheel from the
+//!   settled net values, must equal the `Engine::TimedScalar`
+//!   reference that simulates the whole protocol from cycle 0 — at
+//!   every warm-up length, on every architecture at widths 8/16/24/32,
+//!   and net by net at the point where the counted window opens;
 //! * the pooled measurement (`measure_timed_activity_pooled`) must be
 //!   bit-identical to the sum of dedicated scalar reference runs over
-//!   the same lane seeds, at 1, 2 and 8 workers.
+//!   the same lane seeds, at 1, 2 and 8 workers and across the
+//!   boundary between two 64-lane warm-up planes.
 
 use optpower_explore::{measure_timed_activity_pooled, TimedPoolConfig, Workers};
 use optpower_mult::Architecture;
-use optpower_netlist::{CellKind, Library, Netlist, NetlistBuilder};
-use optpower_sim::{lane_seed, measure_activity, Engine, ScalarTimedSim, TimedSim};
+use optpower_netlist::{CellKind, Library, NetId, Netlist, NetlistBuilder};
+use optpower_sim::{
+    bus_inputs, lane_seed, measure_activity, ActivityReport, Engine, ScalarTimedSim, StimulusGen,
+    TimedLanes, TimedSim, MIN_RESET_WARMUP,
+};
 use proptest::prelude::*;
 
 /// Builds a random mixed combinational/sequential DAG with `a` and `b`
@@ -59,6 +69,114 @@ fn random_netlist(picks: &[(u8, u32, u32, u32)]) -> Netlist {
     b.build().expect("random DAG is valid by construction")
 }
 
+/// The whole-protocol reference for one lane: `Engine::TimedScalar`,
+/// which simulates warm-up and window from cycle 0.
+fn scalar_lane(
+    nl: &Netlist,
+    items: u64,
+    cycles_per_item: u32,
+    warmup: u64,
+    seed: u64,
+    lane: u32,
+) -> ActivityReport {
+    measure_activity(
+        nl,
+        &Library::cmos13(),
+        Engine::TimedScalar,
+        items,
+        cycles_per_item,
+        warmup,
+        lane_seed(seed, lane),
+    )
+    .expect("cmos13 delays are valid and acyclic netlists settle")
+}
+
+/// A wheel simulator driven from cycle 0 through `warmup` protocol
+/// items of lane `lane`'s stream: reset high on item 0 only, fresh
+/// operands every item, each held for `cycles_per_item` cycles.
+fn cold_started_lane(
+    nl: &Netlist,
+    cycles_per_item: u32,
+    warmup: u64,
+    seed: u64,
+    lane: u32,
+) -> TimedSim<'_> {
+    let mut sim = TimedSim::new(nl, &Library::cmos13()).expect("cmos13 delays are valid");
+    let width = |bus| bus_inputs(nl, bus).len() as u32;
+    let mut stim = StimulusGen::new(lane_seed(seed, lane), width("a"), width("b"));
+    for item in 0..warmup {
+        if width("rst") > 0 {
+            sim.set_input_bits("rst", u64::from(item == 0));
+        }
+        let (a, b) = stim.next_item();
+        sim.set_input_bits("a", a);
+        sim.set_input_bits("b", b);
+        for _ in 0..cycles_per_item.max(1) {
+            sim.step().expect("acyclic netlists settle");
+        }
+    }
+    sim
+}
+
+/// Every net of the warm-started lane holds the value the lane reaches
+/// when the wheel simulates the warm-up itself, and both simulators
+/// agree on one more cycle with the inputs left alone: a resumed lane
+/// keeps each input's last applied value, as a cold-started one does.
+fn assert_warm_state_matches(
+    nl: &Netlist,
+    cycles_per_item: u32,
+    warmup: u64,
+    seed: u64,
+    lanes: u32,
+) {
+    let warm = TimedLanes::warm_up(
+        nl,
+        &Library::cmos13(),
+        seed,
+        lanes,
+        1,
+        cycles_per_item,
+        warmup,
+    )
+    .expect("cmos13 delays are valid");
+    for lane in 0..lanes {
+        let resumed = warm.lane_sim(lane);
+        let cold = cold_started_lane(nl, cycles_per_item, warmup, seed, lane);
+        assert_eq!(resumed.cycle(), cold.cycle(), "{} lane {lane}", nl.name());
+        assert_same_nets(
+            &resumed,
+            &cold,
+            &format!("lane {lane} after {warmup} items"),
+        );
+        let (mut resumed, mut cold) = (resumed, cold);
+        let window_start = cold.transitions().to_vec();
+        resumed.step().expect("acyclic netlists settle");
+        cold.step().expect("acyclic netlists settle");
+        assert_same_nets(&resumed, &cold, &format!("lane {lane}, held inputs"));
+        let counted: Vec<u64> = (cold.transitions().iter().zip(&window_start))
+            .map(|(after, before)| after - before)
+            .collect();
+        assert_eq!(
+            resumed.transitions(),
+            &counted[..],
+            "lane {lane}, held inputs"
+        );
+    }
+}
+
+fn assert_same_nets(resumed: &TimedSim<'_>, cold: &TimedSim<'_>, context: &str) {
+    let nl = cold.netlist();
+    for net in 0..nl.nets().len() {
+        let id = NetId(net as u32);
+        assert_eq!(
+            resumed.value(id),
+            cold.value(id),
+            "{} net {net}, {context}",
+            nl.name()
+        );
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -99,8 +217,12 @@ proptest! {
     }
 
     /// Measurement-level differential through the public API: the
-    /// `Timed` (wheel) and `TimedScalar` (heap) engines produce
-    /// identical activity reports for any netlist and seed.
+    /// warm-started `Timed` (wheel) measurement and the whole-protocol
+    /// `TimedScalar` (heap) reference produce identical activity
+    /// reports for any netlist and seed, at every warm-up length —
+    /// zero (no warm start at all) and one (a single plane item)
+    /// included, which these reset-free netlists allow — and the
+    /// resumed lane starts its window on the reference's net values.
     #[test]
     fn measured_activity_matches_between_wheel_and_scalar(
         picks in prop::collection::vec((any::<u8>(), any::<u32>(), any::<u32>(), any::<u32>()), 5..30),
@@ -108,9 +230,11 @@ proptest! {
     ) {
         let nl = random_netlist(&picks);
         let lib = Library::cmos13();
-        let wheel = measure_activity(&nl, &lib, Engine::Timed, 6, 1, 2, seed).unwrap();
-        let scalar = measure_activity(&nl, &lib, Engine::TimedScalar, 6, 1, 2, seed).unwrap();
-        prop_assert_eq!(wheel, scalar);
+        for warmup in [0u64, 1, 3] {
+            let wheel = measure_activity(&nl, &lib, Engine::Timed, 6, 1, warmup, seed).unwrap();
+            prop_assert_eq!(wheel, scalar_lane(&nl, 6, 1, warmup, seed, 0), "warmup {}", warmup);
+            assert_warm_state_matches(&nl, 1, warmup, seed, 2);
+        }
     }
 
     /// Pool-level differential: the pooled timed measurement equals
@@ -156,70 +280,121 @@ proptest! {
 }
 
 /// Acceptance criterion: on every one of the thirteen multiplier
-/// architectures, the event-wheel engine's measured transitions are
-/// bit-identical to the frozen scalar reference, and the pooled
+/// architectures, at every width of the glitch sweep it supports, the
+/// warm-started event-wheel measurement is bit-identical to the frozen
+/// scalar reference run from cycle 0, lane by lane, and the pooled
 /// measurement is worker-count invariant and equal to the scalar
-/// per-lane sum at 1, 2 and 8 workers.
+/// per-lane sum at 1, 2 and 8 workers. Each width runs warm-up 2 (the
+/// fewest a reset design takes: its reset is released in the last
+/// plane item) and warm-up 4 (the characterization's), with a
+/// three-item counted window on four lanes.
+fn assert_suite_matches_scalar(width: usize) {
+    let lib = Library::cmos13();
+    let (items, lanes, seed) = (3u64, 4u32, 9u64);
+    for arch in Architecture::ALL {
+        if !arch.supports_width(width) {
+            continue;
+        }
+        let design = arch.generate(width).unwrap();
+        let (nl, cpi) = (&design.netlist, design.cycles_per_item);
+        for warmup in [MIN_RESET_WARMUP, 4] {
+            let context = format!("{arch} @{width}, warm-up {warmup}");
+            let scalar: Vec<ActivityReport> = (0..lanes)
+                .map(|l| scalar_lane(nl, items, cpi, warmup, seed, l))
+                .collect();
+            let wheel =
+                measure_activity(nl, &lib, Engine::Timed, items, cpi, warmup, seed).unwrap();
+            assert_eq!(wheel, scalar[0], "{context}: wheel vs scalar");
+            let warm = TimedLanes::warm_up(nl, &lib, seed, lanes, items, cpi, warmup).unwrap();
+            for (lane, reference) in (0..lanes).zip(&scalar) {
+                let measured = warm.measure_lane(lane).unwrap();
+                assert_eq!(&measured, reference, "{context}, lane {lane}");
+            }
+            let scalar_sum: u64 = scalar.iter().map(|r| r.transitions).sum();
+            let mut reference = None;
+            for workers in [1usize, 2, 8] {
+                let config = TimedPoolConfig {
+                    lanes,
+                    items_per_lane: items,
+                    cycles_per_item: cpi,
+                    warmup,
+                    seed,
+                    workers: Workers::Fixed(workers),
+                };
+                let pooled = measure_timed_activity_pooled(nl, &lib, &config).unwrap();
+                assert_eq!(
+                    pooled.transitions, scalar_sum,
+                    "{context} at {workers} workers"
+                );
+                let reference = *reference.get_or_insert(pooled);
+                assert_eq!(pooled, reference, "{context} at {workers} workers");
+            }
+        }
+    }
+}
+
 #[test]
 fn full_architecture_suite_wheel_and_pool_match_scalar() {
-    let lib = Library::cmos13();
-    for arch in Architecture::ALL {
-        let design = arch.generate(16).unwrap();
-        let wheel = measure_activity(
-            &design.netlist,
-            &lib,
-            Engine::Timed,
-            3,
-            design.cycles_per_item,
-            2,
-            9,
-        )
-        .unwrap();
-        let scalar = measure_activity(
-            &design.netlist,
-            &lib,
-            Engine::TimedScalar,
-            3,
-            design.cycles_per_item,
-            2,
-            9,
-        )
-        .unwrap();
-        assert_eq!(wheel, scalar, "{arch}: wheel vs scalar");
+    assert_suite_matches_scalar(16);
+}
 
-        let lanes = 4u32;
-        let scalar_sum: u64 = (0..lanes)
-            .map(|l| {
-                measure_activity(
-                    &design.netlist,
-                    &lib,
-                    Engine::TimedScalar,
-                    2,
-                    design.cycles_per_item,
-                    2,
-                    lane_seed(9, l),
-                )
-                .unwrap()
-                .transitions
-            })
-            .sum();
-        let mut reference = None;
-        for workers in [1usize, 2, 8] {
-            let config = TimedPoolConfig {
-                lanes,
-                items_per_lane: 2,
-                cycles_per_item: design.cycles_per_item,
-                warmup: 2,
-                seed: 9,
-                workers: Workers::Fixed(workers),
-            };
-            let pooled = measure_timed_activity_pooled(&design.netlist, &lib, &config).unwrap();
-            assert_eq!(
-                pooled.transitions, scalar_sum,
-                "{arch} at {workers} workers"
-            );
-            let reference = *reference.get_or_insert(pooled);
-            assert_eq!(pooled, reference, "{arch} at {workers} workers");
+#[test]
+fn full_architecture_suite_matches_scalar_at_width_8() {
+    assert_suite_matches_scalar(8);
+}
+
+#[test]
+fn full_architecture_suite_matches_scalar_at_width_24() {
+    assert_suite_matches_scalar(24);
+}
+
+#[test]
+fn full_architecture_suite_matches_scalar_at_width_32() {
+    assert_suite_matches_scalar(32);
+}
+
+/// After the plane warm-up, every lane of every architecture resumes
+/// on exactly the net values the wheel reaches by simulating the
+/// warm-up itself — reset pulse, DFF contents and constant nets
+/// included, output ports `X` in both — at the shortest warm-up a
+/// reset design takes and at the characterization's.
+#[test]
+fn warm_started_lanes_hold_the_full_protocol_state() {
+    for arch in Architecture::ALL {
+        let design = arch.generate(8).unwrap();
+        for warmup in [MIN_RESET_WARMUP, 4] {
+            assert_warm_state_matches(&design.netlist, design.cycles_per_item, warmup, 5, 2);
         }
+    }
+}
+
+/// A pooled measurement wider than one 64-lane warm-up plane: lanes
+/// 64..70 warm up on a second plane (with its own reset pulse), and
+/// each lane still equals its whole-protocol scalar reference.
+#[test]
+fn pooled_lanes_across_two_warm_up_planes_match_scalar() {
+    let design = Architecture::RcaParallel2.generate(8).unwrap();
+    let (nl, cpi) = (&design.netlist, design.cycles_per_item);
+    let lib = Library::cmos13();
+    let (lanes, items, warmup, seed) = (70u32, 2u64, 4u64, 21u64);
+    let warm = TimedLanes::warm_up(nl, &lib, seed, lanes, items, cpi, warmup).unwrap();
+    let mut scalar_sum = 0;
+    for lane in 0..lanes {
+        let scalar = scalar_lane(nl, items, cpi, warmup, seed, lane);
+        assert_eq!(warm.measure_lane(lane).unwrap(), scalar, "lane {lane}");
+        scalar_sum += scalar.transitions;
+    }
+    for workers in [1usize, 2] {
+        let config = TimedPoolConfig {
+            lanes,
+            items_per_lane: items,
+            cycles_per_item: cpi,
+            warmup,
+            seed,
+            workers: Workers::Fixed(workers),
+        };
+        let pooled = measure_timed_activity_pooled(nl, &lib, &config).unwrap();
+        assert_eq!(pooled.transitions, scalar_sum, "{workers} workers");
+        assert_eq!(pooled.items, u64::from(lanes) * items);
     }
 }
