@@ -797,39 +797,6 @@ pub fn glitch_rows_to_csv(rows: &[AbInitioRow]) -> String {
     out
 }
 
-/// Exports the characterization rows as a JSON document
-/// (`{"schema":"optpower-abinitio/v1","rows":[…]}`), dependency-free
-/// like the `optpower-explore` exports.
-pub fn glitch_rows_to_json(rows: &[AbInitioRow]) -> String {
-    let mut out = String::from("{\"schema\":\"optpower-abinitio/v1\",\"rows\":[");
-    for (i, r) in rows.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "{{\"arch\":{},\"width\":{},\"cells\":{},\"area_um2\":{},\"activity_timed\":{},\
-             \"activity_zero_delay\":{},\"glitch_factor\":{},\"ld_eff\":{},\
-             \"cap_per_cell_f\":{},\"vdd_v\":{},\"vth_v\":{},\"ptot_uw\":{},\
-             \"eq13_uw\":{}}}",
-            json_string(r.arch.paper_name()),
-            r.width,
-            r.cells,
-            json_num(r.area_um2),
-            json_num(r.activity),
-            json_num(r.activity_zero_delay),
-            json_num(r.glitch_factor()),
-            json_num(r.ld_eff),
-            json_num(r.cap_per_cell_f),
-            json_num(r.vdd),
-            json_num(r.vth),
-            json_num(r.ptot_uw),
-            json_num(r.eq13_uw),
-        ));
-    }
-    out.push_str("]}");
-    out
-}
-
 /// Quotes a CSV field when it contains a separator, quote or newline.
 /// (Architecture names are plain, but keep the export robust.)
 fn csv_field(s: &str) -> String {
@@ -838,36 +805,6 @@ fn csv_field(s: &str) -> String {
     } else {
         s.to_string()
     }
-}
-
-/// Encodes an `f64` as a JSON value: non-finite numbers (the undefined
-/// Eq. 13 closed form, a glitch factor over a zero baseline) have no
-/// JSON literal and become `null`.
-fn json_num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:e}")
-    } else {
-        "null".to_string()
-    }
-}
-
-/// Encodes a JSON string literal with the mandatory escapes.
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]
@@ -965,27 +902,6 @@ mod tests {
         let csv = glitch_rows_to_csv(&rows);
         assert_eq!(csv.lines().count(), 1 + rows.len());
         assert!(csv.lines().next().unwrap().contains("glitch_factor"));
-        let json = glitch_rows_to_json(&rows);
-        assert!(json.starts_with("{\"schema\":\"optpower-abinitio/v1\""));
-        assert_eq!(json.matches("\"glitch_factor\":").count(), rows.len());
-        assert_eq!(json.matches("\"eq13_uw\":").count(), rows.len());
-        assert!(!json.contains("NaN") && !json.contains("inf"));
-        // A row with an undefined closed form (NaN Eq. 13) must stay
-        // parseable JSON: the slot becomes `null`, never a bare token.
-        let mut nan_row = rows[0].clone();
-        nan_row.eq13_uw = f64::NAN;
-        let json = glitch_rows_to_json(&[nan_row]);
-        assert!(json.contains("\"eq13_uw\":null"));
-        assert!(!json.contains("NaN"));
-    }
-
-    #[test]
-    fn json_helpers_guard_the_edge_cases() {
-        assert_eq!(json_num(1.5), "1.5e0");
-        assert_eq!(json_num(f64::NAN), "null");
-        assert_eq!(json_num(f64::INFINITY), "null");
-        assert_eq!(json_string("RCA hor.pipe2"), "\"RCA hor.pipe2\"");
-        assert_eq!(json_string("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
     }
 
     #[test]

@@ -30,10 +30,9 @@ mod render;
 pub use abinitio::{
     ab_initio_table, characterize_all_parallel, characterize_architecture,
     characterize_architecture_with, characterize_design_with, characterize_parallel,
-    characterize_parallel_with, glitch_aware_sweep, glitch_rows_to_csv, glitch_rows_to_json,
-    glitch_sweep_from_rows, measured_arch_params, render_ab_initio, render_glitch_factors,
-    AbInitioError, AbInitioRow, ActivitySource, CharacterizeConfig, GlitchSweep, PlaneTiling,
-    TIMED_LANES,
+    characterize_parallel_with, glitch_aware_sweep, glitch_rows_to_csv, glitch_sweep_from_rows,
+    measured_arch_params, render_ab_initio, render_glitch_factors, AbInitioError, AbInitioRow,
+    ActivitySource, CharacterizeConfig, GlitchSweep, PlaneTiling, TIMED_LANES,
 };
 pub use calibrated::{
     render_rows, table1, table1_names, table1_parallel, table1_subset_parallel, table2, table3,

@@ -1,6 +1,6 @@
-//! The `optpower` binary: service verbs (`serve`, `submit`) plus the
-//! full workload command surface by delegation.
+//! The `optpower` binary: every verb lives in [`optpower_serve::cli`].
 
 fn main() -> std::process::ExitCode {
-    optpower_serve::cli::main_with_args(std::env::args().skip(1).collect())
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    optpower_serve::cli::main(&args)
 }

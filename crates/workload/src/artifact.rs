@@ -13,9 +13,9 @@
 //!   the spec (seed included), never on worker count or wall time.
 //!   Run metadata (wall time, resolved workers) lives in a separate
 //!   `meta` object that only [`Artifact::to_json`] includes;
-//! * **legacy-faithful text** — [`Artifact::render_text`] is exactly
-//!   the stdout of the retired bespoke binary for the same job, so
-//!   rewiring the binaries into shims changed no observable output.
+//! * **faithful text** — [`Artifact::render_text`] is byte for byte
+//!   the console report the original per-table programs printed for
+//!   the same job.
 
 use std::time::Instant;
 
@@ -224,8 +224,8 @@ pub struct RunMeta {
     /// Wall-clock duration of the run in milliseconds.
     pub wall_ms: f64,
     /// Cache disposition, when the runtime ran with a cache attached
-    /// (`None` for cacheless runtimes, which keeps the legacy CLI
-    /// envelope unchanged).
+    /// (`None` for cacheless runtimes, which keeps their envelope in its
+    /// original shape).
     pub cache: Option<CacheStatus>,
     /// Row-cache counters, when the runtime ran with a cache attached
     /// *and* the job characterizes architectures (`None` otherwise,
@@ -328,15 +328,15 @@ impl Artifact {
         self
     }
 
-    /// The console rendering — byte-identical to the stdout the
-    /// retired bespoke binary printed for the same job (the shim
-    /// prints exactly this through one `println!`).
+    /// The console rendering — byte-identical to the report the
+    /// original per-table programs printed for the same job
+    /// (`optpower run` prints exactly this through one `println!`).
     pub fn render_text(&self) -> String {
         match &self.payload {
             Payload::Rows { title, rows } => render_rows(title, rows),
             Payload::Flavors(rows) => {
                 // Derived from the typed payload (like the JSON/CSV
-                // views), in the legacy binary's exact layout.
+                // views), in the original report's exact layout.
                 let mut t = optpower_report::Table::new(&[
                     "flavor",
                     "Vdd nom [V]",

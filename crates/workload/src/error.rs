@@ -1,7 +1,8 @@
 //! The unified workload error: every job kind — model solving,
 //! simulation, netlist generation, spec parsing, artifact IO — fails
-//! with one [`WorkloadError`], so callers (the CLI, a future service
-//! front-end) handle exactly one error surface.
+//! with one [`WorkloadError`], so callers (the `optpower` command
+//! line, the job service, the shard cluster) handle exactly one error
+//! surface.
 
 use core::fmt;
 

@@ -3,7 +3,6 @@
 #![warn(missing_docs)]
 
 pub mod artifact;
-pub mod cli;
 pub mod error;
 pub mod json;
 pub mod merge;

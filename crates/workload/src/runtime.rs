@@ -39,7 +39,7 @@ use crate::spec::{
     StaSpec,
 };
 
-/// Console title of the Table 1 artifact (the legacy binary's).
+/// Console title of the Table 1 artifact.
 pub const TABLE1_TITLE: &str = "Table 1 - 16-bit multipliers at the optimal working point \
                                 (ST LL, 31.25 MHz)\n(p) = paper columns; bare = this reproduction";
 /// Console title of the Table 3 artifact.

@@ -95,7 +95,7 @@ impl Default for AbInitioSpec {
 
 impl AbInitioSpec {
     /// The CI smoke shape: one array and one sequential architecture
-    /// at a reduced stimulus volume (the legacy `--smoke` flag).
+    /// at a reduced stimulus volume.
     pub fn smoke() -> Self {
         Self {
             archs: Some(vec!["RCA".to_string(), "Sequential".to_string()]),
@@ -106,10 +106,8 @@ impl AbInitioSpec {
 }
 
 /// Glitch-aware design-space sweep spec: characterize over an operand
-/// **width axis** (strictly more expressive than the legacy
-/// `--glitch-sweep` flag, which was pinned to 16 bits), then sweep the
-/// measured parameters over all three flavours × a log frequency axis,
-/// glitch-aware vs glitch-free.
+/// **width axis**, then sweep the measured parameters over all three
+/// flavours × a log frequency axis, glitch-aware vs glitch-free.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GlitchSweepSpec {
     /// Paper names of the architectures to characterize; `None` = all
@@ -260,9 +258,8 @@ impl Default for PruneDeltaSpec {
     }
 }
 
-/// A declarative workload: everything previously reachable only
-/// through one of the twelve bespoke report binaries, plus the
-/// composed [`JobSpec::Batch`].
+/// A declarative workload: one variant per table, figure, study or
+/// analysis of the reproduction, plus the composed [`JobSpec::Batch`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum JobSpec {
     /// Table 1: the thirteen calibrated multipliers (LL flavour),
@@ -390,7 +387,7 @@ impl JobSpec {
         }
     }
 
-    /// The default spec of a wire kind (what the legacy binary ran
+    /// The default spec of a wire kind (what `optpower <kind>` runs
     /// with no flags), or `None` for an unknown kind.
     pub fn default_for(kind: &str) -> Option<JobSpec> {
         Some(match kind {
