@@ -28,8 +28,8 @@ use std::time::{Duration, Instant};
 
 use optpower_explore::{available_workers, Workers};
 use optpower_workload::{
-    fnv1a_64, Artifact, CacheStatus, DistMeta, ErrorBody, JobSpec, Json, RowCacheStats, ShardFrame,
-    ShardResult, SpecError, WorkloadError,
+    fnv1a_64, Artifact, CacheStatus, DistMeta, ErrorBody, JobSpec, Json, RowCacheStats, RunMeta,
+    ShardFrame, ShardResult, SpecError, WorkloadError,
 };
 
 /// Default per-shard silence window before a worker is declared dead.
@@ -375,10 +375,10 @@ impl Cluster {
                     .map(|r| Artifact::from_payload_json(&r.payload_json))
                     .collect::<Result<Vec<_>, _>>()?;
                 let mut artifact = Artifact::merge_shards(spec, artifacts, self.workers)?;
-                artifact.meta.wall_ms = stats.wall_ms;
-                artifact.meta.workers = resolved(self.workers);
-                artifact.meta.row_cache = stats.row_cache;
-                artifact.meta.dist = Some(dist);
+                artifact.meta = RunMeta {
+                    row_cache: stats.row_cache,
+                    ..self.meta(spec, &stats, dist)
+                };
                 Ok(DistRun {
                     json: artifact.to_json(),
                     payload_json: artifact.payload_json(),
@@ -422,7 +422,7 @@ impl Cluster {
                     ("payload", Json::Arr(entries)),
                 ]);
                 let payload_json = payload_doc.to_string();
-                let json = envelope(payload_doc, &stats, None, None, dist);
+                let json = self.meta(spec, &stats, dist).envelope(payload_doc);
                 Ok(DistRun {
                     artifact: None,
                     json,
@@ -438,8 +438,10 @@ impl Cluster {
                 let r = ordered.into_iter().next().ok_or_else(|| {
                     WorkloadError::from(SpecError::new("no shard results to merge"))
                 })?;
-                let payload_doc = parse_payload_doc(&r.payload_json)?;
-                let json = envelope(payload_doc, &stats, r.cache, r.row_cache, dist);
+                let mut meta = self.meta(spec, &stats, dist);
+                meta.cache = r.cache;
+                meta.row_cache = r.row_cache;
+                let json = meta.envelope(parse_payload_doc(&r.payload_json)?);
                 Ok(DistRun {
                     artifact: None,
                     json,
@@ -449,6 +451,17 @@ impl Cluster {
                     stats,
                 })
             }
+        }
+    }
+
+    /// The envelope meta of a merged run: seed and engine from the
+    /// spec, the coordinator's resolved workers, its wall time and the
+    /// cluster shape.
+    fn meta(&self, spec: &JobSpec, stats: &DistStats, dist: DistMeta) -> RunMeta {
+        RunMeta {
+            wall_ms: stats.wall_ms,
+            dist: Some(dist),
+            ..RunMeta::for_spec(spec, resolved(self.workers))
         }
     }
 }
@@ -528,52 +541,6 @@ fn field(doc: &Json, key: &str) -> Result<Json, WorkloadError> {
     doc.get(key)
         .cloned()
         .ok_or_else(|| SpecError::new(format!("shard payload document lacks {key:?}")).into())
-}
-
-/// Appends the run `meta` object to a payload document, in the exact
-/// field order [`Artifact::to_json`] uses.
-fn envelope(
-    payload_doc: Json,
-    stats: &DistStats,
-    cache: Option<CacheStatus>,
-    row_cache: Option<RowCacheStats>,
-    dist: DistMeta,
-) -> String {
-    let Json::Obj(mut pairs) = payload_doc else {
-        unreachable!("payload documents are objects");
-    };
-    let mut meta = vec![
-        ("seed".to_string(), Json::Null),
-        (
-            "workers".to_string(),
-            Json::UInt(resolved(Workers::Auto) as u64),
-        ),
-        ("engine".to_string(), Json::Null),
-        ("wall_ms".to_string(), Json::num(stats.wall_ms)),
-        (
-            "cache".to_string(),
-            cache.map(|c| Json::str(c.label())).unwrap_or(Json::Null),
-        ),
-    ];
-    if let Some(rc) = row_cache {
-        meta.push((
-            "row_cache".to_string(),
-            Json::obj([
-                ("hits", Json::UInt(rc.hits)),
-                ("misses", Json::UInt(rc.misses)),
-            ]),
-        ));
-    }
-    meta.push((
-        "dist".to_string(),
-        Json::obj([
-            ("hosts", Json::UInt(dist.hosts as u64)),
-            ("shards", Json::UInt(dist.shards as u64)),
-            ("retries", Json::UInt(dist.retries)),
-        ]),
-    ));
-    pairs.push(("meta".to_string(), Json::Obj(meta)));
-    Json::Obj(pairs).to_string()
 }
 
 #[cfg(test)]

@@ -46,9 +46,11 @@ pub use wallace::wallace;
 use optpower_netlist::{Netlist, NetlistBuilder, NetlistError};
 
 /// The thirteen multiplier architectures of Table 1, in table order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+/// The default is the first row, the basic RCA.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum Architecture {
     /// Basic ripple-carry array.
+    #[default]
     Rca,
     /// RCA replicated ×2 with round-robin distribution.
     RcaParallel2,
@@ -120,14 +122,18 @@ impl Architecture {
         Self::ALL.iter().copied().find(|a| a.paper_name() == name)
     }
 
+    /// The widest operand any generator accepts: the simulators drive
+    /// operands through `u64` buses and the product needs
+    /// `2 × width` bits.
+    pub const MAX_WIDTH: usize = 32;
+
     /// Whether [`Architecture::generate`] accepts `width` for this
     /// architecture (instead of panicking): the array and tree
     /// families take any width ≥ 2, the sequential family needs a
     /// power of two ≥ 4 (≥ 8 for the 4-per-cycle core). Widths above
-    /// 32 are rejected everywhere — the simulators drive operands
-    /// through `u64` buses and the product needs `2 × width` bits.
+    /// [`Architecture::MAX_WIDTH`] are rejected everywhere.
     pub fn supports_width(self, width: usize) -> bool {
-        if width > 32 {
+        if width > Self::MAX_WIDTH {
             return false;
         }
         match self {

@@ -15,11 +15,9 @@
 //!
 //! The measured glitch factor `a(timed) / a(zero-delay)` per
 //! architecture then feeds the *glitch-aware design-space sweep*
-//! ([`glitch_aware_sweep`]): Table 1′ parameters — with activities
+//! ([`glitch_sweep_from_rows`]): Table 1′ parameters — with activities
 //! actually measured, glitches included — swept over every STM CMOS09
-//! flavour and a log frequency axis on the exploration engine, with
-//! CSV/JSON export for both the characterization table and the sweep
-//! results.
+//! flavour and a log frequency axis on the exploration engine.
 
 use core::fmt;
 
@@ -256,7 +254,7 @@ impl CharacterizeConfig {
 }
 
 /// One architecture's ab-initio measurement and optimisation result.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct AbInitioRow {
     /// The architecture.
     pub arch: Architecture,
@@ -335,52 +333,23 @@ pub fn ab_initio_table(
     items: u64,
     seed: u64,
 ) -> Result<Vec<AbInitioRow>, AbInitioError> {
-    characterize_all_parallel(flavor, items, seed, Workers::Auto)
+    characterize_parallel(&Architecture::ALL, flavor, items, seed, Workers::Auto)
 }
 
 /// Ab-initio characterization of one architecture: generate → library
-/// stats (N, C) → STA (LD) → activity (pooled timed + bit-parallel
-/// glitch-free) → optimise at `freq` on `tech`.
-///
-/// `timed_workers` is the worker policy for the pooled timed
-/// measurement only — it affects wall-clock, never the result.
-///
-/// # Errors
-///
-/// Propagates [`AbInitioError`]; simulation failures carry the
-/// offending architecture.
-///
-/// # Panics
-///
-/// Panics if the generator fails structurally (impossible for width
-/// 16).
-pub fn characterize_architecture(
-    arch: Architecture,
-    lib: &Library,
-    tech: Technology,
-    freq: Hertz,
-    items: u64,
-    seed: u64,
-    timed_workers: Workers,
-) -> Result<AbInitioRow, AbInitioError> {
-    let config = CharacterizeConfig {
-        workers: timed_workers,
-        ..CharacterizeConfig::new(items, seed)
-    };
-    characterize_architecture_with(arch, lib, tech, freq, &config)
-}
-
-/// [`characterize_architecture`] with the full measurement definition
-/// — operand width, timed lane count and glitch-free baseline engine
-/// included — as one [`CharacterizeConfig`]. `config.workers` is used
-/// for the pooled timed leg.
+/// stats (N, C) → STA (LD) → activity (pooled timed + glitch-free
+/// baseline) → optimise at `freq` on `tech`, under the full
+/// measurement definition in `config` (operand width, timed lane
+/// count, baseline engine). `config.workers` is the worker policy of
+/// the pooled timed leg only — it affects wall-clock, never the
+/// result.
 ///
 /// # Errors
 ///
 /// [`AbInitioError::Model`] with [`ModelError::InvalidArchParameter`]
 /// when the architecture does not support `config.width` (e.g. a
 /// non-power-of-two width on the sequential family); otherwise as
-/// [`characterize_architecture`].
+/// [`characterize_design_with`].
 pub fn characterize_architecture_with(
     arch: Architecture,
     lib: &Library,
@@ -418,9 +387,8 @@ pub fn characterize_architecture_with(
 /// # Errors
 ///
 /// [`AbInitioError::Lint`] when the lint gate refuses the netlist;
-/// otherwise as [`characterize_architecture`]: simulation failures
-/// carry the design's architecture, model/optimiser failures are
-/// propagated.
+/// simulation failures carry the design's architecture, and
+/// model/optimiser failures are propagated.
 pub fn characterize_design_with(
     design: &MultiplierDesign,
     lib: &Library,
@@ -562,21 +530,6 @@ pub fn characterize_parallel_with(
     .collect()
 }
 
-/// [`characterize_parallel`] over all thirteen architectures of
-/// Table 1, in table order.
-///
-/// # Errors
-///
-/// Propagates the first [`AbInitioError`] in table order.
-pub fn characterize_all_parallel(
-    flavor: Flavor,
-    items: u64,
-    seed: u64,
-    workers: Workers,
-) -> Result<Vec<AbInitioRow>, AbInitioError> {
-    characterize_parallel(&Architecture::ALL, flavor, items, seed, workers)
-}
-
 /// Which measured activity feeds a design-space sweep built from
 /// ab-initio rows — the "activity source" of the exploration engine's
 /// architecture axis.
@@ -649,28 +602,6 @@ impl GlitchSweep {
             .filter_map(|(a, f)| Some(a.optimum()?.ptot().value() - f.optimum()?.ptot().value()))
             .sum()
     }
-}
-
-/// Runs the full glitch-aware sweep: characterize every architecture
-/// ([`characterize_all_parallel`] on `flavor` at 31.25 MHz for the
-/// table's optimal points), then sweep the measured parameters over
-/// all three flavours × `freq_points` log-spaced frequencies in
-/// `[1 MHz, 250 MHz]` on the exploration engine — once per
-/// [`ActivitySource`].
-///
-/// # Errors
-///
-/// Propagates [`AbInitioError`] from characterization or model
-/// building.
-pub fn glitch_aware_sweep(
-    flavor: Flavor,
-    items: u64,
-    seed: u64,
-    freq_points: usize,
-    workers: Workers,
-) -> Result<GlitchSweep, AbInitioError> {
-    let rows = characterize_all_parallel(flavor, items, seed, workers)?;
-    glitch_sweep_from_rows(rows, freq_points, workers)
 }
 
 /// Builds the glitch-aware and glitch-free sweeps from already
@@ -766,47 +697,6 @@ pub fn render_glitch_factors(rows: &[AbInitioRow]) -> String {
     out
 }
 
-/// Exports the characterization rows (glitch factor included) as CSV.
-pub fn glitch_rows_to_csv(rows: &[AbInitioRow]) -> String {
-    let mut out = String::from(
-        "arch,width,cells,area_um2,activity_timed,activity_zero_delay,glitch_factor,\
-         ld_eff,cap_per_cell_f,vdd_v,vth_v,ptot_uw,eq13_uw\n",
-    );
-    for r in rows {
-        out.push_str(&format!(
-            "{},{},{},{:e},{:e},{:e},{:e},{:e},{:e},{:e},{:e},{:e},{}\n",
-            csv_field(r.arch.paper_name()),
-            r.width,
-            r.cells,
-            r.area_um2,
-            r.activity,
-            r.activity_zero_delay,
-            r.glitch_factor(),
-            r.ld_eff,
-            r.cap_per_cell_f,
-            r.vdd,
-            r.vth,
-            r.ptot_uw,
-            if r.eq13_uw.is_nan() {
-                String::new()
-            } else {
-                format!("{:e}", r.eq13_uw)
-            },
-        ));
-    }
-    out
-}
-
-/// Quotes a CSV field when it contains a separator, quote or newline.
-/// (Architecture names are plain, but keep the export robust.)
-fn csv_field(s: &str) -> String {
-    if s.contains([',', '"', '\n']) {
-        format!("\"{}\"", s.replace('"', "\"\""))
-    } else {
-        s.to_string()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -894,14 +784,6 @@ mod tests {
             assert!(fig.contains(arch.paper_name()));
         }
         assert!(fig.contains('#'));
-    }
-
-    #[test]
-    fn exports_cover_every_row() {
-        let rows = rows();
-        let csv = glitch_rows_to_csv(&rows);
-        assert_eq!(csv.lines().count(), 1 + rows.len());
-        assert!(csv.lines().next().unwrap().contains("glitch_factor"));
     }
 
     #[test]

@@ -14,7 +14,7 @@ use optpower_units::{Farads, SquareMicrons, Volts, Watts};
 use crate::render::{fnum, Table};
 
 /// One architecture's paper-vs-measured comparison.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RowComparison {
     /// Architecture name as printed in the paper.
     pub name: String,

@@ -275,26 +275,6 @@ pub struct ParetoFigure {
     pub frequencies: Vec<Hertz>,
 }
 
-impl ParetoFigure {
-    /// `(frequency_hz, tech, arch, ptot_w)` of every front point, by
-    /// ascending frequency.
-    pub fn front_points(&self) -> Vec<(f64, &'static str, String, f64)> {
-        self.result
-            .pareto_front()
-            .into_iter()
-            .map(|r| {
-                let opt = r.optimum().expect("front members are closed");
-                (
-                    r.frequency.value(),
-                    r.tech,
-                    r.arch.clone(),
-                    opt.ptot().value(),
-                )
-            })
-            .collect()
-    }
-}
-
 /// Runs the Pareto sweep: the thirteen calibrated Table 1
 /// architectures × all three flavours × `freq_points` log-spaced
 /// frequencies in `[1 MHz, 250 MHz]` on the exploration engine.
@@ -410,26 +390,6 @@ pub fn render_pareto(fig: &ParetoFigure) -> String {
         ]);
     }
     out.push_str(&format!("Pareto front (throughput up, power down)\n{t}"));
-    out
-}
-
-/// Exports the Pareto front as CSV
-/// (`frequency_hz,tech,arch,vdd_v,vth_v,ptot_w,energy_per_op_j`).
-pub fn pareto_front_csv(fig: &ParetoFigure) -> String {
-    let mut out = String::from("frequency_hz,tech,arch,vdd_v,vth_v,ptot_w,energy_per_op_j\n");
-    for r in fig.result.pareto_front() {
-        let opt = r.optimum().expect("front members are closed");
-        out.push_str(&format!(
-            "{:e},{},{},{:e},{:e},{:e},{:e}\n",
-            r.frequency.value(),
-            r.tech,
-            r.arch,
-            opt.vdd().value(),
-            opt.vth().value(),
-            opt.ptot().value(),
-            opt.energy_per_item(r.frequency),
-        ));
-    }
     out
 }
 
@@ -566,12 +526,13 @@ mod tests {
         let fig = figure_pareto(5, Workers::Fixed(1)).unwrap();
         assert_eq!(fig.frequencies.len(), 5);
         assert_eq!(fig.result.len(), 3 * 13 * 5);
-        let front = fig.front_points();
+        let front = fig.result.pareto_front();
         assert!(!front.is_empty());
         // Ascending frequency implies ascending power along the front.
+        let ptot = |r: &optpower_explore::EvalRecord| r.optimum().unwrap().ptot().value();
         for pair in front.windows(2) {
-            assert!(pair[0].0 < pair[1].0);
-            assert!(pair[0].3 < pair[1].3);
+            assert!(pair[0].frequency.value() < pair[1].frequency.value());
+            assert!(ptot(pair[0]) < ptot(pair[1]));
         }
         // Scheduling never changes the figure.
         let par = figure_pareto(5, Workers::Fixed(8)).unwrap();
@@ -585,9 +546,6 @@ mod tests {
         assert!(s.contains("Pareto front"));
         assert!(s.contains('*'), "front points plotted:\n{s}");
         assert!(s.contains("MHz"));
-        let csv = pareto_front_csv(&fig);
-        assert!(csv.starts_with("frequency_hz,tech,arch"));
-        assert_eq!(csv.lines().count(), 1 + fig.front_points().len());
     }
 
     #[test]
@@ -597,6 +555,5 @@ mod tests {
             frequencies: Vec::new(),
         };
         assert!(render_pareto(&fig).contains("no closed points"));
-        assert_eq!(pareto_front_csv(&fig).lines().count(), 1);
     }
 }

@@ -19,15 +19,22 @@
 
 use std::time::Instant;
 
+use optpower_explore::ResultSet;
 use optpower_report::ablation::{FitRangeResult, GlitchAblationRow, OptimizerAblationRow};
 use optpower_report::extended::{render_scaling, render_sensitivities, ScalingRow, SensitivityRow};
 use optpower_report::{
-    glitch_rows_to_csv, pareto_front_csv, render_ab_initio, render_figure1, render_figure2,
-    render_figure34, render_glitch_factors, render_pareto, render_rows, AbInitioRow, Figure1,
-    Figure2, Figure34, GlitchSweep, ParetoFigure, RowComparison,
+    render_ab_initio, render_figure1, render_figure2, render_figure34, render_glitch_factors,
+    render_pareto, render_rows, AbInitioRow, Figure1, Figure2, Figure34, GlitchSweep, ParetoFigure,
+    RowComparison,
 };
 use optpower_sim::ActivityReport;
+use optpower_units::Hertz;
 
+use crate::columns::{
+    csv, csv_cells, csv_field, csv_header, json_pairs, json_rows, AB_INITIO, ACTIVITY, COMPARISON,
+    DIAGNOSTIC, EXPORT_FILE, FIT_RANGE, FLAVOR, GLITCH_ABLATION, LINT_NETLIST, OPTIMIZER,
+    PARETO_FRONT, PRUNE_DELTA, RECORD, RECORD_OPTIMUM, SENSITIVITY, STA, STAGE,
+};
 use crate::json::Json;
 use crate::spec::{engine_name, ActivitySpec, JobSpec};
 
@@ -237,6 +244,76 @@ pub struct RunMeta {
     pub dist: Option<DistMeta>,
 }
 
+impl RunMeta {
+    /// The metadata a run of `spec` starts from: the stimulus seed and
+    /// simulation engine the spec records, `workers`, and no wall
+    /// time, cache or distribution facts yet.
+    pub fn for_spec(spec: &JobSpec, workers: usize) -> Self {
+        let (seed, engine) = match spec {
+            JobSpec::Ablation { seed, .. } => (Some(*seed), None),
+            JobSpec::AbInitio(s) => (Some(s.seed), Some(engine_name(s.engine))),
+            JobSpec::GlitchSweep(s) => (Some(s.seed), Some(engine_name(s.engine))),
+            JobSpec::ActivityMeasure(s) => (Some(s.seed), Some(engine_name(s.engine))),
+            JobSpec::Sta(s) => (Some(s.seed), (s.items > 0).then_some("timed")),
+            JobSpec::PruneDelta(s) => (Some(s.seed), Some("timed")),
+            _ => (None, None),
+        };
+        Self {
+            seed,
+            workers,
+            engine,
+            wall_ms: 0.0,
+            cache: None,
+            row_cache: None,
+            dist: None,
+        }
+    }
+
+    /// The full envelope: `payload_doc` (an [`Artifact::payload_json`]
+    /// document) with this metadata appended as its `meta` object.
+    pub fn envelope(&self, payload_doc: Json) -> String {
+        let Json::Obj(mut doc) = payload_doc else {
+            unreachable!("payload documents are objects");
+        };
+        let mut meta = vec![
+            ("seed", self.seed.map_or(Json::Null, Json::UInt)),
+            ("workers", Json::UInt(self.workers as u64)),
+            ("engine", self.engine.map_or(Json::Null, Json::str)),
+            ("wall_ms", Json::num(self.wall_ms)),
+            (
+                "cache",
+                self.cache.map_or(Json::Null, |c| Json::str(c.label())),
+            ),
+        ];
+        // Emitted only when the run actually consulted the row cache,
+        // so cacheless envelopes stay byte-identical to the legacy
+        // shape.
+        if let Some(rc) = self.row_cache {
+            meta.push((
+                "row_cache",
+                Json::obj([
+                    ("hits", Json::UInt(rc.hits)),
+                    ("misses", Json::UInt(rc.misses)),
+                ]),
+            ));
+        }
+        // Same only-when-present rule as `row_cache`: single-host runs
+        // keep the exact legacy meta shape.
+        if let Some(d) = self.dist {
+            meta.push((
+                "dist",
+                Json::obj([
+                    ("hosts", Json::UInt(d.hosts as u64)),
+                    ("shards", Json::UInt(d.shards as u64)),
+                    ("retries", Json::UInt(d.retries)),
+                ]),
+            ));
+        }
+        doc.push(("meta".to_string(), Json::obj(meta)));
+        Json::Obj(doc).to_string()
+    }
+}
+
 /// The typed payload of one executed job.
 #[derive(Debug, Clone)]
 pub enum Payload {
@@ -404,23 +481,12 @@ impl Artifact {
                 report.items,
                 report.cells,
             ),
+            // The figures' console reports end with their CSV data.
             Payload::Figure1(fig) => {
-                let mut out = render_figure1(fig);
-                out.push_str("\nvdd_v,activity,ptot_w");
-                for curve in &fig.curves {
-                    for &(v, p) in &curve.points {
-                        out.push_str(&format!("\n{v},{},{p}", curve.activity));
-                    }
-                }
-                out
+                format!("{}\n{}", render_figure1(fig), self.to_csv().trim_end())
             }
             Payload::Figure2(fig) => {
-                let mut out = render_figure2(fig);
-                out.push_str("\nvdd_v,exact,approx");
-                for &(v, e, a) in &fig.points {
-                    out.push_str(&format!("\n{v},{e},{a}"));
-                }
-                out
+                format!("{}\n{}", render_figure2(fig), self.to_csv().trim_end())
             }
             Payload::Figure34(fig) => render_figure34(fig),
             Payload::Pareto(fig) => render_pareto(fig),
@@ -480,20 +546,11 @@ impl Artifact {
                     ]);
                 }
                 let mut out = format!("Static timing + glitch bound\n{t}");
-                let pairs: Vec<(f64, f64)> = rows
-                    .iter()
-                    .filter_map(|r| {
-                        r.measured_glitch_factor
-                            .map(|m| (r.static_glitch_factor, m))
-                    })
-                    .collect();
-                match optpower_report::pearson_correlation(&pairs) {
-                    Some(r) => out.push_str(&format!(
-                        "static-vs-measured glitch correlation r = {:.3} over {} architecture(s)\n",
-                        r,
-                        pairs.len()
+                match static_vs_measured(rows) {
+                    (Some(r), n) => out.push_str(&format!(
+                        "static-vs-measured glitch correlation r = {r:.3} over {n} architecture(s)\n"
                     )),
-                    None => out.push_str("static-vs-measured glitch correlation: n/a\n"),
+                    (None, _) => out.push_str("static-vs-measured glitch correlation: n/a\n"),
                 }
                 out
             }
@@ -550,55 +607,7 @@ impl Artifact {
     /// The full envelope: [`Artifact::payload_json`] plus the `meta`
     /// object (wall time, resolved workers).
     pub fn to_json(&self) -> String {
-        let mut doc = match self.payload_value() {
-            Json::Obj(pairs) => pairs,
-            _ => unreachable!("payload_value is always an object"),
-        };
-        let mut meta = vec![
-            (
-                "seed".to_string(),
-                self.meta.seed.map(Json::UInt).unwrap_or(Json::Null),
-            ),
-            ("workers".to_string(), Json::UInt(self.meta.workers as u64)),
-            (
-                "engine".to_string(),
-                self.meta.engine.map(Json::str).unwrap_or(Json::Null),
-            ),
-            ("wall_ms".to_string(), Json::num(self.meta.wall_ms)),
-            (
-                "cache".to_string(),
-                self.meta
-                    .cache
-                    .map(|c| Json::str(c.label()))
-                    .unwrap_or(Json::Null),
-            ),
-        ];
-        // Emitted only when the run actually consulted the row cache,
-        // so cacheless envelopes stay byte-identical to the legacy
-        // shape.
-        if let Some(rc) = self.meta.row_cache {
-            meta.push((
-                "row_cache".to_string(),
-                Json::obj([
-                    ("hits", Json::UInt(rc.hits)),
-                    ("misses", Json::UInt(rc.misses)),
-                ]),
-            ));
-        }
-        // Same only-when-present rule as `row_cache`: single-host runs
-        // keep the exact legacy meta shape.
-        if let Some(d) = self.meta.dist {
-            meta.push((
-                "dist".to_string(),
-                Json::obj([
-                    ("hosts", Json::UInt(d.hosts as u64)),
-                    ("shards", Json::UInt(d.shards as u64)),
-                    ("retries", Json::UInt(d.retries)),
-                ]),
-            ));
-        }
-        doc.push(("meta".to_string(), Json::Obj(meta)));
-        Json::Obj(doc).to_string()
+        self.meta.envelope(self.payload_value())
     }
 
     fn payload_value(&self) -> Json {
@@ -613,39 +622,8 @@ impl Artifact {
     /// The CSV rendering of the payload's primary table.
     pub fn to_csv(&self) -> String {
         match &self.payload {
-            Payload::Rows { rows, .. } => {
-                let mut out = String::from(
-                    "name,paper_vdd_v,vdd_v,paper_vth_v,vth_v,paper_ptot_uw,ptot_uw,\
-                     paper_eq13_uw,eq13_uw,paper_err_pct,err_pct\n",
-                );
-                for r in rows {
-                    out.push_str(&format!(
-                        "{},{},{},{},{},{},{},{},{},{},{}\n",
-                        csv_field(&r.name),
-                        r.paper_vdd,
-                        r.our_vdd,
-                        r.paper_vth,
-                        r.our_vth,
-                        r.paper_ptot_uw,
-                        r.our_ptot_uw,
-                        r.paper_eq13_uw,
-                        r.our_eq13_uw,
-                        r.paper_err_pct,
-                        r.our_err_pct,
-                    ));
-                }
-                out
-            }
-            Payload::Flavors(rows) => {
-                let mut out = String::from("flavor,vdd_nom_v,vth0_nom_v,io_ua,zeta_pf,alpha,n\n");
-                for r in rows {
-                    out.push_str(&format!(
-                        "{},{},{},{},{},{},{}\n",
-                        r.flavor, r.vdd_nom_v, r.vth0_nom_v, r.io_ua, r.zeta_pf, r.alpha, r.n,
-                    ));
-                }
-                out
-            }
+            Payload::Rows { rows, .. } => csv(COMPARISON, rows),
+            Payload::Flavors(rows) => csv(FLAVOR, rows),
             Payload::Scaling { unscaled, scaled } => {
                 let mut out = String::from("port,f_mhz,node,ptot_uw,winner\n");
                 for (port, rows) in [("wire_dominated", unscaled), ("scaled", scaled)] {
@@ -666,22 +644,7 @@ impl Artifact {
                 }
                 out
             }
-            Payload::Sensitivity(rows) => {
-                let mut out =
-                    String::from("arch,s_activity,s_cells,s_logical_depth,s_frequency,s_io\n");
-                for r in rows {
-                    out.push_str(&format!(
-                        "{},{},{},{},{},{}\n",
-                        csv_field(r.name),
-                        r.sens.activity,
-                        r.sens.cells,
-                        r.sens.logical_depth,
-                        r.sens.frequency,
-                        r.sens.io,
-                    ));
-                }
-                out
-            }
+            Payload::Sensitivity(rows) => csv(SENSITIVITY, rows),
             Payload::Ablation {
                 fit,
                 optimizer,
@@ -715,22 +678,9 @@ impl Artifact {
                 }
                 out
             }
-            Payload::AbInitio(rows) => glitch_rows_to_csv(rows),
-            Payload::Glitch(sweep) => glitch_rows_to_csv(&sweep.rows),
-            Payload::Activity { spec, report } => format!(
-                "arch,width,engine,items,warmup,seed,activity,transitions,measured_items,cells\n\
-                 {},{},{},{},{},{},{},{},{},{}\n",
-                csv_field(&spec.arch),
-                spec.width,
-                engine_name(spec.engine),
-                spec.items,
-                spec.warmup,
-                spec.seed,
-                report.activity,
-                report.transitions,
-                report.items,
-                report.cells,
-            ),
+            Payload::AbInitio(rows) => csv(AB_INITIO, rows),
+            Payload::Glitch(sweep) => csv(AB_INITIO, &sweep.rows),
+            Payload::Activity { spec, report } => csv(ACTIVITY, [&(spec.clone(), *report)]),
             Payload::Figure1(fig) => {
                 let mut out = String::from("vdd_v,activity,ptot_w\n");
                 for curve in &fig.curves {
@@ -747,57 +697,23 @@ impl Artifact {
                 }
                 out
             }
-            Payload::Figure34(fig) => {
-                let mut out = String::from(
-                    "style,stages,registers,logical_depth,path_spread,mean_input_skew,\
-                     activity_timed,activity_zero_delay,glitch_factor\n",
-                );
-                for s in &fig.summaries {
-                    out.push_str(&format!(
-                        "{},{},{},{},{},{},{},{},{}\n",
-                        s.style,
-                        s.stages,
-                        s.registers,
-                        s.logical_depth,
-                        s.path_spread,
-                        s.mean_input_skew,
-                        s.activity_timed,
-                        s.activity_zero_delay,
-                        s.glitch_factor(),
-                    ));
-                }
-                out
-            }
-            Payload::Pareto(fig) => pareto_front_csv(fig),
-            Payload::Export(listing) => {
-                let mut out = String::from("file\n");
-                for f in &listing.files {
-                    out.push_str(&csv_field(f));
-                    out.push('\n');
-                }
-                out
-            }
+            Payload::Figure34(fig) => csv(STAGE, &fig.summaries),
+            Payload::Pareto(fig) => csv(PARETO_FRONT, fig.result.pareto_front()),
+            Payload::Export(listing) => csv(EXPORT_FILE, &listing.files),
             Payload::Lint(summaries) => {
-                let mut out =
-                    String::from("arch,width,cells,nets,severity,rule_id,rule,cell,net,message\n");
+                // One line per diagnostic (or one `clean` line), each
+                // led by its netlist's columns.
+                let mut out = csv_header(LINT_NETLIST);
+                out.push_str(",severity,rule_id,rule,cell,net,message\n");
                 for s in summaries {
                     if s.report.is_clean() {
-                        out.push_str(&format!(
-                            "{},{},{},{},clean,,,,,\n",
-                            csv_field(&s.arch),
-                            s.width,
-                            s.report.cell_count(),
-                            s.report.net_count(),
-                        ));
-                        continue;
+                        csv_cells(LINT_NETLIST, s, &mut out);
+                        out.push_str(",clean,,,,,\n");
                     }
                     for d in s.report.diagnostics() {
+                        csv_cells(LINT_NETLIST, s, &mut out);
                         out.push_str(&format!(
-                            "{},{},{},{},{},{},{},{},{},{}\n",
-                            csv_field(&s.arch),
-                            s.width,
-                            s.report.cell_count(),
-                            s.report.net_count(),
+                            ",{},{},{},{},{},{}\n",
                             d.rule.severity().label(),
                             d.rule.id(),
                             d.rule.name(),
@@ -809,60 +725,8 @@ impl Artifact {
                 }
                 out
             }
-            Payload::Sta(rows) => {
-                let mut out = String::from(
-                    "arch,width,cells,stride_ticks,logical_depth,shortest_path,path_spread,\
-                     mean_input_skew,critical_path_cells,static_glitch_factor,\
-                     measured_glitch_factor,static_activity_bound,measured_activity\n",
-                );
-                for r in rows {
-                    out.push_str(&format!(
-                        "{},{},{},{},{},{},{},{},{},{},{},{},{}\n",
-                        csv_field(&r.arch),
-                        r.width,
-                        r.cells,
-                        r.stride_ticks,
-                        r.logical_depth,
-                        r.shortest_path,
-                        r.path_spread,
-                        r.mean_input_skew,
-                        r.critical_path_cells,
-                        r.static_glitch_factor,
-                        r.measured_glitch_factor
-                            .map(|g| g.to_string())
-                            .unwrap_or_default(),
-                        r.static_activity_bound,
-                        r.measured_activity
-                            .map(|a| a.to_string())
-                            .unwrap_or_default(),
-                    ));
-                }
-                out
-            }
-            Payload::PruneDelta(rows) => {
-                let mut out = String::from(
-                    "arch,width,cells_before,cells_after,cells_removed,dffs_before,dffs_after,\
-                     activity_before,activity_after,ptot_uw_before,ptot_uw_after,ptot_delta_pct\n",
-                );
-                for r in rows {
-                    out.push_str(&format!(
-                        "{},{},{},{},{},{},{},{},{},{},{},{}\n",
-                        csv_field(&r.arch),
-                        r.width,
-                        r.cells_before,
-                        r.cells_after,
-                        r.cells_removed(),
-                        r.dffs_before,
-                        r.dffs_after,
-                        r.activity_before,
-                        r.activity_after,
-                        r.ptot_uw_before,
-                        r.ptot_uw_after,
-                        r.ptot_delta_pct(),
-                    ));
-                }
-                out
-            }
+            Payload::Sta(rows) => csv(STA, rows),
+            Payload::PruneDelta(rows) => csv(PRUNE_DELTA, rows),
             Payload::Batch(artifacts) => {
                 let mut out = String::new();
                 for a in artifacts {
@@ -875,58 +739,19 @@ impl Artifact {
     }
 }
 
-/// Quotes a CSV field when it contains a separator, quote or newline.
-fn csv_field(s: &str) -> String {
-    if s.contains([',', '"', '\n']) {
-        format!("\"{}\"", s.replace('"', "\"\""))
-    } else {
-        s.to_string()
-    }
-}
-
 /// The typed payload as a JSON tree.
 fn payload_data(payload: &Payload) -> Json {
     match payload {
         Payload::Rows { title, rows } => Json::obj([
             ("title", Json::str(title.clone())),
-            (
-                "rows",
-                Json::Arr(rows.iter().map(comparison_value).collect()),
-            ),
+            ("rows", json_rows(COMPARISON, rows)),
         ]),
-        Payload::Flavors(rows) => Json::Arr(
-            rows.iter()
-                .map(|r| {
-                    Json::obj([
-                        ("flavor", Json::str(r.flavor)),
-                        ("vdd_nom_v", Json::num(r.vdd_nom_v)),
-                        ("vth0_nom_v", Json::num(r.vth0_nom_v)),
-                        ("io_ua", Json::num(r.io_ua)),
-                        ("zeta_pf", Json::num(r.zeta_pf)),
-                        ("alpha", Json::num(r.alpha)),
-                        ("n", Json::num(r.n)),
-                    ])
-                })
-                .collect(),
-        ),
+        Payload::Flavors(rows) => json_rows(FLAVOR, rows),
         Payload::Scaling { unscaled, scaled } => Json::obj([
             ("unscaled", scaling_value(unscaled)),
             ("scaled", scaling_value(scaled)),
         ]),
-        Payload::Sensitivity(rows) => Json::Arr(
-            rows.iter()
-                .map(|r| {
-                    Json::obj([
-                        ("arch", Json::str(r.name)),
-                        ("s_activity", Json::num(r.sens.activity)),
-                        ("s_cells", Json::num(r.sens.cells)),
-                        ("s_logical_depth", Json::num(r.sens.logical_depth)),
-                        ("s_frequency", Json::num(r.sens.frequency)),
-                        ("s_io", Json::num(r.sens.io)),
-                    ])
-                })
-                .collect(),
-        ),
+        Payload::Sensitivity(rows) => json_rows(SENSITIVITY, rows),
         Payload::Ablation {
             alpha,
             fit,
@@ -934,74 +759,14 @@ fn payload_data(payload: &Payload) -> Json {
             glitch,
         } => Json::obj([
             ("alpha", Json::num(*alpha)),
-            (
-                "fit_ranges",
-                Json::Arr(
-                    fit.iter()
-                        .map(|r| {
-                            Json::obj([
-                                ("lo_v", Json::num(r.lo)),
-                                ("hi_v", Json::num(r.hi)),
-                                ("a", Json::num(r.a)),
-                                ("b", Json::num(r.b)),
-                                ("max_error", Json::num(r.max_error)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "optimizer",
-                Json::Arr(
-                    optimizer
-                        .iter()
-                        .map(|r| {
-                            Json::obj([
-                                ("strategy", Json::str(r.strategy.clone())),
-                                ("ptot_uw", Json::num(r.ptot_uw)),
-                                ("excess_pct", Json::num(r.excess_pct)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "glitch",
-                Json::Arr(
-                    glitch
-                        .iter()
-                        .map(|r| {
-                            Json::obj([
-                                ("arch", Json::str(r.name.clone())),
-                                ("activity_timed", Json::num(r.activity_timed)),
-                                ("activity_zero_delay", Json::num(r.activity_zero_delay)),
-                                ("ptot_timed_uw", Json::num(r.ptot_timed_uw)),
-                                ("ptot_zero_delay_uw", Json::num(r.ptot_zero_delay_uw)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
+            ("fit_ranges", json_rows(FIT_RANGE, fit)),
+            ("optimizer", json_rows(OPTIMIZER, optimizer)),
+            ("glitch", json_rows(GLITCH_ABLATION, glitch)),
         ]),
-        Payload::AbInitio(rows) => Json::obj([(
-            "rows",
-            Json::Arr(rows.iter().map(ab_initio_value).collect()),
-        )]),
+        Payload::AbInitio(rows) => Json::obj([("rows", json_rows(AB_INITIO, rows))]),
         Payload::Glitch(sweep) => Json::obj([
-            (
-                "rows",
-                Json::Arr(sweep.rows.iter().map(ab_initio_value).collect()),
-            ),
-            (
-                "frequencies_hz",
-                Json::Arr(
-                    sweep
-                        .frequencies
-                        .iter()
-                        .map(|f| Json::num(f.value()))
-                        .collect(),
-                ),
-            ),
+            ("rows", json_rows(AB_INITIO, &sweep.rows)),
+            ("frequencies_hz", frequencies_value(&sweep.frequencies)),
             ("glitch_aware", result_set_value(&sweep.glitch_aware)),
             ("glitch_free", result_set_value(&sweep.glitch_free)),
             (
@@ -1009,15 +774,9 @@ fn payload_data(payload: &Payload) -> Json {
                 Json::num(sweep.total_glitch_cost_w()),
             ),
         ]),
-        Payload::Activity { spec, report } => Json::obj([
-            ("arch", Json::str(spec.arch.clone())),
-            ("width", Json::UInt(spec.width as u64)),
-            ("engine", Json::str(engine_name(spec.engine))),
-            ("activity", Json::num(report.activity)),
-            ("transitions", Json::UInt(report.transitions)),
-            ("measured_items", Json::UInt(report.items)),
-            ("cells", Json::UInt(report.cells as u64)),
-        ]),
+        Payload::Activity { spec, report } => {
+            Json::Obj(json_pairs(ACTIVITY, &(spec.clone(), *report)))
+        }
         Payload::Figure1(fig) => Json::obj([(
             "curves",
             Json::Arr(
@@ -1068,55 +827,12 @@ fn payload_data(payload: &Payload) -> Json {
         ]),
         Payload::Figure34(fig) => Json::obj([
             ("width", Json::UInt(fig.width as u64)),
-            (
-                "summaries",
-                Json::Arr(
-                    fig.summaries
-                        .iter()
-                        .map(|s| {
-                            Json::obj([
-                                ("style", Json::str(s.style)),
-                                ("stages", Json::UInt(u64::from(s.stages))),
-                                ("registers", Json::UInt(s.registers as u64)),
-                                ("logical_depth", Json::num(s.logical_depth)),
-                                ("path_spread", Json::num(s.path_spread)),
-                                ("mean_input_skew", Json::num(s.mean_input_skew)),
-                                ("activity_timed", Json::num(s.activity_timed)),
-                                ("activity_zero_delay", Json::num(s.activity_zero_delay)),
-                                ("glitch_factor", Json::num(s.glitch_factor())),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
+            ("summaries", json_rows(STAGE, &fig.summaries)),
         ]),
         Payload::Pareto(fig) => Json::obj([
-            (
-                "frequencies_hz",
-                Json::Arr(
-                    fig.frequencies
-                        .iter()
-                        .map(|f| Json::num(f.value()))
-                        .collect(),
-                ),
-            ),
+            ("frequencies_hz", frequencies_value(&fig.frequencies)),
             ("result", result_set_value(&fig.result)),
-            (
-                "front",
-                Json::Arr(
-                    fig.front_points()
-                        .into_iter()
-                        .map(|(f, tech, arch, ptot)| {
-                            Json::obj([
-                                ("frequency_hz", Json::num(f)),
-                                ("tech", Json::str(tech)),
-                                ("arch", Json::str(arch)),
-                                ("ptot_w", Json::num(ptot)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
+            ("front", json_rows(PARETO_FRONT, fig.result.pareto_front())),
         ]),
         Payload::Export(listing) => Json::obj([
             ("dir", Json::str(listing.dir.clone())),
@@ -1145,139 +861,27 @@ fn payload_data(payload: &Payload) -> Json {
                     .map(|(&id, n)| (id.to_string(), Json::UInt(n)))
                     .collect(),
             );
+            let netlists = summaries.iter().map(|s| {
+                let mut pairs = json_pairs(LINT_NETLIST, s);
+                pairs.push((
+                    "diagnostics".to_string(),
+                    json_rows(DIAGNOSTIC, s.report.diagnostics()),
+                ));
+                Json::Obj(pairs)
+            });
             Json::obj([
                 ("rule_counts", rule_counts),
-                (
-                    "netlists",
-                    Json::Arr(
-                        summaries
-                            .iter()
-                            .map(|s| {
-                                Json::obj([
-                                    ("arch", Json::str(s.arch.clone())),
-                                    ("width", Json::UInt(s.width as u64)),
-                                    ("cells", Json::UInt(s.report.cell_count() as u64)),
-                                    ("nets", Json::UInt(s.report.net_count() as u64)),
-                                    ("errors", Json::UInt(s.report.error_count() as u64)),
-                                    ("warnings", Json::UInt(s.report.warning_count() as u64)),
-                                    (
-                                        "diagnostics",
-                                        Json::Arr(
-                                            s.report
-                                                .diagnostics()
-                                                .iter()
-                                                .map(|d| {
-                                                    Json::obj([
-                                                        ("id", Json::str(d.rule.id())),
-                                                        ("rule", Json::str(d.rule.name())),
-                                                        (
-                                                            "severity",
-                                                            Json::str(d.rule.severity().label()),
-                                                        ),
-                                                        (
-                                                            "cell",
-                                                            d.cell
-                                                                .map(|c| {
-                                                                    Json::UInt(c.index() as u64)
-                                                                })
-                                                                .unwrap_or(Json::Null),
-                                                        ),
-                                                        (
-                                                            "net",
-                                                            d.net
-                                                                .map(|n| {
-                                                                    Json::UInt(n.index() as u64)
-                                                                })
-                                                                .unwrap_or(Json::Null),
-                                                        ),
-                                                        ("message", Json::str(d.message.clone())),
-                                                    ])
-                                                })
-                                                .collect(),
-                                        ),
-                                    ),
-                                ])
-                            })
-                            .collect(),
-                    ),
-                ),
+                ("netlists", Json::Arr(netlists.collect())),
             ])
         }
-        Payload::Sta(rows) => {
-            let pairs: Vec<(f64, f64)> = rows
-                .iter()
-                .filter_map(|r| {
-                    r.measured_glitch_factor
-                        .map(|m| (r.static_glitch_factor, m))
-                })
-                .collect();
-            Json::obj([
-                (
-                    "rows",
-                    Json::Arr(
-                        rows.iter()
-                            .map(|r| {
-                                Json::obj([
-                                    ("arch", Json::str(r.arch.clone())),
-                                    ("width", Json::UInt(r.width as u64)),
-                                    ("cells", Json::UInt(r.cells as u64)),
-                                    ("stride_ticks", Json::UInt(r.stride_ticks)),
-                                    ("logical_depth", Json::num(r.logical_depth)),
-                                    ("shortest_path", Json::num(r.shortest_path)),
-                                    ("path_spread", Json::num(r.path_spread)),
-                                    ("mean_input_skew", Json::num(r.mean_input_skew)),
-                                    (
-                                        "critical_path_cells",
-                                        Json::UInt(r.critical_path_cells as u64),
-                                    ),
-                                    ("static_glitch_factor", Json::num(r.static_glitch_factor)),
-                                    (
-                                        "measured_glitch_factor",
-                                        r.measured_glitch_factor
-                                            .map(Json::num)
-                                            .unwrap_or(Json::Null),
-                                    ),
-                                    ("static_activity_bound", Json::num(r.static_activity_bound)),
-                                    (
-                                        "measured_activity",
-                                        r.measured_activity.map(Json::num).unwrap_or(Json::Null),
-                                    ),
-                                ])
-                            })
-                            .collect(),
-                    ),
-                ),
-                (
-                    "static_vs_measured_r",
-                    optpower_report::pearson_correlation(&pairs)
-                        .map(Json::num)
-                        .unwrap_or(Json::Null),
-                ),
-            ])
-        }
-        Payload::PruneDelta(rows) => Json::obj([(
-            "rows",
-            Json::Arr(
-                rows.iter()
-                    .map(|r| {
-                        Json::obj([
-                            ("arch", Json::str(r.arch.clone())),
-                            ("width", Json::UInt(r.width as u64)),
-                            ("cells_before", Json::UInt(r.cells_before as u64)),
-                            ("cells_after", Json::UInt(r.cells_after as u64)),
-                            ("cells_removed", Json::UInt(r.cells_removed() as u64)),
-                            ("dffs_before", Json::UInt(r.dffs_before as u64)),
-                            ("dffs_after", Json::UInt(r.dffs_after as u64)),
-                            ("activity_before", Json::num(r.activity_before)),
-                            ("activity_after", Json::num(r.activity_after)),
-                            ("ptot_uw_before", Json::num(r.ptot_uw_before)),
-                            ("ptot_uw_after", Json::num(r.ptot_uw_after)),
-                            ("ptot_delta_pct", Json::num(r.ptot_delta_pct())),
-                        ])
-                    })
-                    .collect(),
+        Payload::Sta(rows) => Json::obj([
+            ("rows", json_rows(STA, rows)),
+            (
+                "static_vs_measured_r",
+                static_vs_measured(rows).0.map_or(Json::Null, Json::num),
             ),
-        )]),
+        ]),
+        Payload::PruneDelta(rows) => Json::obj([("rows", json_rows(PRUNE_DELTA, rows))]),
         Payload::Batch(artifacts) => Json::Arr(
             artifacts
                 .iter()
@@ -1293,20 +897,17 @@ fn payload_data(payload: &Payload) -> Json {
     }
 }
 
-fn comparison_value(r: &RowComparison) -> Json {
-    Json::obj([
-        ("name", Json::str(r.name.clone())),
-        ("paper_vdd_v", Json::num(r.paper_vdd)),
-        ("vdd_v", Json::num(r.our_vdd)),
-        ("paper_vth_v", Json::num(r.paper_vth)),
-        ("vth_v", Json::num(r.our_vth)),
-        ("paper_ptot_uw", Json::num(r.paper_ptot_uw)),
-        ("ptot_uw", Json::num(r.our_ptot_uw)),
-        ("paper_eq13_uw", Json::num(r.paper_eq13_uw)),
-        ("eq13_uw", Json::num(r.our_eq13_uw)),
-        ("paper_err_pct", Json::num(r.paper_err_pct)),
-        ("err_pct", Json::num(r.our_err_pct)),
-    ])
+/// The Pearson correlation of the static and measured glitch factors
+/// over the rows that ran the measured leg, and how many did.
+fn static_vs_measured(rows: &[StaRow]) -> (Option<f64>, usize) {
+    let pairs: Vec<(f64, f64)> = rows
+        .iter()
+        .filter_map(|r| {
+            r.measured_glitch_factor
+                .map(|m| (r.static_glitch_factor, m))
+        })
+        .collect();
+    (optpower_report::pearson_correlation(&pairs), pairs.len())
 }
 
 fn scaling_value(rows: &[ScalingRow]) -> Json {
@@ -1336,54 +937,18 @@ fn scaling_value(rows: &[ScalingRow]) -> Json {
     )
 }
 
-fn ab_initio_value(r: &AbInitioRow) -> Json {
-    Json::obj([
-        ("arch", Json::str(r.arch.paper_name())),
-        ("width", Json::UInt(r.width as u64)),
-        ("cells", Json::UInt(r.cells as u64)),
-        ("area_um2", Json::num(r.area_um2)),
-        ("activity_timed", Json::num(r.activity)),
-        ("activity_zero_delay", Json::num(r.activity_zero_delay)),
-        ("glitch_factor", Json::num(r.glitch_factor())),
-        ("ld_eff", Json::num(r.ld_eff)),
-        ("cap_per_cell_f", Json::num(r.cap_per_cell_f)),
-        ("vdd_v", Json::num(r.vdd)),
-        ("vth_v", Json::num(r.vth)),
-        ("ptot_uw", Json::num(r.ptot_uw)),
-        ("eq13_uw", Json::num(r.eq13_uw)),
-    ])
+fn frequencies_value(frequencies: &[Hertz]) -> Json {
+    Json::Arr(frequencies.iter().map(|f| Json::num(f.value())).collect())
 }
 
-fn result_set_value(rs: &optpower_explore::ResultSet) -> Json {
-    Json::obj([(
-        "records",
-        Json::Arr(
-            rs.records()
-                .iter()
-                .map(|r| {
-                    let mut pairs = vec![
-                        ("tech".to_string(), Json::str(r.tech)),
-                        ("arch".to_string(), Json::str(r.arch.clone())),
-                        ("frequency_hz".to_string(), Json::num(r.frequency.value())),
-                        ("status".to_string(), Json::str(r.status())),
-                    ];
-                    if let Some(opt) = r.optimum() {
-                        let b = opt.breakdown();
-                        pairs.extend([
-                            ("vdd_v".to_string(), Json::num(opt.vdd().value())),
-                            ("vth_v".to_string(), Json::num(opt.vth().value())),
-                            ("pdyn_w".to_string(), Json::num(b.pdyn().value())),
-                            ("pstat_w".to_string(), Json::num(b.pstat().value())),
-                            ("ptot_w".to_string(), Json::num(opt.ptot().value())),
-                            (
-                                "energy_per_op_j".to_string(),
-                                Json::num(opt.energy_per_item(r.frequency)),
-                            ),
-                        ]);
-                    }
-                    Json::Obj(pairs)
-                })
-                .collect(),
-        ),
-    )])
+/// Every record, with the optimum's columns on the closed ones.
+fn result_set_value(rs: &ResultSet) -> Json {
+    let records = rs.records().iter().map(|r| {
+        let mut pairs = json_pairs(RECORD, r);
+        if r.optimum().is_some() {
+            pairs.extend(json_pairs(RECORD_OPTIMUM, r));
+        }
+        Json::Obj(pairs)
+    });
+    Json::obj([("records", Json::Arr(records.collect()))])
 }

@@ -3,6 +3,7 @@
 #![warn(missing_docs)]
 
 pub mod artifact;
+mod columns;
 pub mod error;
 pub mod json;
 pub mod merge;

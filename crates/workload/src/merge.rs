@@ -17,62 +17,53 @@
 //!
 //! The underlying combination rules are the worker-count-invariant
 //! ones the rest of the workspace already exposes: row union for the
-//! characterization grids, [`optpower_sim::ActivityReport::combine`]
-//! for pooled activity measurements, and the frequency sweep rebuilt
-//! from merged rows via [`glitch_sweep_from_rows`] (whose
+//! characterization grids and the Table 1 rows, and the frequency
+//! sweep rebuilt from merged rows via [`glitch_sweep_from_rows`] (whose
 //! [`optpower_explore::ResultSet`] grids are themselves concatenations
-//! of contiguous slices — see `ResultSet::concat`).
+//! of contiguous slices — see `ResultSet::concat`). Batches and jobs
+//! that do not shard never merge here: the coordinator recomposes them
+//! from their rendered strings.
 
 use std::collections::HashMap;
 
 use optpower_explore::Workers;
-use optpower_mult::Architecture;
 use optpower_report::{glitch_sweep_from_rows, table1_names, AbInitioRow, RowComparison};
-use optpower_sim::ActivityReport;
 
 use crate::artifact::{Artifact, Payload, RunMeta, ARTIFACT_SCHEMA};
+use crate::columns::{parse_row, Column, AB_INITIO, COMPARISON};
 use crate::error::{SpecError, WorkloadError};
 use crate::json::Json;
 use crate::runtime::{resolve_archs, resolve_table1_names, resolved, TABLE1_TITLE};
 use crate::shard::glitch_cells;
-use crate::spec::{engine_name, JobSpec};
+use crate::spec::JobSpec;
 
 impl Artifact {
     /// Merges shard artifacts back into the artifact `spec` would have
-    /// produced on one host. `shards` may arrive in any order and may
-    /// contain duplicates (a raced retry); rows are keyed by their
-    /// grid coordinates and emitted in the spec's own resolution
-    /// order, so the merged [`Artifact::payload_json`] /
-    /// [`Artifact::to_csv`] / [`Artifact::render_text`] are
-    /// byte-identical to the single-host run.
+    /// produced on one host, for the kinds that merge typed:
+    /// `ab_initio`, `glitch_sweep` and `table1_sweep`. `shards` may
+    /// arrive in any order and may contain duplicates (a raced retry);
+    /// rows are keyed by their grid coordinates and emitted in the
+    /// spec's own resolution order, so the merged
+    /// [`Artifact::payload_json`] / [`Artifact::to_csv`] /
+    /// [`Artifact::render_text`] are byte-identical to the single-host
+    /// run.
     ///
-    /// Meta is rebuilt from the spec (seed/engine as the runtime
-    /// stamps them) with `wall_ms` zero and no cache/dist fields — the
-    /// coordinator owns those.
+    /// Meta is rebuilt from the spec ([`RunMeta::for_spec`]) with
+    /// `wall_ms` zero and no cache/dist fields — the coordinator owns
+    /// those.
     ///
     /// # Errors
     ///
-    /// [`WorkloadError::Spec`] when the shard set does not cover the
-    /// spec's grid, covers cells the spec never asked for, or carries
-    /// payloads of the wrong kind.
+    /// [`WorkloadError::Spec`] when the spec is of another kind, the
+    /// shard set does not cover the spec's grid, covers cells the spec
+    /// never asked for, or carries payloads of the wrong kind.
     pub fn merge_shards(
         spec: &JobSpec,
         shards: Vec<Artifact>,
         workers: Workers,
     ) -> Result<Artifact, WorkloadError> {
-        let mut meta = RunMeta {
-            seed: None,
-            workers: resolved(workers),
-            engine: None,
-            wall_ms: 0.0,
-            cache: None,
-            row_cache: None,
-            dist: None,
-        };
         let payload = match spec {
             JobSpec::AbInitio(s) => {
-                meta.seed = Some(s.seed);
-                meta.engine = Some(engine_name(s.engine));
                 let order: Vec<(usize, String)> = resolve_archs(&s.archs)?
                     .iter()
                     .map(|a| (s.width, a.paper_name().to_string()))
@@ -80,8 +71,6 @@ impl Artifact {
                 Payload::AbInitio(collect_rows(&order, shards)?)
             }
             JobSpec::GlitchSweep(s) => {
-                meta.seed = Some(s.seed);
-                meta.engine = Some(engine_name(s.engine));
                 let rows = collect_rows(&glitch_cells(s)?, shards)?;
                 Payload::Glitch(glitch_sweep_from_rows(rows, s.freq_points, workers)?)
             }
@@ -96,7 +85,12 @@ impl Artifact {
                 let mut by_name: HashMap<String, RowComparison> = HashMap::new();
                 for shard in shards {
                     let Payload::Rows { rows, .. } = shard.payload else {
-                        return Err(wrong_kind(spec, &shard).into());
+                        return Err(SpecError::new(format!(
+                            "shard artifact of kind {:?} does not belong to job {:?}",
+                            shard.spec.kind(),
+                            spec.kind()
+                        ))
+                        .into());
                     };
                     for row in rows {
                         by_name.entry(row.name.clone()).or_insert(row);
@@ -115,77 +109,31 @@ impl Artifact {
                     rows,
                 }
             }
-            JobSpec::ActivityMeasure(s) => {
-                meta.seed = Some(s.seed);
-                meta.engine = Some(engine_name(s.engine));
-                meta.workers = 1;
-                let reports = shards
-                    .into_iter()
-                    .map(|shard| match shard.payload {
-                        Payload::Activity { report, .. } => Ok(report),
-                        _ => Err(wrong_kind(spec, &shard)),
-                    })
-                    .collect::<Result<Vec<_>, _>>()?;
-                if reports.is_empty() {
-                    return Err(SpecError::new("no shard results to merge").into());
-                }
-                Payload::Activity {
-                    spec: s.clone(),
-                    report: ActivityReport::combine(&reports),
-                }
-            }
-            JobSpec::Batch(jobs) => {
-                let mut by_key: HashMap<String, Artifact> = HashMap::new();
-                for shard in shards {
-                    by_key.entry(shard.spec.canonical_key()).or_insert(shard);
-                }
-                let members = jobs
-                    .iter()
-                    .map(|job| {
-                        by_key.get(&job.canonical_key()).cloned().ok_or_else(|| {
-                            SpecError::new(format!(
-                                "shard results missing batch member {:?}",
-                                job.kind()
-                            ))
-                        })
-                    })
-                    .collect::<Result<Vec<_>, _>>()?;
-                Payload::Batch(members)
-            }
-            // Indivisible jobs: the single shard IS the artifact.
-            _ => {
-                let mut shards = shards;
-                let shard = match (shards.pop(), shards.is_empty()) {
-                    (Some(shard), true) => shard,
-                    _ => {
-                        return Err(SpecError::new(format!(
-                            "job {:?} does not shard; expected exactly one shard result",
-                            spec.kind()
-                        ))
-                        .into())
-                    }
-                };
-                if shard.spec.canonical_key() != spec.canonical_key() {
-                    return Err(wrong_kind(spec, &shard).into());
-                }
-                return Ok(shard);
+            other => {
+                return Err(SpecError::new(format!(
+                    "job kind {:?} has no typed shard merge",
+                    other.kind()
+                ))
+                .into())
             }
         };
         Ok(Artifact {
             spec: spec.clone(),
             payload,
-            meta,
+            meta: RunMeta::for_spec(spec, resolved(workers)),
         })
     }
 
     /// Re-parses an [`Artifact::payload_json`] document back into a
     /// typed artifact — the coordinator's inverse of the wire
-    /// rendering, for the kinds that travel as shards (`ab_initio`,
-    /// `table1_sweep`/`table3`/`table4` comparison rows,
-    /// `activity_measure`). Numbers round-trip exactly (the writer
-    /// uses shortest-round-trip formatting and `null` encodes NaN), so
-    /// re-rendering the parsed artifact reproduces the input bytes.
-    /// Meta is zeroed: the payload document never carried any.
+    /// rendering, for the kinds whose shards it merges typed
+    /// (`ab_initio` rows, which a glitch sweep shards into, and
+    /// `table1_sweep` comparison rows). Numbers round-trip exactly
+    /// (the writer uses shortest-round-trip formatting and `null`
+    /// encodes NaN), so re-rendering the parsed artifact reproduces
+    /// the input bytes. Meta is rebuilt from the spec
+    /// ([`RunMeta::for_spec`], one worker): the payload document
+    /// carries no run facts.
     ///
     /// # Errors
     ///
@@ -208,34 +156,14 @@ impl Artifact {
             .get("payload")
             .ok_or_else(|| SpecError::new("artifact document needs a \"payload\" field"))?;
         let typed = match &spec {
-            JobSpec::AbInitio(_) => Payload::AbInitio(
-                rows_array(payload)?
-                    .iter()
-                    .map(ab_initio_row)
-                    .collect::<Result<Vec<_>, _>>()?,
-            ),
-            JobSpec::Table1Sweep { .. } | JobSpec::Table3 | JobSpec::Table4 => {
-                let title = payload
+            JobSpec::AbInitio(_) => Payload::AbInitio(parse_rows(AB_INITIO, payload)?),
+            JobSpec::Table1Sweep { .. } => Payload::Rows {
+                title: payload
                     .get("title")
                     .and_then(Json::as_str)
                     .ok_or_else(|| SpecError::new("rows payload needs a string \"title\""))?
-                    .to_string();
-                Payload::Rows {
-                    title,
-                    rows: rows_array(payload)?
-                        .iter()
-                        .map(comparison_row)
-                        .collect::<Result<Vec<_>, _>>()?,
-                }
-            }
-            JobSpec::ActivityMeasure(s) => Payload::Activity {
-                spec: s.clone(),
-                report: ActivityReport {
-                    activity: f64_or_nan(payload, "activity")?,
-                    transitions: uint(payload, "transitions")?,
-                    items: uint(payload, "measured_items")?,
-                    cells: uint(payload, "cells")? as usize,
-                },
+                    .to_string(),
+                rows: parse_rows(COMPARISON, payload)?,
             },
             other => {
                 return Err(SpecError::new(format!(
@@ -246,17 +174,9 @@ impl Artifact {
             }
         };
         Ok(Artifact {
+            meta: RunMeta::for_spec(&spec, 1),
             spec,
             payload: typed,
-            meta: RunMeta {
-                seed: None,
-                workers: 1,
-                engine: None,
-                wall_ms: 0.0,
-                cache: None,
-                row_cache: None,
-                dist: None,
-            },
         })
     }
 }
@@ -297,93 +217,20 @@ fn collect_rows(
         .collect()
 }
 
-fn wrong_kind(spec: &JobSpec, shard: &Artifact) -> SpecError {
-    SpecError::new(format!(
-        "shard artifact of kind {:?} does not belong to job {:?}",
-        shard.spec.kind(),
-        spec.kind()
-    ))
-}
-
-fn rows_array(payload: &Json) -> Result<&[Json], WorkloadError> {
-    payload
+/// The payload's `rows` array, each row parsed through `columns`.
+fn parse_rows<R: Default>(columns: &[Column<R>], payload: &Json) -> Result<Vec<R>, WorkloadError> {
+    let rows = payload
         .get("rows")
         .and_then(Json::as_arr)
-        .ok_or_else(|| SpecError::new("payload needs a \"rows\" array").into())
-}
-
-/// Reads a numeric row field, decoding the writer's `null` as NaN.
-fn f64_or_nan(row: &Json, key: &str) -> Result<f64, WorkloadError> {
-    match row.get(key) {
-        Some(Json::Null) => Ok(f64::NAN),
-        Some(v) => v
-            .as_f64()
-            .ok_or_else(|| SpecError::new(format!("row field {key:?} must be a number")).into()),
-        None => Err(SpecError::new(format!("row is missing field {key:?}")).into()),
-    }
-}
-
-fn uint(row: &Json, key: &str) -> Result<u64, WorkloadError> {
-    row.get(key).and_then(Json::as_u64).ok_or_else(|| {
-        SpecError::new(format!("row field {key:?} must be an unsigned integer")).into()
-    })
-}
-
-/// One `ab_initio` payload row back to the typed form. The derived
-/// `glitch_factor` field is skipped — it re-derives from the parsed
-/// activities.
-fn ab_initio_row(row: &Json) -> Result<AbInitioRow, WorkloadError> {
-    let name = row
-        .get("arch")
-        .and_then(Json::as_str)
-        .ok_or_else(|| SpecError::new("row needs a string \"arch\""))?;
-    let arch = Architecture::from_paper_name(name).ok_or_else(|| {
-        SpecError::new(format!(
-            "unknown architecture {name:?} (Table 1 paper names expected)"
-        ))
-    })?;
-    Ok(AbInitioRow {
-        arch,
-        width: uint(row, "width")? as usize,
-        cells: uint(row, "cells")? as usize,
-        area_um2: f64_or_nan(row, "area_um2")?,
-        activity: f64_or_nan(row, "activity_timed")?,
-        activity_zero_delay: f64_or_nan(row, "activity_zero_delay")?,
-        cap_per_cell_f: f64_or_nan(row, "cap_per_cell_f")?,
-        ld_eff: f64_or_nan(row, "ld_eff")?,
-        vdd: f64_or_nan(row, "vdd_v")?,
-        vth: f64_or_nan(row, "vth_v")?,
-        ptot_uw: f64_or_nan(row, "ptot_uw")?,
-        eq13_uw: f64_or_nan(row, "eq13_uw")?,
-    })
-}
-
-/// One comparison payload row back to the typed form.
-fn comparison_row(row: &Json) -> Result<RowComparison, WorkloadError> {
-    Ok(RowComparison {
-        name: row
-            .get("name")
-            .and_then(Json::as_str)
-            .ok_or_else(|| SpecError::new("row needs a string \"name\""))?
-            .to_string(),
-        paper_vdd: f64_or_nan(row, "paper_vdd_v")?,
-        our_vdd: f64_or_nan(row, "vdd_v")?,
-        paper_vth: f64_or_nan(row, "paper_vth_v")?,
-        our_vth: f64_or_nan(row, "vth_v")?,
-        paper_ptot_uw: f64_or_nan(row, "paper_ptot_uw")?,
-        our_ptot_uw: f64_or_nan(row, "ptot_uw")?,
-        paper_eq13_uw: f64_or_nan(row, "paper_eq13_uw")?,
-        our_eq13_uw: f64_or_nan(row, "eq13_uw")?,
-        paper_err_pct: f64_or_nan(row, "paper_err_pct")?,
-        our_err_pct: f64_or_nan(row, "err_pct")?,
-    })
+        .ok_or_else(|| SpecError::new("payload needs a \"rows\" array"))?;
+    rows.iter().map(|row| parse_row(columns, row)).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::spec::AbInitioSpec;
-    use optpower_explore::Workers;
+    use optpower_mult::Architecture;
 
     /// A synthetic characterization row (no simulation needed: every
     /// field is public and the merge never recomputes).
@@ -410,17 +257,9 @@ mod tests {
 
     fn shard_artifact(spec: JobSpec, payload: Payload) -> Artifact {
         Artifact {
+            meta: RunMeta::for_spec(&spec, 1),
             spec,
             payload,
-            meta: RunMeta {
-                seed: None,
-                workers: 1,
-                engine: None,
-                wall_ms: 7.0,
-                cache: None,
-                row_cache: None,
-                dist: None,
-            },
         }
     }
 
@@ -519,43 +358,13 @@ mod tests {
         assert_eq!(names, table1_names());
     }
 
-    /// Batch merge maps unique shard results back onto the member
-    /// list, cloning for repeated members.
+    /// Only the typed-merge kinds merge here; the coordinator merges
+    /// batches and indivisible jobs from their rendered strings.
     #[test]
-    fn batch_merge_clones_repeated_members() {
-        let member = JobSpec::Figure2 { samples: 8 };
-        let spec = JobSpec::Batch(vec![member.clone(), JobSpec::Table2, member.clone()]);
-        let shards = spec.shard(4).unwrap();
-        assert_eq!(shards.len(), 2);
-        let results: Vec<Artifact> = shards
-            .iter()
-            .map(|shard| {
-                // Payload contents are irrelevant to the mapping; use
-                // an empty batch payload as a stand-in.
-                shard_artifact(shard.clone(), Payload::Batch(Vec::new()))
-            })
-            .collect();
-        let merged = Artifact::merge_shards(&spec, results, Workers::Fixed(1)).unwrap();
-        let Payload::Batch(members) = &merged.payload else {
-            panic!()
-        };
-        assert_eq!(members.len(), 3);
-        assert_eq!(members[0].spec, member);
-        assert_eq!(members[2].spec, member);
-        assert_eq!(members[1].spec, JobSpec::Table2);
-    }
-
-    /// Indivisible jobs round-trip through the merge as a single
-    /// shard; a foreign shard or a wrong count is a typed error.
-    #[test]
-    fn indivisible_jobs_expect_exactly_one_matching_shard() {
+    fn other_kinds_have_no_typed_merge() {
         let spec = JobSpec::Table2;
-        let ok = shard_artifact(spec.clone(), Payload::Flavors(Vec::new()));
-        let merged = Artifact::merge_shards(&spec, vec![ok.clone()], Workers::Fixed(1)).unwrap();
-        assert_eq!(merged.spec, spec);
-        assert!(Artifact::merge_shards(&spec, Vec::new(), Workers::Fixed(1)).is_err());
-        assert!(Artifact::merge_shards(&spec, vec![ok.clone(), ok], Workers::Fixed(1)).is_err());
-        let foreign = shard_artifact(JobSpec::Table3, Payload::Flavors(Vec::new()));
-        assert!(Artifact::merge_shards(&spec, vec![foreign], Workers::Fixed(1)).is_err());
+        let shard = shard_artifact(spec.clone(), Payload::Flavors(Vec::new()));
+        let err = Artifact::merge_shards(&spec, vec![shard], Workers::Fixed(1)).unwrap_err();
+        assert!(matches!(err, WorkloadError::Spec(_)), "{err:?}");
     }
 }

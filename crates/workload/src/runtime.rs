@@ -380,7 +380,7 @@ impl Runtime {
         // Filled in by the characterizing arms when a row cache is
         // attached; `None` keeps every other job's envelope unchanged.
         let mut row_stats: Option<RowCacheStats> = None;
-        let (payload, meta_seed, meta_engine, meta_workers) = match spec {
+        let (payload, meta_workers) = match spec {
             JobSpec::Table1Sweep { archs } => (
                 Payload::Rows {
                     title: TABLE1_TITLE.to_string(),
@@ -392,8 +392,6 @@ impl Runtime {
                         }
                     },
                 },
-                None,
-                None,
                 resolved(workers),
             ),
             JobSpec::Table2 => (
@@ -414,8 +412,6 @@ impl Runtime {
                         })
                         .collect(),
                 ),
-                None,
-                None,
                 1,
             ),
             JobSpec::Table3 => (
@@ -423,8 +419,6 @@ impl Runtime {
                     title: TABLE3_TITLE.to_string(),
                     rows: table3()?,
                 },
-                None,
-                None,
                 1,
             ),
             JobSpec::Table4 => (
@@ -432,8 +426,6 @@ impl Runtime {
                     title: TABLE4_TITLE.to_string(),
                     rows: table4()?,
                 },
-                None,
-                None,
                 1,
             ),
             JobSpec::ScalingStudy { frequencies_mhz } => (
@@ -441,14 +433,10 @@ impl Runtime {
                     unscaled: scaling_study_parallel(frequencies_mhz, false, workers)?,
                     scaled: scaling_study_parallel(frequencies_mhz, true, workers)?,
                 },
-                None,
-                None,
                 resolved(workers),
             ),
             JobSpec::Sensitivity => (
                 Payload::Sensitivity(sensitivity_report_parallel(workers)?),
-                None,
-                None,
                 resolved(workers),
             ),
             JobSpec::Ablation { items, seed } => (
@@ -458,16 +446,12 @@ impl Runtime {
                     optimizer: ablation::optimizer_ablation()?,
                     glitch: ablation::glitch_ablation(*items, *seed)?,
                 },
-                Some(*seed),
-                None,
                 1,
             ),
             JobSpec::AbInitio(s) => {
                 let job_workers = job_workers(workers, s.workers);
                 (
                     Payload::AbInitio(self.characterize(s, job_workers, &mut row_stats)?),
-                    Some(s.seed),
-                    Some(engine_name(s.engine)),
                     resolved(job_workers),
                 )
             }
@@ -475,8 +459,6 @@ impl Runtime {
                 let job_workers = job_workers(workers, s.workers);
                 (
                     Payload::Glitch(self.glitch_sweep(s, job_workers, &mut row_stats)?),
-                    Some(s.seed),
-                    Some(engine_name(s.engine)),
                     resolved(job_workers),
                 )
             }
@@ -503,30 +485,22 @@ impl Runtime {
                         spec: s.clone(),
                         report,
                     },
-                    Some(s.seed),
-                    Some(engine_name(s.engine)),
                     1,
                 )
             }
-            JobSpec::Figure1 { samples } => (Payload::Figure1(figure1(*samples)?), None, None, 1),
-            JobSpec::Figure2 { samples } => (Payload::Figure2(figure2(*samples)?), None, None, 1),
-            JobSpec::Figure34 { width, items } => {
-                (Payload::Figure34(figure34(*width, *items)?), None, None, 1)
-            }
+            JobSpec::Figure1 { samples } => (Payload::Figure1(figure1(*samples)?), 1),
+            JobSpec::Figure2 { samples } => (Payload::Figure2(figure2(*samples)?), 1),
+            JobSpec::Figure34 { width, items } => (Payload::Figure34(figure34(*width, *items)?), 1),
             JobSpec::Pareto { freq_points } => (
                 Payload::Pareto(figure_pareto(*freq_points, workers)?),
-                None,
-                None,
                 resolved(workers),
             ),
-            JobSpec::Export => (Payload::Export(self.export()?), None, None, 1),
-            JobSpec::Lint(s) => (Payload::Lint(lint_job(s)?), None, None, 1),
+            JobSpec::Export => (Payload::Export(self.export()?), 1),
+            JobSpec::Lint(s) => (Payload::Lint(lint_job(s)?), 1),
             JobSpec::Sta(s) => {
                 let job_workers = job_workers(workers, s.workers);
                 (
                     Payload::Sta(self.sta_job(s, job_workers, &mut row_stats)?),
-                    Some(s.seed),
-                    (s.items > 0).then_some("timed"),
                     resolved(job_workers),
                 )
             }
@@ -534,8 +508,6 @@ impl Runtime {
                 let job_workers = job_workers(workers, s.workers);
                 (
                     Payload::PruneDelta(prune_delta_job(s, job_workers)?),
-                    Some(s.seed),
-                    Some("timed"),
                     resolved(job_workers),
                 )
             }
@@ -544,21 +516,17 @@ impl Runtime {
                     .iter()
                     .map(|job| self.run(job))
                     .collect::<Result<Vec<_>, _>>()?;
-                (Payload::Batch(artifacts), None, None, resolved(workers))
+                (Payload::Batch(artifacts), resolved(workers))
             }
         };
+        let mut meta = RunMeta::for_spec(spec, meta_workers);
+        meta.wall_ms = started.elapsed().as_secs_f64() * 1e3;
+        meta.cache = cache_status;
+        meta.row_cache = row_stats;
         Ok(Artifact {
             spec: spec.clone(),
             payload,
-            meta: RunMeta {
-                seed: meta_seed,
-                workers: meta_workers,
-                engine: meta_engine,
-                wall_ms: started.elapsed().as_secs_f64() * 1e3,
-                cache: cache_status,
-                row_cache: row_stats,
-                dist: None,
-            },
+            meta,
         })
     }
 
@@ -977,7 +945,7 @@ pub(crate) fn resolved(workers: Workers) -> usize {
 }
 
 /// Looks one architecture up by paper name, as a typed error.
-fn arch_by_name(name: &str) -> Result<Architecture, WorkloadError> {
+pub(crate) fn arch_by_name(name: &str) -> Result<Architecture, WorkloadError> {
     Architecture::from_paper_name(name).ok_or_else(|| {
         SpecError::new(format!(
             "unknown architecture {name:?} (Table 1 paper names expected)"
@@ -1042,15 +1010,8 @@ pub(crate) fn resolve_archs(
             }
             let archs = names
                 .iter()
-                .map(|name| {
-                    Architecture::from_paper_name(name).ok_or_else(|| {
-                        SpecError::new(format!(
-                            "unknown architecture {name:?} (Table 1 paper names expected)"
-                        ))
-                        .into()
-                    })
-                })
-                .collect::<Result<Vec<_>, WorkloadError>>()?;
+                .map(|name| arch_by_name(name))
+                .collect::<Result<Vec<_>, _>>()?;
             if let Some(dup) = first_duplicate(&archs) {
                 return Err(SpecError::new(format!(
                     "\"archs\" lists {:?} more than once",

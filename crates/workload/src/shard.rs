@@ -5,8 +5,8 @@
 //! [`crate::Runtime`], and is content-addressed by the same
 //! [`JobSpec::canonical_key`] as any other job. Distribution therefore
 //! adds no new execution semantics: a coordinator fans shard specs out
-//! to workers and [`crate::Artifact::merge_shards`] reassembles the
-//! single-host payload bit for bit.
+//! to workers and reassembles the single-host payload bit for bit
+//! ([`crate::Artifact::merge_shards`] for the grid kinds).
 //!
 //! The split follows each job's *resolution order* (the exact order
 //! the runtime would evaluate the grid in), cut into balanced

@@ -625,7 +625,7 @@ impl JobSpec {
                 plane: plane_field(doc, d.plane)?,
                 items: uint_field(doc, "items", d.items)?,
                 seed: uint_field(doc, "seed", d.seed)?,
-                freq_points: usize_field(doc, "freq_points", d.freq_points)?,
+                freq_points: freq_points_field(doc, d.freq_points)?,
                 workers: opt_usize_field(doc, "workers")?,
             }),
             Self::ActivityMeasure(d) => {
@@ -647,18 +647,31 @@ impl JobSpec {
                 })
             }
             Self::Figure1 { samples } => Self::Figure1 {
-                samples: usize_field(doc, "samples", samples)?,
+                samples: at_most(
+                    "samples",
+                    usize_field(doc, "samples", samples)?,
+                    MAX_SAMPLES,
+                )?,
             },
             Self::Figure2 { samples } => Self::Figure2 {
-                samples: usize_field(doc, "samples", samples)?,
+                samples: at_most(
+                    "samples",
+                    usize_field(doc, "samples", samples)?,
+                    MAX_SAMPLES,
+                )?,
             },
             Self::Figure34 { width, items } => Self::Figure34 {
-                // The pipelined arrays need two operand bits to split.
-                width: at_least("width", usize_field(doc, "width", width)?, 2)?,
+                // The pipelined arrays need two operand bits to split,
+                // and the generators stop at their widest operand.
+                width: at_most(
+                    "width",
+                    at_least("width", usize_field(doc, "width", width)?, 2)?,
+                    Architecture::MAX_WIDTH,
+                )?,
                 items: uint_field(doc, "items", items)?,
             },
             Self::Pareto { freq_points } => Self::Pareto {
-                freq_points: usize_field(doc, "freq_points", freq_points)?,
+                freq_points: freq_points_field(doc, freq_points)?,
             },
             Self::Lint(d) => Self::Lint(LintSpec {
                 archs: names_field(doc, "archs", d.archs)?,
@@ -829,6 +842,34 @@ fn at_least<T: PartialOrd + std::fmt::Display>(
         return Err(SpecError::new(format!("{key:?} must be at least {min}, got {value}")).into());
     }
     Ok(value)
+}
+
+/// Rejects a count above the largest value the job accepts — a
+/// figure, a frequency axis or a generator is sized by it, and an
+/// unbounded value would abort the process on allocation.
+fn at_most<T: PartialOrd + std::fmt::Display>(
+    key: &str,
+    value: T,
+    max: T,
+) -> Result<T, WorkloadError> {
+    if value > max {
+        return Err(SpecError::new(format!("{key:?} must be at most {max}, got {value}")).into());
+    }
+    Ok(value)
+}
+
+/// The most points a figure curve is sampled at.
+const MAX_SAMPLES: usize = 65_536;
+
+/// The most points a sweep's log frequency axis has.
+const MAX_FREQ_POINTS: usize = 1_024;
+
+fn freq_points_field(doc: &Json, default: usize) -> Result<usize, WorkloadError> {
+    at_most(
+        "freq_points",
+        usize_field(doc, "freq_points", default)?,
+        MAX_FREQ_POINTS,
+    )
 }
 
 /// The lane count of a pooled timed leg: at least one (the lane split
@@ -1107,6 +1148,12 @@ mod tests {
             r#"{"job":"glitch_sweep","lanes":4000000000}"#,
             r#"{"job":"sta","lanes":4000000000}"#,
             r#"{"job":"ab_initio","lanes":513}"#,
+            // Fields that size an allocation are capped.
+            r#"{"job":"figure1","samples":9223372036854775808}"#,
+            r#"{"job":"figure2","samples":65537}"#,
+            r#"{"job":"pareto","freq_points":9223372036854775808}"#,
+            r#"{"job":"glitch_sweep","freq_points":1025}"#,
+            r#"{"job":"figure34","width":33}"#,
         ] {
             let err = JobSpec::from_json(bad).unwrap_err();
             assert!(matches!(err, WorkloadError::Spec(_)), "{bad}: {err:?}");

@@ -10,7 +10,8 @@
 use optpower_dist::{assign_host, spawn, Cluster, WorkerHandle};
 use optpower_explore::Workers;
 use optpower_mult::Architecture;
-use optpower_workload::{AbInitioSpec, ActivitySpec, GlitchSweepSpec, JobSpec, Runtime};
+use optpower_sim::Engine;
+use optpower_workload::{AbInitioSpec, ActivitySpec, GlitchSweepSpec, JobSpec, Json, Runtime};
 use proptest::prelude::*;
 
 /// In-process workers on ephemeral loopback ports, each with a small
@@ -33,13 +34,18 @@ fn cluster_of(workers: &[WorkerHandle]) -> Cluster {
 }
 
 /// Runs `spec` locally and through the cluster at shard counts 1, 2,
-/// 4 and 8, asserting byte-identity of the deterministic renderings
-/// and that `meta.dist` records the topology truthfully.
+/// 4 and 8, asserting byte-identity of the deterministic renderings,
+/// the same `meta.seed` and `meta.engine` in the JSON envelope, and
+/// that `meta.dist` records the topology truthfully.
 fn assert_dist_matches_local(workers: &[WorkerHandle], spec: &JobSpec) {
     let local = Runtime::new(Workers::Fixed(1))
         .run(spec)
         .expect("local run");
     let (payload, csv, text) = (local.payload_json(), local.to_csv(), local.render_text());
+    let meta_of = |json: &str, key: &str| {
+        let doc = Json::parse(json).expect("envelope parses");
+        doc.get("meta").and_then(|m| m.get(key)).cloned()
+    };
     for shards in [1usize, 2, 4, 8] {
         let run = cluster_of(workers)
             .with_shards(shards)
@@ -48,6 +54,13 @@ fn assert_dist_matches_local(workers: &[WorkerHandle], spec: &JobSpec) {
         assert_eq!(run.payload_json, payload, "payload at {shards} shards");
         assert_eq!(run.csv, csv, "csv at {shards} shards");
         assert_eq!(run.text, text, "text at {shards} shards");
+        for key in ["seed", "engine"] {
+            assert_eq!(
+                meta_of(&run.json, key),
+                meta_of(&local.to_json(), key),
+                "meta.{key} at {shards} shards"
+            );
+        }
         assert_eq!(run.stats.retries, 0, "no deaths injected");
         if let Some(artifact) = &run.artifact {
             let dist = artifact.meta.dist.expect("dist meta stamped");
@@ -106,6 +119,22 @@ fn batch_with_repeated_members_is_bit_identical_across_shard_counts() {
         JobSpec::Table3,
         activity,
     ]);
+    assert_dist_matches_local(&workers, &spec);
+}
+
+/// An indivisible job passes through one shard; its envelope keeps
+/// the spec's seed and engine.
+#[test]
+fn activity_measure_passes_through_with_its_meta() {
+    let workers = spawn_workers(2);
+    let spec = JobSpec::ActivityMeasure(ActivitySpec {
+        arch: "RCA".to_string(),
+        width: 8,
+        engine: Engine::Timed,
+        items: 20,
+        warmup: 2,
+        seed: 5,
+    });
     assert_dist_matches_local(&workers, &spec);
 }
 

@@ -7,8 +7,9 @@
 //! * **legacy faithfulness** — `Artifact::render_text` is byte-identical
 //!   to the stdout the retired bespoke report binaries assembled from
 //!   the library calls, for the same seed/workers;
-//! * **golden wire formats** — the default spec JSON of every kind and
-//!   the Table 2 payload envelope are pinned to checked-in files
+//! * **golden wire formats** — the default spec JSON of every kind, the
+//!   Table 2 payload envelope and the JSON, CSV and text renderings of
+//!   one small spec per kind are pinned to checked-in files
 //!   (`UPDATE_GOLDENS=1 cargo test -q --test workload_api` refreshes).
 
 use optpower_explore::Workers;
@@ -16,8 +17,8 @@ use optpower_mult::Architecture;
 use optpower_report::PlaneTiling;
 use optpower_sim::Engine;
 use optpower_workload::{
-    AbInitioSpec, ActivitySpec, CacheStatus, GlitchSweepSpec, JobSpec, Json, LintSpec,
-    PruneDeltaSpec, RowCacheStats, RunMeta, Runtime, StaSpec, WorkloadError, JOB_KINDS,
+    AbInitioSpec, ActivitySpec, Artifact, CacheStatus, GlitchSweepSpec, JobSpec, Json, LintSpec,
+    Payload, PruneDeltaSpec, RowCacheStats, RunMeta, Runtime, StaSpec, WorkloadError, JOB_KINDS,
 };
 use proptest::prelude::*;
 
@@ -541,7 +542,7 @@ fn every_legacy_binary_workload_is_reachable_as_a_jobspec() {
     // And the whole thing as one batch — the CI smoke shape.
     let batch = JobSpec::Batch(cheap);
     let artifact = runtime.run(&batch).unwrap();
-    let optpower_workload::Payload::Batch(members) = &artifact.payload else {
+    let Payload::Batch(members) = &artifact.payload else {
         panic!("batch produces Payload::Batch");
     };
     assert_eq!(members.len(), 15);
@@ -664,6 +665,71 @@ fn golden_artifact_envelope_with_meta() {
         "tests/golden/artifact_envelope.json",
         &format!("{}\n", artifact.to_json()),
     );
+}
+
+/// Golden renderings of every kind: `payload_json`, `to_csv` and
+/// `render_text` of one small spec per kind, pinned under
+/// `tests/golden/artifacts/<kind>.{json,csv,txt}`.
+#[test]
+fn golden_artifact_renderings_of_every_kind() {
+    let runtime =
+        Runtime::new(Workers::Fixed(2)).with_artifact_dir("target/golden-artifacts-export");
+    let mut specs = representative_specs();
+    specs.extend([
+        JobSpec::Table4,
+        JobSpec::Ablation { items: 10, seed: 3 },
+        JobSpec::Figure34 {
+            width: 8,
+            items: 10,
+        },
+        JobSpec::Export,
+        JobSpec::Batch(vec![JobSpec::Table2, JobSpec::Figure2 { samples: 4 }]),
+    ]);
+    for spec in specs {
+        let artifact = runtime
+            .run(&spec)
+            .unwrap_or_else(|e| panic!("{}: {e}", spec.kind()));
+        let stem = format!("tests/golden/artifacts/{}", spec.kind());
+        golden_compare(
+            &format!("{stem}.json"),
+            &format!("{}\n", artifact.payload_json()),
+        );
+        golden_compare(&format!("{stem}.csv"), &artifact.to_csv());
+        golden_compare(
+            &format!("{stem}.txt"),
+            &format!("{}\n", artifact.render_text()),
+        );
+    }
+}
+
+/// The shard re-parser inverts the payload document: an `ab_initio`
+/// artifact with a row lacking an Eq. 13 closed form (NaN, spelled
+/// `null`) and a `table1_sweep` artifact re-render byte for byte after
+/// `from_payload_json`.
+#[test]
+fn payload_json_round_trips_through_the_shard_reparser() {
+    let runtime = Runtime::new(Workers::Fixed(2));
+    let mut ab_initio = runtime
+        .run(&JobSpec::AbInitio(AbInitioSpec {
+            archs: Some(vec!["RCA".into(), "Wallace".into()]),
+            items: 20,
+            seed: 5,
+            ..AbInitioSpec::default()
+        }))
+        .unwrap();
+    let Payload::AbInitio(rows) = &mut ab_initio.payload else {
+        panic!("ab_initio produces Payload::AbInitio");
+    };
+    rows[1].eq13_uw = f64::NAN;
+    assert!(ab_initio.payload_json().contains(r#""eq13_uw":null"#));
+    let table1 = runtime.run(&JobSpec::Table1Sweep { archs: None }).unwrap();
+    for artifact in [ab_initio, table1] {
+        let reparsed = Artifact::from_payload_json(&artifact.payload_json())
+            .unwrap_or_else(|e| panic!("{}: {e}", artifact.kind()));
+        assert_eq!(reparsed.payload_json(), artifact.payload_json());
+        assert_eq!(reparsed.to_csv(), artifact.to_csv());
+        assert_eq!(reparsed.render_text(), artifact.render_text());
+    }
 }
 
 /// The runtime-level cache contract the serve layer builds on:
