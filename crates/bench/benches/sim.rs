@@ -40,7 +40,9 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use optpower_explore::{measure_timed_activity_pooled, TimedPoolConfig, Workers};
 use optpower_mult::Architecture;
 use optpower_netlist::{Library, Logic, Netlist};
-use optpower_sim::{bus_inputs, lane_seed, measure_activity, Engine, StimulusGen, TimedSim, LANES};
+use optpower_sim::{
+    bus_inputs, lane_seed, measure_activity, Engine, ScalarTimedSim, StimulusGen, TimedSim, LANES,
+};
 use optpower_sta::{GlitchProfile, TimingAnalysis};
 
 fn bench_activity_measurement(c: &mut Criterion) {
@@ -130,8 +132,7 @@ fn bench_activity_measurement(c: &mut Criterion) {
     c.bench_function("sim/timed_scalar/wallace16_64v", |b| {
         b.iter(|| {
             black_box(
-                measure_activity(&design.netlist, &lib, Engine::TimedScalar, 64, 1, 2, 42)
-                    .expect("measures"),
+                ScalarTimedSim::measure(&design.netlist, &lib, 64, 1, 2, 42).expect("measures"),
             )
         })
     });
@@ -150,16 +151,8 @@ fn bench_activity_measurement(c: &mut Criterion) {
     c.bench_function("sim/serial_core/timed_wallace16_640v", |b| {
         b.iter(|| {
             black_box(
-                measure_activity(
-                    &design.netlist,
-                    &lib,
-                    Engine::TimedScalar,
-                    timed_vectors,
-                    1,
-                    2,
-                    42,
-                )
-                .expect("measures"),
+                ScalarTimedSim::measure(&design.netlist, &lib, timed_vectors, 1, 2, 42)
+                    .expect("measures"),
             )
         })
     });

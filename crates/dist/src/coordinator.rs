@@ -22,31 +22,19 @@
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::net::TcpStream;
-use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
 use optpower_explore::{available_workers, Workers};
 use optpower_workload::{
     fnv1a_64, Artifact, CacheStatus, DistMeta, ErrorBody, JobSpec, Json, RowCacheStats, RunMeta,
-    ShardFrame, ShardResult, SpecError, WorkloadError,
+    ShardFrame, ShardResult, SpecError, Store, WorkloadError,
 };
 
 /// Default per-shard silence window before a worker is declared dead.
 /// Workers heartbeat every [`crate::HEARTBEAT_MS`], so this bounds
 /// death *detection* latency, not shard compute time.
 pub const DEFAULT_SHARD_TIMEOUT_MS: u64 = 10_000;
-
-/// Pluggable coordinator-side cache of completed shard results,
-/// keyed by the shard spec's canonical key. The serve crate plugs its
-/// bounded `ShardCache` in here so a shard resubmitted after a retry
-/// (or by the next job sharing grid cells) never travels to a worker.
-pub trait ShardResultCache: Send + Sync {
-    /// The cached result for a shard key, if resident.
-    fn lookup(&self, shard_key: &str) -> Option<ShardResult>;
-    /// Stores a completed shard result.
-    fn insert(&self, shard_key: &str, result: &ShardResult);
-}
 
 /// How a distributed run failed.
 #[derive(Debug)]
@@ -169,7 +157,7 @@ pub struct Cluster {
     shards: usize,
     timeout_ms: u64,
     workers: Workers,
-    cache: Option<Arc<dyn ShardResultCache>>,
+    cache: Option<Store<ShardResult>>,
 }
 
 impl fmt::Debug for Cluster {
@@ -217,9 +205,12 @@ impl Cluster {
         self
     }
 
-    /// Attaches a shard-result cache consulted before fan-out and
-    /// filled after every completed shard.
-    pub fn with_cache(mut self, cache: Arc<dyn ShardResultCache>) -> Self {
+    /// Attaches a shard-result store, keyed by the shard spec's
+    /// canonical JSON, consulted before fan-out and filled after every
+    /// completed shard: a shard resubmitted after a retry (or by the
+    /// next job sharing grid cells) never travels to a worker while
+    /// resident.
+    pub fn with_cache(mut self, cache: Store<ShardResult>) -> Self {
         self.cache = Some(cache);
         self
     }
@@ -267,8 +258,8 @@ impl Cluster {
         };
         let mut results: HashMap<String, ShardResult> = HashMap::new();
         if let Some(cache) = &self.cache {
-            for (key, _) in &keyed {
-                match cache.lookup(key) {
+            for (key, shard) in &keyed {
+                match cache.get(&shard.canonical_json()) {
                     Some(r) => {
                         results.insert(key.clone(), r);
                         stats.shard_cache_hits += 1;
@@ -314,7 +305,9 @@ impl Cluster {
                 *stats.per_host.entry(host.clone()).or_insert(0) += completed;
                 for r in outcome.completed {
                     if let Some(cache) = &self.cache {
-                        cache.insert(&r.shard, &r);
+                        if let Some((_, shard)) = keyed.iter().find(|(k, _)| *k == r.shard) {
+                            cache.insert(shard.canonical_json(), r.clone());
+                        }
                     }
                     results.insert(r.shard.clone(), r);
                 }

@@ -1,6 +1,7 @@
 //! Structured results of a design-space exploration: per-point
-//! records, summary statistics, per-architecture optima, a Pareto
-//! front, and CSV/JSON export.
+//! records, summary statistics, per-architecture optima and a Pareto
+//! front. The `optpower-workload` artifacts export the records as JSON
+//! and CSV.
 
 use optpower::sweep::SweepOutcome;
 use optpower::OperatingPoint;
@@ -202,99 +203,6 @@ impl ResultSet {
         front.reverse();
         front
     }
-
-    /// Renders every record as CSV (`tech,arch,frequency_hz,status,
-    /// vdd_v,vth_v,pdyn_w,pstat_w,ptot_w,energy_per_op_j`). Points
-    /// without a usable optimum leave the numeric columns empty.
-    pub fn to_csv(&self) -> String {
-        let mut out = String::from(
-            "tech,arch,frequency_hz,status,vdd_v,vth_v,pdyn_w,pstat_w,ptot_w,energy_per_op_j\n",
-        );
-        for r in &self.records {
-            out.push_str(&csv_field(r.tech));
-            out.push(',');
-            out.push_str(&csv_field(&r.arch));
-            out.push_str(&format!(",{:e},{}", r.frequency.value(), r.status()));
-            match r.optimum() {
-                Some(opt) => {
-                    let b = opt.breakdown();
-                    out.push_str(&format!(
-                        ",{:e},{:e},{:e},{:e},{:e},{:e}\n",
-                        opt.vdd().value(),
-                        opt.vth().value(),
-                        b.pdyn().value(),
-                        b.pstat().value(),
-                        opt.ptot().value(),
-                        opt.energy_per_item(r.frequency),
-                    ));
-                }
-                None => out.push_str(",,,,,,\n"),
-            }
-        }
-        out
-    }
-
-    /// Renders every record as a JSON document
-    /// (`{"schema":"optpower-explore/v1","records":[…]}`) without any
-    /// external serialisation dependency.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\"schema\":\"optpower-explore/v1\",\"records\":[");
-        for (i, r) in self.records.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"tech\":{},\"arch\":{},\"frequency_hz\":{:e},\"status\":\"{}\"",
-                json_string(r.tech),
-                json_string(&r.arch),
-                r.frequency.value(),
-                r.status(),
-            ));
-            if let Some(opt) = r.optimum() {
-                let b = opt.breakdown();
-                out.push_str(&format!(
-                    ",\"vdd_v\":{:e},\"vth_v\":{:e},\"pdyn_w\":{:e},\"pstat_w\":{:e},\"ptot_w\":{:e},\"energy_per_op_j\":{:e}",
-                    opt.vdd().value(),
-                    opt.vth().value(),
-                    b.pdyn().value(),
-                    b.pstat().value(),
-                    opt.ptot().value(),
-                    opt.energy_per_item(r.frequency),
-                ));
-            }
-            out.push('}');
-        }
-        out.push_str("]}");
-        out
-    }
-}
-
-/// Quotes a CSV field when it contains a separator, quote or newline.
-fn csv_field(s: &str) -> String {
-    if s.contains([',', '"', '\n']) {
-        format!("\"{}\"", s.replace('"', "\"\""))
-    } else {
-        s.to_string()
-    }
-}
-
-/// Encodes a JSON string literal with the mandatory escapes.
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]
@@ -405,40 +313,6 @@ mod tests {
             ResultSet::default(),
         ]);
         assert_eq!(glued.records(), whole.records());
-        assert_eq!(glued.to_csv(), whole.to_csv());
-        assert_eq!(glued.to_json(), whole.to_json());
-    }
-
-    #[test]
-    fn csv_has_header_and_one_line_per_record() {
-        let rs = sample_set();
-        let csv = rs.to_csv();
-        let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines.len(), 1 + rs.len());
-        assert!(lines[0].starts_with("tech,arch,frequency_hz,status"));
-        assert!(lines[1].contains("closed"));
-        assert!(lines[5].contains("boundary_pinned"));
-        // Pinned row leaves numerics empty: 9 commas, nothing after.
-        assert!(lines[5].ends_with(",,,,,,"));
-    }
-
-    #[test]
-    fn csv_quotes_fields_with_separators() {
-        assert_eq!(csv_field("plain"), "plain");
-        assert_eq!(csv_field("a,b"), "\"a,b\"");
-        assert_eq!(csv_field("say \"hi\""), "\"say \"\"hi\"\"\"");
-    }
-
-    #[test]
-    fn json_is_well_formed_and_escaped() {
-        let rs = sample_set();
-        let json = rs.to_json();
-        assert!(json.starts_with("{\"schema\":\"optpower-explore/v1\""));
-        assert!(json.ends_with("]}"));
-        assert_eq!(json.matches("\"status\":").count(), rs.len());
-        assert_eq!(json.matches("\"ptot_w\":").count(), 4);
-        assert_eq!(json_string("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
-        assert_eq!(json_string("\u{1}"), "\"\\u0001\"");
     }
 
     #[test]
@@ -450,9 +324,5 @@ mod tests {
         assert_eq!(s.min_ptot, None);
         assert!(rs.pareto_front().is_empty());
         assert!(rs.best_per_architecture().is_empty());
-        assert_eq!(
-            rs.to_json(),
-            "{\"schema\":\"optpower-explore/v1\",\"records\":[]}"
-        );
     }
 }

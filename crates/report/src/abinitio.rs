@@ -130,7 +130,7 @@ fn engine_lanes(engine: Engine) -> Option<u64> {
         Engine::BitParallel => Some(64),
         Engine::BitParallel256 => Some(256),
         Engine::BitParallel512 => Some(512),
-        Engine::ZeroDelay | Engine::Timed | Engine::TimedScalar => None,
+        Engine::ZeroDelay | Engine::Timed => None,
     }
 }
 
@@ -149,33 +149,40 @@ impl PlaneTiling {
     /// count: the effective `(engine, per_lane_items)` pair the
     /// baseline leg runs with.
     ///
-    /// Scalar baselines (e.g. [`Engine::ZeroDelay`]) have no plane to
-    /// tile: `Auto` and `Fixed(64)` leave them untouched, any other
-    /// fixed width is an error.
+    /// The baseline must count glitch-free activity: [`Engine::ZeroDelay`]
+    /// or a bit-parallel plane. The scalar [`Engine::ZeroDelay`] has no
+    /// plane to tile: `Auto` and `Fixed(64)` leave it untouched, any
+    /// other fixed width is an error.
     ///
     /// # Errors
     ///
-    /// [`ModelError::InvalidArchParameter`] with field `"plane_lanes"`
-    /// when the width is not 64/256/512, does not divide the total
-    /// stimulus volume, or is wider than 64 on a scalar baseline.
+    /// [`ModelError::InvalidArchParameter`] with field `"engine"` when
+    /// the baseline counts glitches ([`Engine::Timed`]), field `"items"`
+    /// when the total stimulus volume `items × native lanes` overflows
+    /// 64 bits, and field `"plane_lanes"` when the width is not
+    /// 64/256/512, does not divide the total stimulus volume, or is
+    /// wider than 64 on a scalar baseline.
     pub fn resolve(self, baseline: Engine, items: u64) -> Result<(Engine, u64), ModelError> {
-        let invalid = |value: f64| ModelError::InvalidArchParameter {
-            field: "plane_lanes",
-            value,
-        };
+        let invalid =
+            |field: &'static str, value: f64| ModelError::InvalidArchParameter { field, value };
+        if baseline == Engine::Timed {
+            return Err(invalid("engine", f64::NAN));
+        }
         let Some(native) = engine_lanes(baseline) else {
             return match self {
                 PlaneTiling::Auto | PlaneTiling::Fixed(64) => Ok((baseline, items)),
-                PlaneTiling::Fixed(l) => Err(invalid(f64::from(l))),
+                PlaneTiling::Fixed(l) => Err(invalid("plane_lanes", f64::from(l))),
             };
         };
-        let total = items * native;
+        let total = items
+            .checked_mul(native)
+            .ok_or_else(|| invalid("items", items as f64))?;
         match self {
             PlaneTiling::Fixed(l) => {
                 let l = u64::from(l);
-                let engine = engine_for_lanes(l).ok_or_else(|| invalid(l as f64))?;
+                let engine = engine_for_lanes(l).ok_or_else(|| invalid("plane_lanes", l as f64))?;
                 if !total.is_multiple_of(l) {
-                    return Err(invalid(l as f64));
+                    return Err(invalid("plane_lanes", l as f64));
                 }
                 Ok((engine, total / l))
             }
@@ -414,7 +421,8 @@ pub fn characterize_design_with(
     // `native/64`× more volume per item and the glitch leg must scale
     // with it — otherwise equal-volume configs (native wide vs retiled
     // 64-lane) would disagree on the timed leg. Scalar baselines keep
-    // the legacy single-stream budget.
+    // the legacy single-stream budget. The baseline resolved above, so
+    // `items × native` fits 64 bits.
     let timed_items = match engine_lanes(config.baseline) {
         Some(native) => config.items * native / 64,
         None => config.items,
@@ -957,6 +965,24 @@ mod tests {
         assert!(PlaneTiling::Fixed(256)
             .resolve(Engine::ZeroDelay, 60)
             .is_err());
+        // A glitch-counting baseline is refused, and so is a volume
+        // that overflows 64 bits; the largest volume that fits resolves.
+        let field = |r: Result<(Engine, u64), ModelError>| match r {
+            Err(ModelError::InvalidArchParameter { field, .. }) => field,
+            other => panic!("{other:?}"),
+        };
+        assert_eq!(
+            field(PlaneTiling::Auto.resolve(Engine::Timed, 60)),
+            "engine"
+        );
+        assert_eq!(
+            field(PlaneTiling::Fixed(64).resolve(Engine::BitParallel, (1 << 58) + 1)),
+            "items"
+        );
+        assert_eq!(
+            PlaneTiling::Fixed(64).resolve(Engine::BitParallel, u64::MAX / 64),
+            Ok((Engine::BitParallel, u64::MAX / 64))
+        );
     }
 
     #[test]

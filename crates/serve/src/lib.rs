@@ -11,5 +11,5 @@ pub mod server;
 
 pub use client::{request, HttpReply};
 pub use metrics::{Metrics, METRICS_SCHEMA};
-pub use queue::{JobQueue, JobState, JobStore, PushError, ShardCache};
+pub use queue::{JobQueue, JobState, JobStore, PushError};
 pub use server::{start, Config, Drainer, ServerHandle};

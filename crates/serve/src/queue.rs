@@ -10,12 +10,10 @@
 //! and for abort.
 
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-use optpower_dist::ShardResultCache;
-use optpower_workload::{Artifact, ErrorBody, JobSpec, ShardResult};
+use optpower_workload::{Artifact, ErrorBody, JobSpec};
 
 /// Why a job could not be queued.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -287,91 +285,6 @@ impl JobStore {
     }
 }
 
-#[derive(Debug)]
-struct ShardCacheInner {
-    entries: HashMap<String, ShardResult>,
-    /// Insertion order, for bounded FIFO eviction.
-    order: VecDeque<String>,
-    capacity: usize,
-}
-
-/// The coordinator-side shard result cache: a bounded FIFO keyed by
-/// the shard spec's canonical key, exactly like the artifact cache
-/// but one level down. A shard resubmitted after a worker-death retry
-/// — or shared between jobs that cover the same grid cells — never
-/// travels to a worker twice while resident. Hit/miss counters feed
-/// `/metrics`.
-#[derive(Debug)]
-pub struct ShardCache {
-    inner: Mutex<ShardCacheInner>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-}
-
-impl ShardCache {
-    /// A cache retaining at most `capacity` shard results.
-    pub fn new(capacity: usize) -> Self {
-        Self {
-            inner: Mutex::new(ShardCacheInner {
-                entries: HashMap::new(),
-                order: VecDeque::new(),
-                capacity: capacity.max(1),
-            }),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-        }
-    }
-
-    /// Lookups answered from the cache so far.
-    pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    /// Lookups that fell through to a worker so far.
-    pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
-    }
-
-    /// Cached shard results currently resident.
-    pub fn len(&self) -> usize {
-        self.lock().entries.len()
-    }
-
-    /// Whether nothing is cached.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    fn lock(&self) -> MutexGuard<'_, ShardCacheInner> {
-        self.inner.lock().unwrap_or_else(|e| e.into_inner())
-    }
-}
-
-impl ShardResultCache for ShardCache {
-    fn lookup(&self, shard_key: &str) -> Option<ShardResult> {
-        let found = self.lock().entries.get(shard_key).cloned();
-        match &found {
-            Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
-            None => self.misses.fetch_add(1, Ordering::Relaxed),
-        };
-        found
-    }
-
-    fn insert(&self, shard_key: &str, result: &ShardResult) {
-        let mut inner = self.lock();
-        if inner.entries.contains_key(shard_key) {
-            return;
-        }
-        inner.entries.insert(shard_key.to_string(), result.clone());
-        inner.order.push_back(shard_key.to_string());
-        while inner.order.len() > inner.capacity {
-            if let Some(old) = inner.order.pop_front() {
-                inner.entries.remove(&old);
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -419,32 +332,6 @@ mod tests {
         // capacity 1: k1 (older terminal) evicted, k2 retained.
         assert!(store.state("k1").is_none());
         assert!(store.state("k2").is_some());
-    }
-
-    #[test]
-    fn shard_cache_bounds_entries_and_counts_lookups() {
-        let result = |shard: &str| ShardResult {
-            shard: shard.to_string(),
-            payload_json: format!("{{\"shard\":\"{shard}\"}}"),
-            csv: String::new(),
-            text: String::new(),
-            wall_ms: 1.0,
-            cache: None,
-            row_cache: None,
-        };
-        let cache = ShardCache::new(2);
-        assert!(cache.lookup("a").is_none());
-        cache.insert("a", &result("a"));
-        cache.insert("b", &result("b"));
-        // Re-inserting the same key (the retry path) is idempotent.
-        cache.insert("a", &result("a"));
-        assert_eq!(cache.len(), 2);
-        assert_eq!(cache.lookup("a").map(|r| r.shard), Some("a".to_string()));
-        // Capacity 2: inserting c evicts the oldest (a).
-        cache.insert("c", &result("c"));
-        assert!(cache.lookup("a").is_none());
-        assert!(cache.lookup("c").is_some());
-        assert_eq!((cache.hits(), cache.misses()), (2, 2));
     }
 
     #[test]

@@ -33,12 +33,12 @@ use std::time::{Duration, Instant};
 use optpower_dist::Cluster;
 use optpower_explore::Workers;
 use optpower_workload::{
-    status_json, Artifact, ErrorBody, JobSpec, Json, Runtime, SubmitMode, WireFormat,
+    status_json, Artifact, ErrorBody, JobSpec, Json, Runtime, Store, SubmitMode, WireFormat,
 };
 
 use crate::http::{read_request, HttpError, HttpRequest, HttpResponse};
 use crate::metrics::Metrics;
-use crate::queue::{JobQueue, JobState, JobStore, PushError, ShardCache};
+use crate::queue::{JobQueue, JobState, JobStore, PushError};
 
 /// How long a handler waits for the socket itself (reading the
 /// request, writing the response). Deliberately short — bodies are
@@ -235,10 +235,9 @@ pub fn start(config: Config) -> io::Result<ServerHandle> {
         // Shard results are one grid cell each, so the shard cache can
         // afford to be an order of magnitude deeper than the artifact
         // cache without changing the memory story.
-        let shard_cache = Arc::new(ShardCache::new(config.cache_capacity.saturating_mul(8)));
         let mut cluster = Cluster::new(config.hosts.clone())
             .with_workers(config.workers)
-            .with_cache(shard_cache);
+            .with_cache(Store::new(config.cache_capacity.saturating_mul(8)));
         if config.shards > 0 {
             cluster = cluster.with_shards(config.shards);
         }

@@ -4,9 +4,9 @@
 //!
 //! The stimulus sequence is defined *once*, by [`StimulusGen`], as a
 //! pure function of `(seed, a_width, b_width)`. The scalar engines
-//! ([`Engine::ZeroDelay`], [`Engine::Timed`], [`Engine::TimedScalar`])
-//! consume that single stream; the plane engines
-//! ([`Engine::BitParallel`], [`Engine::BitParallel256`],
+//! ([`Engine::ZeroDelay`], [`Engine::Timed`] and the frozen reference
+//! [`ScalarTimedSim::measure`]) consume that single stream; the plane
+//! engines ([`Engine::BitParallel`], [`Engine::BitParallel256`],
 //! [`Engine::BitParallel512`]) run one stream per lane whose seeds come
 //! from [`lane_seed`], with lane 0 being the base seed. The measurement
 //! protocol — reset pulse on item 0, operands held for
@@ -23,8 +23,9 @@
 //!   per-lane item count; widths nest, so a 256/512-lane run also
 //!   equals the sum of its chunked 64-lane runs;
 //! * a `Timed` (event-wheel) measurement is bit-identical to a
-//!   `TimedScalar` (frozen heap reference) measurement, and a pooled
-//!   timed measurement (`optpower_explore::measure_timed_activity_pooled`)
+//!   [`ScalarTimedSim::measure`] (frozen heap reference) one, and a
+//!   pooled timed measurement
+//!   (`optpower_explore::measure_timed_activity_pooled`)
 //!   is bit-identical to the sum of per-lane scalar measurements for
 //!   any worker count.
 //!
@@ -37,10 +38,11 @@
 //! at once on a [`BitParallelSim`] plane — same lane seeds, same reset
 //! pulse and hold cycles — and hands each lane its settled net values
 //! and its stimulus generator; only the counted items run on the
-//! wheel, on one [`TimedProgram`] compiled for all lanes. `TimedScalar`
-//! still runs the whole protocol from cycle 0, which is what makes it
-//! the reference for the warm start. With `warmup == 0` there is
-//! nothing to skip and `Timed` starts at cycle 0 too.
+//! wheel, on one [`TimedProgram`] compiled for all lanes.
+//! [`ScalarTimedSim::measure`] still runs the whole protocol from cycle
+//! 0, which is what makes it the reference for the warm start. With
+//! `warmup == 0` there is nothing to skip and `Timed` starts at cycle 0
+//! too.
 
 use std::ops::Range;
 use std::sync::Arc;
@@ -69,11 +71,6 @@ pub enum Engine {
     /// production [`TimedSim`] on integer ticks and the event wheel,
     /// warm-started past the uncounted items (see the module docs).
     Timed,
-    /// The frozen pre-wheel timed reference ([`ScalarTimedSim`]):
-    /// binary-heap queue, per-event allocations, whole protocol from
-    /// cycle 0. Bit-identical to [`Engine::Timed`]; exists as the
-    /// differential baseline and the `timed_scalar` bench row.
-    TimedScalar,
     /// 64 zero-delay lanes at once ([`crate::BitParallelSim`]): ~64×
     /// the stimulus volume of [`Engine::ZeroDelay`] per unit time,
     /// with identical per-lane semantics.
@@ -525,14 +522,6 @@ pub fn measure_activity(
             TimedLanes::warm_up(netlist, library, seed, 1, items, cycles_per_item, warmup)?
                 .measure_lane(0)
         }
-        Engine::TimedScalar => run_scalar(
-            &mut ScalarTimedSim::new(netlist, library)?,
-            netlist,
-            items,
-            cycles_per_item,
-            warmup,
-            seed,
-        ),
         Engine::ZeroDelay => run_scalar(
             &mut ZeroDelaySim::new(netlist),
             netlist,
@@ -544,6 +533,40 @@ pub fn measure_activity(
         Engine::BitParallel => run_plane::<1>(netlist, items, cycles_per_item, warmup, seed),
         Engine::BitParallel256 => run_plane::<4>(netlist, items, cycles_per_item, warmup, seed),
         Engine::BitParallel512 => run_plane::<8>(netlist, items, cycles_per_item, warmup, seed),
+    }
+}
+
+impl ScalarTimedSim<'_> {
+    /// The frozen reference measurement: [`measure_activity`]'s
+    /// [`Engine::Timed`] protocol on a [`ScalarTimedSim`] (binary-heap
+    /// queue, per-event allocations), run from cycle 0 with no warm
+    /// start. Bit-identical to [`Engine::Timed`]; it is the
+    /// differential baseline the event wheel is locked against and the
+    /// `timed_scalar` bench row.
+    ///
+    /// # Errors
+    ///
+    /// As [`measure_activity`] with [`Engine::Timed`].
+    ///
+    /// # Panics
+    ///
+    /// As [`measure_activity`].
+    pub fn measure(
+        netlist: &Netlist,
+        library: &Library,
+        items: u64,
+        cycles_per_item: u32,
+        warmup: u64,
+        seed: u64,
+    ) -> Result<ActivityReport, SimError> {
+        run_scalar(
+            &mut ScalarTimedSim::new(netlist, library)?,
+            netlist,
+            items,
+            cycles_per_item,
+            warmup,
+            seed,
+        )
     }
 }
 
@@ -560,7 +583,7 @@ pub fn measure_activity(
 /// lane on the event wheel and simulates only its counted items. It
 /// takes `&self`, so a pool can shard lanes across worker threads.
 /// Lane `L`'s report is bit-identical to a whole-protocol
-/// [`Engine::TimedScalar`] measurement seeded `lane_seed(seed, L)`
+/// [`ScalarTimedSim::measure`] seeded `lane_seed(seed, L)`
 /// (see the module docs for why).
 #[derive(Debug)]
 pub struct TimedLanes<'n> {
@@ -761,7 +784,7 @@ mod tests {
     fn wheel_and_scalar_timed_engines_are_bit_identical() {
         let nl = small_design();
         let wheel = measure(&nl, Engine::Timed, 250, 1, 3, 99);
-        let scalar = measure(&nl, Engine::TimedScalar, 250, 1, 3, 99);
+        let scalar = ScalarTimedSim::measure(&nl, &Library::cmos13(), 250, 1, 3, 99).unwrap();
         assert_eq!(wheel, scalar);
     }
 
@@ -770,7 +793,6 @@ mod tests {
         let nl = small_design();
         for engine in [
             Engine::Timed,
-            Engine::TimedScalar,
             Engine::ZeroDelay,
             Engine::BitParallel,
             Engine::BitParallel256,
@@ -804,9 +826,11 @@ mod tests {
     fn invalid_library_delays_surface_as_errors() {
         let nl = small_design();
         let lib = Library::with_uniform_delay(f64::NAN);
-        for engine in [Engine::Timed, Engine::TimedScalar] {
-            let err = measure_activity(&nl, &lib, engine, 10, 1, 2, 1).unwrap_err();
-            assert!(matches!(err, SimError::InvalidDelay { .. }), "{engine:?}");
+        for err in [
+            measure_activity(&nl, &lib, Engine::Timed, 10, 1, 2, 1).unwrap_err(),
+            ScalarTimedSim::measure(&nl, &lib, 10, 1, 2, 1).unwrap_err(),
+        ] {
+            assert!(matches!(err, SimError::InvalidDelay { .. }), "{err:?}");
         }
         // The delay-free engines ignore the library's delay profile.
         for engine in [

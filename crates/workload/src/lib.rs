@@ -10,6 +10,7 @@ pub mod merge;
 pub mod runtime;
 pub mod shard;
 pub mod spec;
+pub mod store;
 pub mod wire;
 
 pub use artifact::{
@@ -18,12 +19,13 @@ pub use artifact::{
 };
 pub use error::{SpecError, WorkloadError};
 pub use json::{Json, JsonError};
-pub use runtime::{ArtifactCache, RowCache, Runtime};
+pub use runtime::Runtime;
 pub use spec::{
     engine_from_name, engine_name, fnv1a_64, AbInitioSpec, ActivitySpec, GlitchSweepSpec, JobSpec,
     LintSpec, PruneDeltaSpec, StaSpec, JOB_KINDS, JOB_SCHEMA,
 };
+pub use store::Store;
 pub use wire::{
-    intern_error_code, reason_phrase, status_json, ErrorBody, JobRequest, JobResponse, ShardFrame,
-    ShardResult, SubmitMode, WireFormat, ERROR_SCHEMA, SHARD_SCHEMA, STATUS_SCHEMA,
+    intern_error_code, reason_phrase, status_json, ErrorBody, ShardFrame, ShardResult, SubmitMode,
+    WireFormat, ERROR_SCHEMA, SHARD_SCHEMA, STATUS_SCHEMA,
 };

@@ -27,14 +27,16 @@
 use std::collections::HashMap;
 
 use optpower_explore::Workers;
+use optpower_mult::Architecture;
 use optpower_report::{glitch_sweep_from_rows, table1_names, AbInitioRow, RowComparison};
 
 use crate::artifact::{Artifact, Payload, RunMeta, ARTIFACT_SCHEMA};
 use crate::columns::{parse_row, Column, AB_INITIO, COMPARISON};
 use crate::error::{SpecError, WorkloadError};
 use crate::json::Json;
-use crate::runtime::{resolve_archs, resolve_table1_names, resolved, TABLE1_TITLE};
-use crate::shard::glitch_cells;
+use crate::runtime::{
+    grid_cells, resolve_archs, resolve_table1_names, resolved, width_grid, TABLE1_TITLE,
+};
 use crate::spec::JobSpec;
 
 impl Artifact {
@@ -64,14 +66,15 @@ impl Artifact {
     ) -> Result<Artifact, WorkloadError> {
         let payload = match spec {
             JobSpec::AbInitio(s) => {
-                let order: Vec<(usize, String)> = resolve_archs(&s.archs)?
-                    .iter()
-                    .map(|a| (s.width, a.paper_name().to_string()))
+                let order: Vec<(usize, Architecture)> = resolve_archs(&s.archs)?
+                    .into_iter()
+                    .map(|a| (s.width, a))
                     .collect();
                 Payload::AbInitio(collect_rows(&order, shards)?)
             }
             JobSpec::GlitchSweep(s) => {
-                let rows = collect_rows(&glitch_cells(s)?, shards)?;
+                let order = grid_cells(width_grid(&s.archs, &s.widths)?);
+                let rows = collect_rows(&order, shards)?;
                 Payload::Glitch(glitch_sweep_from_rows(rows, s.freq_points, workers)?)
             }
             JobSpec::Table1Sweep { archs } => {
@@ -185,10 +188,10 @@ impl Artifact {
 /// order. Duplicate coverage (a raced retry) keeps the first copy —
 /// all copies are bit-identical by determinism.
 fn collect_rows(
-    order: &[(usize, String)],
+    order: &[(usize, Architecture)],
     shards: Vec<Artifact>,
 ) -> Result<Vec<AbInitioRow>, WorkloadError> {
-    let mut by_cell: HashMap<(usize, String), AbInitioRow> = HashMap::new();
+    let mut by_cell: HashMap<(usize, Architecture), AbInitioRow> = HashMap::new();
     for shard in shards {
         let Payload::AbInitio(rows) = shard.payload else {
             return Err(SpecError::new(format!(
@@ -198,18 +201,16 @@ fn collect_rows(
             .into());
         };
         for row in rows {
-            by_cell
-                .entry((row.width, row.arch.paper_name().to_string()))
-                .or_insert(row);
+            by_cell.entry((row.width, row.arch)).or_insert(row);
         }
     }
     order
         .iter()
-        .map(|cell| {
-            by_cell.remove(cell).ok_or_else(|| {
+        .map(|&(width, arch)| {
+            by_cell.remove(&(width, arch)).ok_or_else(|| {
                 SpecError::new(format!(
-                    "shard results missing {} at width {}",
-                    cell.1, cell.0
+                    "shard results missing {} at width {width}",
+                    arch.paper_name()
                 ))
                 .into()
             })
@@ -230,7 +231,6 @@ fn parse_rows<R: Default>(columns: &[Column<R>], payload: &Json) -> Result<Vec<R
 mod tests {
     use super::*;
     use crate::spec::AbInitioSpec;
-    use optpower_mult::Architecture;
 
     /// A synthetic characterization row (no simulation needed: every
     /// field is public and the merge never recomputes).

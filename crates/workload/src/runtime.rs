@@ -9,9 +9,7 @@
 //! worker-count-invariant, the artifact payload is a pure function of
 //! the spec.
 
-use std::collections::{HashMap, VecDeque};
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
 use optpower_explore::{available_workers, Pool, Workers};
@@ -22,9 +20,9 @@ use optpower_report::extended::{scaling_study_parallel, sensitivity_report_paral
 use optpower_report::{
     characterize_design_with, characterize_parallel_with, figure1, figure2, figure34,
     figure_pareto, glitch_sweep_from_rows, table1_names, table1_parallel, table1_subset_parallel,
-    table3, table4, AbInitioRow, CharacterizeConfig, GlitchSweep, PlaneTiling, TIMED_LANES,
+    table3, table4, AbInitioRow, CharacterizeConfig, GlitchSweep,
 };
-use optpower_sim::{measure_activity, Engine, VcdRecorder, ZeroDelaySim};
+use optpower_sim::{measure_activity, VcdRecorder, ZeroDelaySim};
 use optpower_sta::{GlitchProfile, LintReport, TimingAnalysis};
 use optpower_tech::{Flavor, Technology};
 use optpower_units::Hertz;
@@ -35,9 +33,9 @@ use crate::artifact::{
 };
 use crate::error::{SpecError, WorkloadError};
 use crate::spec::{
-    engine_name, fnv1a_64, AbInitioSpec, GlitchSweepSpec, JobSpec, LintSpec, PruneDeltaSpec,
-    StaSpec,
+    engine_name, AbInitioSpec, GlitchSweepSpec, JobSpec, LintSpec, PruneDeltaSpec, StaSpec,
 };
+use crate::store::Store;
 
 /// Console title of the Table 1 artifact.
 pub const TABLE1_TITLE: &str = "Table 1 - 16-bit multipliers at the optimal working point \
@@ -46,188 +44,6 @@ pub const TABLE1_TITLE: &str = "Table 1 - 16-bit multipliers at the optimal work
 pub const TABLE3_TITLE: &str = "Table 3 - Wallace family optimal power, ULL flavour (31.25 MHz)";
 /// Console title of the Table 4 artifact.
 pub const TABLE4_TITLE: &str = "Table 4 - Wallace family optimal power, HS flavour (31.25 MHz)";
-
-/// A bounded, content-addressed artifact cache keyed by
-/// [`JobSpec::canonical_key`]. Shared by handle: clones see (and
-/// fill) the same store, which is how every executor thread of the
-/// job service shares one cache through cloned [`Runtime`]s.
-///
-/// Eviction is FIFO on insertion order — artifacts are immutable
-/// pure functions of their spec, so recency carries no correctness
-/// weight and FIFO keeps eviction O(1) with no per-hit bookkeeping.
-/// Each entry stores the spec's canonical JSON alongside the
-/// artifact and a hit re-checks it, so a 64-bit FNV collision
-/// degrades to a miss instead of serving the wrong artifact.
-#[derive(Debug, Clone)]
-pub struct ArtifactCache {
-    inner: Arc<Mutex<CacheInner>>,
-}
-
-#[derive(Debug)]
-struct CacheInner {
-    entries: HashMap<String, CacheEntry>,
-    order: VecDeque<String>,
-    capacity: usize,
-}
-
-#[derive(Debug)]
-struct CacheEntry {
-    canonical_json: String,
-    artifact: Artifact,
-}
-
-impl ArtifactCache {
-    /// A cache holding at most `capacity` artifacts (at least one).
-    pub fn new(capacity: usize) -> Self {
-        Self {
-            inner: Arc::new(Mutex::new(CacheInner {
-                entries: HashMap::new(),
-                order: VecDeque::new(),
-                capacity: capacity.max(1),
-            })),
-        }
-    }
-
-    /// Artifacts currently resident.
-    pub fn len(&self) -> usize {
-        self.lock().entries.len()
-    }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Looks a spec up by key, verifying the stored canonical JSON so
-    /// a hash collision reads as a miss.
-    fn lookup(&self, key: &str, canonical_json: &str) -> Option<Artifact> {
-        let inner = self.lock();
-        let entry = inner.entries.get(key)?;
-        (entry.canonical_json == canonical_json).then(|| entry.artifact.clone())
-    }
-
-    /// Inserts an artifact, evicting the oldest entry over capacity.
-    fn insert(&self, key: String, canonical_json: String, artifact: &Artifact) {
-        let mut inner = self.lock();
-        if inner.entries.contains_key(&key) {
-            // A racing executor computed the same spec first; keep its
-            // entry (the payloads are identical by determinism).
-            return;
-        }
-        while inner.entries.len() >= inner.capacity {
-            match inner.order.pop_front() {
-                Some(oldest) => {
-                    inner.entries.remove(&oldest);
-                }
-                None => break,
-            }
-        }
-        inner.order.push_back(key.clone());
-        inner.entries.insert(
-            key,
-            CacheEntry {
-                canonical_json,
-                artifact: artifact.clone(),
-            },
-        );
-    }
-
-    /// A poisoned lock only means a panic mid-insert on another
-    /// thread; the map itself is still structurally sound, so the
-    /// cache keeps serving rather than cascading the panic.
-    fn lock(&self) -> MutexGuard<'_, CacheInner> {
-        self.inner.lock().unwrap_or_else(|e| e.into_inner())
-    }
-}
-
-/// The incremental re-simulation cache: individual [`AbInitioRow`]s
-/// content-addressed by everything that decides one architecture's
-/// characterization result — architecture, operand width, timed
-/// lanes, baseline engine, resolved plane tiling, stimulus volume,
-/// seed and technology flavour (see [`row_key`]). Where the
-/// [`ArtifactCache`] only short-circuits byte-identical *specs*, this
-/// cache lets *different* jobs that overlap on per-architecture
-/// measurements (an ab-initio sweep, then an STA job with a measured
-/// leg over a subset of the same architectures) skip the shared
-/// simulations row by row.
-///
-/// Same sharing, eviction and collision story as [`ArtifactCache`]:
-/// shared by handle, FIFO eviction, and the full key string stored
-/// alongside each entry so a 64-bit FNV collision degrades to a miss.
-#[derive(Debug, Clone)]
-pub struct RowCache {
-    inner: Arc<Mutex<RowCacheInner>>,
-}
-
-#[derive(Debug)]
-struct RowCacheInner {
-    entries: HashMap<u64, RowEntry>,
-    order: VecDeque<u64>,
-    capacity: usize,
-}
-
-#[derive(Debug)]
-struct RowEntry {
-    key: String,
-    row: AbInitioRow,
-}
-
-impl RowCache {
-    /// A cache holding at most `capacity` rows (at least one).
-    pub fn new(capacity: usize) -> Self {
-        Self {
-            inner: Arc::new(Mutex::new(RowCacheInner {
-                entries: HashMap::new(),
-                order: VecDeque::new(),
-                capacity: capacity.max(1),
-            })),
-        }
-    }
-
-    /// Rows currently resident.
-    pub fn len(&self) -> usize {
-        self.lock().entries.len()
-    }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    fn lookup(&self, key: &str) -> Option<AbInitioRow> {
-        let inner = self.lock();
-        let entry = inner.entries.get(&fnv1a_64(key.as_bytes()))?;
-        (entry.key == key).then(|| entry.row.clone())
-    }
-
-    fn insert(&self, key: String, row: &AbInitioRow) {
-        let mut inner = self.lock();
-        let hash = fnv1a_64(key.as_bytes());
-        if inner.entries.contains_key(&hash) {
-            return;
-        }
-        while inner.entries.len() >= inner.capacity {
-            match inner.order.pop_front() {
-                Some(oldest) => {
-                    inner.entries.remove(&oldest);
-                }
-                None => break,
-            }
-        }
-        inner.order.push_back(hash);
-        inner.entries.insert(
-            hash,
-            RowEntry {
-                key,
-                row: row.clone(),
-            },
-        );
-    }
-
-    fn lock(&self) -> MutexGuard<'_, RowCacheInner> {
-        self.inner.lock().unwrap_or_else(|e| e.into_inner())
-    }
-}
 
 /// The content address of one architecture's characterization under a
 /// given config: every field that decides the measured row, nothing
@@ -260,8 +76,8 @@ fn row_key(
 pub struct Runtime {
     pool: Pool,
     artifact_dir: PathBuf,
-    cache: Option<ArtifactCache>,
-    row_cache: Option<RowCache>,
+    cache: Option<Store<Artifact>>,
+    row_cache: Option<Store<AbInitioRow>>,
 }
 
 impl Default for Runtime {
@@ -293,32 +109,23 @@ impl Runtime {
         self
     }
 
-    /// Attaches a fresh content-addressed artifact cache holding at
-    /// most `capacity` artifacts, plus the incremental [`RowCache`]
-    /// behind it (sized at one full 13-architecture sweep per
-    /// artifact slot). Once attached, every [`Runtime::run`] stamps
-    /// `meta.cache` and identical specs (by canonical JSON — key
-    /// order and float spelling don't matter) are served from the
-    /// artifact cache, while characterizing jobs additionally reuse
-    /// any per-architecture rows a *different* spec already computed
+    /// Attaches two fresh [`Store`]s: an artifact store holding at
+    /// most `capacity` artifacts, keyed by the spec's canonical JSON,
+    /// and the incremental row store behind it, keyed by everything
+    /// that decides one architecture's characterization (architecture,
+    /// flavour, width, lanes, baseline, items, resolved plane, seed)
+    /// and sized at one full 13-architecture sweep per artifact slot.
+    /// Once attached, every [`Runtime::run`] stamps `meta.cache` and
+    /// identical specs (by canonical JSON — key order and float
+    /// spelling don't matter) are served from the artifact store,
+    /// while characterizing jobs additionally reuse any
+    /// per-architecture rows a *different* spec already computed
     /// (stamped in `meta.row_cache`). Cloned runtimes share both
     /// stores.
     pub fn with_cache(mut self, capacity: usize) -> Self {
-        self.cache = Some(ArtifactCache::new(capacity));
-        self.row_cache = Some(RowCache::new(
-            capacity.saturating_mul(Architecture::ALL.len()),
-        ));
+        self.cache = Some(Store::new(capacity));
+        self.row_cache = Some(Store::new(capacity.saturating_mul(Architecture::ALL.len())));
         self
-    }
-
-    /// The attached artifact cache, if any.
-    pub fn cache(&self) -> Option<&ArtifactCache> {
-        self.cache.as_ref()
-    }
-
-    /// The attached incremental row cache, if any.
-    pub fn row_cache(&self) -> Option<&RowCache> {
-        self.row_cache.as_ref()
     }
 
     /// The worker pool jobs draw parallelism from.
@@ -334,7 +141,7 @@ impl Runtime {
     /// Executes one job, returning its artifact.
     ///
     /// With a cache attached (see [`Runtime::with_cache`]) the spec's
-    /// canonical key is consulted first: a hit returns the stored
+    /// canonical JSON is looked up first: a hit returns the stored
     /// artifact with `meta.cache = hit` and the lookup's own wall
     /// time; a miss executes, stamps `meta.cache = miss` and inserts.
     /// Batch members recurse through this method, so each member is
@@ -353,7 +160,7 @@ impl Runtime {
             return Ok(artifact);
         }
         let artifact = self.execute(spec, Some(CacheStatus::Miss))?;
-        cache.insert(spec.canonical_key(), spec.canonical_json(), &artifact);
+        cache.insert(spec.canonical_json(), artifact.clone());
         Ok(artifact)
     }
 
@@ -365,7 +172,7 @@ impl Runtime {
     pub fn cache_lookup(&self, spec: &JobSpec) -> Option<Artifact> {
         let started = Instant::now();
         let cache = self.cache.as_ref()?;
-        let artifact = cache.lookup(&spec.canonical_key(), &spec.canonical_json())?;
+        let artifact = cache.get(&spec.canonical_json())?;
         Some(artifact.into_cache_hit(started))
     }
 
@@ -551,7 +358,7 @@ impl Runtime {
             .iter()
             .map(|&arch| row_key(arch, flavor, config))
             .collect::<Result<Vec<_>, _>>()?;
-        let mut slots: Vec<Option<AbInitioRow>> = keys.iter().map(|k| cache.lookup(k)).collect();
+        let mut slots: Vec<Option<AbInitioRow>> = keys.iter().map(|k| cache.get(k)).collect();
         let missing: Vec<Architecture> = archs
             .iter()
             .zip(&slots)
@@ -569,7 +376,7 @@ impl Runtime {
                     .iter()
                     .position(|&a| a == row.arch)
                     .expect("characterization returns only requested architectures");
-                cache.insert(keys[i].clone(), &row);
+                cache.insert(keys[i].clone(), row.clone());
                 slots[i] = Some(row);
             }
         }
@@ -608,48 +415,17 @@ impl Runtime {
     }
 
     /// The glitch-aware sweep over the spec's operand-width axis:
-    /// characterize per width, concatenate the rows (width-qualified
-    /// axis names keep them distinct), sweep once.
+    /// characterize per width of the [`width_grid`], concatenate the
+    /// rows (width-qualified axis names keep them distinct), sweep
+    /// once.
     fn glitch_sweep(
         &self,
         s: &GlitchSweepSpec,
         workers: Workers,
         stats: &mut Option<RowCacheStats>,
     ) -> Result<GlitchSweep, WorkloadError> {
-        if s.widths.is_empty() {
-            return Err(SpecError::new("\"widths\" must not be empty").into());
-        }
-        if let Some(dup) = first_duplicate(&s.widths) {
-            // A repeated width would characterize everything twice and
-            // alias two identically named rows on the sweep axis.
-            return Err(SpecError::new(format!("\"widths\" lists {dup} more than once")).into());
-        }
-        let archs = resolve_archs(&s.archs)?;
         let mut rows = Vec::new();
-        for &width in &s.widths {
-            // With an explicit arch list an unsupported width is an
-            // error; with the default (all thirteen) the axis narrows
-            // to the architectures that exist at that width.
-            let subset: Vec<Architecture> = if s.archs.is_some() {
-                for &arch in &archs {
-                    if !arch.supports_width(width) {
-                        return Err(width_error(arch, width));
-                    }
-                }
-                archs.clone()
-            } else {
-                archs
-                    .iter()
-                    .copied()
-                    .filter(|a| a.supports_width(width))
-                    .collect()
-            };
-            if subset.is_empty() {
-                return Err(SpecError::new(format!(
-                    "no requested architecture supports width {width}"
-                ))
-                .into());
-            }
+        for (width, subset) in width_grid(&s.archs, &s.widths)? {
             let config = CharacterizeConfig {
                 width,
                 lanes: s.lanes,
@@ -732,12 +508,7 @@ fn lint_preflight(netlist: &Netlist) -> Result<(), WorkloadError> {
 fn lint_job(s: &LintSpec) -> Result<Vec<LintSummary>, WorkloadError> {
     let archs = resolve_archs(&s.archs)?;
     if let Some(ws) = &s.widths {
-        if ws.is_empty() {
-            return Err(SpecError::new("\"widths\" must not be empty").into());
-        }
-        if let Some(dup) = first_duplicate(ws) {
-            return Err(SpecError::new(format!("\"widths\" lists {dup} more than once")).into());
-        }
+        check_widths(ws)?;
     }
     let mut out = Vec::new();
     for &arch in &archs {
@@ -796,11 +567,8 @@ impl Runtime {
             let config = CharacterizeConfig {
                 width: s.width,
                 lanes: s.lanes,
-                baseline: Engine::BitParallel,
-                plane: PlaneTiling::Fixed(64),
-                items: s.items,
-                seed: s.seed,
                 workers,
+                ..CharacterizeConfig::new(s.items, s.seed)
             };
             self.cached_characterize(&archs, Flavor::LowLeakage, &config, stats)?
                 .iter()
@@ -859,49 +627,15 @@ fn prune_delta_job(
     s: &PruneDeltaSpec,
     workers: Workers,
 ) -> Result<Vec<PruneDeltaRow>, WorkloadError> {
-    if s.widths.is_empty() {
-        return Err(SpecError::new("\"widths\" must not be empty").into());
-    }
-    if let Some(dup) = first_duplicate(&s.widths) {
-        return Err(SpecError::new(format!("\"widths\" lists {dup} more than once")).into());
-    }
-    let archs = resolve_archs(&s.archs)?;
     let lib = Library::cmos13();
     let tech = Technology::stm_cmos09(Flavor::LowLeakage);
     let freq = Hertz::new(31.25e6);
     let mut rows = Vec::new();
-    for &width in &s.widths {
-        // Same width semantics as the glitch sweep: explicit arch list
-        // + unsupported width is an error; the default (all thirteen)
-        // narrows to the architectures that exist at that width.
-        let subset: Vec<Architecture> = if s.archs.is_some() {
-            for &arch in &archs {
-                if !arch.supports_width(width) {
-                    return Err(width_error(arch, width));
-                }
-            }
-            archs.clone()
-        } else {
-            archs
-                .iter()
-                .copied()
-                .filter(|a| a.supports_width(width))
-                .collect()
-        };
-        if subset.is_empty() {
-            return Err(SpecError::new(format!(
-                "no requested architecture supports width {width}"
-            ))
-            .into());
-        }
+    for (width, subset) in width_grid(&s.archs, &s.widths)? {
         let config = CharacterizeConfig {
             width,
-            lanes: TIMED_LANES,
-            baseline: Engine::BitParallel,
-            plane: PlaneTiling::Fixed(64),
-            items: s.items,
-            seed: s.seed,
             workers,
+            ..CharacterizeConfig::new(s.items, s.seed)
         };
         // Deliberately bypasses the row cache: the raw and pruned legs
         // of one architecture share every key field, so caching would
@@ -971,28 +705,80 @@ pub(crate) fn resolve_table1_names(names: &[String]) -> Result<(), WorkloadError
             .into());
         }
     }
-    if let Some(dup) = first_duplicate_by(names) {
+    if let Some(dup) = first_duplicate(names) {
         return Err(SpecError::new(format!("\"archs\" lists {dup:?} more than once")).into());
     }
     Ok(())
 }
 
-/// [`first_duplicate`] for non-`Copy` values.
-fn first_duplicate_by<T: PartialEq>(items: &[T]) -> Option<&T> {
+/// The (width × architecture) grid of a job with a width axis, in
+/// evaluation order: width-major, each width with its architecture
+/// subset in resolution order. With an explicit `archs` list an
+/// unsupported width is an error; the default (all thirteen) narrows
+/// each width to the architectures that exist at it. An empty or
+/// repeating `widths` is an error too: a repeat would characterize
+/// everything twice and alias two identically named rows on the sweep
+/// axis. The glitch sweep and
+/// the prune delta run this grid, the sharder cuts along it and the
+/// shard merge restores its order.
+pub(crate) fn width_grid(
+    archs: &Option<Vec<String>>,
+    widths: &[usize],
+) -> Result<Vec<(usize, Vec<Architecture>)>, WorkloadError> {
+    check_widths(widths)?;
+    let resolved = resolve_archs(archs)?;
+    widths
+        .iter()
+        .map(|&width| {
+            let subset: Vec<Architecture> = if archs.is_some() {
+                if let Some(&arch) = resolved.iter().find(|a| !a.supports_width(width)) {
+                    return Err(width_error(arch, width));
+                }
+                resolved.clone()
+            } else {
+                resolved
+                    .iter()
+                    .copied()
+                    .filter(|a| a.supports_width(width))
+                    .collect()
+            };
+            if subset.is_empty() {
+                return Err(SpecError::new(format!(
+                    "no requested architecture supports width {width}"
+                ))
+                .into());
+            }
+            Ok((width, subset))
+        })
+        .collect()
+}
+
+/// A [`width_grid`] flattened into its (width, architecture) cells, in
+/// the same order: the axis the sharder cuts and the merge restores.
+pub(crate) fn grid_cells(grid: Vec<(usize, Vec<Architecture>)>) -> Vec<(usize, Architecture)> {
+    grid.into_iter()
+        .flat_map(|(width, archs)| archs.into_iter().map(move |a| (width, a)))
+        .collect()
+}
+
+/// A width axis must be non-empty and must not repeat a width.
+fn check_widths(widths: &[usize]) -> Result<(), WorkloadError> {
+    if widths.is_empty() {
+        return Err(SpecError::new("\"widths\" must not be empty").into());
+    }
+    if let Some(dup) = first_duplicate(widths) {
+        return Err(SpecError::new(format!("\"widths\" lists {dup} more than once")).into());
+    }
+    Ok(())
+}
+
+/// The first value appearing more than once, if any.
+fn first_duplicate<T: PartialEq>(items: &[T]) -> Option<&T> {
     items
         .iter()
         .enumerate()
         .find(|(i, v)| items[..*i].contains(v))
         .map(|(_, v)| v)
-}
-
-/// The first value appearing more than once, if any.
-pub(crate) fn first_duplicate<T: PartialEq + Copy>(items: &[T]) -> Option<T> {
-    items
-        .iter()
-        .enumerate()
-        .find(|(i, v)| items[..*i].contains(v))
-        .map(|(_, &v)| v)
 }
 
 /// Resolves paper names to architectures (`None` = all thirteen).
@@ -1024,7 +810,7 @@ pub(crate) fn resolve_archs(
     }
 }
 
-pub(crate) fn width_error(arch: Architecture, width: usize) -> WorkloadError {
+fn width_error(arch: Architecture, width: usize) -> WorkloadError {
     SpecError::new(format!(
         "{} does not support operand width {width} \
          (arrays/trees: 2..=32; sequential family: power of two >= 4)",

@@ -14,8 +14,8 @@
 //! order is the identity on the single-host row order, which is what
 //! makes the merge a pure reordering and never a recomputation.
 
-use crate::error::{SpecError, WorkloadError};
-use crate::runtime::{first_duplicate, resolve_archs, resolve_table1_names, width_error};
+use crate::error::WorkloadError;
+use crate::runtime::{grid_cells, resolve_archs, resolve_table1_names, width_grid};
 use crate::spec::{AbInitioSpec, JobSpec};
 use optpower_mult::Architecture;
 use optpower_report::table1_names;
@@ -68,7 +68,7 @@ impl JobSpec {
                     .collect()
             }
             JobSpec::GlitchSweep(s) => {
-                let cells = glitch_cells(s)?;
+                let cells = grid_cells(width_grid(&s.archs, &s.widths)?);
                 chunks(&cells, n)
                     .into_iter()
                     .flat_map(split_at_width_boundaries)
@@ -116,48 +116,6 @@ impl JobSpec {
     }
 }
 
-/// The glitch sweep's evaluation grid in the runtime's exact order:
-/// width-major, architectures in resolution order, narrowed per width
-/// by the same rule [`crate::Runtime`] applies (explicit arch list +
-/// unsupported width is an error; the default narrows to supporting
-/// architectures). Shared by the sharder and the merge.
-pub(crate) fn glitch_cells(
-    s: &crate::spec::GlitchSweepSpec,
-) -> Result<Vec<(usize, String)>, WorkloadError> {
-    if s.widths.is_empty() {
-        return Err(SpecError::new("\"widths\" must not be empty").into());
-    }
-    if let Some(dup) = first_duplicate(&s.widths) {
-        return Err(SpecError::new(format!("\"widths\" lists {dup} more than once")).into());
-    }
-    let archs = resolve_archs(&s.archs)?;
-    let mut cells = Vec::new();
-    for &width in &s.widths {
-        let subset: Vec<Architecture> = if s.archs.is_some() {
-            for &arch in &archs {
-                if !arch.supports_width(width) {
-                    return Err(width_error(arch, width));
-                }
-            }
-            archs.clone()
-        } else {
-            archs
-                .iter()
-                .copied()
-                .filter(|a| a.supports_width(width))
-                .collect()
-        };
-        if subset.is_empty() {
-            return Err(SpecError::new(format!(
-                "no requested architecture supports width {width}"
-            ))
-            .into());
-        }
-        cells.extend(subset.iter().map(|a| (width, a.paper_name().to_string())));
-    }
-    Ok(cells)
-}
-
 /// Cuts `items` into at most `n` balanced contiguous chunks (sizes
 /// differ by at most one, larger chunks first), preserving order.
 fn chunks<T: Clone>(items: &[T], n: usize) -> Vec<Vec<T>> {
@@ -177,9 +135,10 @@ fn chunks<T: Clone>(items: &[T], n: usize) -> Vec<Vec<T>> {
 /// Regroups one chunk of (width, arch) cells into contiguous
 /// same-width runs — each run becomes one single-width `ab_initio`
 /// shard spec.
-fn split_at_width_boundaries(chunk: Vec<(usize, String)>) -> Vec<(usize, Vec<String>)> {
+fn split_at_width_boundaries(chunk: Vec<(usize, Architecture)>) -> Vec<(usize, Vec<String>)> {
     let mut runs: Vec<(usize, Vec<String>)> = Vec::new();
-    for (width, name) in chunk {
+    for (width, arch) in chunk {
+        let name = arch.paper_name().to_string();
         match runs.last_mut() {
             Some((w, names)) if *w == width => names.push(name),
             _ => runs.push((width, vec![name])),
@@ -232,7 +191,11 @@ mod tests {
             freq_points: 3,
             ..GlitchSweepSpec::default()
         };
-        let grid = glitch_cells(&spec_inner).unwrap();
+        let grid: Vec<(usize, String)> =
+            grid_cells(width_grid(&spec_inner.archs, &spec_inner.widths).unwrap())
+                .into_iter()
+                .map(|(width, a)| (width, a.paper_name().to_string()))
+                .collect();
         let spec = JobSpec::GlitchSweep(spec_inner);
         for n in [2, 3, 8] {
             let mut joined = Vec::new();

@@ -16,8 +16,9 @@
 //!  "engine":"bit_parallel","items":200,"seed":42,"workers":null,"archs":null}
 //! ```
 
+use optpower::ModelError;
 use optpower_mult::Architecture;
-use optpower_report::PlaneTiling;
+use optpower_report::{CharacterizeConfig, PlaneTiling};
 use optpower_sim::{Engine, MAX_STIMULUS_LANES, MIN_RESET_WARMUP};
 
 use crate::error::{SpecError, WorkloadError};
@@ -27,13 +28,11 @@ use crate::json::Json;
 pub const JOB_SCHEMA: &str = "optpower-job/v1";
 
 /// Simulation-engine choice on the wire (`zero_delay`, `timed`,
-/// `timed_scalar`, `bit_parallel`, `bit_parallel_256`,
-/// `bit_parallel_512`).
+/// `bit_parallel`, `bit_parallel_256`, `bit_parallel_512`).
 pub fn engine_name(engine: Engine) -> &'static str {
     match engine {
         Engine::ZeroDelay => "zero_delay",
         Engine::Timed => "timed",
-        Engine::TimedScalar => "timed_scalar",
         Engine::BitParallel => "bit_parallel",
         Engine::BitParallel256 => "bit_parallel_256",
         Engine::BitParallel512 => "bit_parallel_512",
@@ -45,7 +44,6 @@ pub fn engine_from_name(name: &str) -> Option<Engine> {
     match name {
         "zero_delay" => Some(Engine::ZeroDelay),
         "timed" => Some(Engine::Timed),
-        "timed_scalar" => Some(Engine::TimedScalar),
         "bit_parallel" => Some(Engine::BitParallel),
         "bit_parallel_256" => Some(Engine::BitParallel256),
         "bit_parallel_512" => Some(Engine::BitParallel512),
@@ -64,13 +62,14 @@ pub struct AbInitioSpec {
     pub width: usize,
     /// Stimulus lanes of the pooled timed (glitch) leg, 1 to 512.
     pub lanes: u32,
-    /// Glitch-free baseline engine (`bit_parallel` or `zero_delay`).
+    /// Glitch-free baseline engine: `zero_delay` or a `bit_parallel*`
+    /// plane.
     pub engine: Engine,
     /// Plane tiling of the glitch-free baseline leg: `plane_lanes` on
     /// the wire, 64/256/512 or `"auto"` (default `Fixed(64)`, the
     /// legacy-identical measurement).
     pub plane: PlaneTiling,
-    /// Random-stimulus volume per architecture.
+    /// Random-stimulus volume per architecture, at least 1.
     pub items: u64,
     /// Base stimulus seed.
     pub seed: u64,
@@ -118,12 +117,12 @@ pub struct GlitchSweepSpec {
     pub widths: Vec<usize>,
     /// Stimulus lanes of the pooled timed leg, 1 to 512.
     pub lanes: u32,
-    /// Glitch-free baseline engine.
+    /// Glitch-free baseline engine, as in [`AbInitioSpec`].
     pub engine: Engine,
     /// Plane tiling of the glitch-free baseline leg (`plane_lanes` on
     /// the wire, as in [`AbInitioSpec`]).
     pub plane: PlaneTiling,
-    /// Random-stimulus volume per architecture and width.
+    /// Random-stimulus volume per architecture and width, at least 1.
     pub items: u64,
     /// Base stimulus seed.
     pub seed: u64,
@@ -604,30 +603,38 @@ impl JobSpec {
                 items: uint_field(doc, "items", items)?,
                 seed: uint_field(doc, "seed", seed)?,
             },
-            Self::AbInitio(d) => Self::AbInitio(AbInitioSpec {
-                archs: names_field(doc, "archs", d.archs)?,
-                width: usize_field(doc, "width", d.width)?,
-                lanes: lanes_field(doc, d.lanes)?,
-                engine: engine_field(doc, d.engine)?,
-                plane: plane_field(doc, d.plane)?,
-                items: uint_field(doc, "items", d.items)?,
-                seed: uint_field(doc, "seed", d.seed)?,
-                workers: opt_usize_field(doc, "workers")?,
-            }),
-            Self::GlitchSweep(d) => Self::GlitchSweep(GlitchSweepSpec {
-                archs: names_field(doc, "archs", d.archs)?,
-                widths: match doc.get("widths") {
-                    Some(v) => usize_array(v, "widths")?,
-                    None => d.widths,
-                },
-                lanes: lanes_field(doc, d.lanes)?,
-                engine: engine_field(doc, d.engine)?,
-                plane: plane_field(doc, d.plane)?,
-                items: uint_field(doc, "items", d.items)?,
-                seed: uint_field(doc, "seed", d.seed)?,
-                freq_points: freq_points_field(doc, d.freq_points)?,
-                workers: opt_usize_field(doc, "workers")?,
-            }),
+            Self::AbInitio(d) => {
+                let s = AbInitioSpec {
+                    archs: names_field(doc, "archs", d.archs)?,
+                    width: usize_field(doc, "width", d.width)?,
+                    lanes: lanes_field(doc, d.lanes)?,
+                    engine: engine_field(doc, d.engine)?,
+                    plane: plane_field(doc, d.plane)?,
+                    items: at_least("items", uint_field(doc, "items", d.items)?, 1)?,
+                    seed: uint_field(doc, "seed", d.seed)?,
+                    workers: opt_usize_field(doc, "workers")?,
+                };
+                baseline_check(s.engine, s.plane, s.items)?;
+                Self::AbInitio(s)
+            }
+            Self::GlitchSweep(d) => {
+                let s = GlitchSweepSpec {
+                    archs: names_field(doc, "archs", d.archs)?,
+                    widths: match doc.get("widths") {
+                        Some(v) => usize_array(v, "widths")?,
+                        None => d.widths,
+                    },
+                    lanes: lanes_field(doc, d.lanes)?,
+                    engine: engine_field(doc, d.engine)?,
+                    plane: plane_field(doc, d.plane)?,
+                    items: at_least("items", uint_field(doc, "items", d.items)?, 1)?,
+                    seed: uint_field(doc, "seed", d.seed)?,
+                    freq_points: freq_points_field(doc, d.freq_points)?,
+                    workers: opt_usize_field(doc, "workers")?,
+                };
+                baseline_check(s.engine, s.plane, s.items)?;
+                Self::GlitchSweep(s)
+            }
             Self::ActivityMeasure(d) => {
                 let arch = match doc.get("arch") {
                     Some(v) => v
@@ -681,24 +688,34 @@ impl JobSpec {
                     Some(v) => Some(usize_array(v, "widths")?),
                 },
             }),
-            Self::Sta(d) => Self::Sta(StaSpec {
-                archs: names_field(doc, "archs", d.archs)?,
-                width: usize_field(doc, "width", d.width)?,
-                lanes: lanes_field(doc, d.lanes)?,
-                items: uint_field(doc, "items", d.items)?,
-                seed: uint_field(doc, "seed", d.seed)?,
-                workers: opt_usize_field(doc, "workers")?,
-            }),
-            Self::PruneDelta(d) => Self::PruneDelta(PruneDeltaSpec {
-                archs: names_field(doc, "archs", d.archs)?,
-                widths: match doc.get("widths") {
-                    Some(v) => usize_array(v, "widths")?,
-                    None => d.widths,
-                },
-                items: uint_field(doc, "items", d.items)?,
-                seed: uint_field(doc, "seed", d.seed)?,
-                workers: opt_usize_field(doc, "workers")?,
-            }),
+            Self::Sta(d) => {
+                let s = StaSpec {
+                    archs: names_field(doc, "archs", d.archs)?,
+                    width: usize_field(doc, "width", d.width)?,
+                    lanes: lanes_field(doc, d.lanes)?,
+                    items: uint_field(doc, "items", d.items)?,
+                    seed: uint_field(doc, "seed", d.seed)?,
+                    workers: opt_usize_field(doc, "workers")?,
+                };
+                if s.items > 0 {
+                    paper_baseline_check(s.items)?;
+                }
+                Self::Sta(s)
+            }
+            Self::PruneDelta(d) => {
+                let s = PruneDeltaSpec {
+                    archs: names_field(doc, "archs", d.archs)?,
+                    widths: match doc.get("widths") {
+                        Some(v) => usize_array(v, "widths")?,
+                        None => d.widths,
+                    },
+                    items: uint_field(doc, "items", d.items)?,
+                    seed: uint_field(doc, "seed", d.seed)?,
+                    workers: opt_usize_field(doc, "workers")?,
+                };
+                paper_baseline_check(s.items)?;
+                Self::PruneDelta(s)
+            }
             Self::Table1Sweep { archs } => Self::Table1Sweep {
                 archs: names_field(doc, "archs", archs)?,
             },
@@ -923,13 +940,42 @@ fn engine_field(doc: &Json, default: Engine) -> Result<Engine, WorkloadError> {
                 .ok_or_else(|| SpecError::new("\"engine\" must be a string"))?;
             engine_from_name(name).ok_or_else(|| {
                 SpecError::new(format!(
-                    "unknown engine {name:?} (zero_delay | timed | timed_scalar | bit_parallel \
-                     | bit_parallel_256 | bit_parallel_512)"
+                    "unknown engine {name:?} (zero_delay | timed | bit_parallel | bit_parallel_256 \
+                     | bit_parallel_512)"
                 ))
                 .into()
             })
         }
     }
+}
+
+/// Refuses a characterization whose glitch-free baseline cannot run,
+/// by resolving it as the run will ([`PlaneTiling::resolve`]): the
+/// engine must count glitch-free activity, the stimulus volume
+/// `items × plane lanes` must fit 64 bits, and the plane width must
+/// tile that volume.
+fn baseline_check(engine: Engine, plane: PlaneTiling, items: u64) -> Result<(), WorkloadError> {
+    let Err(ModelError::InvalidArchParameter { field, .. }) = plane.resolve(engine, items) else {
+        return Ok(());
+    };
+    let rule = match field {
+        "engine" => "must be a glitch-free baseline: zero_delay or a bit_parallel plane",
+        "items" => "times the baseline's plane lanes must fit 64 bits",
+        _ => "must tile the baseline: 64 or \"auto\" on zero_delay, else divide items x lanes",
+    };
+    Err(SpecError::new(format!(
+        "{field:?} {rule} (engine {:?}, plane_lanes {}, items {items})",
+        engine_name(engine),
+        plane_json(plane)
+    ))
+    .into())
+}
+
+/// [`baseline_check`] for the jobs whose measured leg runs the paper's
+/// baseline ([`CharacterizeConfig::new`]): `sta` and `prune_delta`.
+fn paper_baseline_check(items: u64) -> Result<(), WorkloadError> {
+    let paper = CharacterizeConfig::new(items, 0);
+    baseline_check(paper.baseline, paper.plane, items)
 }
 
 fn plane_json(plane: PlaneTiling) -> Json {
@@ -1154,6 +1200,23 @@ mod tests {
             r#"{"job":"pareto","freq_points":9223372036854775808}"#,
             r#"{"job":"glitch_sweep","freq_points":1025}"#,
             r#"{"job":"figure34","width":33}"#,
+            // The glitch-free baseline resolves at parse time: a
+            // glitch-counting engine, a volume past 64 bits and a
+            // plane that does not tile the volume are refused ...
+            r#"{"job":"ab_initio","archs":["Wallace"],"items":20,"engine":"timed"}"#,
+            r#"{"job":"glitch_sweep","engine":"timed"}"#,
+            r#"{"job":"ab_initio","items":288230376151711745}"#,
+            r#"{"job":"glitch_sweep","items":288230376151711745}"#,
+            r#"{"job":"sta","items":288230376151711745}"#,
+            r#"{"job":"prune_delta","items":288230376151711745}"#,
+            r#"{"job":"ab_initio","engine":"bit_parallel_512","items":36028797018963968}"#,
+            r#"{"job":"ab_initio","archs":["RCA"],"items":20,"engine":"zero_delay","plane_lanes":256}"#,
+            r#"{"job":"ab_initio","items":3,"plane_lanes":256}"#,
+            // ... and a characterization needs at least one item.
+            r#"{"job":"ab_initio","items":0}"#,
+            r#"{"job":"glitch_sweep","items":0}"#,
+            // The frozen scalar timed engine is not on the wire.
+            r#"{"job":"activity_measure","engine":"timed_scalar"}"#,
         ] {
             let err = JobSpec::from_json(bad).unwrap_err();
             assert!(matches!(err, WorkloadError::Spec(_)), "{bad}: {err:?}");
@@ -1197,7 +1260,6 @@ mod tests {
         for engine in [
             Engine::ZeroDelay,
             Engine::Timed,
-            Engine::TimedScalar,
             Engine::BitParallel,
             Engine::BitParallel256,
             Engine::BitParallel512,

@@ -12,7 +12,7 @@
 //! adds transport-level codes (`queue_full`, `draining`, …) but never
 //! re-maps a workload failure.
 
-use std::io;
+use std::io::{self, Read};
 
 use crate::artifact::{Artifact, CacheStatus, RowCacheStats};
 use crate::error::{SpecError, WorkloadError};
@@ -207,57 +207,6 @@ pub enum SubmitMode {
     Async,
 }
 
-/// One job submission, transport-independent: the parsed spec plus
-/// how the caller wants the result back.
-#[derive(Debug, Clone)]
-pub struct JobRequest {
-    /// The job to run.
-    pub spec: JobSpec,
-    /// The negotiated response rendering.
-    pub format: WireFormat,
-    /// Sync (wait for the artifact) or async (return the key).
-    pub mode: SubmitMode,
-}
-
-impl JobRequest {
-    /// A synchronous JSON-format request for a spec.
-    pub fn new(spec: JobSpec) -> Self {
-        Self {
-            spec,
-            format: WireFormat::default(),
-            mode: SubmitMode::default(),
-        }
-    }
-}
-
-/// The transport-independent outcome of a submission. The server
-/// frames this as an HTTP response; a CLI front-end prints the body
-/// and derives its exit code.
-#[derive(Debug, Clone)]
-pub enum JobResponse {
-    /// The job ran (or was served from cache): the artifact itself
-    /// (boxed — artifacts dwarf the other variants).
-    Completed(Box<Artifact>),
-    /// The job was queued asynchronously under its canonical key.
-    Accepted {
-        /// The spec's [`JobSpec::canonical_key`].
-        key: String,
-    },
-    /// The job was rejected or failed.
-    Failed(ErrorBody),
-}
-
-impl JobResponse {
-    /// The HTTP-shaped status of this outcome.
-    pub fn status(&self) -> u16 {
-        match self {
-            JobResponse::Completed(_) => 200,
-            JobResponse::Accepted { .. } => 202,
-            JobResponse::Failed(body) => body.status,
-        }
-    }
-}
-
 /// The `optpower-job-status/v1` document: the canonical key plus the
 /// job's lifecycle state (`queued` / `running` / `done` / `failed`).
 pub fn status_json(key: &str, state: &str) -> String {
@@ -275,6 +224,12 @@ pub const SHARD_SCHEMA: &str = "optpower-shard/v1";
 /// Hard cap on one shard frame's JSON body. A malformed or hostile
 /// length prefix must not become a multi-gigabyte allocation.
 const MAX_FRAME_BYTES: u32 = 64 * 1024 * 1024;
+
+/// The most a frame read reserves before its body arrives. Smaller
+/// frames read into one allocation; a larger one grows its buffer only
+/// as its bytes are received, so an untrusted prefix cannot size an
+/// allocation up front.
+const FRAME_READ_RESERVE: u32 = 64 * 1024;
 
 /// The closed error-code vocabulary a shard `error` frame may carry:
 /// the frozen [`ErrorBody::of`] table plus the transport codes the
@@ -595,8 +550,9 @@ impl ShardFrame {
     }
 
     /// Reads one length-prefixed frame. A clean EOF before the prefix
-    /// surfaces as `UnexpectedEof` (the peer hung up); malformed JSON
-    /// or an off-contract document is `InvalidData`.
+    /// or inside the body surfaces as `UnexpectedEof` (the peer hung
+    /// up); a prefix past the 64 MiB cap, malformed JSON or an
+    /// off-contract document is `InvalidData`.
     ///
     /// # Errors
     ///
@@ -611,8 +567,14 @@ impl ShardFrame {
                 format!("shard frame length {len} exceeds the frame cap"),
             ));
         }
-        let mut body = vec![0u8; len as usize];
-        reader.read_exact(&mut body)?;
+        let mut body = Vec::with_capacity(len.min(FRAME_READ_RESERVE) as usize);
+        reader.take(u64::from(len)).read_to_end(&mut body)?;
+        if body.len() < len as usize {
+            return Err(io::Error::new(
+                io::ErrorKind::UnexpectedEof,
+                format!("shard frame body ended after {} of {len} bytes", body.len()),
+            ));
+        }
         let text = String::from_utf8(body)
             .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "shard frame is not UTF-8"))?;
         ShardFrame::from_json(&text)
@@ -790,6 +752,15 @@ mod tests {
         let mut reader: &[u8] = &[0xFF, 0xFF, 0xFF, 0xFF];
         let err = ShardFrame::read_from(&mut reader).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    }
+
+    #[test]
+    fn a_truncated_frame_body_is_unexpected_eof() {
+        // The largest admissible prefix, three body bytes, then EOF.
+        let mut stream = MAX_FRAME_BYTES.to_be_bytes().to_vec();
+        stream.extend_from_slice(b"{\"s");
+        let err = ShardFrame::read_from(&mut stream.as_slice()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
     }
 
     #[test]

@@ -8,13 +8,11 @@
 //! shard cache answers every shard without touching a worker.
 
 use std::net::{SocketAddr, TcpListener};
-use std::sync::Arc;
 use std::thread;
 
 use optpower_dist::{assign_host, spawn, Cluster};
 use optpower_explore::Workers;
-use optpower_serve::ShardCache;
-use optpower_workload::{AbInitioSpec, JobSpec, Runtime, ShardFrame};
+use optpower_workload::{AbInitioSpec, JobSpec, Runtime, ShardFrame, Store};
 
 /// A worker that speaks just enough protocol to be assigned work and
 /// then dies: accept, Hello, read the first Assign, drop the socket.
@@ -147,12 +145,12 @@ fn resubmission_after_a_fault_is_a_pure_shard_cache_hit() {
         }
     };
 
-    let cache = Arc::new(ShardCache::new(64));
+    let cache = Store::new(64);
     let first = Cluster::new(hosts)
         .with_shards(4)
         .with_workers(Workers::Fixed(1))
         .with_timeout_ms(5_000)
-        .with_cache(Arc::clone(&cache) as Arc<dyn optpower_dist::ShardResultCache>)
+        .with_cache(cache.clone())
         .run(&spec)
         .expect("first run survives the death");
     assert!(first.stats.retries >= 1);
@@ -164,7 +162,7 @@ fn resubmission_after_a_fault_is_a_pure_shard_cache_hit() {
     let resubmit = Cluster::new(vec!["127.0.0.1:1".to_string()])
         .with_shards(4)
         .with_workers(Workers::Fixed(1))
-        .with_cache(Arc::clone(&cache) as Arc<dyn optpower_dist::ShardResultCache>)
+        .with_cache(cache.clone())
         .run(&spec)
         .expect("cache-only run");
     assert_eq!(resubmit.stats.shard_cache_hits, 4);

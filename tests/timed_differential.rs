@@ -9,7 +9,7 @@
 //!   13-architecture multiplier suite;
 //! * an `Engine::Timed` measurement, which runs its warm-up on the
 //!   zero-delay plane and resumes each lane on the wheel from the
-//!   settled net values, must equal the `Engine::TimedScalar`
+//!   settled net values, must equal the `ScalarTimedSim::measure`
 //!   reference that simulates the whole protocol from cycle 0 — at
 //!   every warm-up length, on every architecture at widths 8/16/24/32,
 //!   and net by net at the point where the counted window opens;
@@ -69,7 +69,7 @@ fn random_netlist(picks: &[(u8, u32, u32, u32)]) -> Netlist {
     b.build().expect("random DAG is valid by construction")
 }
 
-/// The whole-protocol reference for one lane: `Engine::TimedScalar`,
+/// The whole-protocol reference for one lane: `ScalarTimedSim::measure`,
 /// which simulates warm-up and window from cycle 0.
 fn scalar_lane(
     nl: &Netlist,
@@ -79,10 +79,9 @@ fn scalar_lane(
     seed: u64,
     lane: u32,
 ) -> ActivityReport {
-    measure_activity(
+    ScalarTimedSim::measure(
         nl,
         &Library::cmos13(),
-        Engine::TimedScalar,
         items,
         cycles_per_item,
         warmup,
@@ -218,7 +217,7 @@ proptest! {
 
     /// Measurement-level differential through the public API: the
     /// warm-started `Timed` (wheel) measurement and the whole-protocol
-    /// `TimedScalar` (heap) reference produce identical activity
+    /// `ScalarTimedSim::measure` (heap) reference produce identical activity
     /// reports for any netlist and seed, at every warm-up length —
     /// zero (no warm start at all) and one (a single plane item)
     /// included, which these reset-free netlists allow — and the
@@ -250,7 +249,7 @@ proptest! {
         let lanes = 4u32;
         let scalar_sum: u64 = (0..lanes)
             .map(|l| {
-                measure_activity(&nl, &lib, Engine::TimedScalar, 5, 1, 2, lane_seed(seed, l))
+                ScalarTimedSim::measure(&nl, &lib, 5, 1, 2, lane_seed(seed, l))
                     .unwrap()
                     .transitions
             })

@@ -22,10 +22,16 @@ use optpower_workload::{
 };
 use proptest::prelude::*;
 
-const ENGINES: [Engine; 6] = [
+const ENGINES: [Engine; 5] = [
     Engine::ZeroDelay,
     Engine::Timed,
-    Engine::TimedScalar,
+    Engine::BitParallel,
+    Engine::BitParallel256,
+    Engine::BitParallel512,
+];
+
+const BASELINES: [Engine; 4] = [
+    Engine::ZeroDelay,
     Engine::BitParallel,
     Engine::BitParallel256,
     Engine::BitParallel512,
@@ -37,6 +43,25 @@ const PLANES: [PlaneTiling; 4] = [
     PlaneTiling::Fixed(512),
     PlaneTiling::Auto,
 ];
+
+/// A glitch-free baseline `(engine, plane, items)` the parser accepts:
+/// `zero_delay` takes the 64-lane tiling or `auto` and any positive
+/// volume; a bit-parallel plane takes every tiling, with items a
+/// multiple of 8 (so 256 and 512 lanes tile `items × native lanes`) and
+/// at most 2^54 (so that product fits 64 bits).
+fn baseline_from(c: usize, a: u64) -> (Engine, PlaneTiling, u64) {
+    match BASELINES[c % BASELINES.len()] {
+        Engine::ZeroDelay => {
+            let plane = if (c / 4).is_multiple_of(2) {
+                PlaneTiling::Fixed(64)
+            } else {
+                PlaneTiling::Auto
+            };
+            (Engine::ZeroDelay, plane, a.max(1))
+        }
+        engine => (engine, PLANES[(c / 4) % PLANES.len()], (1 + (a >> 13)) * 8),
+    }
+}
 
 /// Deterministically builds a spec from random draws — every variant
 /// reachable, every field exercised.
@@ -66,39 +91,45 @@ fn spec_from(kind: usize, a: u64, b: u64, c: usize, widths: &[usize], names_ix: 
         },
         5 => JobSpec::Sensitivity,
         6 => JobSpec::Ablation { items: a, seed: b },
-        7 => JobSpec::AbInitio(AbInitioSpec {
-            archs: names,
-            width: 2 + c % 31,
-            lanes: 1 + (c as u32 % 16),
-            engine: ENGINES[c % ENGINES.len()],
-            plane: PLANES[c % PLANES.len()],
-            items: a,
-            seed: b,
-            workers: if c.is_multiple_of(3) {
-                None
-            } else {
-                Some(c % 17)
-            },
-        }),
-        8 => JobSpec::GlitchSweep(GlitchSweepSpec {
-            archs: names,
-            widths: widths.to_vec(),
-            lanes: 1 + (c as u32 % 16),
-            engine: ENGINES[c % ENGINES.len()],
-            plane: PLANES[(c / 2) % PLANES.len()],
-            items: a,
-            seed: b,
-            freq_points: 2 + c % 20,
-            workers: if c.is_multiple_of(2) {
-                None
-            } else {
-                Some(c % 9)
-            },
-        }),
+        7 => {
+            let (engine, plane, items) = baseline_from(c, a);
+            JobSpec::AbInitio(AbInitioSpec {
+                archs: names,
+                width: 2 + c % 31,
+                lanes: 1 + (c as u32 % 16),
+                engine,
+                plane,
+                items,
+                seed: b,
+                workers: if c.is_multiple_of(3) {
+                    None
+                } else {
+                    Some(c % 17)
+                },
+            })
+        }
+        8 => {
+            let (engine, plane, items) = baseline_from(c / 2, a);
+            JobSpec::GlitchSweep(GlitchSweepSpec {
+                archs: names,
+                widths: widths.to_vec(),
+                lanes: 1 + (c as u32 % 16),
+                engine,
+                plane,
+                items,
+                seed: b,
+                freq_points: 2 + c % 20,
+                workers: if c.is_multiple_of(2) {
+                    None
+                } else {
+                    Some(c % 9)
+                },
+            })
+        }
         9 => JobSpec::ActivityMeasure(ActivitySpec {
             arch: Architecture::ALL[c % 13].paper_name().to_string(),
             width: 2 + c % 31,
-            engine: ENGINES[c % 4],
+            engine: ENGINES[c % ENGINES.len()],
             items: a,
             warmup: b % 32,
             seed: b,
@@ -121,11 +152,13 @@ fn spec_from(kind: usize, a: u64, b: u64, c: usize, widths: &[usize], names_ix: 
                 Some(widths.to_vec())
             },
         }),
+        // The measured legs of sta and prune_delta run the 64-lane
+        // plane, so `items × 64` must fit 64 bits.
         16 => JobSpec::Sta(StaSpec {
             archs: names,
             width: 2 + c % 31,
             lanes: 1 + (c as u32 % 16),
-            items: a,
+            items: a >> 6,
             seed: b,
             workers: if c.is_multiple_of(3) {
                 None
@@ -136,7 +169,7 @@ fn spec_from(kind: usize, a: u64, b: u64, c: usize, widths: &[usize], names_ix: 
         17 => JobSpec::PruneDelta(PruneDeltaSpec {
             archs: names,
             widths: widths.to_vec(),
-            items: a,
+            items: a >> 6,
             seed: b,
             workers: if c.is_multiple_of(3) {
                 None
