@@ -25,7 +25,7 @@ use std::net::TcpStream;
 use std::thread;
 use std::time::{Duration, Instant};
 
-use optpower_explore::{available_workers, Workers};
+use optpower_explore::Workers;
 use optpower_workload::{
     fnv1a_64, Artifact, CacheStatus, DistMeta, ErrorBody, JobSpec, Json, RowCacheStats, RunMeta,
     ShardFrame, ShardResult, SpecError, Store, WorkloadError,
@@ -454,7 +454,7 @@ impl Cluster {
         RunMeta {
             wall_ms: stats.wall_ms,
             dist: Some(dist),
-            ..RunMeta::for_spec(spec, resolved(self.workers))
+            ..RunMeta::for_spec(spec, self.workers.count())
         }
     }
 }
@@ -516,14 +516,6 @@ fn run_host(host: &str, shards: &[&(String, JobSpec)], timeout_ms: u64) -> HostO
         }
     }
     out
-}
-
-/// The concrete worker count for envelope metadata.
-fn resolved(workers: Workers) -> usize {
-    match workers {
-        Workers::Auto => available_workers(),
-        Workers::Fixed(n) => n.max(1),
-    }
 }
 
 fn parse_payload_doc(text: &str) -> Result<Json, WorkloadError> {

@@ -12,6 +12,6 @@ pub mod sweep;
 pub use activity::{measure_timed_activity_pooled, TimedPoolConfig};
 pub use engine::{explore, CalibrationCache, ExploreConfig};
 pub use grid::{Grid, GridBuilder, GridError, GridPoint};
-pub use pool::{available_workers, par_map, par_map_indexed, Pool, Workers};
+pub use pool::{available_workers, par_map, par_map_indexed, Workers};
 pub use result::{ArchOptimum, EvalRecord, ResultSet, Summary};
 pub use sweep::{parallel_frequency_sweep, parallel_rank_technologies};

@@ -36,14 +36,19 @@ pub enum Workers {
 }
 
 impl Workers {
+    /// The concrete thread count of the policy: [`available_workers`]
+    /// for `Auto`, never fewer than 1 for `Fixed`.
+    pub fn count(self) -> usize {
+        match self {
+            Workers::Auto => available_workers(),
+            Workers::Fixed(n) => n.max(1),
+        }
+    }
+
     /// Resolves the policy to a concrete thread count for `n_items`
     /// work items (never more threads than items, never fewer than 1).
     pub fn resolve(self, n_items: usize) -> usize {
-        let requested = match self {
-            Workers::Auto => available_workers(),
-            Workers::Fixed(n) => n,
-        };
-        requested.clamp(1, n_items.max(1))
+        self.count().min(n_items.max(1))
     }
 }
 
@@ -102,57 +107,6 @@ where
     par_map_indexed(items.len(), workers, |i| f(&items[i]))
 }
 
-/// A reusable handle on the exploration worker pool: one [`Workers`]
-/// policy owned in one place and *handed into* every flow, instead of
-/// each binary or study constructing its own policy ad hoc.
-///
-/// The pool itself is scoped-thread based (threads live only for the
-/// duration of one `map` call), so the handle is cheap to copy and
-/// share; what it centralises is the *policy* — the workload runtime
-/// owns one `Pool` and every job it executes draws parallelism from
-/// it. Results are independent of the policy by the
-/// [`par_map_indexed`] determinism contract.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct Pool {
-    policy: Workers,
-}
-
-impl Pool {
-    /// A pool with the given worker policy.
-    pub fn new(policy: Workers) -> Self {
-        Self { policy }
-    }
-
-    /// The policy this pool schedules with.
-    pub fn policy(&self) -> Workers {
-        self.policy
-    }
-
-    /// The concrete thread count the pool would use for `n_items`.
-    pub fn resolve(&self, n_items: usize) -> usize {
-        self.policy.resolve(n_items)
-    }
-
-    /// [`par_map`] on this pool's policy.
-    pub fn map<T, R, F>(&self, items: &[T], f: F) -> Vec<R>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(&T) -> R + Sync,
-    {
-        par_map(items, self.policy.resolve(items.len()), f)
-    }
-
-    /// [`par_map_indexed`] on this pool's policy.
-    pub fn map_indexed<R, F>(&self, n: usize, f: F) -> Vec<R>
-    where
-        R: Send,
-        F: Fn(usize) -> R + Sync,
-    {
-        par_map_indexed(n, self.policy.resolve(n), f)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -190,20 +144,6 @@ mod tests {
         for (i, (idx, _)) in got.iter().enumerate() {
             assert_eq!(i, *idx);
         }
-    }
-
-    #[test]
-    fn pool_handle_maps_like_the_free_functions() {
-        let items: Vec<u64> = (0..57).collect();
-        let expect: Vec<u64> = items.iter().map(|x| x * 3 + 1).collect();
-        for policy in [Workers::Auto, Workers::Fixed(1), Workers::Fixed(4)] {
-            let pool = Pool::new(policy);
-            assert_eq!(pool.policy(), policy);
-            assert_eq!(pool.map(&items, |&x| x * 3 + 1), expect);
-            assert_eq!(pool.map_indexed(items.len(), |i| items[i] * 3 + 1), expect);
-            assert!(pool.resolve(items.len()) >= 1);
-        }
-        assert_eq!(Pool::default().policy(), Workers::Auto);
     }
 
     #[test]

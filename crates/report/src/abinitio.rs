@@ -522,10 +522,7 @@ pub fn characterize_parallel_with(
     let lib = Library::cmos13();
     let tech = Technology::stm_cmos09(flavor);
     let freq = Hertz::new(31.25e6);
-    let total = match config.workers {
-        Workers::Auto => optpower_explore::available_workers(),
-        Workers::Fixed(n) => n.max(1),
-    };
+    let total = config.workers.count();
     let outer = total.clamp(1, archs.len().max(1));
     let inner = CharacterizeConfig {
         workers: Workers::Fixed((total / outer).max(1)),

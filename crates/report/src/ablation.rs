@@ -4,9 +4,16 @@
 use optpower::calibrate::{build_model, from_breakdown};
 use optpower::reference::{PAPER_FREQUENCY, TABLE1};
 use optpower::{ArchParams, ModelError, OptimizerConfig, PowerModel};
+use optpower_explore::Workers;
+use optpower_mult::Architecture;
+use optpower_sim::Engine;
 use optpower_tech::{Flavor, Linearization, Technology};
 use optpower_units::{Farads, SquareMicrons, Volts, Watts};
 
+use crate::abinitio::{
+    characterize_parallel_with, measured_arch_params, AbInitioError, ActivitySource,
+    CharacterizeConfig,
+};
 use crate::render::{fnum, Table};
 
 /// A/B result of fitting Eq. 7 over a given range.
@@ -137,52 +144,44 @@ pub struct GlitchAblationRow {
 /// removed, the diagonal variant's shorter LD would win; with them, the
 /// horizontal variant does.
 ///
+/// Each design runs the shared ab-initio flow
+/// ([`characterize_parallel_with`]) serially, with one timed lane and a
+/// scalar zero-delay baseline; the glitch-free column re-optimises the
+/// same measurement on its zero-delay activity.
+///
 /// # Errors
 ///
-/// Propagates [`ModelError`] from model building or solving.
-pub fn glitch_ablation(items: u64, seed: u64) -> Result<Vec<GlitchAblationRow>, ModelError> {
-    use optpower_mult::Architecture;
-    use optpower_netlist::{Library, NetlistStats};
-    use optpower_sim::{measure_activity, Engine};
-    use optpower_sta::TimingAnalysis;
-    use optpower_units::Hertz;
-
-    let lib = Library::cmos13();
-    let tech = Technology::stm_cmos09(Flavor::LowLeakage);
-    let mut rows = Vec::new();
-    for arch in [
+/// Propagates [`AbInitioError`] from characterization, model building
+/// or solving.
+pub fn glitch_ablation(items: u64, seed: u64) -> Result<Vec<GlitchAblationRow>, AbInitioError> {
+    let archs = [
         Architecture::RcaHorPipe2,
         Architecture::RcaDiagPipe2,
         Architecture::RcaHorPipe4,
         Architecture::RcaDiagPipe4,
-    ] {
-        let design = arch.generate(16).expect("valid generator");
-        let stats = NetlistStats::measure(&design.netlist, &lib);
-        let sta = TimingAnalysis::analyze(&design.netlist, &lib);
-        let ld = design.effective_logical_depth(sta.logical_depth());
-        let timed = measure_activity(&design.netlist, &lib, Engine::Timed, items, 1, 4, seed)
-            .expect("valid library and acyclic netlist");
-        let zd = measure_activity(&design.netlist, &lib, Engine::ZeroDelay, items, 1, 4, seed)
-            .expect("zero-delay measurement cannot fail");
-        let solve = |activity: f64| -> Result<f64, ModelError> {
-            let params = ArchParams::builder(arch.paper_name())
-                .cells(stats.logic_cells as u32)
-                .activity(activity)
-                .logical_depth(ld)
-                .cap_per_cell(Farads::new(stats.avg_switched_cap_f))
-                .build()?;
-            let model = PowerModel::from_technology(tech, params, Hertz::new(31.25e6))?;
-            Ok(model.optimize()?.ptot().value() * 1e6)
-        };
-        rows.push(GlitchAblationRow {
-            name: arch.paper_name().to_string(),
-            activity_timed: timed.activity,
-            activity_zero_delay: zd.activity,
-            ptot_timed_uw: solve(timed.activity)?,
-            ptot_zero_delay_uw: solve(zd.activity)?,
-        });
-    }
-    Ok(rows)
+    ];
+    let config = CharacterizeConfig {
+        lanes: 1,
+        baseline: Engine::ZeroDelay,
+        workers: Workers::Fixed(1),
+        ..CharacterizeConfig::new(items, seed)
+    };
+    let tech = Technology::stm_cmos09(Flavor::LowLeakage);
+    let rows = characterize_parallel_with(&archs, Flavor::LowLeakage, &config)?;
+    let glitch_free = measured_arch_params(&rows, ActivitySource::MeasuredZeroDelay)?;
+    rows.iter()
+        .zip(glitch_free)
+        .map(|(row, params)| {
+            let model = PowerModel::from_technology(tech, params, PAPER_FREQUENCY)?;
+            Ok(GlitchAblationRow {
+                name: row.arch.paper_name().to_string(),
+                activity_timed: row.activity,
+                activity_zero_delay: row.activity_zero_delay,
+                ptot_timed_uw: row.ptot_uw,
+                ptot_zero_delay_uw: model.optimize()?.ptot().value() * 1e6,
+            })
+        })
+        .collect()
 }
 
 /// Renders the glitch ablation.

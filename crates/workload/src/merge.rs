@@ -34,9 +34,7 @@ use crate::artifact::{Artifact, Payload, RunMeta, ARTIFACT_SCHEMA};
 use crate::columns::{parse_row, Column, AB_INITIO, COMPARISON};
 use crate::error::{SpecError, WorkloadError};
 use crate::json::Json;
-use crate::runtime::{
-    grid_cells, resolve_archs, resolve_table1_names, resolved, width_grid, TABLE1_TITLE,
-};
+use crate::runtime::{grid_cells, resolve_archs, resolve_table1_names, width_grid, TABLE1_TITLE};
 use crate::spec::JobSpec;
 
 impl Artifact {
@@ -123,7 +121,7 @@ impl Artifact {
         Ok(Artifact {
             spec: spec.clone(),
             payload,
-            meta: RunMeta::for_spec(spec, resolved(workers)),
+            meta: RunMeta::for_spec(spec, workers.count()),
         })
     }
 

@@ -1,18 +1,18 @@
 //! The single execution engine behind every workload: a [`Runtime`]
-//! owns the `optpower-explore` worker [`Pool`] and turns any
-//! [`JobSpec`] into an [`Artifact`].
+//! owns one `optpower-explore` worker policy ([`Workers`]) and turns
+//! any [`JobSpec`] into an [`Artifact`].
 //!
-//! One rule governs the whole module: **the pool is handed in, never
-//! constructed ad hoc per flow.** Each job draws its parallelism from
-//! the runtime's pool (specs may pin an explicit worker count for
-//! their own run), and because every underlying flow is
+//! One rule governs the whole module: **the worker policy is handed
+//! in, never chosen ad hoc per flow.** Each job draws its parallelism
+//! from the runtime's policy (specs may pin an explicit worker count
+//! for their own run), and because every underlying flow is
 //! worker-count-invariant, the artifact payload is a pure function of
 //! the spec.
 
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
-use optpower_explore::{available_workers, Pool, Workers};
+use optpower_explore::Workers;
 use optpower_mult::Architecture;
 use optpower_netlist::{Library, Netlist};
 use optpower_report::ablation;
@@ -71,10 +71,10 @@ fn row_key(
     ))
 }
 
-/// Executes [`JobSpec`]s on one shared worker pool.
+/// Executes [`JobSpec`]s under one shared worker policy.
 #[derive(Debug, Clone)]
 pub struct Runtime {
-    pool: Pool,
+    workers: Workers,
     artifact_dir: PathBuf,
     cache: Option<Store<Artifact>>,
     row_cache: Option<Store<AbInitioRow>>,
@@ -87,16 +87,11 @@ impl Default for Runtime {
 }
 
 impl Runtime {
-    /// A runtime whose pool uses `workers`, writing side-effect
+    /// A runtime whose jobs run on `workers`, writing side-effect
     /// artifacts (the export job) under `target/optpower-artifacts`.
     pub fn new(workers: Workers) -> Self {
-        Self::with_pool(Pool::new(workers))
-    }
-
-    /// A runtime on an existing pool handle.
-    pub fn with_pool(pool: Pool) -> Self {
         Self {
-            pool,
+            workers,
             artifact_dir: PathBuf::from("target/optpower-artifacts"),
             cache: None,
             row_cache: None,
@@ -126,11 +121,6 @@ impl Runtime {
         self.cache = Some(Store::new(capacity));
         self.row_cache = Some(Store::new(capacity.saturating_mul(Architecture::ALL.len())));
         self
-    }
-
-    /// The worker pool jobs draw parallelism from.
-    pub fn pool(&self) -> &Pool {
-        &self.pool
     }
 
     /// The directory side-effect artifacts are written to.
@@ -183,7 +173,8 @@ impl Runtime {
         cache_status: Option<CacheStatus>,
     ) -> Result<Artifact, WorkloadError> {
         let started = Instant::now();
-        let workers = self.pool.policy();
+        // A spec's own `workers` field overrides this policy.
+        let workers = self.workers;
         // Filled in by the characterizing arms when a row cache is
         // attached; `None` keeps every other job's envelope unchanged.
         let mut row_stats: Option<RowCacheStats> = None;
@@ -199,7 +190,7 @@ impl Runtime {
                         }
                     },
                 },
-                resolved(workers),
+                workers.count(),
             ),
             JobSpec::Table2 => (
                 Payload::Flavors(
@@ -240,11 +231,11 @@ impl Runtime {
                     unscaled: scaling_study_parallel(frequencies_mhz, false, workers)?,
                     scaled: scaling_study_parallel(frequencies_mhz, true, workers)?,
                 },
-                resolved(workers),
+                workers.count(),
             ),
             JobSpec::Sensitivity => (
                 Payload::Sensitivity(sensitivity_report_parallel(workers)?),
-                resolved(workers),
+                workers.count(),
             ),
             JobSpec::Ablation { items, seed } => (
                 Payload::Ablation {
@@ -256,17 +247,17 @@ impl Runtime {
                 1,
             ),
             JobSpec::AbInitio(s) => {
-                let job_workers = job_workers(workers, s.workers);
+                let job_workers = s.workers.map_or(workers, Workers::Fixed);
                 (
                     Payload::AbInitio(self.characterize(s, job_workers, &mut row_stats)?),
-                    resolved(job_workers),
+                    job_workers.count(),
                 )
             }
             JobSpec::GlitchSweep(s) => {
-                let job_workers = job_workers(workers, s.workers);
+                let job_workers = s.workers.map_or(workers, Workers::Fixed);
                 (
                     Payload::Glitch(self.glitch_sweep(s, job_workers, &mut row_stats)?),
-                    resolved(job_workers),
+                    job_workers.count(),
                 )
             }
             JobSpec::ActivityMeasure(s) => {
@@ -300,22 +291,22 @@ impl Runtime {
             JobSpec::Figure34 { width, items } => (Payload::Figure34(figure34(*width, *items)?), 1),
             JobSpec::Pareto { freq_points } => (
                 Payload::Pareto(figure_pareto(*freq_points, workers)?),
-                resolved(workers),
+                workers.count(),
             ),
             JobSpec::Export => (Payload::Export(self.export()?), 1),
             JobSpec::Lint(s) => (Payload::Lint(lint_job(s)?), 1),
             JobSpec::Sta(s) => {
-                let job_workers = job_workers(workers, s.workers);
+                let job_workers = s.workers.map_or(workers, Workers::Fixed);
                 (
                     Payload::Sta(self.sta_job(s, job_workers, &mut row_stats)?),
-                    resolved(job_workers),
+                    job_workers.count(),
                 )
             }
             JobSpec::PruneDelta(s) => {
-                let job_workers = job_workers(workers, s.workers);
+                let job_workers = s.workers.map_or(workers, Workers::Fixed);
                 (
                     Payload::PruneDelta(prune_delta_job(s, job_workers)?),
-                    resolved(job_workers),
+                    job_workers.count(),
                 )
             }
             JobSpec::Batch(jobs) => {
@@ -323,7 +314,7 @@ impl Runtime {
                     .iter()
                     .map(|job| self.run(job))
                     .collect::<Result<Vec<_>, _>>()?;
-                (Payload::Batch(artifacts), resolved(workers))
+                (Payload::Batch(artifacts), workers.count())
             }
         };
         let mut meta = RunMeta::for_spec(spec, meta_workers);
@@ -660,22 +651,6 @@ fn prune_delta_job(
         }
     }
     Ok(rows)
-}
-
-/// A spec-level worker override wins over the runtime pool's policy.
-fn job_workers(pool: Workers, over: Option<usize>) -> Workers {
-    match over {
-        Some(n) => Workers::Fixed(n),
-        None => pool,
-    }
-}
-
-/// The concrete worker count recorded in run metadata.
-pub(crate) fn resolved(workers: Workers) -> usize {
-    match workers {
-        Workers::Auto => available_workers(),
-        Workers::Fixed(n) => n.max(1),
-    }
 }
 
 /// Looks one architecture up by paper name, as a typed error.

@@ -15,6 +15,12 @@
 //! {"schema":"optpower-job/v1","job":"ab_initio","width":16,"lanes":8,
 //!  "engine":"bit_parallel","items":200,"seed":42,"workers":null,"archs":null}
 //! ```
+//!
+//! Each kind lists its wire fields once, in wire order; the writer,
+//! the reader and the unknown-field check all walk that list, and one
+//! private value trait spells each field type in JSON. Decoding checks
+//! shapes only: every range lives in one private `JobSpec::validate`,
+//! which the parser runs on every document.
 
 use optpower::ModelError;
 use optpower_mult::Architecture;
@@ -73,7 +79,7 @@ pub struct AbInitioSpec {
     pub items: u64,
     /// Base stimulus seed.
     pub seed: u64,
-    /// Worker override for this job; `None` = the runtime's pool.
+    /// Worker override for this job; `None` = the runtime's worker policy.
     pub workers: Option<usize>,
 }
 
@@ -126,9 +132,9 @@ pub struct GlitchSweepSpec {
     pub items: u64,
     /// Base stimulus seed.
     pub seed: u64,
-    /// Frequency-axis resolution of the sweep.
+    /// Frequency-axis resolution of the sweep, 2 to 1,024 points.
     pub freq_points: usize,
-    /// Worker override for this job; `None` = the runtime's pool.
+    /// Worker override for this job; `None` = the runtime's worker policy.
     pub workers: Option<usize>,
 }
 
@@ -158,7 +164,7 @@ pub struct ActivitySpec {
     pub width: usize,
     /// Which engine measures.
     pub engine: Engine,
-    /// Data items measured (excluding warm-up).
+    /// Data items measured (excluding warm-up), at least 1.
     pub items: u64,
     /// Warm-up items, simulated but not counted; at least 2 on an
     /// architecture with a reset input.
@@ -209,7 +215,7 @@ pub struct StaSpec {
     pub items: u64,
     /// Base stimulus seed of the measured leg.
     pub seed: u64,
-    /// Worker override for this job; `None` = the runtime's pool.
+    /// Worker override for this job; `None` = the runtime's worker policy.
     pub workers: Option<usize>,
 }
 
@@ -237,11 +243,11 @@ pub struct PruneDeltaSpec {
     pub archs: Option<Vec<String>>,
     /// Operand widths to compare at.
     pub widths: Vec<usize>,
-    /// Random-stimulus volume per characterization leg.
+    /// Random-stimulus volume per characterization leg, at least 1.
     pub items: u64,
     /// Base stimulus seed.
     pub seed: u64,
-    /// Worker override for this job; `None` = the runtime's pool.
+    /// Worker override for this job; `None` = the runtime's worker policy.
     pub workers: Option<usize>,
 }
 
@@ -279,14 +285,14 @@ pub enum JobSpec {
     /// The technology-scaling study over a frequency axis (both the
     /// wire-dominated and the fully scaled port).
     ScalingStudy {
-        /// Evaluated frequencies in MHz.
+        /// Evaluated frequencies in MHz, each finite and positive.
         frequencies_mhz: Vec<f64>,
     },
     /// Eq. 13 logarithmic sensitivities for all Table 1 architectures.
     Sensitivity,
     /// The three ablation studies (fit range, optimiser, glitches).
     Ablation {
-        /// Stimulus volume of the glitch ablation.
+        /// Stimulus volume of the glitch ablation, at least 1.
         items: u64,
         /// Stimulus seed of the glitch ablation.
         seed: u64,
@@ -299,25 +305,25 @@ pub enum JobSpec {
     ActivityMeasure(ActivitySpec),
     /// Figure 1: Ptot vs Vdd per activity.
     Figure1 {
-        /// Samples per sweep curve.
+        /// Samples per sweep curve, 2 to 65,536.
         samples: usize,
     },
     /// Figure 2: the Vdd^{1/α} linearisation.
     Figure2 {
-        /// Samples of the plotted range.
+        /// Samples of the plotted range, 2 to 65,536.
         samples: usize,
     },
     /// Figures 3/4: horizontal vs diagonal pipeline structures.
     Figure34 {
-        /// Operand width in bits.
+        /// Operand width in bits, 2 to 32.
         width: usize,
-        /// Stimulus volume of the activity measurement.
+        /// Stimulus volume of the activity measurement, at least 1.
         items: u64,
     },
     /// The Ptot-vs-frequency Pareto figure over the explored design
     /// space.
     Pareto {
-        /// Frequency-axis resolution.
+        /// Frequency-axis resolution, 2 to 1,024 points.
         freq_points: usize,
     },
     /// Structural exports: Verilog + DOT per architecture and an RCA
@@ -423,104 +429,14 @@ impl JobSpec {
 
     /// The JSON value form (see the module docs for the envelope).
     pub fn to_json_value(&self) -> Json {
-        let mut pairs: Vec<(String, Json)> = vec![
+        let mut writer = Writer(vec![
             ("schema".to_string(), Json::str(JOB_SCHEMA)),
             ("job".to_string(), Json::str(self.kind())),
-        ];
-        let mut push = |k: &str, v: Json| pairs.push((k.to_string(), v));
-        match self {
-            Self::Table2 | Self::Table3 | Self::Table4 | Self::Sensitivity | Self::Export => {}
-            Self::Table1Sweep { archs } => {
-                // Emitted only when set: the no-axis wire form must
-                // stay byte-identical to the historical unit variant.
-                if archs.is_some() {
-                    push("archs", opt_names(archs));
-                }
-            }
-            Self::ScalingStudy { frequencies_mhz } => push(
-                "frequencies_mhz",
-                Json::Arr(frequencies_mhz.iter().map(|&f| Json::num(f)).collect()),
-            ),
-            Self::Ablation { items, seed } => {
-                push("items", Json::UInt(*items));
-                push("seed", Json::UInt(*seed));
-            }
-            Self::AbInitio(s) => {
-                push("archs", opt_names(&s.archs));
-                push("width", Json::UInt(s.width as u64));
-                push("lanes", Json::UInt(u64::from(s.lanes)));
-                push("engine", Json::str(engine_name(s.engine)));
-                push("plane_lanes", plane_json(s.plane));
-                push("items", Json::UInt(s.items));
-                push("seed", Json::UInt(s.seed));
-                push("workers", opt_uint(s.workers));
-            }
-            Self::GlitchSweep(s) => {
-                push("archs", opt_names(&s.archs));
-                push(
-                    "widths",
-                    Json::Arr(s.widths.iter().map(|&w| Json::UInt(w as u64)).collect()),
-                );
-                push("lanes", Json::UInt(u64::from(s.lanes)));
-                push("engine", Json::str(engine_name(s.engine)));
-                push("plane_lanes", plane_json(s.plane));
-                push("items", Json::UInt(s.items));
-                push("seed", Json::UInt(s.seed));
-                push("freq_points", Json::UInt(s.freq_points as u64));
-                push("workers", opt_uint(s.workers));
-            }
-            Self::ActivityMeasure(s) => {
-                push("arch", Json::str(&s.arch));
-                push("width", Json::UInt(s.width as u64));
-                push("engine", Json::str(engine_name(s.engine)));
-                push("items", Json::UInt(s.items));
-                push("warmup", Json::UInt(s.warmup));
-                push("seed", Json::UInt(s.seed));
-            }
-            Self::Figure1 { samples } | Self::Figure2 { samples } => {
-                push("samples", Json::UInt(*samples as u64));
-            }
-            Self::Figure34 { width, items } => {
-                push("width", Json::UInt(*width as u64));
-                push("items", Json::UInt(*items));
-            }
-            Self::Pareto { freq_points } => {
-                push("freq_points", Json::UInt(*freq_points as u64));
-            }
-            Self::Lint(s) => {
-                push("archs", opt_names(&s.archs));
-                push(
-                    "widths",
-                    match &s.widths {
-                        Some(ws) => Json::Arr(ws.iter().map(|&w| Json::UInt(w as u64)).collect()),
-                        None => Json::Null,
-                    },
-                );
-            }
-            Self::Sta(s) => {
-                push("archs", opt_names(&s.archs));
-                push("width", Json::UInt(s.width as u64));
-                push("lanes", Json::UInt(u64::from(s.lanes)));
-                push("items", Json::UInt(s.items));
-                push("seed", Json::UInt(s.seed));
-                push("workers", opt_uint(s.workers));
-            }
-            Self::PruneDelta(s) => {
-                push("archs", opt_names(&s.archs));
-                push(
-                    "widths",
-                    Json::Arr(s.widths.iter().map(|&w| Json::UInt(w as u64)).collect()),
-                );
-                push("items", Json::UInt(s.items));
-                push("seed", Json::UInt(s.seed));
-                push("workers", opt_uint(s.workers));
-            }
-            Self::Batch(jobs) => push(
-                "jobs",
-                Json::Arr(jobs.iter().map(JobSpec::to_json_value).collect()),
-            ),
-        }
-        Json::Obj(pairs)
+        ]);
+        // The field list lends each field mutably, for the reader; the
+        // writer walks a copy.
+        self.clone().fields(&mut writer);
+        Json::Obj(writer.0)
     }
 
     /// The compact JSON wire form.
@@ -547,11 +463,12 @@ impl JobSpec {
         format!("{:016x}", fnv1a_64(self.canonical_json().as_bytes()))
     }
 
-    /// Parses the JSON wire form. Unknown kinds, malformed fields and
-    /// schema mismatches are [`WorkloadError::Spec`]; fields absent
-    /// from the document take the kind's defaults, so hand-written
-    /// specs stay terse — but *unrecognized* keys are rejected, so a
-    /// typoed `"sed"` cannot silently run with the default seed.
+    /// Parses the JSON wire form. Unknown kinds, malformed fields,
+    /// out-of-range values and schema mismatches are
+    /// [`WorkloadError::Spec`]; fields absent from the document take
+    /// the kind's defaults, so hand-written specs stay terse — but
+    /// *unrecognized* keys are rejected, so a typoed `"sed"` cannot
+    /// silently run with the default seed.
     ///
     /// # Errors
     ///
@@ -561,178 +478,197 @@ impl JobSpec {
         Self::from_json_value(&doc)
     }
 
-    /// Parses an already-decoded JSON value (used recursively for
-    /// batches).
+    /// Parses an already-decoded JSON value: decodes it, then checks
+    /// every field's range.
     ///
     /// # Errors
     ///
     /// [`WorkloadError::Spec`] describing the first problem.
     pub fn from_json_value(doc: &Json) -> Result<JobSpec, WorkloadError> {
-        match doc.get("schema") {
-            None => {}
-            Some(v) => {
-                let schema = v
-                    .as_str()
-                    .ok_or_else(|| SpecError::new("\"schema\" must be a string when present"))?;
-                if schema != JOB_SCHEMA {
-                    return Err(SpecError::new(format!(
-                        "unsupported spec schema {schema:?} (expected {JOB_SCHEMA:?})"
-                    ))
-                    .into());
-                }
+        let spec = Self::decode(doc)?;
+        spec.validate()?;
+        Ok(spec)
+    }
+
+    /// Decodes a document, checking shapes but no range: the kind's
+    /// defaults, with every listed field the document carries read
+    /// over them. A key the kind does not list is an error naming the
+    /// accepted fields.
+    fn decode(doc: &Json) -> Result<JobSpec, WorkloadError> {
+        let Json::Obj(pairs) = doc else {
+            return Err(SpecError::new("a job spec must be a JSON object").into());
+        };
+        if let Some(v) = doc.get("schema") {
+            let schema = v
+                .as_str()
+                .ok_or_else(|| SpecError::new("\"schema\" must be a string when present"))?;
+            if schema != JOB_SCHEMA {
+                return Err(SpecError::new(format!(
+                    "unsupported spec schema {schema:?} (expected {JOB_SCHEMA:?})"
+                ))
+                .into());
             }
         }
         let kind = doc
             .get("job")
             .and_then(Json::as_str)
             .ok_or_else(|| SpecError::new("spec object needs a string \"job\" field"))?;
-        let defaults = Self::default_for(kind).ok_or_else(|| {
+        let mut spec = Self::default_for(kind).ok_or_else(|| {
             SpecError::new(format!(
                 "unknown job kind {kind:?} (see `optpower list` for the catalogue)"
             ))
         })?;
-        reject_unknown_fields(doc, kind)?;
-        let spec = match defaults {
-            Self::ScalingStudy { frequencies_mhz } => Self::ScalingStudy {
-                frequencies_mhz: match doc.get("frequencies_mhz") {
-                    Some(v) => float_array(v, "frequencies_mhz")?,
-                    None => frequencies_mhz,
-                },
-            },
-            Self::Ablation { items, seed } => Self::Ablation {
-                items: uint_field(doc, "items", items)?,
-                seed: uint_field(doc, "seed", seed)?,
-            },
-            Self::AbInitio(d) => {
-                let s = AbInitioSpec {
-                    archs: names_field(doc, "archs", d.archs)?,
-                    width: usize_field(doc, "width", d.width)?,
-                    lanes: lanes_field(doc, d.lanes)?,
-                    engine: engine_field(doc, d.engine)?,
-                    plane: plane_field(doc, d.plane)?,
-                    items: at_least("items", uint_field(doc, "items", d.items)?, 1)?,
-                    seed: uint_field(doc, "seed", d.seed)?,
-                    workers: opt_usize_field(doc, "workers")?,
-                };
-                baseline_check(s.engine, s.plane, s.items)?;
-                Self::AbInitio(s)
+        let mut reader = Reader {
+            doc,
+            names: vec!["schema", "job"],
+            error: None,
+        };
+        spec.fields(&mut reader);
+        let known = |key: &String| reader.names.contains(&key.as_str());
+        if let Some((key, _)) = pairs.iter().find(|(key, _)| !known(key)) {
+            return Err(SpecError::new(format!(
+                "unknown field {key:?} for job {kind:?} (accepted: {})",
+                reader.names.join(", ")
+            ))
+            .into());
+        }
+        reader.error.map_or(Ok(spec), Err)
+    }
+
+    /// The wire fields of each kind, in wire order: the one list the
+    /// writer, the reader and the unknown-field check walk.
+    fn fields(&mut self, w: &mut impl Walk) {
+        match self {
+            Self::Table2 | Self::Table3 | Self::Table4 | Self::Sensitivity | Self::Export => {}
+            // Written only when set: the no-axis wire form (and cache
+            // key) stays that of the historical unit variant.
+            Self::Table1Sweep { archs } => w.visit("archs", archs, Rule::OmitNull),
+            Self::ScalingStudy { frequencies_mhz } => w.field("frequencies_mhz", frequencies_mhz),
+            Self::Ablation { items, seed } => {
+                w.field("items", items);
+                w.field("seed", seed);
             }
-            Self::GlitchSweep(d) => {
-                let s = GlitchSweepSpec {
-                    archs: names_field(doc, "archs", d.archs)?,
-                    widths: match doc.get("widths") {
-                        Some(v) => usize_array(v, "widths")?,
-                        None => d.widths,
-                    },
-                    lanes: lanes_field(doc, d.lanes)?,
-                    engine: engine_field(doc, d.engine)?,
-                    plane: plane_field(doc, d.plane)?,
-                    items: at_least("items", uint_field(doc, "items", d.items)?, 1)?,
-                    seed: uint_field(doc, "seed", d.seed)?,
-                    freq_points: freq_points_field(doc, d.freq_points)?,
-                    workers: opt_usize_field(doc, "workers")?,
-                };
-                baseline_check(s.engine, s.plane, s.items)?;
-                Self::GlitchSweep(s)
+            Self::AbInitio(s) => {
+                w.field("archs", &mut s.archs);
+                w.field("width", &mut s.width);
+                w.field("lanes", &mut s.lanes);
+                w.field("engine", &mut s.engine);
+                w.field("plane_lanes", &mut s.plane);
+                w.field("items", &mut s.items);
+                w.field("seed", &mut s.seed);
+                w.field("workers", &mut s.workers);
             }
-            Self::ActivityMeasure(d) => {
-                let arch = match doc.get("arch") {
-                    Some(v) => v
-                        .as_str()
-                        .ok_or_else(|| SpecError::new("\"arch\" must be a string"))?
-                        .to_string(),
-                    None => d.arch,
-                };
-                let warmup = reset_warmup(&arch, uint_field(doc, "warmup", d.warmup)?)?;
-                Self::ActivityMeasure(ActivitySpec {
-                    arch,
-                    width: usize_field(doc, "width", d.width)?,
-                    engine: engine_field(doc, d.engine)?,
-                    items: uint_field(doc, "items", d.items)?,
-                    warmup,
-                    seed: uint_field(doc, "seed", d.seed)?,
-                })
+            Self::GlitchSweep(s) => {
+                w.field("archs", &mut s.archs);
+                w.field("widths", &mut s.widths);
+                w.field("lanes", &mut s.lanes);
+                w.field("engine", &mut s.engine);
+                w.field("plane_lanes", &mut s.plane);
+                w.field("items", &mut s.items);
+                w.field("seed", &mut s.seed);
+                w.field("freq_points", &mut s.freq_points);
+                w.field("workers", &mut s.workers);
             }
-            Self::Figure1 { samples } => Self::Figure1 {
-                samples: at_most(
-                    "samples",
-                    usize_field(doc, "samples", samples)?,
-                    MAX_SAMPLES,
-                )?,
-            },
-            Self::Figure2 { samples } => Self::Figure2 {
-                samples: at_most(
-                    "samples",
-                    usize_field(doc, "samples", samples)?,
-                    MAX_SAMPLES,
-                )?,
-            },
-            Self::Figure34 { width, items } => Self::Figure34 {
+            Self::ActivityMeasure(s) => {
+                w.field("arch", &mut s.arch);
+                w.field("width", &mut s.width);
+                w.field("engine", &mut s.engine);
+                w.field("items", &mut s.items);
+                w.field("warmup", &mut s.warmup);
+                w.field("seed", &mut s.seed);
+            }
+            Self::Figure1 { samples } | Self::Figure2 { samples } => w.field("samples", samples),
+            Self::Figure34 { width, items } => {
+                w.field("width", width);
+                w.field("items", items);
+            }
+            Self::Pareto { freq_points } => w.field("freq_points", freq_points),
+            Self::Lint(s) => {
+                w.field("archs", &mut s.archs);
+                w.field("widths", &mut s.widths);
+            }
+            Self::Sta(s) => {
+                w.field("archs", &mut s.archs);
+                w.field("width", &mut s.width);
+                w.field("lanes", &mut s.lanes);
+                w.field("items", &mut s.items);
+                w.field("seed", &mut s.seed);
+                w.field("workers", &mut s.workers);
+            }
+            Self::PruneDelta(s) => {
+                w.field("archs", &mut s.archs);
+                w.field("widths", &mut s.widths);
+                w.field("items", &mut s.items);
+                w.field("seed", &mut s.seed);
+                w.field("workers", &mut s.workers);
+            }
+            Self::Batch(jobs) => w.visit("jobs", jobs, Rule::Required),
+        }
+    }
+
+    /// Checks every range a spec's fields must lie in, so a value the
+    /// job cannot run with fails as a spec error naming the field
+    /// instead of panicking, aborting or silently running a different
+    /// job. Name and architecture lists are checked when the job
+    /// resolves them.
+    fn validate(&self) -> Result<(), WorkloadError> {
+        match self {
+            Self::Table1Sweep { .. }
+            | Self::Table2
+            | Self::Table3
+            | Self::Table4
+            | Self::Sensitivity
+            | Self::Export
+            | Self::Lint(_) => Ok(()),
+            Self::ScalingStudy { frequencies_mhz } => {
+                match frequencies_mhz
+                    .iter()
+                    .find(|f| !(f.is_finite() && **f > 0.0))
+                {
+                    Some(f) => Err(SpecError::new(format!(
+                        "\"frequencies_mhz\" entries must be finite and positive, got {f}"
+                    ))
+                    .into()),
+                    None => Ok(()),
+                }
+            }
+            Self::Ablation { items, .. } => within("items", *items, 1, u64::MAX),
+            Self::AbInitio(s) => {
+                within("lanes", s.lanes, 1, MAX_STIMULUS_LANES)?;
+                within("items", s.items, 1, u64::MAX)?;
+                baseline_check(s.engine, s.plane, s.items)
+            }
+            Self::GlitchSweep(s) => {
+                within("lanes", s.lanes, 1, MAX_STIMULUS_LANES)?;
+                within("items", s.items, 1, u64::MAX)?;
+                within("freq_points", s.freq_points, 2, MAX_FREQ_POINTS)?;
+                baseline_check(s.engine, s.plane, s.items)
+            }
+            Self::ActivityMeasure(s) => {
+                within("items", s.items, 1, u64::MAX)?;
+                reset_warmup(&s.arch, s.warmup)
+            }
+            Self::Figure1 { samples } | Self::Figure2 { samples } => {
+                within("samples", *samples, 2, MAX_SAMPLES)
+            }
+            Self::Figure34 { width, items } => {
                 // The pipelined arrays need two operand bits to split,
                 // and the generators stop at their widest operand.
-                width: at_most(
-                    "width",
-                    at_least("width", usize_field(doc, "width", width)?, 2)?,
-                    Architecture::MAX_WIDTH,
-                )?,
-                items: uint_field(doc, "items", items)?,
-            },
-            Self::Pareto { freq_points } => Self::Pareto {
-                freq_points: freq_points_field(doc, freq_points)?,
-            },
-            Self::Lint(d) => Self::Lint(LintSpec {
-                archs: names_field(doc, "archs", d.archs)?,
-                widths: match doc.get("widths") {
-                    None => d.widths,
-                    Some(Json::Null) => None,
-                    Some(v) => Some(usize_array(v, "widths")?),
-                },
-            }),
-            Self::Sta(d) => {
-                let s = StaSpec {
-                    archs: names_field(doc, "archs", d.archs)?,
-                    width: usize_field(doc, "width", d.width)?,
-                    lanes: lanes_field(doc, d.lanes)?,
-                    items: uint_field(doc, "items", d.items)?,
-                    seed: uint_field(doc, "seed", d.seed)?,
-                    workers: opt_usize_field(doc, "workers")?,
-                };
-                if s.items > 0 {
-                    paper_baseline_check(s.items)?;
-                }
-                Self::Sta(s)
+                within("width", *width, 2, Architecture::MAX_WIDTH)?;
+                within("items", *items, 1, u64::MAX)
             }
-            Self::PruneDelta(d) => {
-                let s = PruneDeltaSpec {
-                    archs: names_field(doc, "archs", d.archs)?,
-                    widths: match doc.get("widths") {
-                        Some(v) => usize_array(v, "widths")?,
-                        None => d.widths,
-                    },
-                    items: uint_field(doc, "items", d.items)?,
-                    seed: uint_field(doc, "seed", d.seed)?,
-                    workers: opt_usize_field(doc, "workers")?,
-                };
-                paper_baseline_check(s.items)?;
-                Self::PruneDelta(s)
+            Self::Pareto { freq_points } => within("freq_points", *freq_points, 2, MAX_FREQ_POINTS),
+            // `items` 0 skips the measured leg, and passes the check.
+            Self::Sta(s) => {
+                within("lanes", s.lanes, 1, MAX_STIMULUS_LANES)?;
+                paper_baseline_check(s.items)
             }
-            Self::Table1Sweep { archs } => Self::Table1Sweep {
-                archs: names_field(doc, "archs", archs)?,
-            },
-            Self::Batch(_) => {
-                let jobs = doc
-                    .get("jobs")
-                    .and_then(Json::as_arr)
-                    .ok_or_else(|| SpecError::new("batch needs a \"jobs\" array"))?;
-                Self::Batch(
-                    jobs.iter()
-                        .map(JobSpec::from_json_value)
-                        .collect::<Result<Vec<_>, _>>()?,
-                )
+            Self::PruneDelta(s) => {
+                within("items", s.items, 1, u64::MAX)?;
+                paper_baseline_check(s.items)
             }
-            other => other,
-        };
-        Ok(spec)
+            Self::Batch(jobs) => jobs.iter().try_for_each(JobSpec::validate),
+        }
     }
 }
 
@@ -750,129 +686,221 @@ pub fn fnv1a_64(bytes: &[u8]) -> u64 {
     hash
 }
 
-/// The field names each kind accepts (besides `schema` and `job`).
-fn allowed_fields(kind: &str) -> &'static [&'static str] {
-    match kind {
-        "table1_sweep" => &["archs"],
-        "scaling_study" => &["frequencies_mhz"],
-        "ablation" => &["items", "seed"],
-        "ab_initio" => &[
-            "archs",
-            "width",
-            "lanes",
-            "engine",
-            "plane_lanes",
-            "items",
-            "seed",
-            "workers",
-        ],
-        "glitch_sweep" => &[
-            "archs",
-            "widths",
-            "lanes",
-            "engine",
-            "plane_lanes",
-            "items",
-            "seed",
-            "freq_points",
-            "workers",
-        ],
-        "activity_measure" => &["arch", "width", "engine", "items", "warmup", "seed"],
-        "figure1" | "figure2" => &["samples"],
-        "figure34" => &["width", "items"],
-        "pareto" => &["freq_points"],
-        "lint" => &["archs", "widths"],
-        "sta" => &["archs", "width", "lanes", "items", "seed", "workers"],
-        "prune_delta" => &["archs", "widths", "items", "seed", "workers"],
-        "batch" => &["jobs"],
-        _ => &[],
+/// How the field list treats a field beyond its value's spelling.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Rule {
+    /// Always written; a document may omit it and keep the default.
+    Plain,
+    /// Written only while it is not `null`.
+    OmitNull,
+    /// Always written; a document must carry it.
+    Required,
+}
+
+/// One pass over the field list of [`JobSpec::fields`].
+trait Walk {
+    /// Visits field `key` under `rule`.
+    fn visit<T: WireValue>(&mut self, key: &'static str, value: &mut T, rule: Rule);
+
+    /// Visits a [`Rule::Plain`] field.
+    fn field<T: WireValue>(&mut self, key: &'static str, value: &mut T) {
+        self.visit(key, value, Rule::Plain);
     }
 }
 
-/// A misspelled key must not silently run the job with a default — an
-/// unrecognized field is an error naming the kind's accepted fields.
-fn reject_unknown_fields(doc: &Json, kind: &str) -> Result<(), WorkloadError> {
-    let Json::Obj(pairs) = doc else {
-        return Err(SpecError::new("a job spec must be a JSON object").into());
-    };
-    let allowed = allowed_fields(kind);
-    for (key, _) in pairs {
-        if key != "schema" && key != "job" && !allowed.contains(&key.as_str()) {
-            return Err(SpecError::new(format!(
-                "unknown field {key:?} for job {kind:?} (accepted: schema, job{}{})",
-                if allowed.is_empty() { "" } else { ", " },
-                allowed.join(", "),
-            ))
-            .into());
+/// The writing pass: each field's JSON member, in list order.
+struct Writer(Vec<(String, Json)>);
+
+impl Walk for Writer {
+    fn visit<T: WireValue>(&mut self, key: &'static str, value: &mut T, rule: Rule) {
+        let json = value.to_wire();
+        if !(rule == Rule::OmitNull && json.is_null()) {
+            self.0.push((key.to_string(), json));
         }
     }
-    Ok(())
 }
 
-fn opt_uint(v: Option<usize>) -> Json {
-    match v {
-        Some(u) => Json::UInt(u as u64),
-        None => Json::Null,
+/// The reading pass: overwrites each field the document carries,
+/// keeps the first error, and records every field name after `schema`
+/// and `job` for the unknown-key check.
+struct Reader<'a> {
+    doc: &'a Json,
+    names: Vec<&'static str>,
+    error: Option<WorkloadError>,
+}
+
+impl Walk for Reader<'_> {
+    fn visit<T: WireValue>(&mut self, key: &'static str, value: &mut T, rule: Rule) {
+        self.names.push(key);
+        if self.error.is_some() {
+            return;
+        }
+        let read = match self.doc.get(key) {
+            Some(v) => T::from_wire(v, key).map(|read| *value = read),
+            None if rule == Rule::Required => {
+                Err(SpecError::new(format!("{key:?} is required")).into())
+            }
+            None => Ok(()),
+        };
+        self.error = read.err();
     }
 }
 
-fn opt_names(v: &Option<Vec<String>>) -> Json {
-    match v {
-        Some(names) => Json::Arr(names.iter().map(Json::str).collect()),
-        None => Json::Null,
-    }
+/// A field type's JSON spelling. Reading checks the value's shape
+/// only; [`JobSpec::validate`] owns every range.
+trait WireValue: Sized {
+    /// The JSON form of the value.
+    fn to_wire(&self) -> Json;
+    /// Reads `v`, the value of field `key`.
+    fn from_wire(v: &Json, key: &str) -> Result<Self, WorkloadError>;
 }
 
-fn uint_field(doc: &Json, key: &str, default: u64) -> Result<u64, WorkloadError> {
-    match doc.get(key) {
-        None => Ok(default),
-        Some(v) => v
-            .as_u64()
-            .ok_or_else(|| SpecError::new(format!("{key:?} must be an unsigned integer")).into()),
-    }
-}
-
-fn usize_field(doc: &Json, key: &str, default: usize) -> Result<usize, WorkloadError> {
-    match doc.get(key) {
-        None => Ok(default),
-        Some(v) => v
-            .as_usize()
-            .ok_or_else(|| SpecError::new(format!("{key:?} must be an unsigned integer")).into()),
-    }
-}
-
-fn u32_field(doc: &Json, key: &str, default: u32) -> Result<u32, WorkloadError> {
-    uint_field(doc, key, u64::from(default)).and_then(|u| {
-        u32::try_from(u).map_err(|_| SpecError::new(format!("{key:?} must fit 32 bits")).into())
+/// `get(v)`, or an error naming field `key`, the `what` it takes and
+/// the value it got.
+fn read<'a, T>(
+    v: &'a Json,
+    key: &str,
+    what: &str,
+    get: impl FnOnce(&'a Json) -> Option<T>,
+) -> Result<T, WorkloadError> {
+    get(v).ok_or_else(|| {
+        let got = match v {
+            Json::Arr(_) => "an array".to_string(),
+            Json::Obj(_) => "an object".to_string(),
+            scalar => scalar.to_string(),
+        };
+        SpecError::new(format!("{key:?}: expected {what}, got {got}")).into()
     })
 }
 
-/// Rejects a count below the smallest value the job can run with —
-/// a lane split divides by it, a generator asserts on it — so the
-/// value fails here as a spec error instead of panicking an executor.
-fn at_least<T: PartialOrd + std::fmt::Display>(
+impl WireValue for u64 {
+    fn to_wire(&self) -> Json {
+        Json::UInt(*self)
+    }
+    fn from_wire(v: &Json, key: &str) -> Result<Self, WorkloadError> {
+        read(v, key, "an unsigned integer", Json::as_u64)
+    }
+}
+
+impl WireValue for usize {
+    fn to_wire(&self) -> Json {
+        Json::UInt(*self as u64)
+    }
+    fn from_wire(v: &Json, key: &str) -> Result<Self, WorkloadError> {
+        read(v, key, "an unsigned integer", Json::as_usize)
+    }
+}
+
+impl WireValue for u32 {
+    fn to_wire(&self) -> Json {
+        Json::UInt(u64::from(*self))
+    }
+    fn from_wire(v: &Json, key: &str) -> Result<Self, WorkloadError> {
+        read(v, key, "an unsigned 32-bit integer", |v| {
+            u32::try_from(v.as_u64()?).ok()
+        })
+    }
+}
+
+impl WireValue for f64 {
+    fn to_wire(&self) -> Json {
+        Json::num(*self)
+    }
+    fn from_wire(v: &Json, key: &str) -> Result<Self, WorkloadError> {
+        read(v, key, "a number", Json::as_f64)
+    }
+}
+
+impl WireValue for String {
+    fn to_wire(&self) -> Json {
+        Json::str(self)
+    }
+    fn from_wire(v: &Json, key: &str) -> Result<Self, WorkloadError> {
+        read(v, key, "a string", |v| v.as_str().map(str::to_string))
+    }
+}
+
+impl<T: WireValue> WireValue for Vec<T> {
+    fn to_wire(&self) -> Json {
+        Json::Arr(self.iter().map(T::to_wire).collect())
+    }
+    fn from_wire(v: &Json, key: &str) -> Result<Self, WorkloadError> {
+        read(v, key, "an array", Json::as_arr)?
+            .iter()
+            .map(|item| T::from_wire(item, key))
+            .collect()
+    }
+}
+
+/// `null` is `None`.
+impl<T: WireValue> WireValue for Option<T> {
+    fn to_wire(&self) -> Json {
+        self.as_ref().map_or(Json::Null, T::to_wire)
+    }
+    fn from_wire(v: &Json, key: &str) -> Result<Self, WorkloadError> {
+        if v.is_null() {
+            return Ok(None);
+        }
+        T::from_wire(v, key).map(Some)
+    }
+}
+
+impl WireValue for Engine {
+    fn to_wire(&self) -> Json {
+        Json::str(engine_name(*self))
+    }
+    fn from_wire(v: &Json, key: &str) -> Result<Self, WorkloadError> {
+        let what = "zero_delay, timed, bit_parallel, bit_parallel_256 or bit_parallel_512";
+        read(v, key, what, |v| engine_from_name(v.as_str()?))
+    }
+}
+
+/// `plane_lanes`: a lane count or `"auto"`; which counts tile the
+/// baseline is [`PlaneTiling::resolve`]'s to say.
+impl WireValue for PlaneTiling {
+    fn to_wire(&self) -> Json {
+        match self {
+            PlaneTiling::Fixed(lanes) => lanes.to_wire(),
+            PlaneTiling::Auto => Json::str("auto"),
+        }
+    }
+    fn from_wire(v: &Json, key: &str) -> Result<Self, WorkloadError> {
+        read(v, key, "a lane count or \"auto\"", |v| match v.as_str() {
+            Some("auto") => Some(PlaneTiling::Auto),
+            _ => Some(PlaneTiling::Fixed(u32::try_from(v.as_u64()?).ok()?)),
+        })
+    }
+}
+
+/// A batch member: decoded here, validated with its batch.
+impl WireValue for JobSpec {
+    fn to_wire(&self) -> Json {
+        self.to_json_value()
+    }
+    fn from_wire(v: &Json, _key: &str) -> Result<Self, WorkloadError> {
+        JobSpec::decode(v)
+    }
+}
+
+/// Refuses a count outside `min..=max`: below the smallest value the
+/// job runs with (a lane split divides by it, a curve needs two
+/// points, a measurement one item) or above the largest it accepts (a
+/// figure, a frequency axis or a generator is sized by it, and an
+/// unbounded value would abort the process on allocation).
+fn within<T: PartialOrd + std::fmt::Display>(
     key: &str,
     value: T,
     min: T,
-) -> Result<T, WorkloadError> {
-    if value < min {
-        return Err(SpecError::new(format!("{key:?} must be at least {min}, got {value}")).into());
-    }
-    Ok(value)
-}
-
-/// Rejects a count above the largest value the job accepts — a
-/// figure, a frequency axis or a generator is sized by it, and an
-/// unbounded value would abort the process on allocation.
-fn at_most<T: PartialOrd + std::fmt::Display>(
-    key: &str,
-    value: T,
     max: T,
-) -> Result<T, WorkloadError> {
-    if value > max {
-        return Err(SpecError::new(format!("{key:?} must be at most {max}, got {value}")).into());
-    }
-    Ok(value)
+) -> Result<(), WorkloadError> {
+    let rule = if value < min {
+        format!("at least {min}")
+    } else if value > max {
+        format!("at most {max}")
+    } else {
+        return Ok(());
+    };
+    Err(SpecError::new(format!("{key:?} must be {rule}, got {value}")).into())
 }
 
 /// The most points a figure curve is sampled at.
@@ -881,71 +909,19 @@ const MAX_SAMPLES: usize = 65_536;
 /// The most points a sweep's log frequency axis has.
 const MAX_FREQ_POINTS: usize = 1_024;
 
-fn freq_points_field(doc: &Json, default: usize) -> Result<usize, WorkloadError> {
-    at_most(
-        "freq_points",
-        usize_field(doc, "freq_points", default)?,
-        MAX_FREQ_POINTS,
-    )
-}
-
-/// The lane count of a pooled timed leg: at least one (the lane split
-/// divides by it) and at most [`MAX_STIMULUS_LANES`], the range on
-/// which `lane_seed` promises distinct streams — a larger count would
-/// also size per-lane buffers from an untrusted number.
-fn lanes_field(doc: &Json, default: u32) -> Result<u32, WorkloadError> {
-    let lanes = at_least("lanes", u32_field(doc, "lanes", default)?, 1)?;
-    if lanes > MAX_STIMULUS_LANES {
-        return Err(SpecError::new(format!(
-            "\"lanes\" must be at most {MAX_STIMULUS_LANES}, got {lanes}"
-        ))
-        .into());
-    }
-    Ok(lanes)
-}
-
 /// An activity measurement pulses a design's `rst` bus during its
 /// first warm-up item, so an architecture with one needs
 /// [`MIN_RESET_WARMUP`] warm-up items; fewer fail here rather than on
 /// the measurement's assertion. Unknown names pass: running the spec
 /// reports them.
-fn reset_warmup(arch: &str, warmup: u64) -> Result<u64, WorkloadError> {
+fn reset_warmup(arch: &str, warmup: u64) -> Result<(), WorkloadError> {
     match Architecture::from_paper_name(arch) {
         Some(a) if a.has_reset() && warmup < MIN_RESET_WARMUP => Err(SpecError::new(format!(
             "\"warmup\" must be at least {MIN_RESET_WARMUP} for {arch:?}, which has a reset \
              input, got {warmup}"
         ))
         .into()),
-        _ => Ok(warmup),
-    }
-}
-
-fn opt_usize_field(doc: &Json, key: &str) -> Result<Option<usize>, WorkloadError> {
-    match doc.get(key) {
-        None => Ok(None),
-        Some(Json::Null) => Ok(None),
-        Some(v) => v
-            .as_usize()
-            .map(Some)
-            .ok_or_else(|| SpecError::new(format!("{key:?} must be an integer or null")).into()),
-    }
-}
-
-fn engine_field(doc: &Json, default: Engine) -> Result<Engine, WorkloadError> {
-    match doc.get("engine") {
-        None => Ok(default),
-        Some(v) => {
-            let name = v
-                .as_str()
-                .ok_or_else(|| SpecError::new("\"engine\" must be a string"))?;
-            engine_from_name(name).ok_or_else(|| {
-                SpecError::new(format!(
-                    "unknown engine {name:?} (zero_delay | timed | bit_parallel | bit_parallel_256 \
-                     | bit_parallel_512)"
-                ))
-                .into()
-            })
-        }
+        _ => Ok(()),
     }
 }
 
@@ -961,12 +937,12 @@ fn baseline_check(engine: Engine, plane: PlaneTiling, items: u64) -> Result<(), 
     let rule = match field {
         "engine" => "must be a glitch-free baseline: zero_delay or a bit_parallel plane",
         "items" => "times the baseline's plane lanes must fit 64 bits",
-        _ => "must tile the baseline: 64 or \"auto\" on zero_delay, else divide items x lanes",
+        _ => "must be 64, 256, 512 or \"auto\" (64 or \"auto\" on zero_delay) and divide items x lanes",
     };
     Err(SpecError::new(format!(
         "{field:?} {rule} (engine {:?}, plane_lanes {}, items {items})",
         engine_name(engine),
-        plane_json(plane)
+        plane.to_wire()
     ))
     .into())
 }
@@ -976,76 +952,6 @@ fn baseline_check(engine: Engine, plane: PlaneTiling, items: u64) -> Result<(), 
 fn paper_baseline_check(items: u64) -> Result<(), WorkloadError> {
     let paper = CharacterizeConfig::new(items, 0);
     baseline_check(paper.baseline, paper.plane, items)
-}
-
-fn plane_json(plane: PlaneTiling) -> Json {
-    match plane {
-        PlaneTiling::Fixed(lanes) => Json::UInt(u64::from(lanes)),
-        PlaneTiling::Auto => Json::str("auto"),
-    }
-}
-
-fn plane_field(doc: &Json, default: PlaneTiling) -> Result<PlaneTiling, WorkloadError> {
-    match doc.get("plane_lanes") {
-        None => Ok(default),
-        Some(v) => {
-            if v.as_str() == Some("auto") {
-                return Ok(PlaneTiling::Auto);
-            }
-            match v.as_u64() {
-                Some(lanes @ (64 | 256 | 512)) => Ok(PlaneTiling::Fixed(lanes as u32)),
-                _ => Err(SpecError::new("\"plane_lanes\" must be 64, 256, 512 or \"auto\"").into()),
-            }
-        }
-    }
-}
-
-fn names_field(
-    doc: &Json,
-    key: &str,
-    default: Option<Vec<String>>,
-) -> Result<Option<Vec<String>>, WorkloadError> {
-    match doc.get(key) {
-        None => Ok(default),
-        Some(Json::Null) => Ok(None),
-        Some(v) => {
-            let arr = v
-                .as_arr()
-                .ok_or_else(|| SpecError::new(format!("{key:?} must be an array or null")))?;
-            arr.iter()
-                .map(|item| {
-                    item.as_str().map(str::to_string).ok_or_else(|| {
-                        SpecError::new(format!("{key:?} entries must be strings")).into()
-                    })
-                })
-                .collect::<Result<Vec<_>, WorkloadError>>()
-                .map(Some)
-        }
-    }
-}
-
-fn float_array(v: &Json, key: &str) -> Result<Vec<f64>, WorkloadError> {
-    let arr = v
-        .as_arr()
-        .ok_or_else(|| SpecError::new(format!("{key:?} must be an array of numbers")))?;
-    arr.iter()
-        .map(|item| {
-            item.as_f64()
-                .ok_or_else(|| SpecError::new(format!("{key:?} entries must be numbers")).into())
-        })
-        .collect()
-}
-
-fn usize_array(v: &Json, key: &str) -> Result<Vec<usize>, WorkloadError> {
-    let arr = v
-        .as_arr()
-        .ok_or_else(|| SpecError::new(format!("{key:?} must be an array of integers")))?;
-    arr.iter()
-        .map(|item| {
-            item.as_usize()
-                .ok_or_else(|| SpecError::new(format!("{key:?} entries must be integers")).into())
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -1217,10 +1123,40 @@ mod tests {
             r#"{"job":"glitch_sweep","items":0}"#,
             // The frozen scalar timed engine is not on the wire.
             r#"{"job":"activity_measure","engine":"timed_scalar"}"#,
+            // Counts below what the computation runs with: a curve
+            // needs two points, a measurement one item, and a
+            // frequency is finite and positive.
+            r#"{"job":"figure1","samples":0}"#,
+            r#"{"job":"figure1","samples":1}"#,
+            r#"{"job":"figure2","samples":0}"#,
+            r#"{"job":"figure2","samples":1}"#,
+            r#"{"job":"pareto","freq_points":0}"#,
+            r#"{"job":"pareto","freq_points":1}"#,
+            r#"{"job":"glitch_sweep","freq_points":0}"#,
+            r#"{"job":"glitch_sweep","freq_points":1}"#,
+            r#"{"job":"figure34","items":0}"#,
+            r#"{"job":"activity_measure","items":0}"#,
+            r#"{"job":"ablation","items":0}"#,
+            r#"{"job":"prune_delta","items":0}"#,
+            r#"{"job":"scaling_study","frequencies_mhz":[0]}"#,
+            r#"{"job":"scaling_study","frequencies_mhz":[-5]}"#,
+            r#"{"job":"scaling_study","frequencies_mhz":[1e999]}"#,
+            // Batch members are checked like top-level specs.
+            r#"{"job":"batch","jobs":[{"job":"figure1","samples":1}]}"#,
         ] {
             let err = JobSpec::from_json(bad).unwrap_err();
             assert!(matches!(err, WorkloadError::Spec(_)), "{bad}: {err:?}");
         }
+    }
+
+    #[test]
+    fn unknown_fields_name_the_accepted_fields_in_wire_order() {
+        let err = JobSpec::from_json(r#"{"job":"ab_initio","itmes":3}"#).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "invalid job spec: unknown field \"itmes\" for job \"ab_initio\" (accepted: schema, job, \
+             archs, width, lanes, engine, plane_lanes, items, seed, workers)"
+        );
     }
 
     /// The warm-up rule follows `Architecture::has_reset`, which the

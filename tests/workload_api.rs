@@ -15,7 +15,7 @@
 use optpower_explore::Workers;
 use optpower_mult::Architecture;
 use optpower_report::PlaneTiling;
-use optpower_sim::Engine;
+use optpower_sim::{Engine, MIN_RESET_WARMUP};
 use optpower_workload::{
     AbInitioSpec, ActivitySpec, Artifact, CacheStatus, GlitchSweepSpec, JobSpec, Json, LintSpec,
     Payload, PruneDeltaSpec, RowCacheStats, RunMeta, Runtime, StaSpec, WorkloadError, JOB_KINDS,
@@ -90,7 +90,10 @@ fn spec_from(kind: usize, a: u64, b: u64, c: usize, widths: &[usize], names_ix: 
             frequencies_mhz: freqs,
         },
         5 => JobSpec::Sensitivity,
-        6 => JobSpec::Ablation { items: a, seed: b },
+        6 => JobSpec::Ablation {
+            items: a.max(1),
+            seed: b,
+        },
         7 => {
             let (engine, plane, items) = baseline_from(c, a);
             JobSpec::AbInitio(AbInitioSpec {
@@ -126,19 +129,28 @@ fn spec_from(kind: usize, a: u64, b: u64, c: usize, widths: &[usize], names_ix: 
                 },
             })
         }
-        9 => JobSpec::ActivityMeasure(ActivitySpec {
-            arch: Architecture::ALL[c % 13].paper_name().to_string(),
-            width: 2 + c % 31,
-            engine: ENGINES[c % ENGINES.len()],
-            items: a,
-            warmup: b % 32,
-            seed: b,
-        }),
-        10 => JobSpec::Figure1 { samples: c },
-        11 => JobSpec::Figure2 { samples: c },
+        9 => {
+            // A design with a reset input needs its reset warm-up.
+            let arch = Architecture::ALL[c % 13];
+            let warmup = if arch.has_reset() {
+                (b % 32).max(MIN_RESET_WARMUP)
+            } else {
+                b % 32
+            };
+            JobSpec::ActivityMeasure(ActivitySpec {
+                arch: arch.paper_name().to_string(),
+                width: 2 + c % 31,
+                engine: ENGINES[c % ENGINES.len()],
+                items: a.max(1),
+                warmup,
+                seed: b,
+            })
+        }
+        10 => JobSpec::Figure1 { samples: 2 + c },
+        11 => JobSpec::Figure2 { samples: 2 + c },
         12 => JobSpec::Figure34 {
             width: 2 + c % 31,
-            items: a,
+            items: a.max(1),
         },
         13 => JobSpec::Pareto {
             freq_points: 2 + c % 30,
@@ -169,7 +181,7 @@ fn spec_from(kind: usize, a: u64, b: u64, c: usize, widths: &[usize], names_ix: 
         17 => JobSpec::PruneDelta(PruneDeltaSpec {
             archs: names,
             widths: widths.to_vec(),
-            items: a >> 6,
+            items: (a >> 6).max(1),
             seed: b,
             workers: if c.is_multiple_of(3) {
                 None
@@ -179,8 +191,11 @@ fn spec_from(kind: usize, a: u64, b: u64, c: usize, widths: &[usize], names_ix: 
         }),
         _ => JobSpec::Batch(vec![
             JobSpec::Table2,
-            JobSpec::Ablation { items: a, seed: b },
-            JobSpec::Batch(vec![JobSpec::Figure2 { samples: c }]),
+            JobSpec::Ablation {
+                items: a.max(1),
+                seed: b,
+            },
+            JobSpec::Batch(vec![JobSpec::Figure2 { samples: 2 + c }]),
         ]),
     }
 }
