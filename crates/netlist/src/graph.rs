@@ -764,6 +764,20 @@ mod tests {
         let _ = b.add_cell(CellKind::And2, &[x]); // missing a pin
         let err = b.build().unwrap_err();
         assert!(matches!(err, NetlistError::ArityMismatch { .. }));
+
+        // One pin too many: the deferred error counts the caller's pins.
+        let mut b = NetlistBuilder::new("bad");
+        let x = b.add_input("x");
+        let _ = b.add_cell(CellKind::Xor3, &[x, x, x, x]);
+        let err = b.build().unwrap_err();
+        assert_eq!(
+            err,
+            NetlistError::ArityMismatch {
+                kind: CellKind::Xor3,
+                expected: 3,
+                got: 4,
+            }
+        );
     }
 
     #[test]

@@ -52,6 +52,9 @@ fn shims_forbid_unsafe() {
 /// diagnostic against a Wallace-family netlist. The only goldens
 /// allowed to mention those rules at all are the deliberately dirty
 /// lint fixtures (`dirty_lint.*`, whose design is named `dirty`).
+/// The scan reads only the top level: `names/wallace4_raw_lint.txt`
+/// lints the raw, pre-prune Wallace tree on purpose, to pin the names
+/// its diagnostics print.
 /// If this fires after a golden refresh, a generator regressed into
 /// emitting dead partial-product logic.
 #[test]

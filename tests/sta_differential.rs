@@ -11,11 +11,13 @@
 //! * on the full 13-architecture multiplier suite, the aggregated
 //!   static activity bound dominates the *measured* pooled timed
 //!   activity, and the static glitch factor dominates the measured
-//!   one.
+//!   one;
+//! * **golden names** — the cell and net names a pruned generator
+//!   netlist prints through Verilog, DOT, VCD and lint are byte-stable.
 
 use optpower_mult::Architecture;
-use optpower_netlist::{CellKind, Library, Netlist, NetlistBuilder};
-use optpower_sim::{measure_activity, Engine, TimedSim};
+use optpower_netlist::{to_dot, to_verilog, CellKind, Library, Netlist, NetlistBuilder};
+use optpower_sim::{measure_activity, Engine, TimedSim, VcdRecorder, ZeroDelaySim};
 use optpower_sta::{GlitchProfile, LintReport, LintRule, TimingAnalysis};
 use proptest::prelude::*;
 
@@ -264,6 +266,33 @@ fn golden_dirty_lint_report() {
     golden_compare(
         "tests/golden/dirty_lint.json",
         &format!("{}\n", report.to_json()),
+    );
+}
+
+/// Golden names of the width-4 Wallace tree: pruning drops 6 dead
+/// cells, so the surviving auto-named cells carry creation indices
+/// that differ from their cell ids. Verilog, DOT and a short
+/// zero-delay VCD of the pruned netlist pin the cell and net names it
+/// prints; the raw netlist's lint report pins the names its L001/L002
+/// diagnostics give the dead cells and their `__o` nets.
+#[test]
+fn golden_wallace4_names() {
+    let nl = Architecture::Wallace.generate(4).unwrap().netlist;
+    golden_compare("tests/golden/names/wallace4.v", &to_verilog(&nl));
+    golden_compare("tests/golden/names/wallace4.dot", &to_dot(&nl, |_| None));
+    let mut sim = ZeroDelaySim::new(&nl);
+    let mut vcd = VcdRecorder::all_nets(&nl);
+    for i in 0..6u64 {
+        sim.set_input_bits("a", (i * 7 + 3) & 0xF);
+        sim.set_input_bits("b", (i * 11 + 5) & 0xF);
+        sim.step();
+        vcd.sample(&sim);
+    }
+    golden_compare("tests/golden/names/wallace4.vcd", &vcd.finish());
+    let raw = Architecture::Wallace.generate_raw(4).unwrap().netlist;
+    golden_compare(
+        "tests/golden/names/wallace4_raw_lint.txt",
+        &LintReport::lint(&raw).render_text(),
     );
 }
 
