@@ -252,6 +252,22 @@ fn bench_activity_measurement(c: &mut Criterion) {
     c.bench_function("sim/parallel/prune_build_wallace16", |b| {
         b.iter(|| black_box(Architecture::Wallace.generate(16).expect("wallace builds")))
     });
+    // Netlist construction at scale: every (architecture, width) pair
+    // of the default `lint` job (321 netlists), built one after the
+    // other on this thread.
+    let lint_grid: Vec<(Architecture, usize)> = Architecture::ALL
+        .into_iter()
+        .flat_map(|arch| (2..=32).map(move |w| (arch, w)))
+        .filter(|&(arch, w)| arch.supports_width(w))
+        .collect();
+    assert_eq!(lint_grid.len(), 321);
+    c.bench_function("sim/build/lint_grid", |b| {
+        b.iter(|| {
+            for &(arch, w) in &lint_grid {
+                black_box(arch.generate(w).expect("generator builds"));
+            }
+        })
+    });
 }
 
 /// The pooled timed leg without the warm start: every lane compiles its

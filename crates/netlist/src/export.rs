@@ -4,13 +4,14 @@
 //! external tools (iverilog, yosys); the DOT export renders the
 //! pipeline structures the paper draws in Figures 3/4.
 
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 
 use crate::{CellKind, Netlist};
 
 /// Sanitises an instance/net name into a Verilog-safe identifier.
-fn ident(name: &str) -> String {
+fn ident(name: impl fmt::Display) -> String {
     let mut out: String = name
+        .to_string()
         .chars()
         .map(|c| if c.is_ascii_alphanumeric() { c } else { '_' })
         .collect();

@@ -1,6 +1,8 @@
 //! The netlist graph: cells, nets, builder, validation and traversal.
 
+use core::fmt;
 use std::collections::VecDeque;
+use std::ops::{Deref, DerefMut};
 
 use crate::{CellKind, NetlistError};
 
@@ -28,24 +30,170 @@ impl NetId {
     }
 }
 
+/// A cell's input nets in pin order, stored inline in the cell.
+///
+/// No [`CellKind`] has more than three pins, so the pins never need a
+/// heap allocation. `Pins` dereferences to `[NetId]`: index it, iterate
+/// it and take its `len` like a slice.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub struct Pins {
+    // Slots at and past `len` stay `NetId(0)`, so the derived
+    // equality compares exactly the pins.
+    nets: [NetId; 3],
+    len: u8,
+}
+
+impl Pins {
+    /// Copies up to three pins. The builder records an arity error for
+    /// a longer slice before it gets here, so the cut never reaches a
+    /// built netlist.
+    fn new(pins: &[NetId]) -> Self {
+        let mut nets = [NetId(0); 3];
+        let len = pins.len().min(nets.len());
+        nets[..len].copy_from_slice(&pins[..len]);
+        Self {
+            nets,
+            len: len as u8,
+        }
+    }
+}
+
+impl Deref for Pins {
+    type Target = [NetId];
+
+    fn deref(&self) -> &[NetId] {
+        &self.nets[..usize::from(self.len)]
+    }
+}
+
+impl DerefMut for Pins {
+    fn deref_mut(&mut self) -> &mut [NetId] {
+        &mut self.nets[..usize::from(self.len)]
+    }
+}
+
+impl<'a> IntoIterator for &'a Pins {
+    type Item = &'a NetId;
+    type IntoIter = std::slice::Iter<'a, NetId>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
+impl<'a> IntoIterator for &'a mut Pins {
+    type Item = &'a mut NetId;
+    type IntoIter = std::slice::IterMut<'a, NetId>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter_mut()
+    }
+}
+
+impl fmt::Debug for Pins {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+/// A cell's instance name.
+///
+/// A cell added by [`NetlistBuilder::add_cell`] is named
+/// `{kind}_{index}`, where `index` is the number of cells created
+/// before it. Such a name stores only the kind and the index and keeps
+/// the index through pruning, so it can differ from the cell's
+/// [`CellId`]. Given names (ports, [`NetlistBuilder::add_named_cell`])
+/// are stored as boxed strings.
+///
+/// Print a name with `Display`. A name equals a `&str`, and another
+/// name, exactly when it prints the same text.
+#[derive(Clone)]
+pub struct CellName(NameRepr);
+
+#[derive(Clone, PartialEq)]
+enum NameRepr {
+    Auto { kind: CellKind, index: u32 },
+    Given(Box<str>),
+}
+
+impl CellName {
+    fn auto(kind: CellKind, index: u32) -> Self {
+        Self(NameRepr::Auto { kind, index })
+    }
+
+    fn given(name: String) -> Self {
+        Self(NameRepr::Given(name.into_boxed_str()))
+    }
+}
+
+impl fmt::Display for CellName {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match &self.0 {
+            NameRepr::Auto { kind, index } => write!(f, "{kind}_{index}"),
+            NameRepr::Given(name) => f.write_str(name),
+        }
+    }
+}
+
+impl fmt::Debug for CellName {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match &self.0 {
+            NameRepr::Auto { .. } => write!(f, "\"{self}\""),
+            NameRepr::Given(name) => fmt::Debug::fmt(name, f),
+        }
+    }
+}
+
+impl PartialEq<str> for CellName {
+    fn eq(&self, other: &str) -> bool {
+        /// Consumes the expected text piece by piece as the name prints.
+        struct Expect<'a>(&'a str);
+        impl fmt::Write for Expect<'_> {
+            fn write_str(&mut self, s: &str) -> fmt::Result {
+                self.0 = self.0.strip_prefix(s).ok_or(fmt::Error)?;
+                Ok(())
+            }
+        }
+        let mut rest = Expect(other);
+        fmt::write(&mut rest, format_args!("{self}")).is_ok() && rest.0.is_empty()
+    }
+}
+
+impl PartialEq<&str> for CellName {
+    fn eq(&self, other: &&str) -> bool {
+        self == *other
+    }
+}
+
+impl PartialEq for CellName {
+    fn eq(&self, other: &Self) -> bool {
+        match (&self.0, &other.0) {
+            (_, NameRepr::Given(name)) => self == &**name,
+            (NameRepr::Given(name), _) => other == &**name,
+            (auto, other_auto) => auto == other_auto,
+        }
+    }
+}
+
+impl Eq for CellName {}
+
 /// One cell instance.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Cell {
     /// What the cell is.
     pub kind: CellKind,
     /// Instance name (used in diagnostics and reports).
-    pub name: String,
+    pub name: CellName,
     /// Input nets, in pin order (see [`CellKind`] for pin semantics).
-    pub inputs: Vec<NetId>,
+    pub inputs: Pins,
     /// The single net this cell drives.
     pub output: NetId,
 }
 
-/// One net: a single driver and any number of sinks.
+/// One net: a single driver and any number of sinks. Its name is
+/// derived from the driver, see [`Netlist::net_name`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Net {
-    /// Net name (derived from the driving cell).
-    pub name: String,
     /// The driving cell.
     pub driver: CellId,
 }
@@ -90,7 +238,10 @@ pub struct Netlist {
     name: String,
     cells: Vec<Cell>,
     nets: Vec<Net>,
-    fanouts: Vec<Vec<CellId>>,
+    /// The sinks of net `n` are
+    /// `fanout_sinks[fanout_offsets[n]..fanout_offsets[n + 1]]`.
+    fanout_offsets: Vec<u32>,
+    fanout_sinks: Vec<CellId>,
     topo: Vec<CellId>,
     primary_inputs: Vec<CellId>,
     primary_outputs: Vec<CellId>,
@@ -122,9 +273,17 @@ impl Netlist {
         &self.nets[id.index()]
     }
 
+    /// The name of `net`: its driving cell's name followed by `__o`
+    /// (`and2_7__o`, `a0__o`). Net names are derived on each call,
+    /// not stored.
+    pub fn net_name(&self, net: NetId) -> String {
+        format!("{}__o", self.cell(self.net(net).driver).name)
+    }
+
     /// Cells whose inputs include `net` (the net's sinks).
     pub fn fanout(&self, net: NetId) -> &[CellId] {
-        &self.fanouts[net.index()]
+        let i = net.index();
+        &self.fanout_sinks[self.fanout_offsets[i] as usize..self.fanout_offsets[i + 1] as usize]
     }
 
     /// Primary-input pseudo-cells, in creation order.
@@ -229,9 +388,8 @@ impl Netlist {
         if stats.is_identity() {
             return Ok((self.clone(), stats));
         }
-        let (cells, nets, primary_inputs, primary_outputs) = compact(
+        let (cells, primary_inputs, primary_outputs) = compact(
             self.cells.clone(),
-            self.nets.clone(),
             self.primary_inputs.clone(),
             self.primary_outputs.clone(),
             &live,
@@ -240,13 +398,7 @@ impl Netlist {
             // build-time critical.
             true,
         );
-        let pruned = finalize(
-            self.name.clone(),
-            cells,
-            nets,
-            primary_inputs,
-            primary_outputs,
-        )?;
+        let pruned = finalize(self.name.clone(), cells, primary_inputs, primary_outputs)?;
         Ok((pruned, stats))
     }
 
@@ -264,11 +416,13 @@ impl Netlist {
 }
 
 /// Incremental builder for [`Netlist`]; see the crate-level example.
+///
+/// Cells and their output nets are created as index-aligned pairs:
+/// cell `i` drives net `i`, so the builder keeps only the cells.
 #[derive(Debug, Clone)]
 pub struct NetlistBuilder {
     name: String,
     cells: Vec<Cell>,
-    nets: Vec<Net>,
     primary_inputs: Vec<CellId>,
     primary_outputs: Vec<CellId>,
     pending_error: Option<NetlistError>,
@@ -284,7 +438,6 @@ impl NetlistBuilder {
         Self {
             name: name.into(),
             cells: Vec::new(),
-            nets: Vec::new(),
             primary_inputs: Vec::new(),
             primary_outputs: Vec::new(),
             pending_error: None,
@@ -292,7 +445,7 @@ impl NetlistBuilder {
         }
     }
 
-    fn push_cell(&mut self, kind: CellKind, name: String, inputs: Vec<NetId>) -> NetId {
+    fn push_cell(&mut self, kind: CellKind, name: CellName, inputs: &[NetId]) -> NetId {
         // Forward net references are allowed here (sequential feedback
         // loops need them); existence is validated in `build`.
         if self.pending_error.is_none() && inputs.len() != kind.arity() {
@@ -302,19 +455,14 @@ impl NetlistBuilder {
                 got: inputs.len(),
             });
         }
-        let cell_id = CellId(self.cells.len() as u32);
-        let net_id = NetId(self.nets.len() as u32);
+        let net_id = NetId(self.cells.len() as u32);
         if inputs.iter().any(|n| n.0 >= net_id.0) {
             self.has_forward_edges = true;
         }
-        self.nets.push(Net {
-            name: format!("{name}__o"),
-            driver: cell_id,
-        });
         self.cells.push(Cell {
             kind,
             name,
-            inputs,
+            inputs: Pins::new(inputs),
             output: net_id,
         });
         net_id
@@ -322,21 +470,20 @@ impl NetlistBuilder {
 
     /// Adds a primary input; returns the net it drives.
     pub fn add_input(&mut self, name: impl Into<String>) -> NetId {
-        let net = self.push_cell(CellKind::Input, name.into(), Vec::new());
-        let id = self.nets[net.index()].driver;
-        self.primary_inputs.push(id);
+        let net = self.push_cell(CellKind::Input, CellName::given(name.into()), &[]);
+        self.primary_inputs.push(self.driver_of(net));
         net
     }
 
-    /// Adds a logic/constant cell with auto-generated instance name;
-    /// returns its output net.
+    /// Adds a logic/constant cell with auto-generated instance name
+    /// (`{kind}_{index}`, see [`CellName`]); returns its output net.
     ///
     /// Arity violations and dangling nets are recorded and reported by
     /// [`NetlistBuilder::build`] — intermediate calls stay infallible
     /// so generators can be written naturally.
     pub fn add_cell(&mut self, kind: CellKind, inputs: &[NetId]) -> NetId {
-        let name = format!("{kind}_{}", self.cells.len());
-        self.push_cell(kind, name, inputs.to_vec())
+        let name = CellName::auto(kind, self.cells.len() as u32);
+        self.push_cell(kind, name, inputs)
     }
 
     /// Adds a named logic/constant cell; returns its output net.
@@ -346,13 +493,13 @@ impl NetlistBuilder {
         name: impl Into<String>,
         inputs: &[NetId],
     ) -> NetId {
-        self.push_cell(kind, name.into(), inputs.to_vec())
+        self.push_cell(kind, CellName::given(name.into()), inputs)
     }
 
     /// Marks `net` as a primary output.
     pub fn add_output(&mut self, name: impl Into<String>, net: NetId) -> CellId {
-        let out_net = self.push_cell(CellKind::Output, name.into(), vec![net]);
-        let id = self.nets[out_net.index()].driver;
+        let out_net = self.push_cell(CellKind::Output, CellName::given(name.into()), &[net]);
+        let id = self.driver_of(out_net);
         self.primary_outputs.push(id);
         id
     }
@@ -409,7 +556,6 @@ impl NetlistBuilder {
         finalize(
             self.name,
             self.cells,
-            self.nets,
             self.primary_inputs,
             self.primary_outputs,
         )
@@ -432,24 +578,18 @@ impl NetlistBuilder {
     pub fn build_pruned(mut self) -> Result<Netlist, NetlistError> {
         self.validate()?;
         let live = live_mask(&self.cells);
-        let (cells, nets, primary_inputs, primary_outputs) = if live.iter().all(|&l| l) {
-            (
-                self.cells,
-                self.nets,
-                self.primary_inputs,
-                self.primary_outputs,
-            )
+        let (cells, primary_inputs, primary_outputs) = if live.iter().all(|&l| l) {
+            (self.cells, self.primary_inputs, self.primary_outputs)
         } else {
             compact(
                 self.cells,
-                self.nets,
                 self.primary_inputs,
                 self.primary_outputs,
                 &live,
                 self.has_forward_edges,
             )
         };
-        finalize(self.name, cells, nets, primary_inputs, primary_outputs)
+        finalize(self.name, cells, primary_inputs, primary_outputs)
     }
 
     /// The deferred-error / emptiness / dangling-net checks shared by
@@ -461,9 +601,10 @@ impl NetlistBuilder {
         if self.cells.is_empty() {
             return Err(NetlistError::Empty);
         }
-        // All referenced nets (including forward references) must exist.
+        // All referenced nets (including forward references) must
+        // exist; net `i` exists exactly when cell `i` does.
         for cell in &self.cells {
-            if let Some(&bad) = cell.inputs.iter().find(|n| n.index() >= self.nets.len()) {
+            if let Some(&bad) = cell.inputs.iter().find(|n| n.index() >= self.cells.len()) {
                 return Err(NetlistError::UnknownNet { net: bad });
             }
         }
@@ -471,40 +612,75 @@ impl NetlistBuilder {
     }
 }
 
-/// Builds the derived structures (fanout lists, topological order) and
-/// freezes validated cell/net vectors into a [`Netlist`].
+/// Derives the net table, the fanout and the topological order of
+/// validated, index-aligned cells and freezes them into a [`Netlist`].
 fn finalize(
     name: String,
     mut cells: Vec<Cell>,
-    mut nets: Vec<Net>,
     primary_inputs: Vec<CellId>,
     primary_outputs: Vec<CellId>,
 ) -> Result<Netlist, NetlistError> {
     // A frozen netlist never grows: drop the builder's doubling slack,
-    // up to half of each table.
+    // up to half of the table.
     cells.shrink_to_fit();
-    nets.shrink_to_fit();
-    // Fanout lists.
-    let mut fanouts: Vec<Vec<CellId>> = vec![Vec::new(); nets.len()];
-    for (i, cell) in cells.iter().enumerate() {
-        for &input in &cell.inputs {
-            fanouts[input.index()].push(CellId(i as u32));
+    let n = cells.len();
+    let nets: Vec<Net> = (0..n as u32).map(|i| Net { driver: CellId(i) }).collect();
+
+    // Fanout as one CSR table: count each net's sinks, turn the counts
+    // into running ends, then walk the pins backwards, moving each
+    // net's end down to its start while filling its range. The
+    // backward walk leaves every range in cell order, then pin order.
+    let mut fanout_offsets = vec![0u32; n + 1];
+    for cell in &cells {
+        for &pin in &cell.inputs {
+            fanout_offsets[pin.index()] += 1;
+        }
+    }
+    let mut end = 0;
+    for offset in &mut fanout_offsets {
+        end += *offset;
+        *offset = end;
+    }
+    let mut fanout_sinks = vec![CellId(0); end as usize];
+    for (i, cell) in cells.iter().enumerate().rev() {
+        for &pin in cell.inputs.iter().rev() {
+            let slot = &mut fanout_offsets[pin.index()];
+            *slot -= 1;
+            fanout_sinks[*slot as usize] = CellId(i as u32);
         }
     }
 
-    // Kahn's algorithm on the combinational graph: edges run from a
-    // cell to the sinks of its output net, except that DFFs do not
-    // propagate combinationally (their output is captured state, so
-    // a DFF's D pin is not a dependency of its Q output).
+    let mut netlist = Netlist {
+        name,
+        cells,
+        nets,
+        fanout_offsets,
+        fanout_sinks,
+        topo: Vec::new(),
+        primary_inputs,
+        primary_outputs,
+    };
+    netlist.topo = topo_order(&netlist)?;
+    Ok(netlist)
+}
+
+/// Kahn's algorithm on the combinational graph: edges run from a cell
+/// to the sinks of its output net, except that DFFs do not propagate
+/// combinationally (their output is captured state, so a DFF's D pin is
+/// not a dependency of its Q output).
+fn topo_order(netlist: &Netlist) -> Result<Vec<CellId>, NetlistError> {
+    let cells = netlist.cells();
     let n = cells.len();
-    let mut indegree = vec![0usize; n];
-    for (i, cell) in cells.iter().enumerate() {
-        indegree[i] = cell
-            .inputs
-            .iter()
-            .filter(|&&net| !cells[nets[net.index()].driver.index()].kind.is_sequential())
-            .count();
-    }
+    // The driver of net `pin` is cell `pin` (index-aligned pairs).
+    let mut indegree: Vec<usize> = cells
+        .iter()
+        .map(|cell| {
+            cell.inputs
+                .iter()
+                .filter(|&&pin| !cells[pin.index()].kind.is_sequential())
+                .count()
+        })
+        .collect();
 
     let mut queue: VecDeque<CellId> = (0..n)
         .filter(|&i| indegree[i] == 0)
@@ -517,7 +693,7 @@ fn finalize(
         if cell.kind.is_sequential() {
             continue; // edges out of a DFF are not combinational
         }
-        for &sink in &fanouts[cell.output.index()] {
+        for &sink in netlist.fanout(cell.output) {
             indegree[sink.index()] -= 1;
             if indegree[sink.index()] == 0 {
                 queue.push_back(sink);
@@ -531,16 +707,7 @@ fn finalize(
             .expect("some cell must remain when topo is incomplete");
         return Err(NetlistError::CombinationalLoop { witness });
     }
-
-    Ok(Netlist {
-        name,
-        cells,
-        nets,
-        fanouts,
-        topo,
-        primary_inputs,
-        primary_outputs,
-    })
+    Ok(topo)
 }
 
 /// `live[i]` is true when cell `i` reaches a primary output through
@@ -579,13 +746,17 @@ fn live_mask(cells: &[Cell]) -> Vec<bool> {
             _ if !live[i] => continue,
             _ => {}
         }
-        for &pin in &cell.inputs {
+        // All three pin slots, used or not: a loop over the used ones
+        // only, and a test of each driver's old state, would be
+        // branches that mispredict often. Unused slots mark nothing.
+        for (k, &pin) in cell.inputs.nets.iter().enumerate() {
+            let used = k < usize::from(cell.inputs.len);
             let driver = pin.index();
-            if !live[driver] {
+            if driver < i {
+                live[driver] |= used;
+            } else if used && !live[driver] {
                 live[driver] = true;
-                if driver >= i {
-                    stack.push(driver);
-                }
+                stack.push(driver);
             }
         }
     }
@@ -601,82 +772,54 @@ fn live_mask(cells: &[Cell]) -> Vec<bool> {
     live
 }
 
-/// Drops every dead cell/net pair and renumbers the survivors.
+/// Drops every dead cell and renumbers the survivors.
 ///
-/// Cells and their output nets are created as index-aligned pairs
-/// (`push_cell`), so one rank map renumbers both id spaces; the
-/// pairing (`driver_of` identity) is preserved in the output. Every
-/// net referenced by a live cell has a live driver (the walk marked
-/// it), and every port is live, so all remaps are defined.
+/// Cells and their output nets are index-aligned pairs (`push_cell`),
+/// so one rank map renumbers both id spaces, and `finalize` derives
+/// the net table from the compacted cells. Every net referenced by a
+/// live cell has a live driver (the walk marked it), and every port is
+/// live, so all remaps are defined.
 fn compact(
     mut cells: Vec<Cell>,
-    mut nets: Vec<Net>,
     mut primary_inputs: Vec<CellId>,
     mut primary_outputs: Vec<CellId>,
     live: &[bool],
     has_forward_edges: bool,
-) -> (Vec<Cell>, Vec<Net>, Vec<CellId>, Vec<CellId>) {
+) -> (Vec<Cell>, Vec<CellId>, Vec<CellId>) {
     debug_assert!(
         cells.iter().enumerate().all(|(i, c)| c.output.index() == i),
         "cell/net pairing violated before compaction"
     );
-    // Ids before the first dead cell are unchanged, so only the tail
-    // needs a rank map and shifting — in the generators the dead cells
-    // sit in the late reduction/adder stages, which keeps this pass
-    // inside the build-time budget (the `prune_build_wallace16` bench
-    // row, `speedup_min >= 0.95`).
-    let first_dead = live.iter().position(|&l| !l).unwrap_or(cells.len());
-    let mut new_id = vec![u32::MAX; cells.len() - first_dead];
-    let mut next = first_dead as u32;
-    for (i, &keep) in live[first_dead..].iter().enumerate() {
-        if keep {
-            new_id[i] = next;
-            next += 1;
-        }
+    // A survivor's new id is the number of live cells before it.
+    let mut new_id = Vec::with_capacity(live.len());
+    let mut next = 0u32;
+    for &keep in live {
+        new_id.push(next);
+        next += u32::from(keep);
     }
-    let remap = |ix: u32| -> u32 {
-        if (ix as usize) < first_dead {
-            ix
-        } else {
-            new_id[ix as usize - first_dead]
-        }
-    };
-    // Prefix cells keep their ids and (by pairing) their output nets;
-    // only input pins that forward-reference the renumbered tail (a
-    // feedback `rewire`) can need rewriting, so the whole scan is
-    // skipped when the builder never created a forward edge.
-    if has_forward_edges {
-        for cell in &mut cells[..first_dead] {
+    // Ids before the first dead cell are unchanged, so `retain_mut`
+    // leaves that prefix where it is and moves only the tail's
+    // survivors down. Prefix pins can need rewriting only when they
+    // point forward into the tail (a feedback `rewire`), so they are
+    // skipped when the builder never created a forward edge. A cell
+    // landing at position `p` drives net `p`: the pairing holds.
+    let first_dead = live.iter().position(|&l| !l).unwrap_or(live.len());
+    let mut i = 0;
+    cells.retain_mut(|cell| {
+        let keep = live[i];
+        if keep && (i >= first_dead || has_forward_edges) {
             for pin in &mut cell.inputs {
-                *pin = NetId(remap(pin.0));
+                *pin = NetId(new_id[pin.index()]);
             }
+            cell.output = NetId(new_id[i]);
         }
-    }
-    // Tail survivors shift down in place; a cell landing at position
-    // `p` drives net `p` (the pairing is preserved), so outputs and
-    // drivers come straight from the position counter and only input
-    // pins go through the rank map.
-    let tail_cells = cells.split_off(first_dead);
-    for (j, mut cell) in tail_cells.into_iter().enumerate() {
-        if live[first_dead + j] {
-            for pin in &mut cell.inputs {
-                *pin = NetId(remap(pin.0));
-            }
-            cell.output = NetId(cells.len() as u32);
-            cells.push(cell);
-        }
-    }
-    let tail_nets = nets.split_off(first_dead);
-    for (j, mut net) in tail_nets.into_iter().enumerate() {
-        if live[first_dead + j] {
-            net.driver = CellId(nets.len() as u32);
-            nets.push(net);
-        }
-    }
+        i += 1;
+        keep
+    });
     for id in primary_inputs.iter_mut().chain(primary_outputs.iter_mut()) {
-        *id = CellId(remap(id.0));
+        *id = CellId(new_id[id.index()]);
     }
-    (cells, nets, primary_inputs, primary_outputs)
+    (cells, primary_inputs, primary_outputs)
 }
 
 #[cfg(test)]
@@ -721,6 +864,65 @@ mod tests {
         let x_net = nl.cell(nl.primary_inputs()[0]).output;
         // x feeds both the XOR and the AND.
         assert_eq!(nl.fanout(x_net).len(), 2);
+    }
+
+    #[test]
+    fn fanout_lists_cells_in_order_once_per_pin() {
+        let mut b = NetlistBuilder::new("fan");
+        let x = b.add_input("x");
+        let y = b.add_input("y");
+        let d = b.add_cell(CellKind::Xor2, &[x, x]);
+        let e = b.add_cell(CellKind::And2, &[y, x]);
+        b.add_output("d", d);
+        b.add_output("e", e);
+        let nl = b.build().unwrap();
+        assert_eq!(nl.fanout(x), [CellId(2), CellId(2), CellId(3)]);
+        assert_eq!(nl.fanout(y), [CellId(3)]);
+        assert_eq!(nl.fanout(d), [CellId(4)]);
+        assert!(nl.fanout(NetId(4)).is_empty());
+    }
+
+    #[test]
+    fn names_print_as_before_and_compare_as_text() {
+        let mut b = NetlistBuilder::new("names");
+        let x = b.add_input("x");
+        let g = b.add_cell(CellKind::Xor2, &[x, x]);
+        let h = b.add_named_cell(CellKind::Inv, "xor2_1", &[g]);
+        b.add_output("p", h);
+        let nl = b.build().unwrap();
+        let [port, auto, given, _] = nl.cells() else {
+            panic!("four cells")
+        };
+        assert_eq!(auto.name.to_string(), "xor2_1");
+        assert_eq!(format!("{:?}", auto.name), "\"xor2_1\"");
+        assert_eq!(format!("{:?}", port.name), "\"x\"");
+        assert_eq!(auto.name, "xor2_1");
+        assert_ne!(auto.name, "xor2_10");
+        assert_ne!(auto.name, "xor2_");
+        assert_ne!(auto.name, "xor2_01");
+        assert_eq!(auto.name, given.name, "equal text, different storage");
+        assert_ne!(auto.name, port.name);
+        assert_eq!(nl.net_name(x), "x__o");
+        assert_eq!(nl.net_name(g), "xor2_1__o");
+    }
+
+    #[test]
+    fn pins_are_an_inline_slice() {
+        let mut b = NetlistBuilder::new("pins");
+        let x = b.add_input("x");
+        let y = b.add_input("y");
+        let m = b.add_cell(CellKind::Mux2, &[x, y, x]);
+        b.add_output("m", m);
+        let nl = b.build().unwrap();
+        let mux = &nl.cell(CellId(2)).inputs;
+        assert_eq!(**mux, [x, y, x]);
+        assert_eq!(format!("{mux:?}"), "[NetId(0), NetId(1), NetId(0)]");
+        assert!(nl.cell(CellId(0)).inputs.is_empty());
+        #[cfg(target_pointer_width = "64")]
+        {
+            assert!(std::mem::size_of::<Cell>() <= 40);
+            assert_eq!(std::mem::size_of::<Net>(), 4);
+        }
     }
 
     #[test]
@@ -823,8 +1025,8 @@ mod tests {
         // driven by an inv fed by the dff's q, constructed via the
         // two-step builder on indices we know in advance.
         // Cell 0 = dff reads net 1 (inv output); cell 1 = inv reads net 0.
-        let d_net = b.push_cell(CellKind::Dff, "t".into(), vec![NetId(1)]);
-        let _ = b.push_cell(CellKind::Inv, "n".into(), vec![d_net]);
+        let d_net = b.add_named_cell(CellKind::Dff, "t", &[NetId(1)]);
+        let _ = b.add_named_cell(CellKind::Inv, "n", &[d_net]);
         let nl = b.build().expect("DFF feedback must be legal");
         assert_eq!(nl.dff_count(), 1);
     }
@@ -868,7 +1070,10 @@ mod tests {
     fn build_pruned_removes_dead_cone() {
         let nl = half_adder_with_dead_cone().build_pruned().unwrap();
         assert_eq!(nl.logic_cell_count(), 2);
-        assert!(nl.cells().iter().all(|c| !c.name.starts_with("dead_")));
+        assert!(nl
+            .cells()
+            .iter()
+            .all(|c| c.name != "dead_root" && c.name != "dead_leaf"));
         // Survivors keep their names; ids are compact and consistent.
         assert!(nl.cells().iter().any(|c| c.kind == CellKind::Xor2));
         for (i, cell) in nl.cells().iter().enumerate() {
@@ -931,7 +1136,10 @@ mod tests {
         assert_eq!(pruned.dff_count(), 1);
         assert!(pruned.cells().iter().any(|c| c.name == "live_ff"));
         assert!(pruned.cells().iter().any(|c| c.kind == CellKind::Inv));
-        assert!(pruned.cells().iter().all(|c| !c.name.starts_with("dead_")));
+        assert!(pruned
+            .cells()
+            .iter()
+            .all(|c| c.name != "dead_and" && c.name != "dead_ff"));
         let direct = b.build_pruned().unwrap();
         assert_eq!(direct.cells(), pruned.cells());
     }

@@ -50,6 +50,6 @@ mod stats;
 pub use cell::{CellKind, Logic};
 pub use error::NetlistError;
 pub use export::{to_dot, to_verilog};
-pub use graph::{Cell, CellId, Net, NetId, Netlist, NetlistBuilder, PruneStats};
+pub use graph::{Cell, CellId, CellName, Net, NetId, Netlist, NetlistBuilder, Pins, PruneStats};
 pub use library::{CellSpec, Library};
 pub use stats::NetlistStats;

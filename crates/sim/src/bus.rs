@@ -23,7 +23,7 @@ fn collect_bus(netlist: &Netlist, ports: &[CellId], prefix: &str) -> Vec<CellId>
     let mut bus = Vec::new();
     loop {
         let wanted = format!("{prefix}{}", bus.len());
-        match ports.iter().find(|&&id| netlist.cell(id).name == wanted) {
+        match ports.iter().find(|&&id| netlist.cell(id).name == *wanted) {
             Some(&id) => bus.push(id),
             None => break,
         }

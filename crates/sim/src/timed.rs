@@ -83,7 +83,7 @@ pub fn quantize_delays(netlist: &Netlist, library: &Library) -> Result<Vec<u64>,
             let d = library.delay(c.kind);
             if !d.is_finite() || !(0.0..=MAX_DELAY_GATES).contains(&d) {
                 return Err(SimError::InvalidDelay {
-                    cell: c.name.clone(),
+                    cell: c.name.to_string(),
                     kind: c.kind,
                     delay_gates: d,
                 });

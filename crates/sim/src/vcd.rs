@@ -108,11 +108,8 @@ pub struct VcdRecorder {
 impl VcdRecorder {
     /// Tracks every net in the netlist.
     pub fn all_nets(netlist: &Netlist) -> Self {
-        let nets = netlist
-            .nets()
-            .iter()
-            .enumerate()
-            .map(|(i, n)| (NetId(i as u32), n.name.clone()))
+        let nets = (0..netlist.nets().len() as u32)
+            .map(|i| (NetId(i), netlist.net_name(NetId(i))))
             .collect();
         Self::with_nets(netlist.name(), nets)
     }
@@ -380,9 +377,8 @@ mod tests {
         let from_dump: u64 = nl
             .logic_cells()
             .map(|(_, cell)| {
-                let net = &nl.net(cell.output);
                 counts
-                    .get(&super::sanitize(&net.name))
+                    .get(&super::sanitize(&nl.net_name(cell.output)))
                     .copied()
                     .unwrap_or(0)
             })
@@ -407,9 +403,8 @@ mod tests {
         let from_dump: u64 = nl
             .logic_cells()
             .map(|(_, cell)| {
-                let net = &nl.net(cell.output);
                 counts
-                    .get(&super::sanitize(&net.name))
+                    .get(&super::sanitize(&nl.net_name(cell.output)))
                     .copied()
                     .unwrap_or(0)
             })

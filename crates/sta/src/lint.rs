@@ -330,7 +330,7 @@ fn floating_nets(netlist: &Netlist, out: &mut Vec<Diagnostic>) {
                 rule: LintRule::FloatingNet,
                 cell: Some(net.driver),
                 net: Some(id),
-                message: format!("net '{}' has no sinks", net.name),
+                message: format!("net '{}' has no sinks", netlist.net_name(id)),
             });
         }
     }
@@ -451,7 +451,7 @@ fn fanout_outliers(netlist: &Netlist, out: &mut Vec<Diagnostic>) {
                 net: Some(id),
                 message: format!(
                     "net '{}' drives {} sinks (design mean {:.2})",
-                    net.name,
+                    netlist.net_name(id),
                     f,
                     total as f64 / driven as f64
                 ),
@@ -480,7 +480,7 @@ fn arity_hazards(netlist: &Netlist, out: &mut Vec<Diagnostic>) {
                     "cell '{}' ({:?}) has net '{}' on more than one pin",
                     cell.name,
                     cell.kind,
-                    netlist.net(pin).name
+                    netlist.net_name(pin)
                 ),
             });
         }
@@ -500,7 +500,7 @@ fn width_hazards(netlist: &Netlist, out: &mut Vec<Diagnostic>) {
             CellKind::Output => false,
             _ => continue,
         };
-        let Some((prefix, index)) = split_bus_name(&cell.name) else {
+        let Some((prefix, index)) = split_bus_name(&cell.name.to_string()) else {
             continue;
         };
         match buses

@@ -61,13 +61,13 @@ fn mutate_kind(netlist: &Netlist, victim: usize, into: CellKind) -> Netlist {
         };
         match kind {
             CellKind::Input => {
-                b.add_input(name.clone());
+                b.add_input(name.to_string());
             }
             CellKind::Output => {
-                b.add_output(name.clone(), inputs[0]);
+                b.add_output(name.to_string(), inputs[0]);
             }
             _ => {
-                b.add_named_cell(kind, name.clone(), inputs);
+                b.add_named_cell(kind, name.to_string(), inputs);
             }
         }
     }
@@ -114,10 +114,10 @@ fn verifier_rejects_output_bit_swap() {
     for cell in golden.cells() {
         match cell.kind {
             CellKind::Input => {
-                b.add_input(cell.name.clone());
+                b.add_input(cell.name.to_string());
             }
             CellKind::Output => {
-                let name = match cell.name.as_str() {
+                let name = match cell.name.to_string().as_str() {
                     "p3" => "p4".to_string(),
                     "p4" => "p3".to_string(),
                     other => other.to_string(),
@@ -125,7 +125,7 @@ fn verifier_rejects_output_bit_swap() {
                 b.add_output(name, cell.inputs[0]);
             }
             _ => {
-                b.add_named_cell(cell.kind, cell.name.clone(), &cell.inputs);
+                b.add_named_cell(cell.kind, cell.name.to_string(), &cell.inputs);
             }
         }
     }
