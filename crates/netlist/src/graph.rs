@@ -81,15 +81,6 @@ impl<'a> IntoIterator for &'a Pins {
     }
 }
 
-impl<'a> IntoIterator for &'a mut Pins {
-    type Item = &'a mut NetId;
-    type IntoIter = std::slice::IterMut<'a, NetId>;
-
-    fn into_iter(self) -> Self::IntoIter {
-        self.iter_mut()
-    }
-}
-
 impl fmt::Debug for Pins {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_list().entries(self.iter()).finish()
@@ -808,7 +799,7 @@ fn compact(
     cells.retain_mut(|cell| {
         let keep = live[i];
         if keep && (i >= first_dead || has_forward_edges) {
-            for pin in &mut cell.inputs {
+            for pin in cell.inputs.iter_mut() {
                 *pin = NetId(new_id[pin.index()]);
             }
             cell.output = NetId(new_id[i]);
