@@ -874,7 +874,7 @@ mod tests {
     }
 
     #[test]
-    fn names_print_as_before_and_compare_as_text() {
+    fn names_print_and_compare_as_text() {
         let mut b = NetlistBuilder::new("names");
         let x = b.add_input("x");
         let g = b.add_cell(CellKind::Xor2, &[x, x]);
