@@ -56,6 +56,17 @@ impl Pins {
             len: len as u8,
         }
     }
+
+    /// All three slots, each with whether it holds a pin. A hot loop
+    /// walks the same three slots for every cell instead of branching
+    /// on its arity; it must ignore the slots that hold none.
+    fn slots(&self) -> impl Iterator<Item = (NetId, bool)> + '_ {
+        let len = usize::from(self.len);
+        self.nets
+            .iter()
+            .enumerate()
+            .map(move |(k, &net)| (net, k < len))
+    }
 }
 
 impl Deref for Pins {
@@ -362,34 +373,44 @@ impl Netlist {
     /// (pruning a DAG subset stays acyclic) but the rebuild shares
     /// the validating constructor, so the signature is fallible.
     pub fn prune_dead_cones(&self) -> Result<(Netlist, PruneStats), NetlistError> {
-        let live = live_mask(&self.cells);
+        let liveness =
+            Liveness::sweep(&self.cells).expect("a built netlist names only existing nets");
         let dead = |pred: &dyn Fn(&Cell) -> bool| {
             self.cells
                 .iter()
                 .enumerate()
-                .filter(|&(i, c)| !live[i] && pred(c))
+                .filter(|&(i, c)| !liveness.is_live(i) && pred(c))
                 .count()
         };
         let stats = PruneStats {
             cells_before: self.cells.len(),
-            cells_after: live.iter().filter(|&&l| l).count(),
+            cells_after: self.cells.len() - dead(&|_| true),
             removed_logic: dead(&|c| c.kind.is_logic() && !c.kind.is_sequential()),
             removed_dffs: dead(&|c| c.kind.is_sequential()),
         };
         if stats.is_identity() {
             return Ok((self.clone(), stats));
         }
-        let (cells, primary_inputs, primary_outputs) = compact(
-            self.cells.clone(),
-            self.primary_inputs.clone(),
-            self.primary_outputs.clone(),
-            &live,
+        let mut cells = self.cells.clone();
+        let mut primary_inputs = self.primary_inputs.clone();
+        let mut primary_outputs = self.primary_outputs.clone();
+        let sinks = compact(
+            &mut cells,
+            &mut primary_inputs,
+            &mut primary_outputs,
+            liveness,
             // A frozen netlist no longer carries the builder's
             // forward-edge flag; assume the worst. This path is not
             // build-time critical.
             true,
         );
-        let pruned = finalize(self.name.clone(), cells, primary_inputs, primary_outputs)?;
+        let pruned = finalize(
+            self.name.clone(),
+            cells,
+            primary_inputs,
+            primary_outputs,
+            sinks,
+        )?;
         Ok((pruned, stats))
     }
 
@@ -543,12 +564,15 @@ impl NetlistBuilder {
     /// * [`NetlistError::CombinationalLoop`] if the DFF-broken graph
     ///   has no topological order.
     pub fn build(mut self) -> Result<Netlist, NetlistError> {
-        self.validate()?;
+        self.check_deferred()?;
+        self.check_nets()?;
+        let sinks = sink_counts(&self.cells);
         finalize(
             self.name,
             self.cells,
             self.primary_inputs,
             self.primary_outputs,
+            sinks,
         )
     }
 
@@ -567,33 +591,48 @@ impl NetlistBuilder {
     /// Same as [`NetlistBuilder::build`]; validation runs on the
     /// unpruned netlist, so a dead cone does not hide its own errors.
     pub fn build_pruned(mut self) -> Result<Netlist, NetlistError> {
-        self.validate()?;
-        let live = live_mask(&self.cells);
-        let (cells, primary_inputs, primary_outputs) = if live.iter().all(|&l| l) {
-            (self.cells, self.primary_inputs, self.primary_outputs)
-        } else {
-            compact(
-                self.cells,
-                self.primary_inputs,
-                self.primary_outputs,
-                &live,
-                self.has_forward_edges,
-            )
+        self.check_deferred()?;
+        // The liveness sweep reads every pin, so it stands in for the
+        // dangling-net scan of `build`; only when it meets a pin that
+        // names no net does the scan run, to report the first such pin
+        // in cell order.
+        let Some(liveness) = Liveness::sweep(&self.cells) else {
+            return Err(self
+                .check_nets()
+                .expect_err("the liveness sweep met a pin that names no net"));
         };
-        finalize(self.name, cells, primary_inputs, primary_outputs)
+        let sinks = compact(
+            &mut self.cells,
+            &mut self.primary_inputs,
+            &mut self.primary_outputs,
+            liveness,
+            self.has_forward_edges,
+        );
+        finalize(
+            self.name,
+            self.cells,
+            self.primary_inputs,
+            self.primary_outputs,
+            sinks,
+        )
     }
 
-    /// The deferred-error / emptiness / dangling-net checks shared by
+    /// The deferred-error and emptiness checks shared by
     /// [`NetlistBuilder::build`] and [`NetlistBuilder::build_pruned`].
-    fn validate(&mut self) -> Result<(), NetlistError> {
+    fn check_deferred(&mut self) -> Result<(), NetlistError> {
         if let Some(e) = self.pending_error.take() {
             return Err(e);
         }
         if self.cells.is_empty() {
             return Err(NetlistError::Empty);
         }
-        // All referenced nets (including forward references) must
-        // exist; net `i` exists exactly when cell `i` does.
+        Ok(())
+    }
+
+    /// All referenced nets (including forward references) must exist;
+    /// net `i` exists exactly when cell `i` does. Reports the first
+    /// pin, in cell order, that names no net.
+    fn check_nets(&self) -> Result<(), NetlistError> {
         for cell in &self.cells {
             if let Some(&bad) = cell.inputs.iter().find(|n| n.index() >= self.cells.len()) {
                 return Err(NetlistError::UnknownNet { net: bad });
@@ -603,30 +642,45 @@ impl NetlistBuilder {
     }
 }
 
+/// The number of pins that read each net, then one zero: the sink
+/// counts `finalize` takes.
+fn sink_counts(cells: &[Cell]) -> Vec<u32> {
+    let mut sinks = vec![0u32; cells.len() + 1];
+    for cell in cells {
+        for &pin in &cell.inputs {
+            sinks[pin.index()] += 1;
+        }
+    }
+    sinks
+}
+
 /// Derives the net table, the fanout and the topological order of
 /// validated, index-aligned cells and freezes them into a [`Netlist`].
+/// `sinks` are the cells' [`sink_counts`]; a pruned build has them
+/// from its liveness sweep.
 fn finalize(
     name: String,
     mut cells: Vec<Cell>,
     primary_inputs: Vec<CellId>,
     primary_outputs: Vec<CellId>,
+    sinks: Vec<u32>,
 ) -> Result<Netlist, NetlistError> {
+    debug_assert_eq!(
+        sinks,
+        sink_counts(&cells),
+        "sink counts disagree with the pins"
+    );
     // A frozen netlist never grows: drop the builder's doubling slack,
     // up to half of the table.
     cells.shrink_to_fit();
     let n = cells.len();
     let nets: Vec<Net> = (0..n as u32).map(|i| Net { driver: CellId(i) }).collect();
 
-    // Fanout as one CSR table: count each net's sinks, turn the counts
-    // into running ends, then walk the pins backwards, moving each
-    // net's end down to its start while filling its range. The
-    // backward walk leaves every range in cell order, then pin order.
-    let mut fanout_offsets = vec![0u32; n + 1];
-    for cell in &cells {
-        for &pin in &cell.inputs {
-            fanout_offsets[pin.index()] += 1;
-        }
-    }
+    // Fanout as one CSR table: turn the sink counts into running ends,
+    // then walk the pins backwards, moving each net's end down to its
+    // start while filling its range. The backward walk leaves every
+    // range in cell order, then pin order.
+    let mut fanout_offsets = sinks;
     let mut end = 0;
     for offset in &mut fanout_offsets {
         end += *offset;
@@ -701,116 +755,182 @@ fn topo_order(netlist: &Netlist) -> Result<Vec<CellId>, NetlistError> {
     Ok(topo)
 }
 
-/// `live[i]` is true when cell `i` reaches a primary output through
-/// input pins (flip-flops traversed transparently — a live DFF keeps
-/// its whole D-cone), or is a port cell. This is the same reverse walk
-/// the L001 lint rule performs from [`Netlist::endpoints`]: a cell the
-/// walk never reaches can influence no primary output in any cycle, so
-/// removing it cannot change any observable value.
+/// What the liveness sweep found in a cell table.
 ///
-/// Output cells seed the walk; Input cells are kept unconditionally
-/// (the module interface is part of the contract) but seed nothing, so
-/// logic hanging off an otherwise-unused input is still pruned.
-fn live_mask(cells: &[Cell]) -> Vec<bool> {
-    // Cells and their output nets are index-aligned pairs (`push_cell`),
-    // so the driver of net `pin` is cell `pin` — the walk never has to
-    // load the net table at all.
-    debug_assert!(
-        cells.iter().enumerate().all(|(i, c)| c.output.index() == i),
-        "cell/net pairing violated before liveness walk"
-    );
-    let mut live = vec![false; cells.len()];
-    let mut stack: Vec<usize> = Vec::new();
-    // One reverse sweep seeds the ports and resolves every backward
-    // edge (generators build mostly feed-forward, pins referencing
-    // earlier cells); a pin at or past the sweep position — a `rewire`
-    // feedback patch — was already visited, so it spills onto a DFS
-    // stack instead.
-    for i in (0..cells.len()).rev() {
-        let cell = &cells[i];
-        match cell.kind {
-            CellKind::Input => {
-                live[i] = true;
-                continue;
-            }
-            CellKind::Output => live[i] = true,
-            _ if !live[i] => continue,
-            _ => {}
-        }
-        // All three pin slots, used or not: a loop over the used ones
-        // only, and a test of each driver's old state, would be
-        // branches that mispredict often. Unused slots mark nothing.
-        for (k, &pin) in cell.inputs.nets.iter().enumerate() {
-            let used = k < usize::from(cell.inputs.len);
-            let driver = pin.index();
-            if driver < i {
-                live[driver] |= used;
-            } else if used && !live[driver] {
-                live[driver] = true;
-                stack.push(driver);
-            }
-        }
-    }
-    while let Some(i) = stack.pop() {
-        for &pin in &cells[i].inputs {
-            let driver = pin.index();
-            if !live[driver] {
-                live[driver] = true;
-                stack.push(driver);
-            }
-        }
-    }
-    live
+/// Cell `i` is *live* when it reaches a primary output through input
+/// pins (flip-flops traversed transparently — a live DFF keeps its
+/// whole D-cone), or is a port cell. This is the same reverse walk the
+/// L001 lint rule performs from [`Netlist::endpoints`]: a cell the walk
+/// never reaches can influence no primary output in any cycle, so
+/// removing it cannot change any observable value.
+struct Liveness {
+    /// `sinks[i]` is [`DEAD`] for a dead cell and otherwise counts the
+    /// pins of live cells that read net `i`; one zero follows. Once
+    /// the dead cells are gone these are the survivors' [`sink_counts`].
+    sinks: Vec<u32>,
+    /// No cell before this index is dead.
+    first_dead: usize,
 }
 
-/// Drops every dead cell and renumbers the survivors.
+/// The [`Liveness::sinks`] entry of a dead cell.
+const DEAD: u32 = u32::MAX;
+
+impl Liveness {
+    /// Sweeps index-aligned cells. Output cells seed the walk; Input
+    /// cells are kept unconditionally (the module interface is part of
+    /// the contract) but seed nothing, so logic hanging off an
+    /// otherwise-unused input is still pruned.
+    ///
+    /// The sweep reads every pin of every cell and returns `None` if
+    /// one names no net.
+    fn sweep(cells: &[Cell]) -> Option<Self> {
+        // Cells and their output nets are index-aligned pairs
+        // (`push_cell`), so the driver of net `pin` is cell `pin` — the
+        // walk never has to load the net table at all.
+        debug_assert!(
+            cells.iter().enumerate().all(|(i, c)| c.output.index() == i),
+            "cell/net pairing violated before liveness walk"
+        );
+        let n = cells.len();
+        let mut counts = vec![0u32; n + 1];
+        // One entry per net: the sweep never indexes the trailing zero,
+        // and with the slice's length in sight the compiler drops the
+        // bounds checks it can prove.
+        let sinks = &mut counts[..n];
+        let mut first_dead = n;
+        let mut stack: Vec<usize> = Vec::new();
+        // One reverse sweep resolves every backward edge (generators
+        // build mostly feed-forward, pins referencing earlier cells):
+        // the sweep has yet to reach such a driver, so counting the
+        // sink is all it takes. A pin at or past the sweep position —
+        // a `rewire` feedback patch — reaches a cell already passed;
+        // if that cell was passed as dead, it is live after all and
+        // spills onto a DFS stack, which visits it as the sweep would
+        // have.
+        for (i, cell) in cells.iter().enumerate().rev() {
+            // No live cell reads this one (yet): it is dead, unless a
+            // feedback pin met later in the sweep revives it.
+            if sinks[i] == 0 && !matches!(cell.kind, CellKind::Input | CellKind::Output) {
+                if cell.inputs.iter().any(|pin| pin.index() >= n) {
+                    return None;
+                }
+                sinks[i] = DEAD;
+                first_dead = i;
+                continue;
+            }
+            for (pin, used) in cell.inputs.slots() {
+                let driver = pin.index();
+                if driver < i {
+                    sinks[driver] += u32::from(used);
+                } else if used {
+                    if driver >= n {
+                        return None;
+                    }
+                    if sinks[driver] == DEAD {
+                        sinks[driver] = 0;
+                        stack.push(driver);
+                    }
+                    sinks[driver] += 1;
+                }
+            }
+        }
+        // The sweep has checked every pin, so the stack's are in range.
+        while let Some(i) = stack.pop() {
+            for &pin in &cells[i].inputs {
+                let driver = pin.index();
+                if sinks[driver] == DEAD {
+                    sinks[driver] = 0;
+                    stack.push(driver);
+                }
+                sinks[driver] += 1;
+            }
+        }
+        Some(Self {
+            sinks: counts,
+            first_dead,
+        })
+    }
+
+    fn is_live(&self, cell: usize) -> bool {
+        self.sinks[cell] != DEAD
+    }
+}
+
+/// Drops every dead cell, renumbers the survivors in place and returns
+/// their sink counts.
 ///
 /// Cells and their output nets are index-aligned pairs (`push_cell`),
 /// so one rank map renumbers both id spaces, and `finalize` derives
 /// the net table from the compacted cells. Every net referenced by a
-/// live cell has a live driver (the walk marked it), and every port is
+/// live cell has a live driver (the walk reached it), and every port is
 /// live, so all remaps are defined.
 fn compact(
-    mut cells: Vec<Cell>,
-    mut primary_inputs: Vec<CellId>,
-    mut primary_outputs: Vec<CellId>,
-    live: &[bool],
+    cells: &mut Vec<Cell>,
+    primary_inputs: &mut [CellId],
+    primary_outputs: &mut [CellId],
+    liveness: Liveness,
     has_forward_edges: bool,
-) -> (Vec<Cell>, Vec<CellId>, Vec<CellId>) {
-    debug_assert!(
-        cells.iter().enumerate().all(|(i, c)| c.output.index() == i),
-        "cell/net pairing violated before compaction"
-    );
-    // A survivor's new id is the number of live cells before it.
-    let mut new_id = Vec::with_capacity(live.len());
-    let mut next = 0u32;
-    for &keep in live {
-        new_id.push(next);
-        next += u32::from(keep);
+) -> Vec<u32> {
+    let Liveness {
+        mut sinks,
+        first_dead,
+    } = liveness;
+    if first_dead == cells.len() {
+        return sinks;
     }
-    // Ids before the first dead cell are unchanged, so `retain_mut`
-    // leaves that prefix where it is and moves only the tail's
-    // survivors down. Prefix pins can need rewriting only when they
-    // point forward into the tail (a feedback `rewire`), so they are
-    // skipped when the builder never created a forward edge. A cell
-    // landing at position `p` drives net `p`: the pairing holds.
-    let first_dead = live.iter().position(|&l| !l).unwrap_or(live.len());
-    let mut i = 0;
-    cells.retain_mut(|cell| {
-        let keep = live[i];
-        if keep && (i >= first_dead || has_forward_edges) {
+    // Ids before the first dead cell are unchanged, so only the tail
+    // needs a rank map and moving — in the generators the dead cells
+    // sit in the late reduction/adder stages, which keeps this pass
+    // inside the build-time budget (the `prune_build_wallace16` bench
+    // row, `speedup_min >= 0.95`).
+    let mut next = first_dead as u32;
+    let new_id: Vec<u32> = sinks[first_dead..cells.len()]
+        .iter()
+        .map(|&count| {
+            let id = next;
+            next += u32::from(count != DEAD);
+            id
+        })
+        .collect();
+    let remap = |ix: u32| match (ix as usize).checked_sub(first_dead) {
+        Some(tail) => new_id[tail],
+        None => ix,
+    };
+    // Prefix cells keep their ids and (by pairing) their output nets;
+    // only pins that point forward into the renumbered tail (a feedback
+    // `rewire`) can need rewriting, so the scan is skipped when the
+    // builder never created a forward edge.
+    if has_forward_edges {
+        for cell in &mut cells[..first_dead] {
             for pin in cell.inputs.iter_mut() {
-                *pin = NetId(new_id[pin.index()]);
+                *pin = NetId(remap(pin.0));
             }
-            cell.output = NetId(new_id[i]);
         }
-        i += 1;
-        keep
-    });
-    for id in primary_inputs.iter_mut().chain(primary_outputs.iter_mut()) {
-        *id = CellId(new_id[id.index()]);
     }
-    (cells, primary_inputs, primary_outputs)
+    // Tail survivors move down in order, swapping the dead cells
+    // behind them; `truncate` then drops the dead. A cell landing at
+    // position `p` drives net `p`: the pairing holds, and its sink
+    // count moves with it.
+    let mut kept = first_dead;
+    for i in first_dead..cells.len() {
+        if sinks[i] != DEAD {
+            cells.swap(kept, i);
+            sinks[kept] = sinks[i];
+            let cell = &mut cells[kept];
+            for pin in cell.inputs.iter_mut() {
+                *pin = NetId(remap(pin.0));
+            }
+            cell.output = NetId(kept as u32);
+            kept += 1;
+        }
+    }
+    cells.truncate(kept);
+    sinks.truncate(kept);
+    sinks.push(0);
+    for id in primary_inputs.iter_mut().chain(primary_outputs.iter_mut()) {
+        *id = CellId(remap(id.0));
+    }
+    sinks
 }
 
 #[cfg(test)]
@@ -1074,6 +1194,34 @@ mod tests {
         // Both ports survive even though the walk starts at outputs only.
         assert_eq!(nl.primary_inputs().len(), 2);
         assert_eq!(nl.primary_outputs().len(), 2);
+        // The dead cells' pins leave the fanout with them.
+        assert_eq!(nl.fanout(NetId(0)), [CellId(2), CellId(3)]);
+        assert_eq!(nl.fanout(NetId(2)), [CellId(4)]);
+    }
+
+    #[test]
+    fn prune_follows_feedback_edges() {
+        // A toggle flop closed by `rewire`: the sweep passes its D logic
+        // before it learns that the flop reads it. Beside it, a flop
+        // ring that no output observes.
+        let mut b = NetlistBuilder::new("feedback");
+        let x = b.add_input("x");
+        let q = b.add_named_cell(CellKind::Dff, "ff", &[x]);
+        let t = b.add_named_cell(CellKind::Xor2, "t", &[x, q]);
+        b.rewire(q, 0, t);
+        let ring = b.add_named_cell(CellKind::Dff, "ring", &[x]);
+        let ring_n = b.add_named_cell(CellKind::Inv, "ring_n", &[ring]);
+        b.rewire(ring, 0, ring_n);
+        b.add_output("q", q);
+        let (pruned, stats) = b.clone().build().unwrap().prune_dead_cones().unwrap();
+        assert_eq!((stats.removed_dffs, stats.removed_logic), (1, 1));
+        let nl = b.build_pruned().unwrap();
+        assert_eq!(nl.cells(), pruned.cells());
+        let names: Vec<String> = nl.cells().iter().map(|c| c.name.to_string()).collect();
+        assert_eq!(names, ["x", "ff", "t", "q"]);
+        assert_eq!(*nl.cell(CellId(1)).inputs, [t]);
+        assert_eq!(nl.fanout(q), [CellId(2), CellId(3)]);
+        assert_eq!(nl.fanout(t), [CellId(1)]);
     }
 
     #[test]
@@ -1142,5 +1290,19 @@ mod tests {
         let _ = b.add_cell(CellKind::And2, &[x]); // dead AND, but bad arity
         let err = b.build_pruned().unwrap_err();
         assert!(matches!(err, NetlistError::ArityMismatch { .. }));
+
+        // Both builds report the first pin, in cell order, that names
+        // no net, here one of a dead cell.
+        let dangling = || {
+            let mut b = NetlistBuilder::new("bad");
+            let x = b.add_input("x");
+            let _ = b.add_cell(CellKind::Inv, &[NetId(99)]);
+            let y = b.add_cell(CellKind::And2, &[x, NetId(98)]);
+            b.add_output("y", y);
+            b
+        };
+        let first = NetlistError::UnknownNet { net: NetId(99) };
+        assert_eq!(dangling().build().unwrap_err(), first);
+        assert_eq!(dangling().build_pruned().unwrap_err(), first);
     }
 }
