@@ -5,11 +5,15 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use optpower_mult::Architecture;
 use optpower_netlist::Library;
 use optpower_sim::{measure_activity, Engine};
-use optpower_tech::Flavor;
+use optpower_workload::{AbInitioSpec, JobSpec, Runtime};
 
 fn bench_ab_initio(c: &mut Criterion) {
-    let rows = optpower_report::ab_initio_table(Flavor::LowLeakage, 100, 42).expect("flow runs");
-    println!("\n{}", optpower_report::render_ab_initio(&rows));
+    let spec = JobSpec::AbInitio(AbInitioSpec {
+        items: 100,
+        ..AbInitioSpec::default()
+    });
+    let table = Runtime::default().run(&spec).expect("flow runs");
+    println!("\n{}", table.render_text());
 
     c.bench_function("ab_initio/generate_rca16", |b| {
         b.iter(|| Architecture::Rca.generate(16).expect("generates"))

@@ -23,7 +23,7 @@ impl CellId {
 }
 
 impl NetId {
-    /// The net's index into [`Netlist::nets`].
+    /// The net's index: net `i` is the output of cell `i`.
     #[inline]
     pub fn index(self) -> usize {
         self.0 as usize
@@ -192,9 +192,11 @@ pub struct Cell {
     pub output: NetId,
 }
 
-/// One net: a single driver and any number of sinks. Its name is
-/// derived from the driver, see [`Netlist::net_name`].
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// One net: a single driver and any number of sinks. Cell `i` drives
+/// net `i`, so a net is derived from its id ([`Netlist::net`]), never
+/// stored; its name is derived from the driver, see
+/// [`Netlist::net_name`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Net {
     /// The driving cell.
     pub driver: CellId,
@@ -239,7 +241,6 @@ impl PruneStats {
 pub struct Netlist {
     name: String,
     cells: Vec<Cell>,
-    nets: Vec<Net>,
     /// The sinks of net `n` are
     /// `fanout_sinks[fanout_offsets[n]..fanout_offsets[n + 1]]`.
     fanout_offsets: Vec<u32>,
@@ -260,19 +261,22 @@ impl Netlist {
         &self.cells
     }
 
-    /// All nets, indexable by [`NetId`].
-    pub fn nets(&self) -> &[Net] {
-        &self.nets
-    }
-
     /// The cell with the given id.
     pub fn cell(&self, id: CellId) -> &Cell {
         &self.cells[id.index()]
     }
 
-    /// The net with the given id.
-    pub fn net(&self, id: NetId) -> &Net {
-        &self.nets[id.index()]
+    /// The net with the given id: the output of the cell with the same
+    /// index.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no cell drives `id`.
+    pub fn net(&self, id: NetId) -> Net {
+        assert!(id.index() < self.cells.len(), "no cell drives {id:?}");
+        Net {
+            driver: CellId(id.0),
+        }
     }
 
     /// The name of `net`: its driving cell's name followed by `__o`
@@ -654,8 +658,8 @@ fn sink_counts(cells: &[Cell]) -> Vec<u32> {
     sinks
 }
 
-/// Derives the net table, the fanout and the topological order of
-/// validated, index-aligned cells and freezes them into a [`Netlist`].
+/// Derives the fanout and the topological order of validated,
+/// index-aligned cells and freezes them into a [`Netlist`].
 /// `sinks` are the cells' [`sink_counts`]; a pruned build has them
 /// from its liveness sweep.
 fn finalize(
@@ -673,8 +677,6 @@ fn finalize(
     // A frozen netlist never grows: drop the builder's doubling slack,
     // up to half of the table.
     cells.shrink_to_fit();
-    let n = cells.len();
-    let nets: Vec<Net> = (0..n as u32).map(|i| Net { driver: CellId(i) }).collect();
 
     // Fanout as one CSR table: turn the sink counts into running ends,
     // then walk the pins backwards, moving each net's end down to its
@@ -698,7 +700,6 @@ fn finalize(
     let mut netlist = Netlist {
         name,
         cells,
-        nets,
         fanout_offsets,
         fanout_sinks,
         topo: Vec::new(),
@@ -785,8 +786,7 @@ impl Liveness {
     /// one names no net.
     fn sweep(cells: &[Cell]) -> Option<Self> {
         // Cells and their output nets are index-aligned pairs
-        // (`push_cell`), so the driver of net `pin` is cell `pin` — the
-        // walk never has to load the net table at all.
+        // (`push_cell`), so the driver of net `pin` is cell `pin`.
         debug_assert!(
             cells.iter().enumerate().all(|(i, c)| c.output.index() == i),
             "cell/net pairing violated before liveness walk"
@@ -1231,7 +1231,6 @@ mod tests {
         let (pruned, stats) = raw.prune_dead_cones().unwrap();
         let direct = builder.build_pruned().unwrap();
         assert_eq!(pruned.cells(), direct.cells());
-        assert_eq!(pruned.nets(), direct.nets());
         assert_eq!(stats.cells_before, raw.cells().len());
         assert_eq!(stats.cells_after, pruned.cells().len());
         assert_eq!(stats.removed(), 2);

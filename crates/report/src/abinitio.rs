@@ -3,13 +3,14 @@
 //! calibration against the paper's numbers at all.
 //!
 //! Characterization (netlist generation → STA `LD` → activity
-//! measurement → optimisation) is independent per architecture, so
-//! [`characterize_parallel`] shards the thirteen architectures across
-//! the `optpower-explore` worker pool. Both activity legs are
-//! parallel: the glitch-free baseline uses the 64-lane
-//! [`optpower_sim::BitParallelSim`] engine, and the glitch-counting
-//! leg shards [`TIMED_LANES`] lane-seeded event-wheel
-//! [`optpower_sim::TimedSim`] instances over the same pool
+//! measurement → optimisation) is independent per architecture:
+//! [`characterize_architecture_with`] and [`characterize_design_with`]
+//! run it for one netlist, and the workload runtime maps the latter over a
+//! job's (width, architecture) cells on the `optpower-explore` worker
+//! pool. Both activity legs are parallel: the glitch-free baseline
+//! uses the 64-lane [`optpower_sim::BitParallelSim`] engine, and the
+//! glitch-counting leg shards [`TIMED_LANES`] lane-seeded event-wheel
+//! [`optpower_sim::TimedSim`] instances over the pool
 //! ([`optpower_explore::measure_timed_activity_pooled`]) — the
 //! measured activity is worker-count invariant in both cases.
 //!
@@ -24,8 +25,8 @@ use core::fmt;
 use optpower::sweep::log_frequency_axis;
 use optpower::{ArchParams, ModelError, PowerModel};
 use optpower_explore::{
-    explore, measure_timed_activity_pooled, par_map, ExploreConfig, Grid, ResultSet,
-    TimedPoolConfig, Workers,
+    explore, measure_timed_activity_pooled, ExploreConfig, Grid, ResultSet, TimedPoolConfig,
+    Workers,
 };
 use optpower_mult::{Architecture, MultiplierDesign};
 use optpower_netlist::{Library, NetlistStats};
@@ -314,35 +315,6 @@ impl AbInitioRow {
     }
 }
 
-/// Runs the full ab-initio flow for all thirteen architectures:
-/// generate → simulate (activity) → STA (LD) → library stats (N, C)
-/// → optimise at the paper's 31.25 MHz on the chosen flavour.
-///
-/// `items` controls the random-stimulus volume per architecture (the
-/// paper used full testbench traces; 200+ items give stable
-/// activities). The glitch-counting leg splits the budget over
-/// [`TIMED_LANES`] pooled event-wheel lanes; the glitch-free baseline
-/// gets 64 bit-parallel stimulus lanes per item. Architectures are
-/// characterized in parallel on every available core; see
-/// [`characterize_parallel`] for the worker-count-independence
-/// contract.
-///
-/// # Errors
-///
-/// Propagates [`AbInitioError`] from simulation, model building or
-/// optimisation.
-///
-/// # Panics
-///
-/// Panics if a generator fails structurally (impossible for width 16).
-pub fn ab_initio_table(
-    flavor: Flavor,
-    items: u64,
-    seed: u64,
-) -> Result<Vec<AbInitioRow>, AbInitioError> {
-    characterize_parallel(&Architecture::ALL, flavor, items, seed, Workers::Auto)
-}
-
 /// Ab-initio characterization of one architecture: generate → library
 /// stats (N, C) → STA (LD) → activity (pooled timed + glitch-free
 /// baseline) → optimise at `freq` on `tech`, under the full
@@ -474,65 +446,6 @@ pub fn characterize_design_with(
         ptot_uw: opt.ptot().value() * 1e6,
         eq13_uw,
     })
-}
-
-/// Ab-initio characterization of an explicit architecture subset,
-/// sharded across the `optpower-explore` worker pool.
-///
-/// The worker budget is split two levels deep: whole architectures
-/// are stolen by the outer pool (the expensive, wildly size-varying
-/// unit), and each architecture's pooled timed measurement gets the
-/// remaining workers for its [`TIMED_LANES`] stimulus lanes — so a
-/// few very slow netlists (the 61-deep RCA, the sequential cores)
-/// cannot serialise the tail of the sweep. Results come back in input
-/// order and are bit-identical for any worker count — every lane and
-/// every architecture is an independent deterministic computation;
-/// the pools only decide *who* runs them.
-///
-/// # Errors
-///
-/// Propagates the first [`AbInitioError`] in input order.
-pub fn characterize_parallel(
-    archs: &[Architecture],
-    flavor: Flavor,
-    items: u64,
-    seed: u64,
-    workers: Workers,
-) -> Result<Vec<AbInitioRow>, AbInitioError> {
-    let config = CharacterizeConfig {
-        workers,
-        ..CharacterizeConfig::new(items, seed)
-    };
-    characterize_parallel_with(archs, flavor, &config)
-}
-
-/// [`characterize_parallel`] with the full [`CharacterizeConfig`]
-/// measurement definition (operand width, timed lanes, baseline
-/// engine). The two-level worker split of [`characterize_parallel`]
-/// applies, with `config.workers` as the total budget.
-///
-/// # Errors
-///
-/// Propagates the first [`AbInitioError`] in input order.
-pub fn characterize_parallel_with(
-    archs: &[Architecture],
-    flavor: Flavor,
-    config: &CharacterizeConfig,
-) -> Result<Vec<AbInitioRow>, AbInitioError> {
-    let lib = Library::cmos13();
-    let tech = Technology::stm_cmos09(flavor);
-    let freq = Hertz::new(31.25e6);
-    let total = config.workers.count();
-    let outer = total.clamp(1, archs.len().max(1));
-    let inner = CharacterizeConfig {
-        workers: Workers::Fixed((total / outer).max(1)),
-        ..*config
-    };
-    par_map(archs, outer, |&arch| {
-        characterize_architecture_with(arch, &lib, tech, freq, &inner)
-    })
-    .into_iter()
-    .collect()
 }
 
 /// Which measured activity feeds a design-space sweep built from
@@ -705,11 +618,33 @@ pub fn render_glitch_factors(rows: &[AbInitioRow]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::OnceLock;
 
-    fn rows() -> Vec<AbInitioRow> {
+    /// The architectures' rows under `config`, characterized one after
+    /// another at the paper's working point (ST LL, 31.25 MHz).
+    fn characterize(
+        archs: &[Architecture],
+        config: &CharacterizeConfig,
+    ) -> Result<Vec<AbInitioRow>, AbInitioError> {
+        let lib = Library::cmos13();
+        let tech = Technology::stm_cmos09(Flavor::LowLeakage);
+        archs
+            .iter()
+            .map(|&arch| {
+                characterize_architecture_with(arch, &lib, tech, Hertz::new(31.25e6), config)
+            })
+            .collect()
+    }
+
+    /// All thirteen architectures, characterized once for every test
+    /// that reads them.
+    fn rows() -> &'static [AbInitioRow] {
+        static ROWS: OnceLock<Vec<AbInitioRow>> = OnceLock::new();
         // Small stimulus volume keeps the debug-mode test quick while
         // remaining statistically stable for the coarse orderings.
-        ab_initio_table(Flavor::LowLeakage, 60, 17).unwrap()
+        ROWS.get_or_init(|| {
+            characterize(&Architecture::ALL, &CharacterizeConfig::new(60, 17)).unwrap()
+        })
     }
 
     fn find(rows: &[AbInitioRow], arch: Architecture) -> &AbInitioRow {
@@ -719,7 +654,7 @@ mod tests {
     #[test]
     fn section4_orderings_reproduce_ab_initio() {
         let rows = rows();
-        let p = |a: Architecture| find(&rows, a).ptot_uw;
+        let p = |a: Architecture| find(rows, a).ptot_uw;
         // Sequential family is by far the worst.
         assert!(p(Architecture::Sequential) > 3.0 * p(Architecture::Rca));
         // The Wallace family is the best.
@@ -732,8 +667,8 @@ mod tests {
     #[test]
     fn glitch_effect_diag_vs_hor() {
         let rows = rows();
-        let a = |x: Architecture| find(&rows, x).activity;
-        let ld = |x: Architecture| find(&rows, x).ld_eff;
+        let a = |x: Architecture| find(rows, x).activity;
+        let ld = |x: Architecture| find(rows, x).ld_eff;
         assert!(a(Architecture::RcaDiagPipe2) > a(Architecture::RcaHorPipe2));
         assert!(ld(Architecture::RcaDiagPipe2) < ld(Architecture::RcaHorPipe2));
     }
@@ -743,9 +678,9 @@ mod tests {
         // Our RCA activity lands in the paper's neighbourhood (0.5056);
         // sequential exceeds 1 as the paper stresses.
         let rows = rows();
-        let rca = find(&rows, Architecture::Rca);
+        let rca = find(rows, Architecture::Rca);
         assert!(rca.activity > 0.3 && rca.activity < 1.5, "{}", rca.activity);
-        assert!(find(&rows, Architecture::Sequential).activity > 1.0);
+        assert!(find(rows, Architecture::Sequential).activity > 1.0);
     }
 
     #[test]
@@ -754,7 +689,7 @@ mod tests {
         // noise) everywhere, and the deep ripple array glitches more
         // than the balanced Wallace tree.
         let rows = rows();
-        for r in &rows {
+        for r in rows {
             assert!(
                 r.glitch_factor() > 0.95,
                 "{}: {}",
@@ -763,8 +698,8 @@ mod tests {
             );
         }
         assert!(
-            find(&rows, Architecture::Rca).glitch_factor()
-                > find(&rows, Architecture::Wallace).glitch_factor()
+            find(rows, Architecture::Rca).glitch_factor()
+                > find(rows, Architecture::Wallace).glitch_factor()
         );
     }
 
@@ -779,12 +714,12 @@ mod tests {
     #[test]
     fn render_lists_all() {
         let rows = rows();
-        let s = render_ab_initio(&rows);
+        let s = render_ab_initio(rows);
         for arch in Architecture::ALL {
             assert!(s.contains(arch.paper_name()));
         }
         assert!(s.contains("glitch x"));
-        let fig = render_glitch_factors(&rows);
+        let fig = render_glitch_factors(rows);
         for arch in Architecture::ALL {
             assert!(fig.contains(arch.paper_name()));
         }
@@ -792,33 +727,11 @@ mod tests {
     }
 
     #[test]
-    fn parallel_characterization_is_worker_count_invariant() {
-        // The pools only schedule; the rows must be bit-identical for
-        // any worker count (compare a cheap two-architecture subset).
-        let archs = [Architecture::Sequential, Architecture::Rca];
-        let serial =
-            characterize_parallel(&archs, Flavor::LowLeakage, 20, 3, Workers::Fixed(1)).unwrap();
-        let parallel =
-            characterize_parallel(&archs, Flavor::LowLeakage, 20, 3, Workers::Fixed(8)).unwrap();
-        assert_eq!(serial.len(), 2);
-        for (s, p) in serial.iter().zip(&parallel) {
-            assert_eq!(s.arch, p.arch);
-            assert_eq!(s.cells, p.cells);
-            assert_eq!(s.activity.to_bits(), p.activity.to_bits());
-            assert_eq!(
-                s.activity_zero_delay.to_bits(),
-                p.activity_zero_delay.to_bits()
-            );
-            assert_eq!(s.ptot_uw.to_bits(), p.ptot_uw.to_bits());
-        }
-    }
-
-    #[test]
     fn glitch_sweep_prices_glitches_in_the_design_space() {
         // A cheap two-architecture sweep: measured glitch-aware optima
         // must cost at least the glitch-free ones wherever both close.
         let archs = [Architecture::Rca, Architecture::Wallace];
-        let rows = characterize_parallel(&archs, Flavor::LowLeakage, 30, 5, Workers::Auto).unwrap();
+        let rows = characterize(&archs, &CharacterizeConfig::new(30, 5)).unwrap();
         let sweep = glitch_sweep_from_rows(rows, 4, Workers::Auto).unwrap();
         assert_eq!(sweep.frequencies.len(), 4);
         assert_eq!(sweep.glitch_aware.len(), 3 * 2 * 4);
@@ -854,16 +767,10 @@ mod tests {
             width: 8,
             ..CharacterizeConfig::new(20, 3)
         };
-        let rows8 =
-            characterize_parallel_with(&[Architecture::Rca], Flavor::LowLeakage, &cfg8).unwrap();
+        let rows8 = characterize(&[Architecture::Rca], &cfg8).unwrap();
         assert_eq!(rows8[0].width, 8);
         assert_eq!(rows8[0].axis_name(), "RCA 8b");
-        let rows16 = characterize_parallel_with(
-            &[Architecture::Rca],
-            Flavor::LowLeakage,
-            &CharacterizeConfig::new(20, 3),
-        )
-        .unwrap();
+        let rows16 = characterize(&[Architecture::Rca], &CharacterizeConfig::new(20, 3)).unwrap();
         // 16-bit rows keep the bare paper name (legacy-identical axes).
         assert_eq!(rows16[0].axis_name(), "RCA");
         assert!(rows8[0].cells < rows16[0].cells);
@@ -901,14 +808,8 @@ mod tests {
             baseline: Engine::ZeroDelay,
             ..CharacterizeConfig::new(30, 11)
         };
-        let zd = characterize_parallel_with(&[Architecture::Wallace], Flavor::LowLeakage, &zd_cfg)
-            .unwrap();
-        let bp = characterize_parallel_with(
-            &[Architecture::Wallace],
-            Flavor::LowLeakage,
-            &CharacterizeConfig::new(30, 11),
-        )
-        .unwrap();
+        let zd = characterize(&[Architecture::Wallace], &zd_cfg).unwrap();
+        let bp = characterize(&[Architecture::Wallace], &CharacterizeConfig::new(30, 11)).unwrap();
         // Timed leg identical (same lanes/seed); baselines close but
         // generally not bit-equal (different stimulus volume).
         assert_eq!(zd[0].activity.to_bits(), bp[0].activity.to_bits());
@@ -997,10 +898,8 @@ mod tests {
             items: 5,
             ..CharacterizeConfig::new(20, 7)
         };
-        let a = characterize_parallel_with(&[Architecture::Wallace], Flavor::LowLeakage, &retiled)
-            .unwrap();
-        let b = characterize_parallel_with(&[Architecture::Wallace], Flavor::LowLeakage, &native)
-            .unwrap();
+        let a = characterize(&[Architecture::Wallace], &retiled).unwrap();
+        let b = characterize(&[Architecture::Wallace], &native).unwrap();
         assert_eq!(
             a[0].activity_zero_delay.to_bits(),
             b[0].activity_zero_delay.to_bits()
@@ -1040,7 +939,7 @@ mod tests {
     #[test]
     fn measured_params_pick_the_requested_activity_source() {
         let archs = [Architecture::Wallace];
-        let rows = characterize_parallel(&archs, Flavor::LowLeakage, 20, 9, Workers::Auto).unwrap();
+        let rows = characterize(&archs, &CharacterizeConfig::new(20, 9)).unwrap();
         let timed = measured_arch_params(&rows, ActivitySource::MeasuredTimed).unwrap();
         let zd = measured_arch_params(&rows, ActivitySource::MeasuredZeroDelay).unwrap();
         assert_eq!(timed[0].activity(), rows[0].activity);

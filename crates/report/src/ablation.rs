@@ -6,12 +6,13 @@ use optpower::reference::{PAPER_FREQUENCY, TABLE1};
 use optpower::{ArchParams, ModelError, OptimizerConfig, PowerModel};
 use optpower_explore::Workers;
 use optpower_mult::Architecture;
+use optpower_netlist::Library;
 use optpower_sim::Engine;
 use optpower_tech::{Flavor, Linearization, Technology};
 use optpower_units::{Farads, SquareMicrons, Volts, Watts};
 
 use crate::abinitio::{
-    characterize_parallel_with, measured_arch_params, AbInitioError, ActivitySource,
+    characterize_architecture_with, measured_arch_params, AbInitioError, ActivitySource,
     CharacterizeConfig,
 };
 use crate::render::{fnum, Table};
@@ -145,9 +146,10 @@ pub struct GlitchAblationRow {
 /// horizontal variant does.
 ///
 /// Each design runs the shared ab-initio flow
-/// ([`characterize_parallel_with`]) serially, with one timed lane and a
-/// scalar zero-delay baseline; the glitch-free column re-optimises the
-/// same measurement on its zero-delay activity.
+/// ([`characterize_architecture_with`]) serially on one worker, with
+/// one timed lane and a scalar zero-delay baseline; the glitch-free
+/// column re-optimises the same measurement on its zero-delay
+/// activity.
 ///
 /// # Errors
 ///
@@ -166,8 +168,12 @@ pub fn glitch_ablation(items: u64, seed: u64) -> Result<Vec<GlitchAblationRow>, 
         workers: Workers::Fixed(1),
         ..CharacterizeConfig::new(items, seed)
     };
+    let lib = Library::cmos13();
     let tech = Technology::stm_cmos09(Flavor::LowLeakage);
-    let rows = characterize_parallel_with(&archs, Flavor::LowLeakage, &config)?;
+    let rows = archs
+        .iter()
+        .map(|&arch| characterize_architecture_with(arch, &lib, tech, PAPER_FREQUENCY, &config))
+        .collect::<Result<Vec<_>, _>>()?;
     let glitch_free = measured_arch_params(&rows, ActivitySource::MeasuredZeroDelay)?;
     rows.iter()
         .zip(glitch_free)

@@ -14,7 +14,7 @@
 //! | Figure 1 (Ptot vs Vdd per activity) | [`figure1`] | `optpower figure1` |
 //! | Figure 2 (Vdd^{1/α} linearisation) | [`figure2`] | `optpower figure2` |
 //! | Figures 3/4 (pipeline structures) | [`figure34`] | `optpower figure34` |
-//! | Table 1′ (ab-initio netlist flow) | [`ab_initio_table`] | `optpower ab-initio` |
+//! | Table 1′ (ab-initio netlist flow) | [`characterize_architecture_with`] | `optpower ab-initio` |
 //! | Ablations | [`ablation`] module | `optpower ablation` |
 
 #![forbid(unsafe_code)]
@@ -28,8 +28,7 @@ mod figures;
 mod render;
 
 pub use abinitio::{
-    ab_initio_table, characterize_architecture_with, characterize_design_with,
-    characterize_parallel, characterize_parallel_with, glitch_sweep_from_rows,
+    characterize_architecture_with, characterize_design_with, glitch_sweep_from_rows,
     measured_arch_params, render_ab_initio, render_glitch_factors, AbInitioError, AbInitioRow,
     ActivitySource, CharacterizeConfig, GlitchSweep, PlaneTiling, TIMED_LANES,
 };

@@ -468,7 +468,7 @@ impl<'n, const W: usize> WidePlaneSim<'n, W> {
             .collect();
         Self {
             netlist,
-            values: vec![WideWord::X; netlist.nets().len()],
+            values: vec![WideWord::X; netlist.cells().len()],
             input_next: vec![WideWord::X; netlist.cells().len()],
             is_logic,
             ops,

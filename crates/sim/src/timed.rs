@@ -230,7 +230,8 @@ impl<'n> TimedProgram<'n> {
         let max_delay = delays.iter().copied().max().unwrap_or(0);
 
         let n_cells = netlist.cells().len();
-        let n_nets = netlist.nets().len();
+        // Cell `i` drives net `i`: one net per cell.
+        let n_nets = n_cells;
         // The trailing dummy slot of a stream's values: permanently
         // `Zero`, so an unused input lane contributes 0 to the
         // truth-table index.
@@ -242,6 +243,13 @@ impl<'n> TimedProgram<'n> {
         let mut comb = Vec::new();
         let mut ports = Vec::new();
         for (i, cell) in netlist.cells().iter().enumerate() {
+            // The transition counters (per cell) are indexed by net
+            // directly in the hot loop.
+            assert_eq!(
+                cell.output.index(),
+                i,
+                "cell/net index identity violated by the netlist builder"
+            );
             let kind_ix = CellKind::ALL
                 .iter()
                 .position(|&k| k == cell.kind)
@@ -278,16 +286,6 @@ impl<'n> TimedProgram<'n> {
                 }
             }
             fan_off.push(fan_sink.len() as u32);
-        }
-        // `NetlistBuilder` creates every cell together with its output
-        // net, so their indices coincide; the transition counters (per
-        // cell) can then be indexed by net directly in the hot loop.
-        for (i, net) in netlist.nets().iter().enumerate() {
-            assert_eq!(
-                net.driver.index(),
-                i,
-                "cell/net index identity violated by the netlist builder"
-            );
         }
         let out_of: Vec<u32> = meta.iter().map(|m| m.out).collect();
         // Bucket-run drain precondition: every cell the flush can
@@ -489,7 +487,7 @@ impl<'n> TimedSim<'n> {
         let p = &*program;
         assert_eq!(
             values.len(),
-            p.netlist.nets().len(),
+            p.netlist.cells().len(),
             "resume needs one value per net"
         );
         let mut stream = Stream::new(p);

@@ -82,11 +82,11 @@ impl<'n> ScalarTimedSim<'n> {
         Ok(Self {
             netlist,
             delays,
-            values: vec![Logic::X; netlist.nets().len()],
+            values: vec![Logic::X; netlist.cells().len()],
             input_next: vec![Logic::X; netlist.cells().len()],
             transitions: vec![0; netlist.cells().len()],
             queue: BinaryHeap::new(),
-            latest_seq: vec![0; netlist.nets().len()],
+            latest_seq: vec![0; netlist.cells().len()],
             seq: 0,
             cycle: 0,
         })

@@ -108,7 +108,7 @@ pub struct VcdRecorder {
 impl VcdRecorder {
     /// Tracks every net in the netlist.
     pub fn all_nets(netlist: &Netlist) -> Self {
-        let nets = (0..netlist.nets().len() as u32)
+        let nets = (0..netlist.cells().len() as u32)
             .map(|i| (NetId(i), netlist.net_name(NetId(i))))
             .collect();
         Self::with_nets(netlist.name(), nets)
@@ -328,9 +328,9 @@ mod tests {
     fn header_declares_all_nets() {
         let nl = toggler();
         let vcd = VcdRecorder::all_nets(&nl);
-        assert_eq!(vcd.tracked(), nl.nets().len());
+        assert_eq!(vcd.tracked(), nl.cells().len());
         let text = vcd.finish();
-        assert_eq!(text.matches("$var wire 1 ").count(), nl.nets().len());
+        assert_eq!(text.matches("$var wire 1 ").count(), nl.cells().len());
     }
 
     #[test]
@@ -370,7 +370,7 @@ mod tests {
         }
         let text = vcd.finish();
         let dump = parse_vcd(&text).expect("own dumps must parse");
-        assert_eq!(dump.vars.len(), nl.nets().len());
+        assert_eq!(dump.vars.len(), nl.cells().len());
         // Sum the re-parsed known<->known changes over nets driven by
         // logic cells: must equal the simulator's own counter.
         let counts = dump.known_transitions();

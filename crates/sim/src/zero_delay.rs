@@ -26,7 +26,7 @@ impl<'n> ZeroDelaySim<'n> {
     pub fn new(netlist: &'n Netlist) -> Self {
         Self {
             netlist,
-            values: vec![Logic::X; netlist.nets().len()],
+            values: vec![Logic::X; netlist.cells().len()],
             input_next: vec![Logic::X; netlist.cells().len()],
             transitions: vec![0; netlist.cells().len()],
             cycle: 0,

@@ -76,7 +76,7 @@ impl TimingAnalysis {
         let stride = tick_stride(&ticks);
         let delay_units: Vec<u64> = ticks.iter().map(|&t| t / stride).collect();
 
-        let n_nets = netlist.nets().len();
+        let n_nets = netlist.cells().len();
         let mut earliest = vec![0u64; n_nets];
         let mut latest = vec![0u64; n_nets];
 

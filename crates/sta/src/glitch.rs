@@ -46,7 +46,7 @@ impl GlitchProfile {
     /// Derives the bounds from a finished timing analysis of the same
     /// netlist. Single topological pass.
     pub fn compute(netlist: &Netlist, sta: &TimingAnalysis) -> Self {
-        let mut bounds = vec![0u64; netlist.nets().len()];
+        let mut bounds = vec![0u64; netlist.cells().len()];
         // Seed the sources first: the topo order treats DFF *outputs*
         // as sources but may place the DFF cell itself after its
         // readers (its position is ordered by its D input), so a

@@ -148,7 +148,8 @@ impl LintReport {
         Self {
             name: netlist.name().to_string(),
             cells: netlist.cells().len(),
-            nets: netlist.nets().len(),
+            // Cell `i` drives net `i`: one net per cell.
+            nets: netlist.cells().len(),
             diagnostics,
         }
     }
@@ -323,12 +324,12 @@ fn unreachable_cells(netlist: &Netlist, out: &mut Vec<Diagnostic>) {
 /// L002: a driven net with no sinks. `Output` markers terminate a net
 /// by design and are exempt.
 fn floating_nets(netlist: &Netlist, out: &mut Vec<Diagnostic>) {
-    for (i, net) in netlist.nets().iter().enumerate() {
+    for (i, cell) in netlist.cells().iter().enumerate() {
         let id = NetId(i as u32);
-        if netlist.fanout(id).is_empty() && netlist.cell(net.driver).kind != CellKind::Output {
+        if netlist.fanout(id).is_empty() && cell.kind != CellKind::Output {
             out.push(Diagnostic {
                 rule: LintRule::FloatingNet,
-                cell: Some(net.driver),
+                cell: Some(CellId(i as u32)),
                 net: Some(id),
                 message: format!("net '{}' has no sinks", netlist.net_name(id)),
             });
@@ -340,7 +341,7 @@ fn floating_nets(netlist: &Netlist, out: &mut Vec<Diagnostic>) {
 /// inputs are all constant computes a constant — it should be a
 /// `Const` cell (or folded away entirely).
 fn constant_foldable(netlist: &Netlist, out: &mut Vec<Diagnostic>) {
-    let mut is_const = vec![false; netlist.nets().len()];
+    let mut is_const = vec![false; netlist.cells().len()];
     for &id in netlist.topo_order() {
         let cell = netlist.cell(id);
         is_const[cell.output.index()] = match cell.kind {
@@ -424,7 +425,7 @@ fn x_sources(netlist: &Netlist, out: &mut Vec<Diagnostic>) {
 fn fanout_outliers(netlist: &Netlist, out: &mut Vec<Diagnostic>) {
     let mut total = 0usize;
     let mut driven = 0usize;
-    for i in 0..netlist.nets().len() {
+    for i in 0..netlist.cells().len() {
         let f = netlist.fanout(NetId(i as u32)).len();
         if f > 0 {
             total += f;
@@ -434,10 +435,10 @@ fn fanout_outliers(netlist: &Netlist, out: &mut Vec<Diagnostic>) {
     if driven == 0 {
         return;
     }
-    for (i, net) in netlist.nets().iter().enumerate() {
+    for (i, cell) in netlist.cells().iter().enumerate() {
         let id = NetId(i as u32);
         if matches!(
-            netlist.cell(net.driver).kind,
+            cell.kind,
             CellKind::Input | CellKind::Const0 | CellKind::Const1 | CellKind::Dff
         ) {
             continue;
@@ -447,7 +448,7 @@ fn fanout_outliers(netlist: &Netlist, out: &mut Vec<Diagnostic>) {
         if f >= 8 && f * driven > 4 * total {
             out.push(Diagnostic {
                 rule: LintRule::FanoutOutlier,
-                cell: Some(net.driver),
+                cell: Some(CellId(i as u32)),
                 net: Some(id),
                 message: format!(
                     "net '{}' drives {} sinks (design mean {:.2})",

@@ -34,7 +34,7 @@ use crate::artifact::{Artifact, Payload, RunMeta, ARTIFACT_SCHEMA};
 use crate::columns::{parse_row, Column, AB_INITIO, COMPARISON};
 use crate::error::{SpecError, WorkloadError};
 use crate::json::Json;
-use crate::runtime::{grid_cells, resolve_archs, resolve_table1_names, width_grid, TABLE1_TITLE};
+use crate::runtime::{job_cells, resolve_table1_names, TABLE1_TITLE};
 use crate::spec::JobSpec;
 
 impl Artifact {
@@ -63,16 +63,9 @@ impl Artifact {
         workers: Workers,
     ) -> Result<Artifact, WorkloadError> {
         let payload = match spec {
-            JobSpec::AbInitio(s) => {
-                let order: Vec<(usize, Architecture)> = resolve_archs(&s.archs)?
-                    .into_iter()
-                    .map(|a| (s.width, a))
-                    .collect();
-                Payload::AbInitio(collect_rows(&order, shards)?)
-            }
+            JobSpec::AbInitio(_) => Payload::AbInitio(collect_rows(&job_cells(spec)?, shards)?),
             JobSpec::GlitchSweep(s) => {
-                let order = grid_cells(width_grid(&s.archs, &s.widths)?);
-                let rows = collect_rows(&order, shards)?;
+                let rows = collect_rows(&job_cells(spec)?, shards)?;
                 Payload::Glitch(glitch_sweep_from_rows(rows, s.freq_points, workers)?)
             }
             JobSpec::Table1Sweep { archs } => {

@@ -8,19 +8,26 @@
 //! for their own run), and because every underlying flow is
 //! worker-count-invariant, the artifact payload is a pure function of
 //! the spec.
+//!
+//! The five netlist kinds (`ab_initio`, `glitch_sweep`, `sta`,
+//! `prune_delta`, `lint`) share one list of (width, architecture)
+//! cells per job (`job_cells`, which the sharder and the shard merge
+//! use too), one pooled executor over it (`run_cells`) and one
+//! characterization path through the row store; their arms only
+//! assemble payloads.
 
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
-use optpower_explore::Workers;
+use optpower_explore::{par_map, Workers};
 use optpower_mult::Architecture;
 use optpower_netlist::{Library, Netlist};
 use optpower_report::ablation;
 use optpower_report::extended::{scaling_study_parallel, sensitivity_report_parallel};
 use optpower_report::{
-    characterize_design_with, characterize_parallel_with, figure1, figure2, figure34,
-    figure_pareto, glitch_sweep_from_rows, table1_names, table1_parallel, table1_subset_parallel,
-    table3, table4, AbInitioRow, CharacterizeConfig, GlitchSweep,
+    characterize_design_with, figure1, figure2, figure34, figure_pareto, glitch_sweep_from_rows,
+    table1_names, table1_parallel, table1_subset_parallel, table3, table4, AbInitioRow,
+    CharacterizeConfig,
 };
 use optpower_sim::{measure_activity, VcdRecorder, ZeroDelaySim};
 use optpower_sta::{GlitchProfile, LintReport, TimingAnalysis};
@@ -45,23 +52,24 @@ pub const TABLE3_TITLE: &str = "Table 3 - Wallace family optimal power, ULL flav
 /// Console title of the Table 4 artifact.
 pub const TABLE4_TITLE: &str = "Table 4 - Wallace family optimal power, HS flavour (31.25 MHz)";
 
-/// The content address of one architecture's characterization under a
-/// given config: every field that decides the measured row, nothing
-/// that doesn't (`workers` is pure scheduling). The baseline leg is
-/// keyed by its *resolved* `(engine, per-lane items)` pair on top of
-/// the raw `(baseline, items)` — the raw pair still matters because
-/// the timed leg derives its per-lane volume from raw `items`.
+/// The content address of one characterization under a given config:
+/// every field that decides the measured row, nothing that doesn't
+/// (`workers` is pure scheduling). `raw` marks the netlist before the
+/// dead-cone prune, so `prune_delta`'s two legs never alias. The
+/// baseline leg is keyed by its *resolved* `(engine, per-lane items)`
+/// pair on top of the raw `(baseline, items)` — the raw pair still
+/// matters because the timed leg derives its per-lane volume from raw
+/// `items`. Every characterization runs at the paper's working point
+/// (ST LL, 31.25 MHz).
 fn row_key(
-    arch: Architecture,
-    flavor: Flavor,
+    (width, arch, raw): (usize, Architecture, bool),
     config: &CharacterizeConfig,
 ) -> Result<String, WorkloadError> {
     let (resolved_engine, resolved_items) = config.resolved_baseline()?;
     Ok(format!(
-        "arch={};flavor={};width={};lanes={};baseline={};items={};plane={}x{};seed={}",
+        "arch={};netlist={};width={width};lanes={};baseline={};items={};plane={}x{};seed={}",
         arch.paper_name(),
-        flavor.abbreviation(),
-        config.width,
+        if raw { "raw" } else { "pruned" },
         config.lanes,
         engine_name(config.baseline),
         config.items,
@@ -77,7 +85,9 @@ pub struct Runtime {
     workers: Workers,
     artifact_dir: PathBuf,
     cache: Option<Store<Artifact>>,
-    row_cache: Option<Store<AbInitioRow>>,
+    /// Each row beside its netlist's flip-flop count, which the row
+    /// does not carry and `prune_delta` reports.
+    row_cache: Option<Store<(AbInitioRow, usize)>>,
 }
 
 impl Default for Runtime {
@@ -107,16 +117,16 @@ impl Runtime {
     /// Attaches two fresh [`Store`]s: an artifact store holding at
     /// most `capacity` artifacts, keyed by the spec's canonical JSON,
     /// and the incremental row store behind it, keyed by everything
-    /// that decides one architecture's characterization (architecture,
-    /// flavour, width, lanes, baseline, items, resolved plane, seed)
+    /// that decides one characterization (architecture, raw or pruned
+    /// netlist, width, lanes, baseline, items, resolved plane, seed)
     /// and sized at one full 13-architecture sweep per artifact slot.
     /// Once attached, every [`Runtime::run`] stamps `meta.cache` and
     /// identical specs (by canonical JSON — key order and float
     /// spelling don't matter) are served from the artifact store,
-    /// while characterizing jobs additionally reuse any
-    /// per-architecture rows a *different* spec already computed
-    /// (stamped in `meta.row_cache`). Cloned runtimes share both
-    /// stores.
+    /// while characterizing jobs (`prune_delta`'s raw and pruned legs
+    /// included) additionally reuse any rows a *different* spec
+    /// already computed (stamped in `meta.row_cache`). Cloned runtimes
+    /// share both stores.
     pub fn with_cache(mut self, capacity: usize) -> Self {
         self.cache = Some(Store::new(capacity));
         self.row_cache = Some(Store::new(capacity.saturating_mul(Architecture::ALL.len())));
@@ -247,17 +257,32 @@ impl Runtime {
                 1,
             ),
             JobSpec::AbInitio(s) => {
-                let job_workers = s.workers.map_or(workers, Workers::Fixed);
-                (
-                    Payload::AbInitio(self.characterize(s, job_workers, &mut row_stats)?),
-                    job_workers.count(),
-                )
+                let workers = s.workers.map_or(workers, Workers::Fixed);
+                let config = CharacterizeConfig {
+                    lanes: s.lanes,
+                    baseline: s.engine,
+                    plane: s.plane,
+                    workers,
+                    ..CharacterizeConfig::new(s.items, s.seed)
+                };
+                let (rows, _) =
+                    self.characterize_cells(&job_cells(spec)?, &[false], &config, &mut row_stats)?;
+                (Payload::AbInitio(rows), workers.count())
             }
             JobSpec::GlitchSweep(s) => {
-                let job_workers = s.workers.map_or(workers, Workers::Fixed);
+                let workers = s.workers.map_or(workers, Workers::Fixed);
+                let config = CharacterizeConfig {
+                    lanes: s.lanes,
+                    baseline: s.engine,
+                    plane: s.plane,
+                    workers,
+                    ..CharacterizeConfig::new(s.items, s.seed)
+                };
+                let (rows, _) =
+                    self.characterize_cells(&job_cells(spec)?, &[false], &config, &mut row_stats)?;
                 (
-                    Payload::Glitch(self.glitch_sweep(s, job_workers, &mut row_stats)?),
-                    job_workers.count(),
+                    Payload::Glitch(glitch_sweep_from_rows(rows, s.freq_points, workers)?),
+                    workers.count(),
                 )
             }
             JobSpec::ActivityMeasure(s) => {
@@ -294,20 +319,75 @@ impl Runtime {
                 workers.count(),
             ),
             JobSpec::Export => (Payload::Export(self.export()?), 1),
-            JobSpec::Lint(s) => (Payload::Lint(lint_job(s)?), 1),
+            JobSpec::Lint(_) => {
+                let summaries = run_cells(&job_cells(spec)?, workers, |&(width, arch), _| {
+                    Ok(LintSummary {
+                        arch: arch.paper_name().to_string(),
+                        width,
+                        report: LintReport::lint(&arch.generate(width)?.netlist),
+                    })
+                })?;
+                (Payload::Lint(summaries), workers.count())
+            }
             JobSpec::Sta(s) => {
-                let job_workers = s.workers.map_or(workers, Workers::Fixed);
-                (
-                    Payload::Sta(self.sta_job(s, job_workers, &mut row_stats)?),
-                    job_workers.count(),
-                )
+                let workers = s.workers.map_or(workers, Workers::Fixed);
+                let cells = job_cells(spec)?;
+                // The measured leg, when asked for, runs first on the
+                // characterization path; each static row then takes
+                // its cell's measurement.
+                let measured = if s.items > 0 {
+                    let config = CharacterizeConfig {
+                        lanes: s.lanes,
+                        workers,
+                        ..CharacterizeConfig::new(s.items, s.seed)
+                    };
+                    self.characterize_cells(&cells, &[false], &config, &mut row_stats)?
+                        .0
+                        .into_iter()
+                        .map(Some)
+                        .collect()
+                } else {
+                    vec![None; cells.len()]
+                };
+                let lib = Library::cmos13();
+                let tasks: Vec<_> = cells.into_iter().zip(measured).collect();
+                let rows = run_cells(&tasks, workers, |((width, arch), measured), _| {
+                    sta_row(&lib, *width, *arch, measured.as_ref())
+                })?;
+                (Payload::Sta(rows), workers.count())
             }
             JobSpec::PruneDelta(s) => {
-                let job_workers = s.workers.map_or(workers, Workers::Fixed);
-                (
-                    Payload::PruneDelta(prune_delta_job(s, job_workers)?),
-                    job_workers.count(),
-                )
+                // Per cell, the raw (pre-prune) and the production
+                // (pruned) netlist through the identical
+                // characterization. Both legs pass its lint gate: the
+                // raw leg's dead cones are warnings, not errors, so what
+                // they cost can be surfaced, while an X-source in either
+                // leg is still refused.
+                let workers = s.workers.map_or(workers, Workers::Fixed);
+                let config = CharacterizeConfig {
+                    workers,
+                    ..CharacterizeConfig::new(s.items, s.seed)
+                };
+                let cells = job_cells(spec)?;
+                let (legs, dffs) =
+                    self.characterize_cells(&cells, &[true, false], &config, &mut row_stats)?;
+                let rows = cells
+                    .iter()
+                    .zip(legs.chunks_exact(2).zip(dffs.chunks_exact(2)))
+                    .map(|(&(width, arch), (legs, dffs))| PruneDeltaRow {
+                        arch: arch.paper_name().to_string(),
+                        width,
+                        cells_before: legs[0].cells,
+                        cells_after: legs[1].cells,
+                        dffs_before: dffs[0],
+                        dffs_after: dffs[1],
+                        activity_before: legs[0].activity,
+                        activity_after: legs[1].activity,
+                        ptot_uw_before: legs[0].ptot_uw,
+                        ptot_uw_after: legs[1].ptot_uw,
+                    })
+                    .collect();
+                (Payload::PruneDelta(rows), workers.count())
             }
             JobSpec::Batch(jobs) => {
                 let artifacts = jobs
@@ -328,107 +408,75 @@ impl Runtime {
         })
     }
 
-    /// [`characterize_parallel_with`] behind the incremental row
-    /// cache: resident architectures are served as-is (bit-identical
-    /// by determinism), the rest are characterized in one pooled call
-    /// and inserted. Without an attached cache this is a plain
-    /// pass-through and `stats` stays `None`; with one, `stats`
-    /// accumulates hits and misses across every call of the job.
-    fn cached_characterize(
+    /// The one characterization path of the netlist jobs: the
+    /// netlists `raw` lists of each cell (`false` = the production
+    /// netlist every job measures, `true` = the raw one before the
+    /// dead-cone prune), each generated → [`characterize_design_with`]
+    /// under `config` at the paper's working point (ST LL,
+    /// 31.25 MHz). Rows come back cell-major, in `raw` order, beside
+    /// each netlist's flip-flop count. `config.width` is ignored (each
+    /// cell brings its own) and `config.workers` is the job's whole
+    /// budget.
+    ///
+    /// With a row store attached, resident rows are served first
+    /// (bit-identical by determinism) and `stats` counts hits and
+    /// misses; only the misses go to [`run_cells`], so they split the
+    /// whole budget among themselves, and each is inserted. The lint
+    /// gate runs inside the characterization, so a served row does no
+    /// netlist work at all.
+    fn characterize_cells(
         &self,
-        archs: &[Architecture],
-        flavor: Flavor,
+        cells: &[(usize, Architecture)],
+        raw: &[bool],
         config: &CharacterizeConfig,
         stats: &mut Option<RowCacheStats>,
-    ) -> Result<Vec<AbInitioRow>, WorkloadError> {
-        let Some(cache) = &self.row_cache else {
-            return Ok(characterize_parallel_with(archs, flavor, config)?);
-        };
-        let stats = stats.get_or_insert_with(RowCacheStats::default);
-        let keys = archs
+    ) -> Result<(Vec<AbInitioRow>, Vec<usize>), WorkloadError> {
+        let legs: Vec<(usize, Architecture, bool)> = cells
             .iter()
-            .map(|&arch| row_key(arch, flavor, config))
-            .collect::<Result<Vec<_>, _>>()?;
-        let mut slots: Vec<Option<AbInitioRow>> = keys.iter().map(|k| cache.get(k)).collect();
-        let missing: Vec<Architecture> = archs
-            .iter()
-            .zip(&slots)
-            .filter(|(_, slot)| slot.is_none())
-            .map(|(&arch, _)| arch)
+            .flat_map(|&(width, arch)| raw.iter().map(move |&raw| (width, arch, raw)))
             .collect();
-        stats.hits += (archs.len() - missing.len()) as u64;
-        stats.misses += missing.len() as u64;
-        if !missing.is_empty() {
-            // Results come back in `missing` order; `archs` has no
-            // duplicates (the spec layer rejects them), so matching by
-            // architecture restores input order.
-            for row in characterize_parallel_with(&missing, flavor, config)? {
-                let i = archs
-                    .iter()
-                    .position(|&a| a == row.arch)
-                    .expect("characterization returns only requested architectures");
-                cache.insert(keys[i].clone(), row.clone());
-                slots[i] = Some(row);
-            }
-        }
-        Ok(slots
-            .into_iter()
-            .map(|slot| slot.expect("every architecture is either cached or recomputed"))
-            .collect())
-    }
-
-    /// Ab-initio characterization for a spec: resolve the architecture
-    /// subset, then run [`characterize_parallel_with`] on the pool
-    /// (through the row cache when one is attached). The lint gate
-    /// runs inside each characterization, so cached rows skip it.
-    fn characterize(
-        &self,
-        s: &AbInitioSpec,
-        workers: Workers,
-        stats: &mut Option<RowCacheStats>,
-    ) -> Result<Vec<AbInitioRow>, WorkloadError> {
-        let archs = resolve_archs(&s.archs)?;
-        for &arch in &archs {
-            if !arch.supports_width(s.width) {
-                return Err(width_error(arch, s.width));
-            }
-        }
-        let config = CharacterizeConfig {
-            width: s.width,
-            lanes: s.lanes,
-            baseline: s.engine,
-            plane: s.plane,
-            items: s.items,
-            seed: s.seed,
-            workers,
+        let keys = legs
+            .iter()
+            .map(|&leg| row_key(leg, config))
+            .collect::<Result<Vec<_>, _>>()?;
+        let mut rows: Vec<Option<(AbInitioRow, usize)>> = match &self.row_cache {
+            Some(store) => keys.iter().map(|key| store.get(key)).collect(),
+            None => vec![None; legs.len()],
         };
-        self.cached_characterize(&archs, Flavor::LowLeakage, &config, stats)
-    }
-
-    /// The glitch-aware sweep over the spec's operand-width axis:
-    /// characterize per width of the [`width_grid`], concatenate the
-    /// rows (width-qualified axis names keep them distinct), sweep
-    /// once.
-    fn glitch_sweep(
-        &self,
-        s: &GlitchSweepSpec,
-        workers: Workers,
-        stats: &mut Option<RowCacheStats>,
-    ) -> Result<GlitchSweep, WorkloadError> {
-        let mut rows = Vec::new();
-        for (width, subset) in width_grid(&s.archs, &s.widths)? {
+        let missing: Vec<usize> = (0..legs.len()).filter(|&i| rows[i].is_none()).collect();
+        if self.row_cache.is_some() {
+            let stats = stats.get_or_insert_with(RowCacheStats::default);
+            stats.hits += (legs.len() - missing.len()) as u64;
+            stats.misses += missing.len() as u64;
+        }
+        let lib = Library::cmos13();
+        let tech = Technology::stm_cmos09(Flavor::LowLeakage);
+        let freq = Hertz::new(31.25e6);
+        let computed = run_cells(&missing, config.workers, |&i, workers| {
+            let (width, arch, raw) = legs[i];
+            let design = if raw {
+                arch.generate_raw(width)?
+            } else {
+                arch.generate(width)?
+            };
             let config = CharacterizeConfig {
                 width,
-                lanes: s.lanes,
-                baseline: s.engine,
-                plane: s.plane,
-                items: s.items,
-                seed: s.seed,
                 workers,
+                ..*config
             };
-            rows.extend(self.cached_characterize(&subset, Flavor::LowLeakage, &config, stats)?);
+            let row = characterize_design_with(&design, &lib, tech, freq, &config)?;
+            Ok((row, design.netlist.dff_count()))
+        })?;
+        for (i, row) in missing.into_iter().zip(computed) {
+            if let Some(store) = &self.row_cache {
+                store.insert(keys[i].clone(), row.clone());
+            }
+            rows[i] = Some(row);
         }
-        Ok(glitch_sweep_from_rows(rows, s.freq_points, workers)?)
+        Ok(rows
+            .into_iter()
+            .map(|row| row.expect("every leg is either served or computed"))
+            .unzip())
     }
 
     /// The structural export job: Verilog + DOT per architecture and a
@@ -494,163 +542,61 @@ fn lint_preflight(netlist: &Netlist) -> Result<(), WorkloadError> {
     Ok(())
 }
 
-/// The lint job: one report per (architecture, width). `widths: None`
-/// is the CI gate shape — every width each architecture supports.
-fn lint_job(s: &LintSpec) -> Result<Vec<LintSummary>, WorkloadError> {
-    let archs = resolve_archs(&s.archs)?;
-    if let Some(ws) = &s.widths {
-        check_widths(ws)?;
-    }
-    let mut out = Vec::new();
-    for &arch in &archs {
-        // Same semantics as the glitch sweep: explicit arch list +
-        // unsupported width is an error; the default (all thirteen)
-        // narrows to the widths each architecture exists at.
-        let widths: Vec<usize> = match &s.widths {
-            Some(ws) if s.archs.is_some() => {
-                for &w in ws {
-                    if !arch.supports_width(w) {
-                        return Err(width_error(arch, w));
-                    }
-                }
-                ws.clone()
-            }
-            Some(ws) => ws
-                .iter()
-                .copied()
-                .filter(|&w| arch.supports_width(w))
-                .collect(),
-            None => (2..=32).filter(|&w| arch.supports_width(w)).collect(),
-        };
-        for width in widths {
-            let design = arch.generate(width)?;
-            out.push(LintSummary {
-                arch: arch.paper_name().to_string(),
-                width,
-                report: LintReport::lint(&design.netlist),
-            });
-        }
-    }
-    Ok(out)
-}
-
-impl Runtime {
-    /// The STA job: integer-tick windows, path statistics and the
-    /// static glitch bound per architecture; when `items > 0` a
-    /// measured timed leg runs on the pool (through the row cache
-    /// when one is attached — an earlier characterization sweep over
-    /// the same measurement shape hands its rows over for free) and
-    /// each row carries the simulated glitch factor for the
-    /// static-vs-measured correlation.
-    fn sta_job(
-        &self,
-        s: &StaSpec,
-        workers: Workers,
-        stats: &mut Option<RowCacheStats>,
-    ) -> Result<Vec<StaRow>, WorkloadError> {
-        let archs = resolve_archs(&s.archs)?;
-        for &arch in &archs {
-            if !arch.supports_width(s.width) {
-                return Err(width_error(arch, s.width));
-            }
-        }
-        let measured: Vec<(Architecture, f64, f64)> = if s.items > 0 {
-            let config = CharacterizeConfig {
-                width: s.width,
-                lanes: s.lanes,
-                workers,
-                ..CharacterizeConfig::new(s.items, s.seed)
-            };
-            self.cached_characterize(&archs, Flavor::LowLeakage, &config, stats)?
-                .iter()
-                .map(|r| (r.arch, r.glitch_factor(), r.activity))
-                .collect()
-        } else {
-            Vec::new()
-        };
-        let lib = Library::cmos13();
-        let mut rows = Vec::new();
-        for &arch in &archs {
-            let design = arch.generate(s.width)?;
-            lint_preflight(&design.netlist)?;
-            let sta = TimingAnalysis::try_analyze(&design.netlist, &lib)?;
-            let glitch = GlitchProfile::compute(&design.netlist, &sta);
-            let critical_path_cells = sta
-                .critical_path(&design.netlist, &lib)
-                .map(|p| p.cells.len())
-                .unwrap_or(0);
-            rows.push(StaRow {
-                arch: arch.paper_name().to_string(),
-                width: s.width,
-                cells: design.netlist.logic_cell_count(),
-                stride_ticks: sta.stride(),
-                logical_depth: sta.logical_depth(),
-                shortest_path: sta.shortest_endpoint_path(),
-                path_spread: sta.path_spread(),
-                mean_input_skew: sta.mean_input_skew(),
-                critical_path_cells,
-                static_glitch_factor: glitch.static_glitch_factor(),
-                measured_glitch_factor: measured
-                    .iter()
-                    .find(|(a, _, _)| *a == arch)
-                    .map(|&(_, g, _)| g),
-                // Activity is per data item; the per-cycle cell bound
-                // scales by the item's cycle count.
-                static_activity_bound: glitch.mean_cell_bound() * f64::from(design.cycles_per_item),
-                measured_activity: measured
-                    .iter()
-                    .find(|(a, _, _)| *a == arch)
-                    .map(|&(_, _, a)| a),
-            });
-        }
-        Ok(rows)
-    }
-}
-
-/// The dead-cone prune delta job: per (architecture, width), generate
-/// the raw (pre-prune) and production (pruned) netlists and push both
-/// through the identical timed characterization + power optimisation
-/// flow at the paper's working point (ST LL, 31.25 MHz). Both legs pass
-/// the lint gate inside [`characterize_design_with`]: the raw leg's
-/// dead cones are warnings, not errors, so surfacing what they cost
-/// stays possible, while an X-source in either leg is still refused.
-fn prune_delta_job(
-    s: &PruneDeltaSpec,
+/// The one executor behind every netlist job: runs `task` once per
+/// item on the pool and returns the results in item order, or the
+/// first error in item order. The budget splits two levels deep: the
+/// outer pool runs min(workers, items) items at a time, and each task
+/// gets the leftover workers for its timed lanes, so a few very slow
+/// netlists (the 61-deep RCA, the sequential cores) cannot serialise
+/// the tail. Every task is an independent deterministic computation:
+/// the pools only decide *who* runs it, never what it returns.
+fn run_cells<T: Sync, R: Send>(
+    items: &[T],
     workers: Workers,
-) -> Result<Vec<PruneDeltaRow>, WorkloadError> {
-    let lib = Library::cmos13();
-    let tech = Technology::stm_cmos09(Flavor::LowLeakage);
-    let freq = Hertz::new(31.25e6);
-    let mut rows = Vec::new();
-    for (width, subset) in width_grid(&s.archs, &s.widths)? {
-        let config = CharacterizeConfig {
-            width,
-            workers,
-            ..CharacterizeConfig::new(s.items, s.seed)
-        };
-        // Deliberately bypasses the row cache: the raw and pruned legs
-        // of one architecture share every key field, so caching would
-        // serve one leg's row for the other.
-        for &arch in &subset {
-            let raw = arch.generate_raw(width)?;
-            let pruned = arch.generate(width)?;
-            let before = characterize_design_with(&raw, &lib, tech, freq, &config)?;
-            let after = characterize_design_with(&pruned, &lib, tech, freq, &config)?;
-            rows.push(PruneDeltaRow {
-                arch: arch.paper_name().to_string(),
-                width,
-                cells_before: raw.netlist.logic_cell_count(),
-                cells_after: pruned.netlist.logic_cell_count(),
-                dffs_before: raw.netlist.dff_count(),
-                dffs_after: pruned.netlist.dff_count(),
-                activity_before: before.activity,
-                activity_after: after.activity,
-                ptot_uw_before: before.ptot_uw,
-                ptot_uw_after: after.ptot_uw,
-            });
-        }
-    }
-    Ok(rows)
+    task: impl Fn(&T, Workers) -> Result<R, WorkloadError> + Sync,
+) -> Result<Vec<R>, WorkloadError> {
+    let total = workers.count();
+    let outer = total.clamp(1, items.len().max(1));
+    let inner = Workers::Fixed((total / outer).max(1));
+    par_map(items, outer, |item| task(item, inner))
+        .into_iter()
+        .collect()
+}
+
+/// One STA row: integer-tick windows, path statistics and the static
+/// glitch bound of a cell's production netlist, beside the cell's
+/// measured glitch factor and activity when the job measured them.
+fn sta_row(
+    lib: &Library,
+    width: usize,
+    arch: Architecture,
+    measured: Option<&AbInitioRow>,
+) -> Result<StaRow, WorkloadError> {
+    let design = arch.generate(width)?;
+    lint_preflight(&design.netlist)?;
+    let sta = TimingAnalysis::try_analyze(&design.netlist, lib)?;
+    let glitch = GlitchProfile::compute(&design.netlist, &sta);
+    let critical_path_cells = sta
+        .critical_path(&design.netlist, lib)
+        .map(|p| p.cells.len())
+        .unwrap_or(0);
+    Ok(StaRow {
+        arch: arch.paper_name().to_string(),
+        width,
+        cells: design.netlist.logic_cell_count(),
+        stride_ticks: sta.stride(),
+        logical_depth: sta.logical_depth(),
+        shortest_path: sta.shortest_endpoint_path(),
+        path_spread: sta.path_spread(),
+        mean_input_skew: sta.mean_input_skew(),
+        critical_path_cells,
+        static_glitch_factor: glitch.static_glitch_factor(),
+        measured_glitch_factor: measured.map(AbInitioRow::glitch_factor),
+        // Activity is per data item; the per-cycle cell bound scales
+        // by the item's cycle count.
+        static_activity_bound: glitch.mean_cell_bound() * f64::from(design.cycles_per_item),
+        measured_activity: measured.map(|row| row.activity),
+    })
 }
 
 /// Looks one architecture up by paper name, as a typed error.
@@ -686,54 +632,90 @@ pub(crate) fn resolve_table1_names(names: &[String]) -> Result<(), WorkloadError
     Ok(())
 }
 
-/// The (width × architecture) grid of a job with a width axis, in
-/// evaluation order: width-major, each width with its architecture
-/// subset in resolution order. With an explicit `archs` list an
-/// unsupported width is an error; the default (all thirteen) narrows
-/// each width to the architectures that exist at it. An empty or
-/// repeating `widths` is an error too: a repeat would characterize
-/// everything twice and alias two identically named rows on the sweep
-/// axis. The glitch sweep and
-/// the prune delta run this grid, the sharder cuts along it and the
-/// shard merge restores its order.
-pub(crate) fn width_grid(
-    archs: &Option<Vec<String>>,
-    widths: &[usize],
-) -> Result<Vec<(usize, Vec<Architecture>)>, WorkloadError> {
-    check_widths(widths)?;
-    let resolved = resolve_archs(archs)?;
-    widths
-        .iter()
-        .map(|&width| {
-            let subset: Vec<Architecture> = if archs.is_some() {
-                if let Some(&arch) = resolved.iter().find(|a| !a.supports_width(width)) {
-                    return Err(width_error(arch, width));
+/// A netlist job's (width, architecture) cells in evaluation order:
+/// the one place a job's grid is resolved and validated. The runtime
+/// runs these cells, [`JobSpec::shard`] cuts along them and
+/// [`Artifact::merge_shards`] orders rows by them, so a spec that
+/// shards is a spec that would run.
+///
+/// * `ab_initio` and `sta`: the architectures at the spec's width, each
+///   of which must support it;
+/// * `glitch_sweep` and `prune_delta`: the [`width_grid`];
+/// * `lint`: architecture-major. Explicit architectures *and* widths
+///   must all fit together; otherwise each architecture narrows to the
+///   widths it exists at (with no `widths`, every width it supports:
+///   the CI gate shape).
+///
+/// Every other kind has no cells.
+pub(crate) fn job_cells(spec: &JobSpec) -> Result<Vec<(usize, Architecture)>, WorkloadError> {
+    match spec {
+        JobSpec::AbInitio(AbInitioSpec { archs, width, .. })
+        | JobSpec::Sta(StaSpec { archs, width, .. }) => resolve_archs(archs)?
+            .into_iter()
+            .map(|arch| {
+                if arch.supports_width(*width) {
+                    Ok((*width, arch))
+                } else {
+                    Err(width_error(arch, *width))
                 }
-                resolved.clone()
-            } else {
-                resolved
-                    .iter()
-                    .copied()
-                    .filter(|a| a.supports_width(width))
-                    .collect()
-            };
-            if subset.is_empty() {
-                return Err(SpecError::new(format!(
-                    "no requested architecture supports width {width}"
-                ))
-                .into());
+            })
+            .collect(),
+        JobSpec::GlitchSweep(GlitchSweepSpec { archs, widths, .. })
+        | JobSpec::PruneDelta(PruneDeltaSpec { archs, widths, .. }) => width_grid(archs, widths),
+        JobSpec::Lint(LintSpec { archs, widths }) => {
+            let resolved = resolve_archs(archs)?;
+            if let Some(ws) = widths {
+                check_widths(ws)?;
             }
-            Ok((width, subset))
-        })
-        .collect()
+            let strict = archs.is_some() && widths.is_some();
+            let widths = widths.clone().unwrap_or_else(|| (2..=32).collect());
+            let mut cells = Vec::new();
+            for arch in resolved {
+                for &width in &widths {
+                    if arch.supports_width(width) {
+                        cells.push((width, arch));
+                    } else if strict {
+                        return Err(width_error(arch, width));
+                    }
+                }
+            }
+            Ok(cells)
+        }
+        _ => Ok(Vec::new()),
+    }
 }
 
-/// A [`width_grid`] flattened into its (width, architecture) cells, in
-/// the same order: the axis the sharder cuts and the merge restores.
-pub(crate) fn grid_cells(grid: Vec<(usize, Vec<Architecture>)>) -> Vec<(usize, Architecture)> {
-    grid.into_iter()
-        .flat_map(|(width, archs)| archs.into_iter().map(move |a| (width, a)))
-        .collect()
+/// The width-major cells of a job with a width axis: each width with
+/// its architectures in resolution order. With an explicit `archs`
+/// list an unsupported width is an error; the default (all thirteen)
+/// narrows each width to the architectures that exist at it. An empty
+/// or repeating `widths` is an error too: a repeat would characterize
+/// everything twice and alias two identically named rows on the sweep
+/// axis.
+fn width_grid(
+    archs: &Option<Vec<String>>,
+    widths: &[usize],
+) -> Result<Vec<(usize, Architecture)>, WorkloadError> {
+    check_widths(widths)?;
+    let resolved = resolve_archs(archs)?;
+    let mut cells = Vec::new();
+    for &width in widths {
+        let before = cells.len();
+        for &arch in &resolved {
+            if arch.supports_width(width) {
+                cells.push((width, arch));
+            } else if archs.is_some() {
+                return Err(width_error(arch, width));
+            }
+        }
+        if cells.len() == before {
+            return Err(SpecError::new(format!(
+                "no requested architecture supports width {width}"
+            ))
+            .into());
+        }
+    }
+    Ok(cells)
 }
 
 /// A width axis must be non-empty and must not repeat a width.
@@ -758,11 +740,8 @@ fn first_duplicate<T: PartialEq>(items: &[T]) -> Option<&T> {
 
 /// Resolves paper names to architectures (`None` = all thirteen).
 /// Duplicate names are rejected — they would silently double-count
-/// every downstream aggregate. Shared with [`JobSpec::shard`] and the
-/// shard merge, which must reproduce the runtime's resolution order.
-pub(crate) fn resolve_archs(
-    names: &Option<Vec<String>>,
-) -> Result<Vec<Architecture>, WorkloadError> {
+/// every downstream aggregate.
+fn resolve_archs(names: &Option<Vec<String>>) -> Result<Vec<Architecture>, WorkloadError> {
     match names {
         None => Ok(Architecture::ALL.to_vec()),
         Some(names) => {

@@ -15,7 +15,7 @@
 //! makes the merge a pure reordering and never a recomputation.
 
 use crate::error::WorkloadError;
-use crate::runtime::{grid_cells, resolve_archs, resolve_table1_names, width_grid};
+use crate::runtime::{job_cells, resolve_table1_names};
 use crate::spec::{AbInitioSpec, JobSpec};
 use optpower_mult::Architecture;
 use optpower_report::table1_names;
@@ -38,54 +38,36 @@ impl JobSpec {
     ///   execute once and the merge clones;
     /// * everything else — indivisible: one shard, the spec itself.
     ///
-    /// `n <= 1` always returns the spec unsplit. Validation is the
-    /// runtime's own (same typed errors for empty/unknown/duplicate
-    /// axes), so a spec that shards is a spec that would run.
+    /// `n <= 1` always returns the spec unsplit. The grid kinds cut
+    /// the runtime's own cell list, so validation is the runtime's own
+    /// (the same typed errors) and a spec that shards is a spec that
+    /// would run.
     ///
     /// # Errors
     ///
     /// [`WorkloadError::Spec`] when the axis list is empty, names an
-    /// unknown architecture/row, repeats an entry, or (with an
-    /// explicit arch list) requests an unsupported width.
+    /// unknown architecture/row, repeats an entry, or requests a width
+    /// the runtime would refuse (an `ab_initio` architecture without
+    /// it, or a `glitch_sweep` width with an explicit arch list).
     pub fn shard(&self, n: usize) -> Result<Vec<JobSpec>, WorkloadError> {
         if n <= 1 {
             return Ok(vec![self.clone()]);
         }
         Ok(match self {
-            JobSpec::AbInitio(s) => {
-                let names: Vec<String> = resolve_archs(&s.archs)?
-                    .iter()
-                    .map(|a| a.paper_name().to_string())
-                    .collect();
-                chunks(&names, n)
-                    .into_iter()
-                    .map(|chunk| {
-                        JobSpec::AbInitio(AbInitioSpec {
-                            archs: Some(chunk),
-                            ..s.clone()
-                        })
-                    })
-                    .collect()
-            }
-            JobSpec::GlitchSweep(s) => {
-                let cells = grid_cells(width_grid(&s.archs, &s.widths)?);
-                chunks(&cells, n)
-                    .into_iter()
-                    .flat_map(split_at_width_boundaries)
-                    .map(|(width, names)| {
-                        JobSpec::AbInitio(AbInitioSpec {
-                            archs: Some(names),
-                            width,
-                            lanes: s.lanes,
-                            engine: s.engine,
-                            plane: s.plane,
-                            items: s.items,
-                            seed: s.seed,
-                            workers: s.workers,
-                        })
-                    })
-                    .collect()
-            }
+            JobSpec::AbInitio(s) => cell_shards(job_cells(self)?, n, s),
+            JobSpec::GlitchSweep(s) => cell_shards(
+                job_cells(self)?,
+                n,
+                &AbInitioSpec {
+                    lanes: s.lanes,
+                    engine: s.engine,
+                    plane: s.plane,
+                    items: s.items,
+                    seed: s.seed,
+                    workers: s.workers,
+                    ..AbInitioSpec::default()
+                },
+            ),
             JobSpec::Table1Sweep { archs } => {
                 let names: Vec<String> = match archs {
                     Some(names) => {
@@ -132,19 +114,34 @@ fn chunks<T: Clone>(items: &[T], n: usize) -> Vec<Vec<T>> {
     out
 }
 
-/// Regroups one chunk of (width, arch) cells into contiguous
-/// same-width runs — each run becomes one single-width `ab_initio`
-/// shard spec.
-fn split_at_width_boundaries(chunk: Vec<(usize, Architecture)>) -> Vec<(usize, Vec<String>)> {
-    let mut runs: Vec<(usize, Vec<String>)> = Vec::new();
-    for (width, arch) in chunk {
-        let name = arch.paper_name().to_string();
-        match runs.last_mut() {
-            Some((w, names)) if *w == width => names.push(name),
-            _ => runs.push((width, vec![name])),
+/// Cuts a job's cells into at most `n`-ish `ab_initio` shard specs:
+/// balanced contiguous chunks, each regrouped into contiguous
+/// same-width runs, and each run one single-width spec that takes its
+/// measurement definition from `template`.
+fn cell_shards(
+    cells: Vec<(usize, Architecture)>,
+    n: usize,
+    template: &AbInitioSpec,
+) -> Vec<JobSpec> {
+    let mut shards = Vec::new();
+    for chunk in chunks(&cells, n) {
+        let mut runs: Vec<(usize, Vec<String>)> = Vec::new();
+        for (width, arch) in chunk {
+            let name = arch.paper_name().to_string();
+            match runs.last_mut() {
+                Some((w, names)) if *w == width => names.push(name),
+                _ => runs.push((width, vec![name])),
+            }
         }
+        shards.extend(runs.into_iter().map(|(width, names)| {
+            JobSpec::AbInitio(AbInitioSpec {
+                archs: Some(names),
+                width,
+                ..template.clone()
+            })
+        }));
     }
-    runs
+    shards
 }
 
 #[cfg(test)]
@@ -191,12 +188,12 @@ mod tests {
             freq_points: 3,
             ..GlitchSweepSpec::default()
         };
-        let grid: Vec<(usize, String)> =
-            grid_cells(width_grid(&spec_inner.archs, &spec_inner.widths).unwrap())
-                .into_iter()
-                .map(|(width, a)| (width, a.paper_name().to_string()))
-                .collect();
         let spec = JobSpec::GlitchSweep(spec_inner);
+        let grid: Vec<(usize, String)> = job_cells(&spec)
+            .unwrap()
+            .into_iter()
+            .map(|(width, a)| (width, a.paper_name().to_string()))
+            .collect();
         for n in [2, 3, 8] {
             let mut joined = Vec::new();
             for shard in spec.shard(n).unwrap() {
@@ -246,5 +243,19 @@ mod tests {
             ..GlitchSweepSpec::default()
         });
         assert!(dup_width.shard(2).is_err());
+        // A width some architecture cannot run fails to shard, before
+        // any shard runs: for an explicit list and the default alike.
+        let rca_seq_24 =
+            JobSpec::from_json(r#"{"job":"ab_initio","archs":["RCA","Sequential"],"width":24}"#)
+                .unwrap();
+        let all_24 = JobSpec::from_json(r#"{"job":"ab_initio","width":24}"#).unwrap();
+        for spec in [rca_seq_24, all_24] {
+            let err = spec.shard(2).unwrap_err();
+            assert!(
+                err.to_string()
+                    .contains("Sequential does not support operand width 24"),
+                "{err}"
+            );
+        }
     }
 }

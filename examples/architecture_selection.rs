@@ -5,12 +5,18 @@
 //!
 //! Run with: `cargo run --release --example architecture_selection`
 
-use optpower_report::{ab_initio_table, render_ab_initio};
-use optpower_tech::Flavor;
+use optpower_report::render_ab_initio;
+use optpower_workload::{AbInitioSpec, JobSpec, Payload, Runtime};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("generating, simulating and optimising 13 architectures (LL flavour)...\n");
-    let mut rows = ab_initio_table(Flavor::LowLeakage, 150, 42)?;
+    let spec = JobSpec::AbInitio(AbInitioSpec {
+        items: 150,
+        ..AbInitioSpec::default()
+    });
+    let Payload::AbInitio(mut rows) = Runtime::default().run(&spec)?.payload else {
+        unreachable!("an ab_initio job returns characterization rows");
+    };
     println!("{}", render_ab_initio(&rows));
 
     rows.sort_by(|a, b| a.ptot_uw.total_cmp(&b.ptot_uw));

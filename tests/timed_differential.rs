@@ -165,7 +165,7 @@ fn assert_warm_state_matches(
 
 fn assert_same_nets(resumed: &TimedSim<'_>, cold: &TimedSim<'_>, context: &str) {
     let nl = cold.netlist();
-    for net in 0..nl.nets().len() {
+    for net in 0..nl.cells().len() {
         let id = NetId(net as u32);
         assert_eq!(
             resumed.value(id),
@@ -209,7 +209,7 @@ proptest! {
         prop_assert_eq!(wheel.transitions(), scalar.transitions());
         prop_assert_eq!(wheel.logic_transitions(), scalar.logic_transitions());
         // And every net's settled value.
-        for net in 0..nl.nets().len() {
+        for net in 0..nl.cells().len() {
             let id = optpower_netlist::NetId(net as u32);
             prop_assert_eq!(wheel.value(id), scalar.value(id), "net {}", net);
         }

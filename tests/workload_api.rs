@@ -331,12 +331,28 @@ fn representative_specs() -> Vec<JobSpec> {
     ]
 }
 
+/// A `prune_delta` over four cells (eight characterization legs), so
+/// its cells run side by side on the pool. Kept out of
+/// [`representative_specs`], which also drives the goldens.
+fn multi_cell_prune_delta() -> JobSpec {
+    JobSpec::PruneDelta(PruneDeltaSpec {
+        archs: Some(vec!["RCA".into(), "Wallace".into()]),
+        widths: vec![4, 8],
+        items: 8,
+        seed: 13,
+        ..PruneDeltaSpec::default()
+    })
+}
+
 /// The satellite acceptance test: a spec's artifact is bit-identical
 /// at 1, 2 and 8 workers — payload JSON, CSV and console text. The
 /// pool only schedules; it never changes bytes.
 #[test]
 fn artifacts_are_bit_identical_across_worker_counts() {
-    for spec in representative_specs() {
+    for spec in representative_specs()
+        .into_iter()
+        .chain([multi_cell_prune_delta()])
+    {
         let reference = Runtime::new(Workers::Fixed(1))
             .run(&spec)
             .unwrap_or_else(|e| panic!("{}: {e}", spec.kind()));
@@ -495,14 +511,19 @@ fn render_text_matches_the_legacy_binary_output() {
         seed: 42,
         ..AbInitioSpec::default()
     };
-    let rows = optpower_report::characterize_parallel(
-        &[Architecture::Rca, Architecture::Sequential],
-        optpower_tech::Flavor::LowLeakage,
-        20,
-        42,
-        Workers::Auto,
-    )
-    .unwrap();
+    let rows = [Architecture::Rca, Architecture::Sequential]
+        .into_iter()
+        .map(|arch| {
+            optpower_report::characterize_architecture_with(
+                arch,
+                &optpower_netlist::Library::cmos13(),
+                optpower_tech::Technology::stm_cmos09(optpower_tech::Flavor::LowLeakage),
+                optpower_units::Hertz::new(31.25e6),
+                &optpower_report::CharacterizeConfig::new(20, 42),
+            )
+            .unwrap()
+        })
+        .collect::<Vec<_>>();
     let legacy = optpower_report::render_ab_initio(&rows);
     assert_eq!(
         runtime.run(&JobSpec::AbInitio(spec)).unwrap().render_text(),
@@ -876,6 +897,73 @@ fn row_cache_serves_overlapping_characterizations_bit_identically() {
 
     // Cacheless runtimes never stamp counters.
     assert_eq!(cold.run(&ab).unwrap().meta.row_cache, None);
+}
+
+/// `prune_delta` runs both legs through the row store: its raw and
+/// pruned rows never alias, its pruned rows are the ones an
+/// `ab_initio` of the same shape reads, and every payload equals the
+/// cacheless runtime's.
+#[test]
+fn prune_delta_legs_go_through_the_row_store() {
+    let cold = Runtime::new(Workers::Fixed(2));
+    let cached = Runtime::new(Workers::Fixed(2)).with_cache(8);
+    let archs = Some(vec!["RCA".to_string(), "Wallace".to_string()]);
+    let prune = |workers| {
+        JobSpec::PruneDelta(PruneDeltaSpec {
+            archs: archs.clone(),
+            widths: vec![8],
+            items: 8,
+            seed: 3,
+            workers,
+        })
+    };
+
+    // Cold: both legs of both cells are computed.
+    let first = cached.run(&prune(None)).unwrap();
+    assert_eq!(
+        first.meta.row_cache,
+        Some(RowCacheStats { hits: 0, misses: 4 })
+    );
+    assert_eq!(
+        first.payload_json(),
+        cold.run(&prune(None)).unwrap().payload_json()
+    );
+    // Wallace's prune removes cells at width 8, so its legs measure two
+    // different netlists; aliased rows would report one activity twice.
+    let Payload::PruneDelta(rows) = &first.payload else {
+        panic!("{:?}", first.payload)
+    };
+    let wallace = rows.iter().find(|r| r.arch == "Wallace").unwrap();
+    assert_eq!(wallace.cells_before - wallace.cells_after, 27);
+    assert_ne!(wallace.activity_before, wallace.activity_after);
+
+    // An ab_initio of the same shape reads the pruned legs.
+    let ab = JobSpec::AbInitio(AbInitioSpec {
+        archs: archs.clone(),
+        width: 8,
+        items: 8,
+        seed: 3,
+        ..AbInitioSpec::default()
+    });
+    let served = cached.run(&ab).unwrap();
+    assert_eq!(
+        served.meta.row_cache,
+        Some(RowCacheStats { hits: 2, misses: 0 })
+    );
+    assert_eq!(served.payload_json(), cold.run(&ab).unwrap().payload_json());
+
+    // A different spec (a worker pin) of the same measurement misses
+    // the artifact store and is served entirely from rows.
+    let repeat = cached.run(&prune(Some(1))).unwrap();
+    assert_eq!(repeat.meta.cache, Some(CacheStatus::Miss));
+    assert_eq!(
+        repeat.meta.row_cache,
+        Some(RowCacheStats { hits: 4, misses: 0 })
+    );
+    assert_eq!(
+        repeat.payload_json(),
+        cold.run(&prune(Some(1))).unwrap().payload_json()
+    );
 }
 
 fn golden_compare(path: &str, actual: &str) {
