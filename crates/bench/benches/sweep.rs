@@ -11,14 +11,18 @@
 //!   threading win; this is the configuration the CI bench job tracks
 //!   in `BENCH_sweep.json`).
 //!
-//! The equivalence of all three outputs is asserted by
+//! `sweep/frequency/{serial,parallel}_64pts` time one (tech, arch)
+//! pair over 64 frequencies: `serial_64pts` is
+//! `optpower::sweep::frequency_sweep`, `parallel_64pts` the engine on
+//! every available core over the one-technology, one-architecture,
+//! 64-frequency grid — the engine every production sweep uses.
+//!
+//! The equivalence of the serial and engine outputs is asserted by
 //! `tests/engine_vs_serial.rs`; here only the clock runs.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use optpower::sweep::frequency_sweep;
-use optpower_explore::{
-    available_workers, explore, parallel_frequency_sweep, ExploreConfig, Grid, Workers,
-};
+use optpower::sweep::{frequency_sweep, log_frequency_axis};
+use optpower_explore::{available_workers, explore, ExploreConfig, Grid};
 use optpower_units::Hertz;
 
 const F_LO: Hertz = Hertz::new(1e6);
@@ -60,13 +64,14 @@ fn bench_frequency_sweep(c: &mut Criterion) {
     c.bench_function("sweep/frequency/serial_64pts", |b| {
         b.iter(|| black_box(frequency_sweep(tech, arch, F_LO, F_HI, points).expect("valid")))
     });
+    let pair = Grid::builder()
+        .technology(tech)
+        .architecture(arch.clone())
+        .frequencies(log_frequency_axis(F_LO, F_HI, points).expect("valid range"))
+        .build()
+        .expect("non-empty, positive axes");
     c.bench_function("sweep/frequency/parallel_64pts", |b| {
-        b.iter(|| {
-            black_box(
-                parallel_frequency_sweep(tech, arch, F_LO, F_HI, points, Workers::Auto)
-                    .expect("valid"),
-            )
-        })
+        b.iter(|| black_box(explore(&pair, &ExploreConfig::default())))
     });
 }
 

@@ -3,10 +3,11 @@
 //! run doubles as the experiment run.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use optpower_explore::Workers;
 
 fn bench_table1(c: &mut Criterion) {
     // Print the reproduction once (the bench's scientific payload).
-    let rows = optpower_report::table1().expect("table1 reproduces");
+    let rows = optpower_report::table1(None, Workers::Fixed(1)).expect("table1 reproduces");
     println!(
         "\n{}",
         optpower_report::render_rows("Table 1 reproduction (paper vs measured)", &rows)
@@ -21,7 +22,7 @@ fn bench_table1(c: &mut Criterion) {
     }
 
     c.bench_function("table1/full_reproduction_13_rows", |b| {
-        b.iter(|| optpower_report::table1().expect("reproduces"))
+        b.iter(|| optpower_report::table1(None, Workers::Fixed(1)).expect("reproduces"))
     });
 }
 

@@ -2,13 +2,15 @@
 //! and benches the total-power reverse-calibration path.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use optpower_workload::{JobSpec, Runtime};
 
 fn bench_tables(c: &mut Criterion) {
     let t3 = optpower_report::table3().expect("table3 reproduces");
     let t4 = optpower_report::table4().expect("table4 reproduces");
     println!("\n{}", optpower_report::render_rows("Table 3 (ULL)", &t3));
     println!("{}", optpower_report::render_rows("Table 4 (HS)", &t4));
-    println!("{}", optpower_report::table2());
+    let table2 = Runtime::default().run(&JobSpec::Table2);
+    println!("{}", table2.expect("table2 renders").render_text());
 
     c.bench_function("table3/ull_wallace_family", |b| {
         b.iter(|| optpower_report::table3().expect("reproduces"))

@@ -3,7 +3,7 @@
 //! same as calling the underlying flow directly — the envelope is
 //! organisational, not computational.
 //!
-//! * `workload/direct/table1`   — `table1_parallel` straight;
+//! * `workload/direct/table1`   — `table1` straight;
 //! * `workload/runtime/table1`  — the same sweep as a `JobSpec` run by
 //!   the runtime (spec parse from JSON included, as a service
 //!   front-end would do it);
@@ -20,12 +20,12 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use optpower_dist::{spawn, Cluster};
 use optpower_explore::Workers;
-use optpower_report::table1_parallel;
+use optpower_report::table1;
 use optpower_workload::{AbInitioSpec, JobSpec, Runtime};
 
 fn bench_envelope_overhead(c: &mut Criterion) {
     c.bench_function("workload/direct/table1", |b| {
-        b.iter(|| black_box(table1_parallel(Workers::Auto).expect("table 1 solves")))
+        b.iter(|| black_box(table1(None, Workers::Auto).expect("table 1 solves")))
     });
     let spec_json = JobSpec::Table1Sweep { archs: None }.to_json();
     c.bench_function("workload/runtime/table1", |b| {

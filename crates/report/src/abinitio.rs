@@ -2,10 +2,9 @@
 //! parameter measured from our own netlists, simulator and STA — no
 //! calibration against the paper's numbers at all.
 //!
-//! Characterization (netlist generation → STA `LD` → activity
-//! measurement → optimisation) is independent per architecture:
-//! [`characterize_architecture_with`] and [`characterize_design_with`]
-//! run it for one netlist, and the workload runtime maps the latter over a
+//! Characterization (STA `LD` → activity measurement → optimisation)
+//! is independent per netlist: [`characterize_design_with`] runs it
+//! for one generated design, and the workload runtime maps it over a
 //! job's (width, architecture) cells on the `optpower-explore` worker
 //! pool. Both activity legs are parallel: the glitch-free baseline
 //! uses the 64-lane [`optpower_sim::BitParallelSim`] engine, and the
@@ -315,47 +314,16 @@ impl AbInitioRow {
     }
 }
 
-/// Ab-initio characterization of one architecture: generate → library
-/// stats (N, C) → STA (LD) → activity (pooled timed + glitch-free
-/// baseline) → optimise at `freq` on `tech`, under the full
-/// measurement definition in `config` (operand width, timed lane
-/// count, baseline engine). `config.workers` is the worker policy of
-/// the pooled timed leg only — it affects wall-clock, never the
-/// result.
-///
-/// # Errors
-///
-/// [`AbInitioError::Model`] with [`ModelError::InvalidArchParameter`]
-/// when the architecture does not support `config.width` (e.g. a
-/// non-power-of-two width on the sequential family); otherwise as
-/// [`characterize_design_with`].
-pub fn characterize_architecture_with(
-    arch: Architecture,
-    lib: &Library,
-    tech: Technology,
-    freq: Hertz,
-    config: &CharacterizeConfig,
-) -> Result<AbInitioRow, AbInitioError> {
-    if !arch.supports_width(config.width) {
-        return Err(AbInitioError::Model(ModelError::InvalidArchParameter {
-            field: "width",
-            value: config.width as f64,
-        }));
-    }
-    let design = arch
-        .generate(config.width)
-        .expect("supported widths generate structurally valid netlists");
-    characterize_design_with(&design, lib, tech, freq, config)
-}
-
-/// Measures and optimises an already-generated [`MultiplierDesign`]:
-/// the [`characterize_architecture_with`] flow minus the generation
-/// step. This lets callers characterize netlist variants that the
-/// [`Architecture`] entry points would not produce — e.g. the raw
+/// Ab-initio characterization of one generated [`MultiplierDesign`]:
+/// library stats (N, C) → STA (LD) → activity (pooled timed +
+/// glitch-free baseline) → optimise at `freq` on `tech`, under the
+/// measurement definition in `config`. The caller generates the
+/// design, so netlist variants characterize the same way, e.g. the raw
 /// (pre-prune) form from [`Architecture::generate_raw`] for the
 /// dead-cone before/after power delta. `config.width` is ignored in
-/// favour of `design.width`; lanes, baseline engine, items, seed and
-/// workers apply as in [`characterize_architecture_with`].
+/// favour of `design.width`; `config.workers` is the worker policy of
+/// the pooled timed leg only — it affects wall-clock, never the
+/// result.
 ///
 /// The netlist passes the structural lint gate before anything is
 /// simulated: warnings (such as the dead cones of a raw netlist) pass,
@@ -620,8 +588,9 @@ mod tests {
     use super::*;
     use std::sync::OnceLock;
 
-    /// The architectures' rows under `config`, characterized one after
-    /// another at the paper's working point (ST LL, 31.25 MHz).
+    /// The architectures' rows under `config`, each generated at
+    /// `config.width` and characterized one after another at the
+    /// paper's working point (ST LL, 31.25 MHz).
     fn characterize(
         archs: &[Architecture],
         config: &CharacterizeConfig,
@@ -631,7 +600,8 @@ mod tests {
         archs
             .iter()
             .map(|&arch| {
-                characterize_architecture_with(arch, &lib, tech, Hertz::new(31.25e6), config)
+                let design = arch.generate(config.width).expect("supported width");
+                characterize_design_with(&design, &lib, tech, Hertz::new(31.25e6), config)
             })
             .collect()
     }
@@ -779,23 +749,6 @@ mod tests {
         let params = measured_arch_params(&mixed, ActivitySource::MeasuredTimed).unwrap();
         assert_eq!(params[0].name(), "RCA 8b");
         assert_eq!(params[1].name(), "RCA");
-        // Unsupported width -> typed error, not a generator panic.
-        let bad = CharacterizeConfig {
-            width: 24,
-            ..CharacterizeConfig::new(20, 3)
-        };
-        let err = characterize_architecture_with(
-            Architecture::Sequential,
-            &Library::cmos13(),
-            Technology::stm_cmos09(Flavor::LowLeakage),
-            Hertz::new(31.25e6),
-            &bad,
-        )
-        .unwrap_err();
-        assert!(matches!(
-            err,
-            AbInitioError::Model(ModelError::InvalidArchParameter { field: "width", .. })
-        ));
     }
 
     #[test]
@@ -912,14 +865,7 @@ mod tests {
             items: 30,
             ..CharacterizeConfig::new(30, 7)
         };
-        let err = characterize_architecture_with(
-            Architecture::Wallace,
-            &Library::cmos13(),
-            Technology::stm_cmos09(Flavor::LowLeakage),
-            Hertz::new(31.25e6),
-            &bad,
-        )
-        .unwrap_err();
+        let err = characterize(&[Architecture::Wallace], &bad).unwrap_err();
         assert!(matches!(
             err,
             AbInitioError::Model(ModelError::InvalidArchParameter {

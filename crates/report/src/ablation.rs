@@ -12,7 +12,7 @@ use optpower_tech::{Flavor, Linearization, Technology};
 use optpower_units::{Farads, SquareMicrons, Volts, Watts};
 
 use crate::abinitio::{
-    characterize_architecture_with, measured_arch_params, AbInitioError, ActivitySource,
+    characterize_design_with, measured_arch_params, AbInitioError, ActivitySource,
     CharacterizeConfig,
 };
 use crate::render::{fnum, Table};
@@ -145,11 +145,11 @@ pub struct GlitchAblationRow {
 /// removed, the diagonal variant's shorter LD would win; with them, the
 /// horizontal variant does.
 ///
-/// Each design runs the shared ab-initio flow
-/// ([`characterize_architecture_with`]) serially on one worker, with
-/// one timed lane and a scalar zero-delay baseline; the glitch-free
-/// column re-optimises the same measurement on its zero-delay
-/// activity.
+/// Each design is generated at the paper's 16-bit width and runs the
+/// shared ab-initio characterization ([`characterize_design_with`])
+/// serially on one worker, with one timed lane and a scalar zero-delay
+/// baseline; the glitch-free column re-optimises the same measurement
+/// on its zero-delay activity.
 ///
 /// # Errors
 ///
@@ -172,7 +172,12 @@ pub fn glitch_ablation(items: u64, seed: u64) -> Result<Vec<GlitchAblationRow>, 
     let tech = Technology::stm_cmos09(Flavor::LowLeakage);
     let rows = archs
         .iter()
-        .map(|&arch| characterize_architecture_with(arch, &lib, tech, PAPER_FREQUENCY, &config))
+        .map(|&arch| {
+            let design = arch
+                .generate(config.width)
+                .expect("the pipelined RCAs generate at 16 bits");
+            characterize_design_with(&design, &lib, tech, PAPER_FREQUENCY, &config)
+        })
         .collect::<Result<Vec<_>, _>>()?;
     let glitch_free = measured_arch_params(&rows, ActivitySource::MeasuredZeroDelay)?;
     rows.iter()

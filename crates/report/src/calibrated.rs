@@ -80,8 +80,8 @@ fn arch_from_row(row: &Table1Row) -> Result<ArchParams, ModelError> {
         .build()
 }
 
-/// Calibrates and re-solves one Table 1 row — the unit of work shared
-/// by the serial [`table1`] and parallel [`table1_parallel`] paths.
+/// Calibrates and re-solves one Table 1 row: the unit of work
+/// [`table1`] maps over its rows.
 fn table1_row(tech: &Technology, row: &Table1Row) -> Result<RowComparison, ModelError> {
     let cal = from_breakdown(
         tech,
@@ -105,90 +105,42 @@ fn table1_row(tech: &Technology, row: &Table1Row) -> Result<RowComparison, Model
     )
 }
 
-/// Reproduces Table 1: all thirteen multipliers on the LL flavour,
-/// calibrated from the published power *breakdown*.
+/// Reproduces Table 1: the thirteen multipliers on the LL flavour,
+/// calibrated from the published power *breakdown*, each row
+/// calibrated and re-solved on its own worker.
+///
+/// `rows` selects rows by paper name, in the caller's order (`None` =
+/// all thirteen in published order). Every selected row goes through
+/// the identical per-row unit of work, so a subset row is
+/// bit-identical to the corresponding full-table row, and the rows
+/// are the same for any worker policy (`Workers::Fixed(1)` is the
+/// serial path). Names not present in Table 1 are skipped; callers
+/// validate against [`table1_names`] first.
 ///
 /// # Errors
 ///
 /// Propagates [`ModelError`] from calibration or solving.
-pub fn table1() -> Result<Vec<RowComparison>, ModelError> {
+pub fn table1(rows: Option<&[String]>, workers: Workers) -> Result<Vec<RowComparison>, ModelError> {
     let tech = Technology::stm_cmos09(Flavor::LowLeakage);
-    TABLE1.iter().map(|row| table1_row(&tech, row)).collect()
-}
-
-/// [`table1`] with each row calibrated and re-solved on its own
-/// worker. Produces the same rows in the same order for any worker
-/// policy.
-///
-/// # Errors
-///
-/// Propagates [`ModelError`] from calibration or solving.
-pub fn table1_parallel(workers: Workers) -> Result<Vec<RowComparison>, ModelError> {
-    let tech = Technology::stm_cmos09(Flavor::LowLeakage);
-    par_map(&TABLE1, workers.resolve(TABLE1.len()), |row| {
+    let selected: Vec<&Table1Row> = match rows {
+        None => TABLE1.iter().collect(),
+        Some(names) => names
+            .iter()
+            .filter_map(|name| TABLE1.iter().find(|row| row.name == name))
+            .collect(),
+    };
+    par_map(&selected, workers.resolve(selected.len()), |row| {
         table1_row(&tech, row)
     })
     .into_iter()
     .collect()
 }
 
-/// The thirteen Table 1 row names, in published row order — the axis
-/// [`table1_subset_parallel`] selects from, and the order a
-/// distributed merge restores shard rows into.
+/// The thirteen Table 1 row names, in published row order: the axis
+/// [`table1`] selects from, and the order a distributed merge restores
+/// shard rows into.
 pub fn table1_names() -> Vec<&'static str> {
     TABLE1.iter().map(|row| row.name).collect()
-}
-
-/// [`table1_parallel`] restricted to a subset of rows, selected by
-/// paper name in the caller's order. Every selected row goes through
-/// the identical per-row calibrate-and-solve unit of work, so a subset
-/// row is bit-identical to the corresponding full-table row (names not
-/// present in Table 1 are skipped; callers validate against
-/// [`table1_names`] first).
-///
-/// # Errors
-///
-/// Propagates [`ModelError`] from calibration or solving.
-pub fn table1_subset_parallel(
-    names: &[String],
-    workers: Workers,
-) -> Result<Vec<RowComparison>, ModelError> {
-    let tech = Technology::stm_cmos09(Flavor::LowLeakage);
-    let rows: Vec<&Table1Row> = names
-        .iter()
-        .filter_map(|name| TABLE1.iter().find(|row| row.name == name))
-        .collect();
-    par_map(&rows, workers.resolve(rows.len()), |row| {
-        table1_row(&tech, row)
-    })
-    .into_iter()
-    .collect()
-}
-
-/// Prints Table 2 (the published flavour parameters) from the presets.
-pub fn table2() -> Table {
-    let mut t = Table::new(&[
-        "flavor",
-        "Vdd nom [V]",
-        "Vth0 nom [V]",
-        "Io [uA]",
-        "zeta [pF]",
-        "alpha",
-        "n",
-    ]);
-    for flavor in Flavor::ALL {
-        let tech = Technology::stm_cmos09(flavor);
-        t.row(&[
-            flavor.abbreviation().to_string(),
-            fnum(tech.vdd_nom().value(), 1),
-            fnum(tech.vth0_nom().value(), 3),
-            fnum(tech.io().value() * 1e6, 2),
-            fnum(tech.zeta().value() * 1e12, 1),
-            fnum(tech.alpha(), 2),
-            fnum(tech.n(), 2),
-        ]);
-    }
-    t
 }
 
 fn wallace_flavor_table(
@@ -272,9 +224,13 @@ pub fn render_rows(title: &str, rows: &[RowComparison]) -> String {
 mod tests {
     use super::*;
 
+    fn full_table1() -> Vec<RowComparison> {
+        table1(None, Workers::Fixed(1)).unwrap()
+    }
+
     #[test]
     fn table1_reproduces_optimal_points() {
-        let rows = table1().unwrap();
+        let rows = full_table1();
         assert_eq!(rows.len(), 13);
         for r in &rows {
             // Voltages within the paper's grid resolution + rounding.
@@ -300,16 +256,16 @@ mod tests {
 
     #[test]
     fn table1_parallel_matches_serial_for_any_worker_count() {
-        let serial = table1().unwrap();
-        for workers in [1, 2, 8] {
-            let par = table1_parallel(Workers::Fixed(workers)).unwrap();
+        let serial = full_table1();
+        for workers in [2, 8] {
+            let par = table1(None, Workers::Fixed(workers)).unwrap();
             assert_eq!(par, serial, "workers = {workers}");
         }
     }
 
     #[test]
     fn table1_eq13_errors_match_paper_sign_and_magnitude() {
-        for r in table1().unwrap() {
+        for r in full_table1() {
             // The paper's headline: |err| < 3% everywhere. Ours obeys
             // the same bound (slightly different split rounding).
             assert!(r.our_err_pct.abs() < 3.5, "{}: {}", r.name, r.our_err_pct);
@@ -318,12 +274,12 @@ mod tests {
 
     #[test]
     fn table1_subset_rows_are_bit_identical_to_the_full_table() {
-        let full = table1().unwrap();
+        let full = full_table1();
         let names: Vec<String> = ["Seq4_16", "RCA", "Wallace par4"]
             .iter()
             .map(|s| s.to_string())
             .collect();
-        let subset = table1_subset_parallel(&names, Workers::Fixed(2)).unwrap();
+        let subset = table1(Some(&names), Workers::Fixed(2)).unwrap();
         assert_eq!(subset.len(), 3);
         for (name, row) in names.iter().zip(&subset) {
             let reference = full.iter().find(|r| &r.name == name).unwrap();
@@ -331,7 +287,7 @@ mod tests {
         }
         // The full name list reproduces the full table exactly.
         let all: Vec<String> = table1_names().iter().map(|s| s.to_string()).collect();
-        assert_eq!(table1_subset_parallel(&all, Workers::Auto).unwrap(), full);
+        assert_eq!(table1(Some(&all), Workers::Auto).unwrap(), full);
     }
 
     #[test]
@@ -350,7 +306,7 @@ mod tests {
     #[test]
     fn flavor_comparison_ll_wins() {
         // Section 5: LL beats both ULL and HS for every Wallace variant.
-        let ll = table1().unwrap();
+        let ll = full_table1();
         let ull = table3().unwrap();
         let hs = table4().unwrap();
         for (i, ull_row) in ull.iter().enumerate() {
@@ -364,16 +320,8 @@ mod tests {
     }
 
     #[test]
-    fn table2_renders_three_flavors() {
-        let t = table2();
-        assert_eq!(t.len(), 3);
-        let s = t.to_string();
-        assert!(s.contains("ULL") && s.contains("LL") && s.contains("HS"));
-    }
-
-    #[test]
     fn render_contains_all_architectures() {
-        let s = render_rows("Table 1", &table1().unwrap());
+        let s = render_rows("Table 1", &full_table1());
         for row in &TABLE1 {
             assert!(s.contains(row.name), "{}", row.name);
         }

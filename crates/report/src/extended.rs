@@ -8,6 +8,9 @@
 //! * [`sensitivity_report`] — logarithmic sensitivities of Eq. 13 for
 //!   every Table 1 architecture (the quantitative version of
 //!   Section 4's reasoning).
+//!
+//! Each study maps its rows over the `optpower-explore` worker pool
+//! under the caller's [`Workers`] policy, which never changes a row.
 
 use optpower::calibrate::{build_model, from_breakdown};
 use optpower::reference::{Table1Row, PAPER_FREQUENCY, TABLE1};
@@ -47,27 +50,14 @@ pub struct ScalingRow {
 /// balanced node wins at low frequency and the ultra-leaky small node
 /// only pays off once the timing constraint tightens.
 ///
+/// Each frequency row is evaluated on its own worker; the rows are the
+/// same, in the same order, for any worker policy (`Workers::Fixed(1)`
+/// is the serial path).
+///
 /// # Errors
 ///
 /// Propagates [`ModelError`] from model building.
 pub fn scaling_study(
-    frequencies_mhz: &[f64],
-    scale_capacitance: bool,
-) -> Result<Vec<ScalingRow>, ModelError> {
-    frequencies_mhz
-        .iter()
-        .map(|&f_mhz| scaling_row(f_mhz, scale_capacitance))
-        .collect()
-}
-
-/// [`scaling_study`] with each frequency row evaluated on its own
-/// worker. Produces the same rows in the same order for any worker
-/// policy.
-///
-/// # Errors
-///
-/// Propagates [`ModelError`] from model building.
-pub fn scaling_study_parallel(
     frequencies_mhz: &[f64],
     scale_capacitance: bool,
     workers: Workers,
@@ -81,8 +71,8 @@ pub fn scaling_study_parallel(
     .collect()
 }
 
-/// Evaluates one frequency row of the scaling study — the unit of work
-/// shared by the serial and parallel paths.
+/// Evaluates one frequency row of the scaling study: the unit of work
+/// [`scaling_study`] maps over its frequencies.
 fn scaling_row(f_mhz: f64, scale_capacitance: bool) -> Result<ScalingRow, ModelError> {
     // Wallace structure with the LL-calibrated per-cell capacitance.
     let c130 = 56.69e-6 / (729.0 * 0.2976 * 31.25e6 * 0.372 * 0.372);
@@ -156,27 +146,15 @@ pub struct SensitivityRow {
 }
 
 /// Computes the logarithmic Eq. 13 sensitivities for every Table 1
-/// architecture on its calibrated model.
+/// architecture on its calibrated model, each architecture calibrated
+/// and differentiated on its own worker. The rows are the same, in the
+/// same order, for any worker policy (`Workers::Fixed(1)` is the
+/// serial path).
 ///
 /// # Errors
 ///
 /// Propagates [`ModelError`] from calibration or the closed form.
-pub fn sensitivity_report() -> Result<Vec<SensitivityRow>, ModelError> {
-    let tech = Technology::stm_cmos09(Flavor::LowLeakage);
-    TABLE1
-        .iter()
-        .map(|row| sensitivity_row(&tech, row))
-        .collect()
-}
-
-/// [`sensitivity_report`] with each architecture calibrated and
-/// differentiated on its own worker. Produces the same rows in the
-/// same order for any worker policy.
-///
-/// # Errors
-///
-/// Propagates [`ModelError`] from calibration or the closed form.
-pub fn sensitivity_report_parallel(workers: Workers) -> Result<Vec<SensitivityRow>, ModelError> {
+pub fn sensitivity_report(workers: Workers) -> Result<Vec<SensitivityRow>, ModelError> {
     let tech = Technology::stm_cmos09(Flavor::LowLeakage);
     par_map(&TABLE1, workers.resolve(TABLE1.len()), |row| {
         sensitivity_row(&tech, row)
@@ -185,8 +163,8 @@ pub fn sensitivity_report_parallel(workers: Workers) -> Result<Vec<SensitivityRo
     .collect()
 }
 
-/// Calibrates one Table 1 row and computes its Eq. 13 sensitivities —
-/// the unit of work shared by the serial and parallel paths.
+/// Calibrates one Table 1 row and computes its Eq. 13 sensitivities:
+/// the unit of work [`sensitivity_report`] maps over the rows.
 fn sensitivity_row(tech: &Technology, row: &Table1Row) -> Result<SensitivityRow, ModelError> {
     let cal = from_breakdown(
         tech,
@@ -239,7 +217,7 @@ mod tests {
     #[test]
     fn unscaled_port_reproduces_papers_cautionary_remark() {
         // Wire-dominated port: same switched capacitance per node.
-        let rows = scaling_study(&[1.0, 250.0], false).unwrap();
+        let rows = scaling_study(&[1.0, 250.0], false, Workers::Fixed(1)).unwrap();
         // At 1 MHz the leaky small node loses to the balanced 130 nm.
         assert_eq!(rows[0].winner, Some("130nm"), "{:?}", rows[0]);
         // At 250 MHz speed wins.
@@ -251,7 +229,7 @@ mod tests {
         // Full capacitance scaling: the small node always wins under
         // free-Vth (leakage costs only ~n·Ut·ln Io), but its advantage
         // shrinks dramatically at low f.
-        let rows = scaling_study(&[1.0, 250.0], true).unwrap();
+        let rows = scaling_study(&[1.0, 250.0], true, Workers::Fixed(1)).unwrap();
         let margin = |r: &ScalingRow| {
             let p130 = r.ptot_uw.iter().find(|(l, _)| *l == "130nm").unwrap().1;
             let p65 = r.ptot_uw.iter().find(|(l, _)| *l == "65nm").unwrap().1;
@@ -265,7 +243,7 @@ mod tests {
 
     #[test]
     fn scaling_renders() {
-        let rows = scaling_study(&[31.25], true).unwrap();
+        let rows = scaling_study(&[31.25], true, Workers::Fixed(1)).unwrap();
         let s = render_scaling(&rows);
         assert!(s.contains("130nm"));
         assert!(s.contains("31.25"));
@@ -274,16 +252,16 @@ mod tests {
     #[test]
     fn parallel_studies_match_serial_for_any_worker_count() {
         let freqs = [1.0, 31.25, 250.0];
-        let serial_scaling = scaling_study(&freqs, false).unwrap();
-        let serial_sens = sensitivity_report().unwrap();
-        for workers in [1, 2, 8] {
+        let serial_scaling = scaling_study(&freqs, false, Workers::Fixed(1)).unwrap();
+        let serial_sens = sensitivity_report(Workers::Fixed(1)).unwrap();
+        for workers in [2, 8] {
             assert_eq!(
-                scaling_study_parallel(&freqs, false, Workers::Fixed(workers)).unwrap(),
+                scaling_study(&freqs, false, Workers::Fixed(workers)).unwrap(),
                 serial_scaling,
                 "scaling, workers = {workers}"
             );
             assert_eq!(
-                sensitivity_report_parallel(Workers::Fixed(workers)).unwrap(),
+                sensitivity_report(Workers::Fixed(workers)).unwrap(),
                 serial_sens,
                 "sensitivity, workers = {workers}"
             );
@@ -292,7 +270,7 @@ mod tests {
 
     #[test]
     fn sensitivities_cover_all_architectures() {
-        let rows = sensitivity_report().unwrap();
+        let rows = sensitivity_report(Workers::Fixed(1)).unwrap();
         assert_eq!(rows.len(), 13);
         for r in &rows {
             assert!((r.sens.cells - 1.0).abs() < 1e-12, "{}", r.name);
@@ -309,7 +287,7 @@ mod tests {
         // The paper's Section 4: sequential designs are penalised by
         // "a large effective logical depth" — their LD sensitivity
         // must dominate the combinational families'.
-        let rows = sensitivity_report().unwrap();
+        let rows = sensitivity_report(Workers::Fixed(1)).unwrap();
         let s = |name: &str| {
             rows.iter()
                 .find(|r| r.name == name)
@@ -324,7 +302,7 @@ mod tests {
 
     #[test]
     fn sensitivity_render() {
-        let s = render_sensitivities(&sensitivity_report().unwrap());
+        let s = render_sensitivities(&sensitivity_report(Workers::Fixed(1)).unwrap());
         assert!(s.contains("S_LD"));
         assert!(s.contains("Sequential"));
     }

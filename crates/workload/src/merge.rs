@@ -28,13 +28,13 @@ use std::collections::HashMap;
 
 use optpower_explore::Workers;
 use optpower_mult::Architecture;
-use optpower_report::{glitch_sweep_from_rows, table1_names, AbInitioRow, RowComparison};
+use optpower_report::{glitch_sweep_from_rows, AbInitioRow, RowComparison};
 
 use crate::artifact::{Artifact, Payload, RunMeta, ARTIFACT_SCHEMA};
 use crate::columns::{parse_row, Column, AB_INITIO, COMPARISON};
 use crate::error::{SpecError, WorkloadError};
 use crate::json::Json;
-use crate::runtime::{job_cells, resolve_table1_names, TABLE1_TITLE};
+use crate::runtime::{job_cells, table1_rows, TABLE1_TITLE};
 use crate::spec::JobSpec;
 
 impl Artifact {
@@ -69,13 +69,7 @@ impl Artifact {
                 Payload::Glitch(glitch_sweep_from_rows(rows, s.freq_points, workers)?)
             }
             JobSpec::Table1Sweep { archs } => {
-                let order: Vec<String> = match archs {
-                    Some(names) => {
-                        resolve_table1_names(names)?;
-                        names.clone()
-                    }
-                    None => table1_names().iter().map(|&s| s.to_string()).collect(),
-                };
+                let order = table1_rows(archs)?;
                 let mut by_name: HashMap<String, RowComparison> = HashMap::new();
                 for shard in shards {
                     let Payload::Rows { rows, .. } = shard.payload else {
@@ -346,7 +340,7 @@ mod tests {
         };
         assert_eq!(title, TABLE1_TITLE);
         let names: Vec<&str> = rows.iter().map(|r| r.name.as_str()).collect();
-        assert_eq!(names, table1_names());
+        assert_eq!(names, optpower_report::table1_names());
     }
 
     /// Only the typed-merge kinds merge here; the coordinator merges

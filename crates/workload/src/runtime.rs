@@ -20,14 +20,13 @@ use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 use optpower_explore::{par_map, Workers};
-use optpower_mult::Architecture;
+use optpower_mult::{Architecture, MultiplierDesign};
 use optpower_netlist::{Library, Netlist};
 use optpower_report::ablation;
-use optpower_report::extended::{scaling_study_parallel, sensitivity_report_parallel};
+use optpower_report::extended::{scaling_study, sensitivity_report};
 use optpower_report::{
     characterize_design_with, figure1, figure2, figure34, figure_pareto, glitch_sweep_from_rows,
-    table1_names, table1_parallel, table1_subset_parallel, table3, table4, AbInitioRow,
-    CharacterizeConfig,
+    table1, table3, table4, AbInitioRow, CharacterizeConfig,
 };
 use optpower_sim::{measure_activity, VcdRecorder, ZeroDelaySim};
 use optpower_sta::{GlitchProfile, LintReport, TimingAnalysis};
@@ -78,6 +77,11 @@ fn row_key(
         config.seed,
     ))
 }
+
+/// What [`Runtime::characterize_cells`] returns: each leg's row and
+/// netlist flip-flop count, and the `on_miss` result of every leg it
+/// computed.
+type CharacterizedLegs<T> = (Vec<AbInitioRow>, Vec<usize>, Vec<Option<T>>);
 
 /// Executes [`JobSpec`]s under one shared worker policy.
 #[derive(Debug, Clone)]
@@ -192,13 +196,7 @@ impl Runtime {
             JobSpec::Table1Sweep { archs } => (
                 Payload::Rows {
                     title: TABLE1_TITLE.to_string(),
-                    rows: match archs {
-                        None => table1_parallel(workers)?,
-                        Some(names) => {
-                            resolve_table1_names(names)?;
-                            table1_subset_parallel(names, workers)?
-                        }
-                    },
+                    rows: table1(Some(&table1_rows(archs)?), workers)?,
                 },
                 workers.count(),
             ),
@@ -238,13 +236,13 @@ impl Runtime {
             ),
             JobSpec::ScalingStudy { frequencies_mhz } => (
                 Payload::Scaling {
-                    unscaled: scaling_study_parallel(frequencies_mhz, false, workers)?,
-                    scaled: scaling_study_parallel(frequencies_mhz, true, workers)?,
+                    unscaled: scaling_study(frequencies_mhz, false, workers)?,
+                    scaled: scaling_study(frequencies_mhz, true, workers)?,
                 },
                 workers.count(),
             ),
             JobSpec::Sensitivity => (
-                Payload::Sensitivity(sensitivity_report_parallel(workers)?),
+                Payload::Sensitivity(sensitivity_report(workers)?),
                 workers.count(),
             ),
             JobSpec::Ablation { items, seed } => (
@@ -265,8 +263,13 @@ impl Runtime {
                     workers,
                     ..CharacterizeConfig::new(s.items, s.seed)
                 };
-                let (rows, _) =
-                    self.characterize_cells(&job_cells(spec)?, &[false], &config, &mut row_stats)?;
+                let (rows, ..) = self.characterize_cells(
+                    &job_cells(spec)?,
+                    &[false],
+                    &config,
+                    &mut row_stats,
+                    |_, _| Ok(()),
+                )?;
                 (Payload::AbInitio(rows), workers.count())
             }
             JobSpec::GlitchSweep(s) => {
@@ -278,8 +281,13 @@ impl Runtime {
                     workers,
                     ..CharacterizeConfig::new(s.items, s.seed)
                 };
-                let (rows, _) =
-                    self.characterize_cells(&job_cells(spec)?, &[false], &config, &mut row_stats)?;
+                let (rows, ..) = self.characterize_cells(
+                    &job_cells(spec)?,
+                    &[false],
+                    &config,
+                    &mut row_stats,
+                    |_, _| Ok(()),
+                )?;
                 (
                     Payload::Glitch(glitch_sweep_from_rows(rows, s.freq_points, workers)?),
                     workers.count(),
@@ -332,28 +340,45 @@ impl Runtime {
             JobSpec::Sta(s) => {
                 let workers = s.workers.map_or(workers, Workers::Fixed);
                 let cells = job_cells(spec)?;
-                // The measured leg, when asked for, runs first on the
-                // characterization path; each static row then takes
-                // its cell's measurement.
-                let measured = if s.items > 0 {
+                let lib = Library::cmos13();
+                // Each cell's netlist is built once per job: a measured
+                // leg that misses the row store reports the static row
+                // of the design it just characterized. Only the other
+                // cells (served rows, or no measured leg) generate
+                // theirs in a second pass, so hits still stay out of
+                // the characterization's worker split.
+                let (measured, mut rows) = if s.items > 0 {
                     let config = CharacterizeConfig {
                         lanes: s.lanes,
                         workers,
                         ..CharacterizeConfig::new(s.items, s.seed)
                     };
-                    self.characterize_cells(&cells, &[false], &config, &mut row_stats)?
-                        .0
-                        .into_iter()
-                        .map(Some)
-                        .collect()
+                    let (measured, _, rows) = self.characterize_cells(
+                        &cells,
+                        &[false],
+                        &config,
+                        &mut row_stats,
+                        |design, row| sta_row(&lib, design, Some(row)),
+                    )?;
+                    (measured.into_iter().map(Some).collect(), rows)
                 } else {
-                    vec![None; cells.len()]
+                    (vec![None; cells.len()], vec![None; cells.len()])
                 };
-                let lib = Library::cmos13();
-                let tasks: Vec<_> = cells.into_iter().zip(measured).collect();
-                let rows = run_cells(&tasks, workers, |((width, arch), measured), _| {
-                    sta_row(&lib, *width, *arch, measured.as_ref())
+                let static_only: Vec<usize> =
+                    (0..cells.len()).filter(|&i| rows[i].is_none()).collect();
+                let computed = run_cells(&static_only, workers, |&i, _| {
+                    let (width, arch) = cells[i];
+                    let design = arch.generate(width)?;
+                    lint_preflight(&design.netlist)?;
+                    sta_row(&lib, &design, measured[i].as_ref())
                 })?;
+                for (i, row) in static_only.into_iter().zip(computed) {
+                    rows[i] = Some(row);
+                }
+                let rows = rows
+                    .into_iter()
+                    .map(|row| row.expect("every cell is filled by one of the two passes"))
+                    .collect();
                 (Payload::Sta(rows), workers.count())
             }
             JobSpec::PruneDelta(s) => {
@@ -369,8 +394,13 @@ impl Runtime {
                     ..CharacterizeConfig::new(s.items, s.seed)
                 };
                 let cells = job_cells(spec)?;
-                let (legs, dffs) =
-                    self.characterize_cells(&cells, &[true, false], &config, &mut row_stats)?;
+                let (legs, dffs, _) = self.characterize_cells(
+                    &cells,
+                    &[true, false],
+                    &config,
+                    &mut row_stats,
+                    |_, _| Ok(()),
+                )?;
                 let rows = cells
                     .iter()
                     .zip(legs.chunks_exact(2).zip(dffs.chunks_exact(2)))
@@ -424,13 +454,19 @@ impl Runtime {
     /// whole budget among themselves, and each is inserted. The lint
     /// gate runs inside the characterization, so a served row does no
     /// netlist work at all.
-    fn characterize_cells(
+    ///
+    /// Each computed leg also runs `on_miss` on the design it just
+    /// characterized, before the netlist is dropped; its result comes
+    /// back in the leg's slot of the third list (`None` for a served
+    /// row).
+    fn characterize_cells<T: Send>(
         &self,
         cells: &[(usize, Architecture)],
         raw: &[bool],
         config: &CharacterizeConfig,
         stats: &mut Option<RowCacheStats>,
-    ) -> Result<(Vec<AbInitioRow>, Vec<usize>), WorkloadError> {
+        on_miss: impl Fn(&MultiplierDesign, &AbInitioRow) -> Result<T, WorkloadError> + Sync,
+    ) -> Result<CharacterizedLegs<T>, WorkloadError> {
         let legs: Vec<(usize, Architecture, bool)> = cells
             .iter()
             .flat_map(|&(width, arch)| raw.iter().map(move |&raw| (width, arch, raw)))
@@ -465,18 +501,22 @@ impl Runtime {
                 ..*config
             };
             let row = characterize_design_with(&design, &lib, tech, freq, &config)?;
-            Ok((row, design.netlist.dff_count()))
+            let extra = on_miss(&design, &row)?;
+            Ok(((row, design.netlist.dff_count()), extra))
         })?;
-        for (i, row) in missing.into_iter().zip(computed) {
+        let mut extras: Vec<Option<T>> = legs.iter().map(|_| None).collect();
+        for (i, (row, extra)) in missing.into_iter().zip(computed) {
             if let Some(store) = &self.row_cache {
                 store.insert(keys[i].clone(), row.clone());
             }
             rows[i] = Some(row);
+            extras[i] = Some(extra);
         }
-        Ok(rows
+        let (rows, dffs) = rows
             .into_iter()
             .map(|row| row.expect("every leg is either served or computed"))
-            .unzip())
+            .unzip();
+        Ok((rows, dffs, extras))
     }
 
     /// The structural export job: Verilog + DOT per architecture and a
@@ -526,8 +566,9 @@ impl Runtime {
 
 /// Structural lint for the jobs that use a netlist outside
 /// characterization — the activity measurement and the static STA
-/// rows — failing with the typed [`WorkloadError::Lint`] on
-/// error-severity diagnostics (warnings pass). Characterizing jobs
+/// rows of cells not characterized in the job — failing with the typed
+/// [`WorkloadError::Lint`] on error-severity diagnostics (warnings
+/// pass). Characterizing jobs
 /// need no preflight: [`characterize_design_with`] applies the same
 /// gate to the netlist it simulates, so rows served from the row
 /// cache do no netlist work at all.
@@ -564,16 +605,14 @@ fn run_cells<T: Sync, R: Send>(
 }
 
 /// One STA row: integer-tick windows, path statistics and the static
-/// glitch bound of a cell's production netlist, beside the cell's
-/// measured glitch factor and activity when the job measured them.
+/// glitch bound of a cell's linted production netlist, beside the
+/// cell's measured glitch factor and activity when the job measured
+/// them.
 fn sta_row(
     lib: &Library,
-    width: usize,
-    arch: Architecture,
+    design: &MultiplierDesign,
     measured: Option<&AbInitioRow>,
 ) -> Result<StaRow, WorkloadError> {
-    let design = arch.generate(width)?;
-    lint_preflight(&design.netlist)?;
     let sta = TimingAnalysis::try_analyze(&design.netlist, lib)?;
     let glitch = GlitchProfile::compute(&design.netlist, &sta);
     let critical_path_cells = sta
@@ -581,8 +620,8 @@ fn sta_row(
         .map(|p| p.cells.len())
         .unwrap_or(0);
     Ok(StaRow {
-        arch: arch.paper_name().to_string(),
-        width,
+        arch: design.arch.paper_name().to_string(),
+        width: design.width,
         cells: design.netlist.logic_cell_count(),
         stride_ticks: sta.stride(),
         logical_depth: sta.logical_depth(),
@@ -607,29 +646,6 @@ pub(crate) fn arch_by_name(name: &str) -> Result<Architecture, WorkloadError> {
         ))
         .into()
     })
-}
-
-/// Validates an explicit Table 1 row-name list: non-empty, every name
-/// a published row, no duplicates. The same vocabulary
-/// [`JobSpec::shard`] splits along, so shard specs re-validate on the
-/// worker exactly as the coordinator resolved them.
-pub(crate) fn resolve_table1_names(names: &[String]) -> Result<(), WorkloadError> {
-    if names.is_empty() {
-        return Err(SpecError::new("\"archs\" must not be an empty list").into());
-    }
-    let known = table1_names();
-    for name in names {
-        if !known.contains(&name.as_str()) {
-            return Err(SpecError::new(format!(
-                "unknown architecture {name:?} (Table 1 paper names expected)"
-            ))
-            .into());
-        }
-    }
-    if let Some(dup) = first_duplicate(names) {
-        return Err(SpecError::new(format!("\"archs\" lists {dup:?} more than once")).into());
-    }
-    Ok(())
 }
 
 /// A netlist job's (width, architecture) cells in evaluation order:
@@ -683,6 +699,19 @@ pub(crate) fn job_cells(spec: &JobSpec) -> Result<Vec<(usize, Architecture)>, Wo
         }
         _ => Ok(Vec::new()),
     }
+}
+
+/// A `table1_sweep`'s row names in evaluation order: the explicit
+/// `archs` list, validated like every other architecture axis, or all
+/// thirteen rows. Table 1's published rows are the paper names of
+/// [`Architecture::ALL`], in order. The runtime solves these rows,
+/// [`JobSpec::shard`] cuts along them and [`Artifact::merge_shards`]
+/// orders shard rows by them.
+pub(crate) fn table1_rows(archs: &Option<Vec<String>>) -> Result<Vec<String>, WorkloadError> {
+    Ok(resolve_archs(archs)?
+        .into_iter()
+        .map(|arch| arch.paper_name().to_string())
+        .collect())
 }
 
 /// The width-major cells of a job with a width axis: each width with
@@ -771,4 +800,19 @@ fn width_error(arch: Architecture, width: usize) -> WorkloadError {
         arch.paper_name()
     ))
     .into()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// [`table1_rows`] resolves through the architecture list, which is
+    /// only right while Table 1's published rows are the architectures'
+    /// paper names in [`Architecture::ALL`] order.
+    #[test]
+    fn table1_rows_are_the_paper_names_of_every_architecture() {
+        let paper_names: Vec<&str> = Architecture::ALL.iter().map(|a| a.paper_name()).collect();
+        assert_eq!(optpower_report::table1_names(), paper_names);
+        assert_eq!(table1_rows(&None).unwrap(), paper_names);
+    }
 }

@@ -15,10 +15,9 @@
 //! makes the merge a pure reordering and never a recomputation.
 
 use crate::error::WorkloadError;
-use crate::runtime::{job_cells, resolve_table1_names};
+use crate::runtime::{job_cells, table1_rows};
 use crate::spec::{AbInitioSpec, JobSpec};
 use optpower_mult::Architecture;
-use optpower_report::table1_names;
 
 impl JobSpec {
     /// Splits this job into at most `n`-ish independent shard specs
@@ -68,19 +67,10 @@ impl JobSpec {
                     ..AbInitioSpec::default()
                 },
             ),
-            JobSpec::Table1Sweep { archs } => {
-                let names: Vec<String> = match archs {
-                    Some(names) => {
-                        resolve_table1_names(names)?;
-                        names.clone()
-                    }
-                    None => table1_names().iter().map(|&s| s.to_string()).collect(),
-                };
-                chunks(&names, n)
-                    .into_iter()
-                    .map(|chunk| JobSpec::Table1Sweep { archs: Some(chunk) })
-                    .collect()
-            }
+            JobSpec::Table1Sweep { archs } => chunks(&table1_rows(archs)?, n)
+                .into_iter()
+                .map(|chunk| JobSpec::Table1Sweep { archs: Some(chunk) })
+                .collect(),
             JobSpec::Batch(jobs) if !jobs.is_empty() => {
                 let mut seen = Vec::new();
                 let mut shards = Vec::new();

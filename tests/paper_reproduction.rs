@@ -160,7 +160,8 @@ fn figure1_trends() {
 /// The reproduced flavour tables preserve Section 5's ordering.
 #[test]
 fn flavor_conclusions_hold() {
-    let t1 = optpower_report::table1().expect("reproduces");
+    let t1 =
+        optpower_report::table1(None, optpower_explore::Workers::Fixed(1)).expect("reproduces");
     let t3 = optpower_report::table3().expect("reproduces");
     let t4 = optpower_report::table4().expect("reproduces");
     for i in 0..3 {

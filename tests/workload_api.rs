@@ -415,7 +415,7 @@ fn render_text_matches_the_legacy_binary_output() {
     let runtime = Runtime::new(Workers::Auto);
 
     // table1 (crates/report/src/bin/table1.rs)
-    let rows = optpower_report::table1_parallel(Workers::Auto).unwrap();
+    let rows = optpower_report::table1(None, Workers::Auto).unwrap();
     let legacy = optpower_report::render_rows(
         "Table 1 - 16-bit multipliers at the optimal working point (ST LL, 31.25 MHz)\n\
          (p) = paper columns; bare = this reproduction",
@@ -428,13 +428,6 @@ fn render_text_matches_the_legacy_binary_output() {
             .render_text(),
         legacy
     );
-
-    // table2 (two printlns)
-    let legacy = format!(
-        "Table 2 - STM CMOS09 technology flavours\n{}",
-        optpower_report::table2()
-    );
-    assert_eq!(runtime.run(&JobSpec::Table2).unwrap().render_text(), legacy);
 
     // table3 / table4
     let legacy = optpower_report::render_rows(
@@ -450,10 +443,8 @@ fn render_text_matches_the_legacy_binary_output() {
 
     // scaling (two sections, four printlns)
     let freqs = [1.0, 31.25];
-    let unscaled =
-        optpower_report::extended::scaling_study_parallel(&freqs, false, Workers::Auto).unwrap();
-    let scaled =
-        optpower_report::extended::scaling_study_parallel(&freqs, true, Workers::Auto).unwrap();
+    let unscaled = optpower_report::extended::scaling_study(&freqs, false, Workers::Auto).unwrap();
+    let scaled = optpower_report::extended::scaling_study(&freqs, true, Workers::Auto).unwrap();
     let legacy = format!(
         "== wire-dominated port (capacitance does not scale) ==\n{}\n\
          == full gate-capacitance scaling (x0.7 per node) ==\n{}",
@@ -469,7 +460,7 @@ fn render_text_matches_the_legacy_binary_output() {
 
     // sensitivity
     let legacy = optpower_report::extended::render_sensitivities(
-        &optpower_report::extended::sensitivity_report_parallel(Workers::Auto).unwrap(),
+        &optpower_report::extended::sensitivity_report(Workers::Auto).unwrap(),
     );
     assert_eq!(
         runtime.run(&JobSpec::Sensitivity).unwrap().render_text(),
@@ -514,8 +505,8 @@ fn render_text_matches_the_legacy_binary_output() {
     let rows = [Architecture::Rca, Architecture::Sequential]
         .into_iter()
         .map(|arch| {
-            optpower_report::characterize_architecture_with(
-                arch,
+            optpower_report::characterize_design_with(
+                &arch.generate(16).unwrap(),
                 &optpower_netlist::Library::cmos13(),
                 optpower_tech::Technology::stm_cmos09(optpower_tech::Flavor::LowLeakage),
                 optpower_units::Hertz::new(31.25e6),
