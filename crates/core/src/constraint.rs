@@ -82,7 +82,7 @@ impl TimingConstraint {
             vdd.value() > 0.0 && vdd > vth,
             "optimal point must satisfy vdd > vth > -inf and vdd > 0, got vdd={vdd}, vth={vth}"
         );
-        let chi = (vdd - vth).value() / vdd.value().powf(1.0 / alpha);
+        let chi = (vdd - vth).value() / vdd_root(vdd.value(), alpha);
         Self::new(chi, alpha)
     }
 
@@ -102,7 +102,15 @@ impl TimingConstraint {
     /// a `Vdd` is not usable in practice (its leakage is astronomical,
     /// so the optimiser never selects it).
     pub fn vth_at(&self, vdd: Volts) -> Volts {
-        Volts::new(vdd.value() - self.chi * vdd.value().powf(1.0 / self.alpha))
+        self.vth_with_root(vdd, vdd_root(vdd.value(), self.alpha))
+    }
+
+    /// [`TimingConstraint::vth_at`] with the root `Vdd^{1/α}` supplied
+    /// by the caller: `Vdd − χ·root`. The optimiser's coarse grid
+    /// tabulates the root once per `α` and passes it here, so Eq. 5 is
+    /// written once and both paths produce the same `f64`.
+    pub(crate) fn vth_with_root(&self, vdd: Volts, root: f64) -> Volts {
+        Volts::new(vdd.value() - self.chi * root)
     }
 
     /// Derivative `dVth/dVdd = 1 − (χ/α)·Vdd^{1/α − 1}` of the curve,
@@ -118,6 +126,13 @@ impl TimingConstraint {
     pub fn vdd_floor(&self) -> Volts {
         Volts::new(self.chi.powf(self.alpha / (self.alpha - 1.0)))
     }
+}
+
+/// `vdd^{1/α}`, the root Eq. 5 scales by `χ`: the one expression that
+/// both [`TimingConstraint::vth_at`] and the optimiser's coarse grid
+/// evaluate.
+pub(crate) fn vdd_root(vdd: f64, alpha: f64) -> f64 {
+    vdd.powf(1.0 / alpha)
 }
 
 #[cfg(test)]

@@ -71,6 +71,6 @@ pub use arch::{ArchParams, ArchParamsBuilder};
 pub use closed_form::ClosedFormSolution;
 pub use constraint::TimingConstraint;
 pub use error::ModelError;
-pub use model::{OperatingPoint, OptimizerConfig, PowerModel};
+pub use model::{CoarseGrid, OperatingPoint, OptimizerConfig, PowerModel};
 pub use power::PowerBreakdown;
 pub use sensitivity::Sensitivities;

@@ -1,10 +1,11 @@
 //! [`PowerModel`]: one architecture, one technology, one frequency —
 //! and everything the paper computes about that combination.
 
-use optpower_numeric::{golden_section_min, grid_min};
+use optpower_numeric::{first_min, golden_section_min, grid_points};
 use optpower_tech::{Linearization, Technology};
 use optpower_units::{Hertz, Volts, Watts};
 
+use crate::constraint::vdd_root;
 use crate::{ArchParams, ClosedFormSolution, ModelError, PowerBreakdown, TimingConstraint};
 
 /// One working point on the timing-closure curve, with its power split.
@@ -59,6 +60,10 @@ impl core::fmt::Display for OperatingPoint {
 }
 
 /// Search-window configuration for [`PowerModel::optimize_with`].
+///
+/// The window's coarse pass depends on the model only through `α`, so
+/// it can be tabulated once as a [`CoarseGrid`] and shared by every
+/// model of a flavour ([`PowerModel::optimize_on`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OptimizerConfig {
     /// Lower end of the Vdd search window.
@@ -83,6 +88,54 @@ impl Default for OptimizerConfig {
             tolerance: 1e-7,
             coarse_samples: 512,
         }
+    }
+}
+
+/// The optimiser's coarse pass, tabulated for one `α` and one search
+/// window: the `coarse_samples.max(3)` uniform Vdd abscissae of the
+/// window (`linspace(vdd_min, vdd_max, …)`), each beside the root
+/// `Vdd^{1/α}` that Eq. 5 needs there.
+///
+/// The root depends on `α` and `Vdd` only, so every model of a
+/// technology flavour — every architecture at every frequency — can
+/// share one grid, and each coarse sample then costs Eq. 1's `exp`
+/// without Eq. 5's `powf`. The table holds the very values
+/// [`TimingConstraint::vth_at`] computes, so
+/// [`PowerModel::optimize_on`] returns the same `f64`s for any model
+/// whose constraint has this `α`. [`PowerModel::optimize_with`] builds
+/// one per call; the exploration engine (`optpower-explore`) builds
+/// one per distinct `α` of its grid and shares it.
+#[derive(Debug, Clone, PartialEq)]
+pub struct CoarseGrid {
+    alpha: f64,
+    config: OptimizerConfig,
+    /// `(Vdd, Vdd^{1/α})` per coarse sample, in window order.
+    samples: Vec<(f64, f64)>,
+}
+
+impl CoarseGrid {
+    /// Tabulates the coarse grid of `config`'s window for `alpha`.
+    ///
+    /// # Errors
+    ///
+    /// [`ModelError::Numeric`] carrying
+    /// [`optpower_numeric::NumericError::InvalidBracket`] when
+    /// `vdd_min >= vdd_max` (or either is NaN) — the error the coarse
+    /// pass has always reported for such a window.
+    pub fn new(alpha: f64, config: OptimizerConfig) -> Result<Self, ModelError> {
+        let samples = grid_points(
+            config.vdd_min.value(),
+            config.vdd_max.value(),
+            config.coarse_samples.max(3),
+        )?
+        .into_iter()
+        .map(|v| (v, vdd_root(v, alpha)))
+        .collect();
+        Ok(Self {
+            alpha,
+            config,
+            samples,
+        })
     }
 }
 
@@ -272,25 +325,45 @@ impl PowerModel {
         self.optimize_with(OptimizerConfig::default())
     }
 
-    /// [`PowerModel::optimize`] with an explicit search window.
+    /// [`PowerModel::optimize`] with an explicit search window: builds
+    /// the window's [`CoarseGrid`] for this model's `α` and runs
+    /// [`PowerModel::optimize_on`] on it.
     ///
     /// # Errors
     ///
     /// See [`PowerModel::optimize`].
     pub fn optimize_with(&self, config: OptimizerConfig) -> Result<OperatingPoint, ModelError> {
-        let objective = |v: f64| self.power_on_curve(Volts::new(v)).total().value();
+        self.optimize_on(&CoarseGrid::new(self.constraint.alpha(), config)?)
+    }
+
+    /// The optimiser on a prebuilt [`CoarseGrid`], over the grid's
+    /// window: the first strict minimum of the total power over the
+    /// grid's finite samples, then golden-section refinement within
+    /// two grid steps of it.
+    ///
+    /// # Errors
+    ///
+    /// * [`ModelError::InvalidCalibration`] if `grid` was tabulated for
+    ///   a different `α` than the constraint's,
+    /// * otherwise see [`PowerModel::optimize`].
+    pub fn optimize_on(&self, grid: &CoarseGrid) -> Result<OperatingPoint, ModelError> {
+        if grid.alpha != self.constraint.alpha() {
+            return Err(ModelError::InvalidCalibration {
+                reason: "coarse grid alpha does not match the timing constraint",
+            });
+        }
+        let config = grid.config;
         // Coarse pass to bracket the basin, robust to any residual
         // non-unimodality at the window edges.
-        let coarse = grid_min(
-            objective,
-            config.vdd_min.value(),
-            config.vdd_max.value(),
-            config.coarse_samples.max(3),
-        )?;
-        let step =
-            (config.vdd_max - config.vdd_min).value() / (config.coarse_samples.max(3) - 1) as f64;
+        let coarse = first_min(grid.samples.iter().map(|&(v, root)| {
+            let vdd = Volts::new(v);
+            let vth = self.constraint.vth_with_root(vdd, root);
+            (v, self.power_at(vdd, vth).total().value())
+        }))?;
+        let step = (config.vdd_max - config.vdd_min).value() / (grid.samples.len() - 1) as f64;
         let lo = (coarse.x - 2.0 * step).max(config.vdd_min.value());
         let hi = (coarse.x + 2.0 * step).min(config.vdd_max.value());
+        let objective = |v: f64| self.power_on_curve(Volts::new(v)).total().value();
         let refined = golden_section_min(objective, lo, hi, config.tolerance)?;
         Ok(self.point_on_curve(Volts::new(refined.x)))
     }
@@ -526,6 +599,25 @@ mod tests {
             other,
         )
         .unwrap_err();
+        assert!(matches!(err, ModelError::InvalidCalibration { .. }));
+    }
+
+    #[test]
+    fn coarse_grid_tabulates_the_roots_vth_at_uses() {
+        let c = rca_model().constraint();
+        let grid = CoarseGrid::new(c.alpha(), OptimizerConfig::default()).unwrap();
+        assert_eq!(grid.samples.len(), 512);
+        for &(v, root) in &grid.samples {
+            let vdd = Volts::new(v);
+            assert_eq!(c.vth_with_root(vdd, root), c.vth_at(vdd), "at {v}");
+        }
+    }
+
+    #[test]
+    fn optimize_on_rejects_alpha_mismatch() {
+        let m = rca_model();
+        let other = CoarseGrid::new(m.constraint().alpha() * 1.1, OptimizerConfig::default());
+        let err = m.optimize_on(&other.unwrap()).unwrap_err();
         assert!(matches!(err, ModelError::InvalidCalibration { .. }));
     }
 

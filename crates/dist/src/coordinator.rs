@@ -1,34 +1,41 @@
-//! The coordinator side: shard a spec, fan the shards out over TCP to
+//! The coordinator side: shard a spec, hand the shards out over TCP to
 //! worker processes, survive worker death, and merge the results back
 //! into the single-host envelope bit for bit.
 //!
 //! Three rules keep the merged artifact deterministic whatever the
 //! cluster does:
 //!
-//! * **deterministic assignment** — each shard's home host is the
-//!   rendezvous-hash winner over the *alive* host set
-//!   ([`assign_host`]), so two coordinators with the same host list
-//!   agree, and losing a host only moves that host's shards;
+//! * **pull-based dispatch** — each round puts the missing shards in
+//!   one queue and every live host pulls its next shard when idle, so
+//!   no shard has a home host and a slow host simply takes fewer. The
+//!   queue starts with the widest cells of a characterization (the
+//!   costliest), as in Graham's longest-processing-time-first list
+//!   scheduling;
 //! * **result identity by shard key** — results are keyed by the shard
 //!   spec's canonical key and merged in shard order, so retries,
-//!   duplicates and arrival order cannot change the payload;
+//!   duplicates, arrival order and which host ran what cannot change
+//!   the payload;
 //! * **failure taxonomy** — a worker *death* (connect failure, EOF,
-//!   heartbeat silence past the timeout) retries the unfinished
-//!   shards elsewhere and is visible only in `meta.dist.retries`,
-//!   while a *deterministic* shard error (the job itself is invalid
-//!   or unsolvable) fails the whole run immediately: retrying a pure
-//!   function cannot change its answer.
+//!   heartbeat silence past the timeout) puts the shard it held back
+//!   at the front of the queue for the surviving hosts and is visible
+//!   only in `meta.dist.retries`, while a *deterministic* shard error
+//!   (the job itself is invalid or unsolvable) stops the dispatch and
+//!   fails the whole run: retrying a pure function cannot change its
+//!   answer.
 
-use std::collections::{BTreeMap, HashMap};
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::fmt;
 use std::net::TcpStream;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::thread;
 use std::time::{Duration, Instant};
 
 use optpower_explore::Workers;
 use optpower_workload::{
-    fnv1a_64, Artifact, CacheStatus, DistMeta, ErrorBody, JobSpec, Json, RowCacheStats, RunMeta,
-    ShardFrame, ShardResult, SpecError, Store, WorkloadError,
+    Artifact, CacheStatus, DistMeta, ErrorBody, JobSpec, Json, RowCacheStats, RunMeta, ShardFrame,
+    ShardResult, SpecError, Store, WorkloadError,
 };
 
 /// Default per-shard silence window before a worker is declared dead.
@@ -89,7 +96,10 @@ pub struct DistStats {
     /// Completed shards per host address (every configured host
     /// present, zero included).
     pub per_host: BTreeMap<String, u64>,
-    /// Shards reassigned after a worker death or timeout.
+    /// Shards lost in flight: each was assigned to a worker that then
+    /// died or fell silent past the timeout, and went back to the
+    /// queue. At most one per dead host per round; a host that cannot
+    /// be reached at all costs none.
     pub retries: u64,
     /// Shards the job was split into.
     pub shards: usize,
@@ -131,23 +141,6 @@ pub struct DistRun {
     pub text: String,
     /// Scheduling facts of the run.
     pub stats: DistStats,
-}
-
-/// The deterministic shard → host map: highest-random-weight
-/// (rendezvous) hash of `"{shard_key}|{host}"` over the alive host
-/// set; ties break to the lexicographically smallest host. Removing a
-/// dead host only remaps that host's shards — everything else keeps
-/// its assignment, which is what makes retry placement stable and
-/// testable.
-pub fn assign_host<'a>(hosts: &'a [String], shard_key: &str) -> &'a str {
-    hosts
-        .iter()
-        .max_by(|a, b| {
-            let wa = fnv1a_64(format!("{shard_key}|{a}").as_bytes());
-            let wb = fnv1a_64(format!("{shard_key}|{b}").as_bytes());
-            wa.cmp(&wb).then_with(|| b.cmp(a))
-        })
-        .expect("assign_host requires a non-empty host list")
 }
 
 /// A coordinator over a fixed set of worker addresses.
@@ -220,10 +213,11 @@ impl Cluster {
         &self.hosts
     }
 
-    /// Runs one job across the cluster: shard, assign, execute with
-    /// retry-on-death, merge. The merged `payload_json`/`csv`/`text`
-    /// are byte-identical to the single-host run; distribution shows
-    /// up only in `meta.dist` and [`DistStats`].
+    /// Runs one job across the cluster: shard, dispatch to whichever
+    /// host is idle with retry-on-death, merge. The merged
+    /// `payload_json`/`csv`/`text` are byte-identical to the
+    /// single-host run; distribution shows up only in `meta.dist` and
+    /// [`DistStats`].
     ///
     /// # Errors
     ///
@@ -268,58 +262,67 @@ impl Cluster {
                 }
             }
         }
+        let mut queue: VecDeque<&(String, JobSpec)> = dispatch_order(spec, &keyed)
+            .into_iter()
+            .filter(|(k, _)| !results.contains_key(k))
+            .collect();
         let mut alive = self.hosts.clone();
         let mut last_death = String::from("no host contacted");
-        while results.len() < keyed.len() {
+        // A round ends when its live hosts have drained the queue or
+        // died; the next round only restarts what no live host was
+        // left to take.
+        while !queue.is_empty() {
             if alive.is_empty() {
                 return Err(DistError::AllHostsDead { detail: last_death });
             }
-            let mut assignment: BTreeMap<String, Vec<&(String, JobSpec)>> = BTreeMap::new();
-            for pair in keyed.iter().filter(|(k, _)| !results.contains_key(k)) {
-                assignment
-                    .entry(assign_host(&alive, &pair.0).to_string())
-                    .or_default()
-                    .push(pair);
-            }
+            let dispatch = Dispatch {
+                queue: Mutex::new(queue),
+                stop: AtomicBool::new(false),
+            };
             let timeout_ms = self.timeout_ms;
-            let round: Vec<(String, usize, HostOutcome)> = thread::scope(|scope| {
-                let handles: Vec<_> = assignment
+            let round: Vec<HostOutcome> = thread::scope(|scope| {
+                let dispatch = &dispatch;
+                let handles: Vec<_> = alive
                     .iter()
-                    .map(|(host, shards)| {
-                        scope.spawn(move || {
-                            (
-                                host.clone(),
-                                shards.len(),
-                                run_host(host, shards, timeout_ms),
-                            )
-                        })
-                    })
+                    .map(|host| scope.spawn(move || run_host(host, dispatch, timeout_ms)))
                     .collect();
                 handles
                     .into_iter()
                     .map(|h| h.join().expect("host thread does not panic"))
                     .collect()
             });
-            for (host, assigned, outcome) in round {
-                let completed = outcome.completed.len() as u64;
-                *stats.per_host.entry(host.clone()).or_insert(0) += completed;
-                for r in outcome.completed {
+            queue = dispatch
+                .queue
+                .into_inner()
+                .unwrap_or_else(PoisonError::into_inner);
+            let mut failed = None;
+            let mut dead = Vec::new();
+            for (host, outcome) in alive.iter().zip(round) {
+                *stats.per_host.entry(host.clone()).or_insert(0) += outcome.completed.len() as u64;
+                for ((key, shard), r) in outcome.completed {
                     if let Some(cache) = &self.cache {
-                        if let Some((_, shard)) = keyed.iter().find(|(k, _)| *k == r.shard) {
-                            cache.insert(shard.canonical_json(), r.clone());
-                        }
+                        cache.insert(shard.canonical_json(), r.clone());
                     }
-                    results.insert(r.shard.clone(), r);
+                    results.insert(key.clone(), r);
                 }
-                if let Some(body) = outcome.failed {
-                    return Err(DistError::Shard(body));
-                }
-                if outcome.died {
-                    stats.retries += assigned as u64 - completed;
-                    last_death = format!("{host} stopped responding");
-                    alive.retain(|h| h != &host);
+                failed = failed.or(outcome.failed);
+                match outcome.death {
+                    Some(Death::Unreachable) => {
+                        last_death = format!("{host} could not be reached");
+                        dead.push(host.clone());
+                    }
+                    Some(Death::LostShard) => {
+                        stats.retries += 1;
+                        last_death = format!("{host} stopped responding");
+                        dead.push(host.clone());
+                    }
+                    None => {}
                 }
             }
+            if let Some(body) = failed {
+                return Err(DistError::Shard(body));
+            }
+            alive.retain(|h| !dead.contains(h));
         }
         // Everything below is pure merging; order results in shard
         // order so arrival order is irrelevant.
@@ -459,63 +462,141 @@ impl Cluster {
     }
 }
 
-#[derive(Default)]
-struct HostOutcome {
-    completed: Vec<ShardResult>,
-    failed: Option<ErrorBody>,
-    died: bool,
+/// The order a job's shards are handed out in. The cells of a
+/// characterization (`ab_initio`, `glitch_sweep`) go widest operand
+/// first, each width in resolution order: a cell's cost grows steeply
+/// with its width, and starting the costliest first keeps one of them
+/// from running alone at the end. Every other job keeps resolution
+/// order. Only the shard specs are read; nothing is generated.
+fn dispatch_order<'a>(
+    spec: &JobSpec,
+    keyed: &'a [(String, JobSpec)],
+) -> Vec<&'a (String, JobSpec)> {
+    let mut order: Vec<_> = keyed.iter().collect();
+    if matches!(spec, JobSpec::AbInitio(_) | JobSpec::GlitchSweep(_)) {
+        order.sort_by_key(|(_, shard)| match shard {
+            JobSpec::AbInitio(cell) => Reverse(cell.width),
+            _ => Reverse(0),
+        });
+    }
+    order
 }
 
-/// Drives one host through its assigned shards over one connection.
-/// Any transport irregularity — connect failure, missing Hello, EOF,
-/// a read timing out past the heartbeat window — marks the host dead;
-/// only an explicit Error frame is a deterministic job failure.
-fn run_host(host: &str, shards: &[&(String, JobSpec)], timeout_ms: u64) -> HostOutcome {
-    let mut out = HostOutcome::default();
-    let mut stream = match TcpStream::connect(host) {
-        Ok(s) => s,
-        Err(_) => {
-            out.died = true;
-            return out;
+/// One round's shared dispatch state: the shards still to hand out,
+/// front first, and the stop flag a deterministic failure raises.
+struct Dispatch<'a> {
+    queue: Mutex<VecDeque<&'a (String, JobSpec)>>,
+    stop: AtomicBool,
+}
+
+impl<'a> Dispatch<'a> {
+    /// The next shard to run, unless the queue is drained or the run
+    /// has already failed.
+    fn pull(&self) -> Option<&'a (String, JobSpec)> {
+        if self.stop.load(Ordering::SeqCst) {
+            return None;
         }
-    };
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(timeout_ms)));
-    let _ = stream.set_nodelay(true);
-    match ShardFrame::read_from(&mut stream) {
-        Ok(ShardFrame::Hello { .. }) => {}
-        _ => {
-            out.died = true;
-            return out;
-        }
+        self.queue().pop_front()
     }
-    for (key, spec) in shards {
-        let assign = ShardFrame::Assign {
-            shard: key.clone(),
-            spec: spec.clone(),
+
+    /// Puts a shard a host could not finish back at the front, for the
+    /// next host that pulls.
+    fn hand_back(&self, shard: &'a (String, JobSpec)) {
+        self.queue().push_front(shard);
+    }
+
+    fn queue(&self) -> MutexGuard<'_, VecDeque<&'a (String, JobSpec)>> {
+        self.queue.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+/// Why a host left its round early.
+enum Death {
+    /// Connect or Hello failed: its shard never left the coordinator.
+    Unreachable,
+    /// It took a shard and then failed to answer it.
+    LostShard,
+}
+
+/// What one host did in a round.
+#[derive(Default)]
+struct HostOutcome<'a> {
+    completed: Vec<(&'a (String, JobSpec), ShardResult)>,
+    failed: Option<ErrorBody>,
+    death: Option<Death>,
+}
+
+/// Drives one host through a round: pull a shard, connect on the
+/// first one, send `Assign`, wait for its `Result`, pull the next. A
+/// host that never pulls a shard never connects. Any transport
+/// irregularity — connect failure, missing Hello, EOF, a read timing
+/// out past the heartbeat window — ends the host's round and hands its
+/// shard back; only an explicit Error frame is a deterministic job
+/// failure, and it stops every host from pulling more.
+fn run_host<'a>(host: &str, dispatch: &Dispatch<'a>, timeout_ms: u64) -> HostOutcome<'a> {
+    let mut out = HostOutcome::default();
+    let mut conn: Option<TcpStream> = None;
+    while let Some(shard) = dispatch.pull() {
+        let stream = match &mut conn {
+            Some(stream) => stream,
+            None => match connect(host, timeout_ms) {
+                Some(stream) => conn.insert(stream),
+                None => {
+                    dispatch.hand_back(shard);
+                    out.death = Some(Death::Unreachable);
+                    return out;
+                }
+            },
         };
-        if assign.write_to(&mut stream).is_err() {
-            out.died = true;
-            return out;
-        }
-        loop {
-            match ShardFrame::read_from(&mut stream) {
-                Ok(ShardFrame::Heartbeat { .. }) => continue,
-                Ok(ShardFrame::Result(r)) if r.shard == *key => {
-                    out.completed.push(*r);
-                    break;
-                }
-                Ok(ShardFrame::Error { error, .. }) => {
-                    out.failed = Some(error);
-                    return out;
-                }
-                Ok(_) | Err(_) => {
-                    out.died = true;
-                    return out;
-                }
+        match exchange(stream, shard) {
+            Some(Ok(result)) => out.completed.push((shard, result)),
+            Some(Err(error)) => {
+                dispatch.stop.store(true, Ordering::SeqCst);
+                out.failed = Some(error);
+                return out;
+            }
+            None => {
+                dispatch.hand_back(shard);
+                out.death = Some(Death::LostShard);
+                return out;
             }
         }
     }
     out
+}
+
+/// Opens a connection to `host` and reads its Hello; `None` when the
+/// host cannot be reached.
+fn connect(host: &str, timeout_ms: u64) -> Option<TcpStream> {
+    let mut stream = TcpStream::connect(host).ok()?;
+    let _ = stream.set_read_timeout(Some(Duration::from_millis(timeout_ms)));
+    let _ = stream.set_nodelay(true);
+    match ShardFrame::read_from(&mut stream) {
+        Ok(ShardFrame::Hello { .. }) => Some(stream),
+        _ => None,
+    }
+}
+
+/// Sends one shard and waits through its heartbeats for the answer:
+/// the shard's result, or the worker's deterministic error, or `None`
+/// when the shard was lost in flight.
+fn exchange(
+    stream: &mut TcpStream,
+    (key, spec): &(String, JobSpec),
+) -> Option<Result<ShardResult, ErrorBody>> {
+    let assign = ShardFrame::Assign {
+        shard: key.clone(),
+        spec: spec.clone(),
+    };
+    assign.write_to(stream).ok()?;
+    loop {
+        match ShardFrame::read_from(stream) {
+            Ok(ShardFrame::Heartbeat { .. }) => continue,
+            Ok(ShardFrame::Result(r)) if r.shard == *key => return Some(Ok(*r)),
+            Ok(ShardFrame::Error { error, .. }) => return Some(Err(error)),
+            Ok(_) | Err(_) => return None,
+        }
+    }
 }
 
 fn parse_payload_doc(text: &str) -> Result<Json, WorkloadError> {
@@ -532,34 +613,48 @@ fn field(doc: &Json, key: &str) -> Result<Json, WorkloadError> {
 mod tests {
     use super::*;
 
-    /// Rendezvous assignment is deterministic, total, and minimally
-    /// disruptive: removing a host only remaps that host's shards.
+    /// The 4-width glitch sweep perfbench's `cluster_sweep` runs, cut
+    /// into one shard per cell, is queued 32-bit first with each width
+    /// in resolution order; a `table1_sweep`'s row shards keep
+    /// resolution order.
     #[test]
-    fn rendezvous_assignment_is_stable_under_host_loss() {
-        let hosts: Vec<String> = ["h1:1", "h2:1", "h3:1"]
-            .iter()
-            .map(|s| s.to_string())
+    fn dispatch_queues_the_widest_cells_first() {
+        let keyed = |spec: &JobSpec, n| -> Vec<(String, JobSpec)> {
+            let shards = spec.shard(n).expect("shardable");
+            shards.into_iter().map(|s| (s.canonical_key(), s)).collect()
+        };
+        let sweep =
+            JobSpec::from_json(r#"{"job":"glitch_sweep","widths":[8,16,24,32],"items":120}"#)
+                .expect("valid spec");
+        let shards = keyed(&sweep, 64);
+        assert_eq!(shards.len(), 49);
+        let width = |shard: &JobSpec| match shard {
+            JobSpec::AbInitio(cell) => cell.width,
+            other => panic!("{other:?}"),
+        };
+        let queued: Vec<(usize, &String)> = dispatch_order(&sweep, &shards)
+            .into_iter()
+            .map(|(key, shard)| (width(shard), key))
             .collect();
-        let keys: Vec<String> = (0..64).map(|i| format!("{i:016x}")).collect();
-        let full: Vec<&str> = keys.iter().map(|k| assign_host(&hosts, k)).collect();
-        // Deterministic: same inputs, same answers.
-        for (k, &h) in keys.iter().zip(&full) {
-            assert_eq!(assign_host(&hosts, k), h);
+        let mut expected = Vec::new();
+        for w in [32, 24, 16, 8] {
+            expected.extend(
+                shards
+                    .iter()
+                    .filter(|(_, shard)| width(shard) == w)
+                    .map(|(key, _)| (w, key)),
+            );
         }
-        // Every host gets some work on a 64-shard axis.
-        for h in &hosts {
-            assert!(full.iter().any(|&a| a == h), "{h} got nothing");
-        }
-        // Minimal disruption: dropping h2 remaps only h2's shards.
-        let reduced: Vec<String> = hosts.iter().filter(|h| *h != "h2:1").cloned().collect();
-        for (k, &before) in keys.iter().zip(&full) {
-            let after = assign_host(&reduced, k);
-            if before != "h2:1" {
-                assert_eq!(after, before, "{k} moved needlessly");
-            } else {
-                assert_ne!(after, "h2:1");
-            }
-        }
+        assert_eq!(queued, expected);
+
+        let table = JobSpec::Table1Sweep { archs: None };
+        let rows = keyed(&table, 13);
+        assert_eq!(rows.len(), 13);
+        let order: Vec<&String> = dispatch_order(&table, &rows)
+            .into_iter()
+            .map(|(key, _)| key)
+            .collect();
+        assert_eq!(order, rows.iter().map(|(key, _)| key).collect::<Vec<_>>());
     }
 
     /// A cluster with no hosts fails fast with a typed error.

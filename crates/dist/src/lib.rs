@@ -5,7 +5,5 @@
 pub mod coordinator;
 pub mod worker;
 
-pub use coordinator::{
-    assign_host, Cluster, DistError, DistRun, DistStats, DEFAULT_SHARD_TIMEOUT_MS,
-};
+pub use coordinator::{Cluster, DistError, DistRun, DistStats, DEFAULT_SHARD_TIMEOUT_MS};
 pub use worker::{serve, spawn, WorkerHandle, HEARTBEAT_MS};

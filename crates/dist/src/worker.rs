@@ -97,7 +97,7 @@ fn accept_loop(listener: &TcpListener, runtime: &Runtime, stop: &Arc<AtomicBool>
         let runtime = runtime.clone();
         thread::spawn(move || {
             // A torn connection is the coordinator's problem (it
-            // reassigns); the worker just moves on.
+            // queues the shard again); the worker just moves on.
             let _ = serve_connection(stream, &runtime);
         });
     }

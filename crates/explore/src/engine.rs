@@ -4,7 +4,9 @@
 use std::collections::HashMap;
 
 use optpower::sweep::SweepOutcome;
-use optpower::{ModelError, OptimizerConfig, PowerModel, TimingConstraint};
+use optpower::{
+    CoarseGrid, ModelError, OperatingPoint, OptimizerConfig, PowerModel, TimingConstraint,
+};
 use optpower_tech::Linearization;
 
 use crate::grid::{Grid, GridPoint};
@@ -30,80 +32,106 @@ impl ExploreConfig {
     }
 }
 
-/// Memoised per-technology calibration shared by every worker.
+/// Memoised per-technology calibration shared by every worker, for
+/// one optimiser window.
 ///
 /// Building a [`PowerModel`] refits the Eq. 7 linearisation — a
 /// 701-sample least-squares fit that depends *only* on the
-/// technology's `α`. A grid with `T` technologies, `A` architectures
-/// and `F` frequencies would refit it `T·A·F` times; the cache fits
-/// once per distinct `α` up front and hands out copies. Because the
-/// fit is a pure function of `α`, cached models are bit-identical to
-/// individually built ones (asserted by the engine equivalence tests).
+/// technology's `α` — and each optimisation's coarse pass evaluates
+/// `Vdd^{1/α}` at every sample of the window, which depends only on
+/// `α` and the window. A grid with `T` technologies, `A`
+/// architectures and `F` frequencies would redo both `T·A·F` times;
+/// the cache fits and tabulates once per distinct `α` up front (the
+/// fit beside the window's [`CoarseGrid`]) and shares them. Because
+/// both are pure functions of `α` and the window, every optimum is
+/// bit-identical to an individually built model's
+/// [`PowerModel::optimize_with`] (asserted by the engine equivalence
+/// tests).
 #[derive(Debug, Clone, Default)]
 pub struct CalibrationCache {
-    linearizations: HashMap<u64, Result<Linearization, ModelError>>,
+    optimizer: OptimizerConfig,
+    by_alpha: HashMap<u64, Calibration>,
+}
+
+/// What the cache holds for one `α`.
+#[derive(Debug, Clone)]
+struct Calibration {
+    linearization: Result<Linearization, ModelError>,
+    coarse: Result<CoarseGrid, ModelError>,
 }
 
 impl CalibrationCache {
-    /// Pre-fits the linearisation for every distinct `α` in the grid's
-    /// technology axis.
-    pub fn for_grid(grid: &Grid) -> Self {
-        let mut linearizations = HashMap::new();
+    /// Pre-fits the linearisation and tabulates `optimizer`'s coarse
+    /// grid for every distinct `α` in the grid's technology axis.
+    pub fn for_grid(grid: &Grid, optimizer: OptimizerConfig) -> Self {
+        let mut by_alpha = HashMap::new();
         for tech in grid.technologies() {
-            linearizations
-                .entry(tech.alpha().to_bits())
-                .or_insert_with(|| {
-                    Linearization::fit_paper_range(tech.alpha()).map_err(ModelError::Numeric)
+            let alpha = tech.alpha();
+            by_alpha
+                .entry(alpha.to_bits())
+                .or_insert_with(|| Calibration {
+                    linearization: Linearization::fit_paper_range(alpha)
+                        .map_err(ModelError::Numeric),
+                    coarse: CoarseGrid::new(alpha, optimizer),
                 });
         }
-        Self { linearizations }
+        Self {
+            optimizer,
+            by_alpha,
+        }
     }
 
     /// Number of distinct `α` values cached.
     pub fn len(&self) -> usize {
-        self.linearizations.len()
+        self.by_alpha.len()
     }
 
     /// True when nothing has been cached.
     pub fn is_empty(&self) -> bool {
-        self.linearizations.is_empty()
+        self.by_alpha.is_empty()
     }
 
     /// The cached fit for `alpha`, falling back to fitting on the spot
     /// for values the grid axis did not cover.
     fn linearization(&self, alpha: f64) -> Result<Linearization, ModelError> {
-        match self.linearizations.get(&alpha.to_bits()) {
-            Some(cached) => cached.clone(),
+        match self.by_alpha.get(&alpha.to_bits()) {
+            Some(cached) => cached.linearization.clone(),
             None => Linearization::fit_paper_range(alpha).map_err(ModelError::Numeric),
+        }
+    }
+
+    /// Optimises `model` over the cached window on the shared grid of
+    /// its `α`, falling back to [`PowerModel::optimize_with`] (a grid
+    /// built on the spot) for values the grid axis did not cover.
+    fn optimize(&self, model: &PowerModel) -> Result<OperatingPoint, ModelError> {
+        match self.by_alpha.get(&model.constraint().alpha().to_bits()) {
+            Some(cached) => model.optimize_on(cached.coarse.as_ref().map_err(Clone::clone)?),
+            None => model.optimize_with(self.optimizer),
         }
     }
 }
 
 /// Evaluates one grid point with the shared calibration cache —
 /// exactly the computation of `optpower::sweep::sample_at`, with the
-/// linearisation fit served from the cache instead of refitted.
-fn evaluate_point(
-    point: &GridPoint<'_>,
-    cache: &CalibrationCache,
-    optimizer: &OptimizerConfig,
-) -> EvalRecord {
+/// linearisation fit and the coarse grid served from the cache instead
+/// of rebuilt.
+fn evaluate_point(point: &GridPoint<'_>, cache: &CalibrationCache) -> EvalRecord {
     let constraint =
         TimingConstraint::from_technology(point.tech, point.arch.logical_depth(), point.frequency);
     let result = cache.linearization(constraint.alpha()).and_then(|lin| {
-        PowerModel::with_linearization(
+        cache.optimize(&PowerModel::with_linearization(
             *point.tech,
             point.arch.clone(),
             point.frequency,
             constraint,
             lin,
-        )?
-        .optimize_with(*optimizer)
+        )?)
     });
     EvalRecord {
         tech: point.tech.name(),
         arch: point.arch.name().to_string(),
         frequency: point.frequency,
-        outcome: SweepOutcome::classify(result, optimizer),
+        outcome: SweepOutcome::classify(result, &cache.optimizer),
     }
 }
 
@@ -112,14 +140,15 @@ fn evaluate_point(
 ///
 /// Work is sharded point-by-point across the worker pool (stealing, so
 /// expensive interior optimisations and cheap pinned points balance
-/// out), repeated `(tech, arch)` calibrations are served from a
-/// [`CalibrationCache`], and the output is independent of the worker
-/// count — bit-identical to a serial evaluation of the same grid.
+/// out), each technology's calibration and coarse grid are served
+/// from a [`CalibrationCache`], and the output is independent of the
+/// worker count — bit-identical to a serial evaluation of the same
+/// grid.
 pub fn explore(grid: &Grid, config: &ExploreConfig) -> ResultSet {
-    let cache = CalibrationCache::for_grid(grid);
+    let cache = CalibrationCache::for_grid(grid, config.optimizer);
     let workers = config.workers.resolve(grid.len());
     let records = par_map_indexed(grid.len(), workers, |i| {
-        evaluate_point(&grid.point(i), &cache, &config.optimizer)
+        evaluate_point(&grid.point(i), &cache)
     });
     ResultSet::new(records)
 }
@@ -180,7 +209,7 @@ mod tests {
     #[test]
     fn cache_holds_one_fit_per_distinct_alpha() {
         let grid = small_grid();
-        let cache = CalibrationCache::for_grid(&grid);
+        let cache = CalibrationCache::for_grid(&grid, OptimizerConfig::default());
         let mut alphas: Vec<u64> = grid
             .technologies()
             .iter()
@@ -193,6 +222,12 @@ mod tests {
         // Cache misses still produce the right fit.
         let lin = cache.linearization(1.5).unwrap();
         assert_eq!(lin, Linearization::fit_paper_range(1.5).unwrap());
+        // Each cached coarse grid is the window's grid for its alpha.
+        for tech in grid.technologies() {
+            let cached = &cache.by_alpha[&tech.alpha().to_bits()];
+            let fresh = CoarseGrid::new(tech.alpha(), OptimizerConfig::default()).unwrap();
+            assert_eq!(cached.coarse.as_ref().unwrap(), &fresh);
+        }
     }
 
     #[test]

@@ -6,7 +6,9 @@
 //!   timing-closure constraint and for reverse calibration),
 //! * [`golden_section_min`] and [`grid_min`] — 1-D minimisation (the
 //!   optimal-Vdd search along the constraint curve; the grid variant
-//!   mirrors the paper's "all reasonable Vdd/Vth couples" sweep),
+//!   mirrors the paper's "all reasonable Vdd/Vth couples" sweep, and
+//!   its two halves [`grid_points`] and [`first_min`] serve callers
+//!   that tabulate the grid once and reuse it),
 //! * [`fit_line`] — closed-form least-squares line fit (the Eq. 7
 //!   linearisation `Vdd^(1/α) ≈ A·Vdd + B`),
 //! * [`linspace`] — uniform sampling helper shared by fits and sweeps.
@@ -28,7 +30,7 @@ mod minimize;
 mod roots;
 
 pub use fit::{fit_line, LineFit};
-pub use minimize::{golden_section_min, grid_min, Minimum};
+pub use minimize::{first_min, golden_section_min, grid_min, grid_points, Minimum};
 pub use roots::{bisect, brent};
 
 use core::fmt;

@@ -99,6 +99,10 @@ pub fn golden_section_min(
 /// are skipped, so a partially-defined objective (e.g. negative
 /// gate overdrive at very low Vdd) is acceptable.
 ///
+/// It is [`grid_points`] evaluated through `f` and reduced by
+/// [`first_min`]; callers that tabulate something per abscissa use
+/// those two directly and get the same minimum.
+///
 /// # Errors
 ///
 /// * [`NumericError::InvalidBracket`] if `a >= b`,
@@ -119,6 +123,17 @@ pub fn grid_min(
     b: f64,
     n: usize,
 ) -> Result<Minimum, NumericError> {
+    first_min(grid_points(a, b, n)?.into_iter().map(|x| (x, f(x))))
+}
+
+/// The `n` uniform abscissae [`grid_min`] evaluates over `[a, b]`
+/// ([`linspace`], endpoints exact), after its argument checks.
+///
+/// # Errors
+///
+/// * [`NumericError::InvalidBracket`] if `a >= b`,
+/// * [`NumericError::InsufficientData`] if `n < 2`.
+pub fn grid_points(a: f64, b: f64, n: usize) -> Result<Vec<f64>, NumericError> {
     #[allow(clippy::neg_cmp_op_on_partial_ord)] // NaN must fail the check
     if !(a < b) {
         return Err(NumericError::InvalidBracket {
@@ -130,9 +145,18 @@ pub fn grid_min(
     if n < 2 {
         return Err(NumericError::InsufficientData { got: n, need: 2 });
     }
+    Ok(linspace(a, b, n))
+}
+
+/// [`grid_min`]'s selection rule over `(x, f(x))` samples in order:
+/// the first strict minimum among the finite values.
+///
+/// # Errors
+///
+/// [`NumericError::NonFinite`] if no sample has a finite value.
+pub fn first_min(samples: impl IntoIterator<Item = (f64, f64)>) -> Result<Minimum, NumericError> {
     let mut best: Option<Minimum> = None;
-    for x in linspace(a, b, n) {
-        let value = f(x);
+    for (x, value) in samples {
         if !value.is_finite() {
             continue;
         }

@@ -331,6 +331,10 @@ impl AbInitioRow {
 /// of the simulation it protects, and gating here means a netlist is
 /// linted exactly when it is characterized.
 ///
+/// The static timing analysis the characterization ran (for the
+/// effective logical depth) comes back beside the row, so a caller
+/// that also reports static timing does not analyse the netlist again.
+///
 /// # Errors
 ///
 /// [`AbInitioError::Lint`] when the lint gate refuses the netlist;
@@ -342,7 +346,7 @@ pub fn characterize_design_with(
     tech: Technology,
     freq: Hertz,
     config: &CharacterizeConfig,
-) -> Result<AbInitioRow, AbInitioError> {
+) -> Result<(AbInitioRow, TimingAnalysis), AbInitioError> {
     let arch = design.arch;
     let report = LintReport::lint(&design.netlist);
     if report.gate().is_err() {
@@ -400,7 +404,7 @@ pub fn characterize_design_with(
         .closed_form()
         .map(|cf| cf.ptot.value() * 1e6)
         .unwrap_or(f64::NAN);
-    Ok(AbInitioRow {
+    let row = AbInitioRow {
         arch,
         width: design.width,
         cells: stats.logic_cells,
@@ -413,7 +417,8 @@ pub fn characterize_design_with(
         vth: opt.vth().value(),
         ptot_uw: opt.ptot().value() * 1e6,
         eq13_uw,
-    })
+    };
+    Ok((row, sta))
 }
 
 /// Which measured activity feeds a design-space sweep built from
@@ -602,6 +607,7 @@ mod tests {
             .map(|&arch| {
                 let design = arch.generate(config.width).expect("supported width");
                 characterize_design_with(&design, &lib, tech, Hertz::new(31.25e6), config)
+                    .map(|(row, _)| row)
             })
             .collect()
     }

@@ -177,6 +177,7 @@ pub fn glitch_ablation(items: u64, seed: u64) -> Result<Vec<GlitchAblationRow>, 
                 .generate(config.width)
                 .expect("the pipelined RCAs generate at 16 bits");
             characterize_design_with(&design, &lib, tech, PAPER_FREQUENCY, &config)
+                .map(|(row, _)| row)
         })
         .collect::<Result<Vec<_>, _>>()?;
     let glitch_free = measured_arch_params(&rows, ActivitySource::MeasuredZeroDelay)?;

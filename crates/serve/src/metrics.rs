@@ -66,7 +66,8 @@ pub struct Metrics {
     pub row_cache_misses: AtomicU64,
     /// Synchronous waits that gave up with `504 timeout`.
     pub timeouts: AtomicU64,
-    /// Shards reassigned after a worker death or timeout, summed
+    /// Shards lost in flight to a worker that died or fell silent past
+    /// the timeout (at most one per dead host per round), summed
     /// across distributed runs.
     pub dist_retries: AtomicU64,
     /// Shards answered from the coordinator's shard cache.

@@ -203,7 +203,7 @@ pub struct RowCacheStats {
 }
 
 /// How a distributed run was scheduled: the cluster shape plus how
-/// many shards had to be reassigned after a worker died. Lives in
+/// many shards were lost in flight to a dying worker. Lives in
 /// [`RunMeta`] because fan-out is scheduling — a merged artifact's
 /// payload is bit-identical to the single-host run whatever `hosts`,
 /// `shards` and `retries` say.
@@ -213,7 +213,9 @@ pub struct DistMeta {
     pub hosts: usize,
     /// Shards the job was split into.
     pub shards: usize,
-    /// Shards reassigned after a worker death or timeout.
+    /// Shards lost in flight — assigned to a worker that died or fell
+    /// silent past the timeout — and run again elsewhere: at most one
+    /// per dead host per round.
     pub retries: u64,
 }
 

@@ -268,7 +268,7 @@ impl Runtime {
                     &[false],
                     &config,
                     &mut row_stats,
-                    |_, _| Ok(()),
+                    |_, _, _| Ok(()),
                 )?;
                 (Payload::AbInitio(rows), workers.count())
             }
@@ -286,7 +286,7 @@ impl Runtime {
                     &[false],
                     &config,
                     &mut row_stats,
-                    |_, _| Ok(()),
+                    |_, _, _| Ok(()),
                 )?;
                 (
                     Payload::Glitch(glitch_sweep_from_rows(rows, s.freq_points, workers)?),
@@ -358,7 +358,7 @@ impl Runtime {
                         &[false],
                         &config,
                         &mut row_stats,
-                        |design, row| sta_row(&lib, design, Some(row)),
+                        |design, row, sta| Ok(sta_row(&lib, design, sta, Some(row))),
                     )?;
                     (measured.into_iter().map(Some).collect(), rows)
                 } else {
@@ -370,7 +370,8 @@ impl Runtime {
                     let (width, arch) = cells[i];
                     let design = arch.generate(width)?;
                     lint_preflight(&design.netlist)?;
-                    sta_row(&lib, &design, measured[i].as_ref())
+                    let sta = TimingAnalysis::try_analyze(&design.netlist, &lib)?;
+                    Ok(sta_row(&lib, &design, &sta, measured[i].as_ref()))
                 })?;
                 for (i, row) in static_only.into_iter().zip(computed) {
                     rows[i] = Some(row);
@@ -399,7 +400,7 @@ impl Runtime {
                     &[true, false],
                     &config,
                     &mut row_stats,
-                    |_, _| Ok(()),
+                    |_, _, _| Ok(()),
                 )?;
                 let rows = cells
                     .iter()
@@ -456,16 +457,17 @@ impl Runtime {
     /// netlist work at all.
     ///
     /// Each computed leg also runs `on_miss` on the design it just
-    /// characterized, before the netlist is dropped; its result comes
-    /// back in the leg's slot of the third list (`None` for a served
-    /// row).
+    /// characterized and the timing analysis the characterization
+    /// built, before the netlist is dropped; its result comes back in
+    /// the leg's slot of the third list (`None` for a served row).
     fn characterize_cells<T: Send>(
         &self,
         cells: &[(usize, Architecture)],
         raw: &[bool],
         config: &CharacterizeConfig,
         stats: &mut Option<RowCacheStats>,
-        on_miss: impl Fn(&MultiplierDesign, &AbInitioRow) -> Result<T, WorkloadError> + Sync,
+        on_miss: impl Fn(&MultiplierDesign, &AbInitioRow, &TimingAnalysis) -> Result<T, WorkloadError>
+            + Sync,
     ) -> Result<CharacterizedLegs<T>, WorkloadError> {
         let legs: Vec<(usize, Architecture, bool)> = cells
             .iter()
@@ -500,8 +502,8 @@ impl Runtime {
                 workers,
                 ..*config
             };
-            let row = characterize_design_with(&design, &lib, tech, freq, &config)?;
-            let extra = on_miss(&design, &row)?;
+            let (row, sta) = characterize_design_with(&design, &lib, tech, freq, &config)?;
+            let extra = on_miss(&design, &row, &sta)?;
             Ok(((row, design.netlist.dff_count()), extra))
         })?;
         let mut extras: Vec<Option<T>> = legs.iter().map(|_| None).collect();
@@ -605,21 +607,21 @@ fn run_cells<T: Sync, R: Send>(
 }
 
 /// One STA row: integer-tick windows, path statistics and the static
-/// glitch bound of a cell's linted production netlist, beside the
-/// cell's measured glitch factor and activity when the job measured
-/// them.
+/// glitch bound of a cell's linted production netlist, read off its
+/// timing analysis `sta`, beside the cell's measured glitch factor and
+/// activity when the job measured them.
 fn sta_row(
     lib: &Library,
     design: &MultiplierDesign,
+    sta: &TimingAnalysis,
     measured: Option<&AbInitioRow>,
-) -> Result<StaRow, WorkloadError> {
-    let sta = TimingAnalysis::try_analyze(&design.netlist, lib)?;
-    let glitch = GlitchProfile::compute(&design.netlist, &sta);
+) -> StaRow {
+    let glitch = GlitchProfile::compute(&design.netlist, sta);
     let critical_path_cells = sta
         .critical_path(&design.netlist, lib)
         .map(|p| p.cells.len())
         .unwrap_or(0);
-    Ok(StaRow {
+    StaRow {
         arch: design.arch.paper_name().to_string(),
         width: design.width,
         cells: design.netlist.logic_cell_count(),
@@ -635,7 +637,7 @@ fn sta_row(
         // by the item's cycle count.
         static_activity_bound: glitch.mean_cell_bound() * f64::from(design.cycles_per_item),
         measured_activity: measured.map(|row| row.activity),
-    })
+    }
 }
 
 /// Looks one architecture up by paper name, as a typed error.

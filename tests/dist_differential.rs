@@ -2,12 +2,11 @@
 //! every shardable job kind, the merged distributed artifact must be
 //! **byte-identical** — `payload_json()` and `to_csv()` — to the
 //! single-host [`Runtime::run`] result at shard counts 1, 2, 4 and 8,
-//! with distribution visible only in `meta.dist`. Plus pure
-//! properties of the sharding algebra itself: the arch axis
-//! partitions exactly for any shard count and subset, and rendezvous
-//! assignment is total and deterministic.
+//! with distribution visible only in `meta.dist`. Plus a pure
+//! property of the sharding algebra itself: the arch axis partitions
+//! exactly for any shard count and subset.
 
-use optpower_dist::{assign_host, spawn, Cluster, WorkerHandle};
+use optpower_dist::{spawn, Cluster, WorkerHandle};
 use optpower_explore::Workers;
 use optpower_mult::Architecture;
 use optpower_sim::Engine;
@@ -198,19 +197,5 @@ proptest! {
             }
         }
         prop_assert_eq!(joined, subset);
-    }
-
-    /// Rendezvous assignment is total (always one of the hosts) and
-    /// deterministic (same inputs, same host) for any host-set size.
-    #[test]
-    fn rendezvous_assignment_is_total_and_deterministic(
-        hosts_n in 1usize..6,
-        key in any::<u64>(),
-    ) {
-        let hosts: Vec<String> = (0..hosts_n).map(|i| format!("10.0.0.{i}:7000")).collect();
-        let shard_key = format!("{key:016x}");
-        let first = assign_host(&hosts, &shard_key).to_string();
-        prop_assert!(hosts.contains(&first));
-        prop_assert_eq!(assign_host(&hosts, &shard_key), first.as_str());
     }
 }

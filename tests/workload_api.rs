@@ -513,6 +513,7 @@ fn render_text_matches_the_legacy_binary_output() {
                 &optpower_report::CharacterizeConfig::new(20, 42),
             )
             .unwrap()
+            .0
         })
         .collect::<Vec<_>>();
     let legacy = optpower_report::render_ab_initio(&rows);
