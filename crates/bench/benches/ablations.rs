@@ -1,6 +1,7 @@
 //! Runs and benches the ablation studies of DESIGN.md §5.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use optpower_explore::Workers;
 use optpower_report::ablation;
 
 fn bench_ablations(c: &mut Criterion) {
@@ -8,7 +9,7 @@ fn bench_ablations(c: &mut Criterion) {
     println!("\n{}", ablation::render_fit_ranges(1.86, &fit));
     let opt = ablation::optimizer_ablation().expect("solves");
     println!("{}", ablation::render_optimizer(&opt));
-    let glitch = ablation::glitch_ablation(100, 42).expect("measures");
+    let glitch = ablation::glitch_ablation(100, 42, Workers::Auto).expect("measures");
     println!("{}", ablation::render_glitch(&glitch));
 
     c.bench_function("ablation/fit_range_sensitivity", |b| {

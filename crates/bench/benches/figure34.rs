@@ -2,12 +2,13 @@
 //! diagonal pipelining) and benches netlist generation + STA.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use optpower_explore::Workers;
 use optpower_mult::{rca_pipelined, PipelineStyle};
 use optpower_netlist::Library;
 use optpower_sta::TimingAnalysis;
 
 fn bench_figure34(c: &mut Criterion) {
-    let fig = optpower_report::figure34(16, 100).expect("figure34 reproduces");
+    let fig = optpower_report::figure34(16, 100, Workers::Auto).expect("figure34 reproduces");
     println!("\n{}", optpower_report::render_figure34(&fig));
 
     c.bench_function("figure34/generate_hpipe2_16bit", |b| {

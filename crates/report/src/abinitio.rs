@@ -21,11 +21,12 @@
 
 use core::fmt;
 
+use optpower::reference::PAPER_FREQUENCY;
 use optpower::sweep::log_frequency_axis;
 use optpower::{ArchParams, ModelError, PowerModel};
 use optpower_explore::{
-    explore, measure_timed_activity_pooled, ExploreConfig, Grid, ResultSet, TimedPoolConfig,
-    Workers,
+    explore, measure_timed_activity_pooled, par_map, ExploreConfig, Grid, ResultSet,
+    TimedPoolConfig, Workers,
 };
 use optpower_mult::{Architecture, MultiplierDesign};
 use optpower_netlist::{Library, NetlistStats};
@@ -42,6 +43,11 @@ use crate::render::{fnum, Table};
 /// can use the worker pool. Part of the measurement definition — the
 /// result never depends on the worker count, only on the lane split.
 pub const TIMED_LANES: u32 = 8;
+
+/// Items each activity leg runs after reset before it starts counting:
+/// the warm-up of the measurement protocol, the same on the timed and
+/// the glitch-free leg.
+const WARMUP_ITEMS: u64 = 4;
 
 /// Errors of the ab-initio flow: the power model/optimiser failed, the
 /// lint gate refused a netlist, or a simulation failed — and then the
@@ -204,13 +210,16 @@ impl PlaneTiling {
 /// measurement definition as one value, so declarative job specs can
 /// express everything the old binary flags could and more.
 ///
-/// `width`, `lanes`, `baseline`, `plane`, `items` and `seed` are part
-/// of the *measurement definition* (they decide which operands are
-/// applied and how results are normalised); `workers` is pure
-/// scheduling and never changes the result.
+/// `lanes`, `baseline`, `plane`, `items` and `seed` are part of the
+/// *measurement definition* (they decide which operands are applied
+/// and how results are normalised); `workers` is pure scheduling and
+/// never changes the result, and `width` is not read at all.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CharacterizeConfig {
-    /// Operand width in bits (the paper uses 16).
+    /// Operand width in bits (the paper uses 16). Ignored:
+    /// [`characterize_design_with`] measures at the width of the design
+    /// it is handed. It stays only because the benchmark's shadow
+    /// replay (`perfbench/src/shadow.rs`) builds and reads it.
     pub width: usize,
     /// Stimulus lanes of the pooled timed (glitch-counting) leg.
     pub lanes: u32,
@@ -375,7 +384,7 @@ pub fn characterize_design_with(
         lanes: config.lanes,
         items_per_lane: timed_items.div_ceil(u64::from(config.lanes)).max(1),
         cycles_per_item: design.cycles_per_item,
-        warmup: 4,
+        warmup: WARMUP_ITEMS,
         seed: config.seed,
         workers: config.workers,
     };
@@ -387,7 +396,7 @@ pub fn characterize_design_with(
         baseline_engine,
         baseline_items,
         design.cycles_per_item,
-        4,
+        WARMUP_ITEMS,
         config.seed,
     )
     .map_err(sim_err)?;
@@ -419,6 +428,47 @@ pub fn characterize_design_with(
         eq13_uw,
     };
     Ok((row, sta))
+}
+
+/// The pipeline glitch studies' one characterization (Figures 3/4 and
+/// the glitch ablation): each of `archs` generated at `width` and run
+/// through [`characterize_design_with`] with one timed lane and a
+/// scalar zero-delay baseline at the paper's working point (ST LL,
+/// 31.25 MHz). The designs are mapped over `workers`, each one-lane
+/// timed leg on its design's worker. Each design's row, timing analysis
+/// and flip-flop count come back in `archs` order.
+///
+/// # Errors
+///
+/// As [`characterize_design_with`], for the first failing design.
+///
+/// # Panics
+///
+/// If an architecture does not support `width`.
+pub(crate) fn characterize_glitch_study(
+    archs: &[Architecture],
+    width: usize,
+    items: u64,
+    seed: u64,
+    workers: Workers,
+) -> Result<Vec<(AbInitioRow, TimingAnalysis, usize)>, AbInitioError> {
+    let config = CharacterizeConfig {
+        lanes: 1,
+        baseline: Engine::ZeroDelay,
+        workers: Workers::Fixed(1),
+        ..CharacterizeConfig::new(items, seed)
+    };
+    let lib = Library::cmos13();
+    let tech = Technology::stm_cmos09(Flavor::LowLeakage);
+    par_map(archs, workers.count(), |&arch| {
+        let design = arch
+            .generate(width)
+            .expect("the generators emit structurally valid netlists");
+        let (row, sta) = characterize_design_with(&design, &lib, tech, PAPER_FREQUENCY, &config)?;
+        Ok((row, sta, design.netlist.dff_count()))
+    })
+    .into_iter()
+    .collect()
 }
 
 /// Which measured activity feeds a design-space sweep built from
@@ -594,10 +644,11 @@ mod tests {
     use std::sync::OnceLock;
 
     /// The architectures' rows under `config`, each generated at
-    /// `config.width` and characterized one after another at the
-    /// paper's working point (ST LL, 31.25 MHz).
+    /// `width` and characterized one after another at the paper's
+    /// working point (ST LL, 31.25 MHz).
     fn characterize(
         archs: &[Architecture],
+        width: usize,
         config: &CharacterizeConfig,
     ) -> Result<Vec<AbInitioRow>, AbInitioError> {
         let lib = Library::cmos13();
@@ -605,7 +656,7 @@ mod tests {
         archs
             .iter()
             .map(|&arch| {
-                let design = arch.generate(config.width).expect("supported width");
+                let design = arch.generate(width).expect("supported width");
                 characterize_design_with(&design, &lib, tech, Hertz::new(31.25e6), config)
                     .map(|(row, _)| row)
             })
@@ -619,7 +670,7 @@ mod tests {
         // Small stimulus volume keeps the debug-mode test quick while
         // remaining statistically stable for the coarse orderings.
         ROWS.get_or_init(|| {
-            characterize(&Architecture::ALL, &CharacterizeConfig::new(60, 17)).unwrap()
+            characterize(&Architecture::ALL, 16, &CharacterizeConfig::new(60, 17)).unwrap()
         })
     }
 
@@ -707,7 +758,7 @@ mod tests {
         // A cheap two-architecture sweep: measured glitch-aware optima
         // must cost at least the glitch-free ones wherever both close.
         let archs = [Architecture::Rca, Architecture::Wallace];
-        let rows = characterize(&archs, &CharacterizeConfig::new(30, 5)).unwrap();
+        let rows = characterize(&archs, 16, &CharacterizeConfig::new(30, 5)).unwrap();
         let sweep = glitch_sweep_from_rows(rows, 4, Workers::Auto).unwrap();
         assert_eq!(sweep.frequencies.len(), 4);
         assert_eq!(sweep.glitch_aware.len(), 3 * 2 * 4);
@@ -739,14 +790,11 @@ mod tests {
 
     #[test]
     fn width_axis_characterizes_and_names_rows() {
-        let cfg8 = CharacterizeConfig {
-            width: 8,
-            ..CharacterizeConfig::new(20, 3)
-        };
-        let rows8 = characterize(&[Architecture::Rca], &cfg8).unwrap();
+        let rows8 = characterize(&[Architecture::Rca], 8, &CharacterizeConfig::new(20, 3)).unwrap();
         assert_eq!(rows8[0].width, 8);
         assert_eq!(rows8[0].axis_name(), "RCA 8b");
-        let rows16 = characterize(&[Architecture::Rca], &CharacterizeConfig::new(20, 3)).unwrap();
+        let rows16 =
+            characterize(&[Architecture::Rca], 16, &CharacterizeConfig::new(20, 3)).unwrap();
         // 16-bit rows keep the bare paper name (legacy-identical axes).
         assert_eq!(rows16[0].axis_name(), "RCA");
         assert!(rows8[0].cells < rows16[0].cells);
@@ -767,8 +815,13 @@ mod tests {
             baseline: Engine::ZeroDelay,
             ..CharacterizeConfig::new(30, 11)
         };
-        let zd = characterize(&[Architecture::Wallace], &zd_cfg).unwrap();
-        let bp = characterize(&[Architecture::Wallace], &CharacterizeConfig::new(30, 11)).unwrap();
+        let zd = characterize(&[Architecture::Wallace], 16, &zd_cfg).unwrap();
+        let bp = characterize(
+            &[Architecture::Wallace],
+            16,
+            &CharacterizeConfig::new(30, 11),
+        )
+        .unwrap();
         // Timed leg identical (same lanes/seed); baselines close but
         // generally not bit-equal (different stimulus volume).
         assert_eq!(zd[0].activity.to_bits(), bp[0].activity.to_bits());
@@ -857,8 +910,8 @@ mod tests {
             items: 5,
             ..CharacterizeConfig::new(20, 7)
         };
-        let a = characterize(&[Architecture::Wallace], &retiled).unwrap();
-        let b = characterize(&[Architecture::Wallace], &native).unwrap();
+        let a = characterize(&[Architecture::Wallace], 16, &retiled).unwrap();
+        let b = characterize(&[Architecture::Wallace], 16, &native).unwrap();
         assert_eq!(
             a[0].activity_zero_delay.to_bits(),
             b[0].activity_zero_delay.to_bits()
@@ -871,7 +924,7 @@ mod tests {
             items: 30,
             ..CharacterizeConfig::new(30, 7)
         };
-        let err = characterize(&[Architecture::Wallace], &bad).unwrap_err();
+        let err = characterize(&[Architecture::Wallace], 16, &bad).unwrap_err();
         assert!(matches!(
             err,
             AbInitioError::Model(ModelError::InvalidArchParameter {
@@ -891,7 +944,7 @@ mod tests {
     #[test]
     fn measured_params_pick_the_requested_activity_source() {
         let archs = [Architecture::Wallace];
-        let rows = characterize(&archs, &CharacterizeConfig::new(20, 9)).unwrap();
+        let rows = characterize(&archs, 16, &CharacterizeConfig::new(20, 9)).unwrap();
         let timed = measured_arch_params(&rows, ActivitySource::MeasuredTimed).unwrap();
         let zd = measured_arch_params(&rows, ActivitySource::MeasuredZeroDelay).unwrap();
         assert_eq!(timed[0].activity(), rows[0].activity);

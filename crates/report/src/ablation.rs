@@ -6,14 +6,11 @@ use optpower::reference::{PAPER_FREQUENCY, TABLE1};
 use optpower::{ArchParams, ModelError, OptimizerConfig, PowerModel};
 use optpower_explore::Workers;
 use optpower_mult::Architecture;
-use optpower_netlist::Library;
-use optpower_sim::Engine;
 use optpower_tech::{Flavor, Linearization, Technology};
 use optpower_units::{Farads, SquareMicrons, Volts, Watts};
 
 use crate::abinitio::{
-    characterize_design_with, measured_arch_params, AbInitioError, ActivitySource,
-    CharacterizeConfig,
+    characterize_glitch_study, measured_arch_params, AbInitioError, ActivitySource,
 };
 use crate::render::{fnum, Table};
 
@@ -145,42 +142,34 @@ pub struct GlitchAblationRow {
 /// removed, the diagonal variant's shorter LD would win; with them, the
 /// horizontal variant does.
 ///
-/// Each design is generated at the paper's 16-bit width and runs the
-/// shared ab-initio characterization ([`characterize_design_with`])
-/// serially on one worker, with one timed lane and a scalar zero-delay
-/// baseline; the glitch-free column re-optimises the same measurement
-/// on its zero-delay activity.
+/// Each design is generated at the paper's 16-bit width and measured
+/// by the characterization Figures 3/4 use ([`crate::figure34`]): one
+/// timed lane and a scalar zero-delay baseline, the designs mapped
+/// over `workers`, which never changes the result. The glitch-free
+/// column re-optimises the same measurement on its zero-delay
+/// activity.
 ///
 /// # Errors
 ///
 /// Propagates [`AbInitioError`] from characterization, model building
 /// or solving.
-pub fn glitch_ablation(items: u64, seed: u64) -> Result<Vec<GlitchAblationRow>, AbInitioError> {
+pub fn glitch_ablation(
+    items: u64,
+    seed: u64,
+    workers: Workers,
+) -> Result<Vec<GlitchAblationRow>, AbInitioError> {
     let archs = [
         Architecture::RcaHorPipe2,
         Architecture::RcaDiagPipe2,
         Architecture::RcaHorPipe4,
         Architecture::RcaDiagPipe4,
     ];
-    let config = CharacterizeConfig {
-        lanes: 1,
-        baseline: Engine::ZeroDelay,
-        workers: Workers::Fixed(1),
-        ..CharacterizeConfig::new(items, seed)
-    };
-    let lib = Library::cmos13();
-    let tech = Technology::stm_cmos09(Flavor::LowLeakage);
-    let rows = archs
-        .iter()
-        .map(|&arch| {
-            let design = arch
-                .generate(config.width)
-                .expect("the pipelined RCAs generate at 16 bits");
-            characterize_design_with(&design, &lib, tech, PAPER_FREQUENCY, &config)
-                .map(|(row, _)| row)
-        })
-        .collect::<Result<Vec<_>, _>>()?;
+    let rows: Vec<_> = characterize_glitch_study(&archs, 16, items, seed, workers)?
+        .into_iter()
+        .map(|(row, ..)| row)
+        .collect();
     let glitch_free = measured_arch_params(&rows, ActivitySource::MeasuredZeroDelay)?;
+    let tech = Technology::stm_cmos09(Flavor::LowLeakage);
     rows.iter()
         .zip(glitch_free)
         .map(|(row, params)| {
@@ -278,7 +267,7 @@ mod tests {
 
     #[test]
     fn glitches_raise_optimal_power() {
-        let rows = glitch_ablation(50, 3).unwrap();
+        let rows = glitch_ablation(50, 3, Workers::Fixed(2)).unwrap();
         for r in &rows {
             assert!(r.activity_timed >= r.activity_zero_delay, "{}", r.name);
             assert!(r.ptot_timed_uw >= r.ptot_zero_delay_uw, "{}", r.name);

@@ -7,13 +7,11 @@ use optpower::reference::{table1_arch_params, PAPER_FREQUENCY, TABLE1};
 use optpower::sweep::log_frequency_axis;
 use optpower::{ArchParams, ModelError, OperatingPoint};
 use optpower_explore::{explore, ExploreConfig, Grid, ResultSet, Workers};
-use optpower_mult::{rca_pipelined, PipelineStyle};
-use optpower_netlist::{Library, Netlist};
-use optpower_sim::{measure_activity, Engine};
-use optpower_sta::TimingAnalysis;
+use optpower_mult::Architecture;
 use optpower_tech::{Flavor, Linearization, Technology};
 use optpower_units::{Farads, Hertz, SquareMicrons, Volts, Watts};
 
+use crate::abinitio::{characterize_glitch_study, AbInitioError};
 use crate::render::{fnum, Table};
 
 /// One activity's curve in Figure 1.
@@ -192,42 +190,47 @@ pub struct Figure34 {
 
 /// Regenerates the Figures 3/4 comparison on `width`-bit arrays.
 ///
-/// `items` random operand pairs are used for the activity measurement;
-/// the paper's qualitative claim — diagonal cuts yield shorter LD but
-/// higher (glitch) activity than horizontal cuts — is visible in the
-/// returned summaries.
+/// The four pipelined RCAs (horizontal then diagonal cuts, 2 then 4
+/// stages each) share the glitch ablation's characterization: one
+/// timed lane and a scalar zero-delay baseline over `items` random
+/// operand pairs at seed 7, the designs mapped over `workers`, which
+/// never changes the result. The structural columns come from the
+/// characterization's own timing analysis. The paper's qualitative
+/// claim — diagonal cuts yield shorter LD but higher (glitch) activity
+/// than horizontal cuts — is visible in the returned summaries.
 ///
 /// # Errors
 ///
-/// Propagates netlist validation errors (unreachable for valid widths).
-pub fn figure34(width: usize, items: u64) -> Result<Figure34, optpower_netlist::NetlistError> {
-    let lib = Library::cmos13();
-    let mut summaries = Vec::new();
-    for (style, name) in [
-        (PipelineStyle::Horizontal, "horizontal"),
-        (PipelineStyle::Diagonal, "diagonal"),
-    ] {
-        for stages in [2u32, 4] {
-            let nl: Netlist = rca_pipelined(width, stages, style)?;
-            let sta = TimingAnalysis::analyze(&nl, &lib);
-            // cmos13 delays are validated and pipelined arrays are
-            // loop-free, so the timed engine cannot fail here.
-            let timed = measure_activity(&nl, &lib, Engine::Timed, items, 1, 4, 7)
-                .expect("valid library and acyclic netlist");
-            let zd = measure_activity(&nl, &lib, Engine::ZeroDelay, items, 1, 4, 7)
-                .expect("zero-delay measurement cannot fail");
-            summaries.push(StageSummary {
-                style: name,
-                stages,
-                registers: nl.dff_count(),
-                logical_depth: sta.logical_depth(),
-                path_spread: sta.path_spread(),
-                mean_input_skew: sta.mean_input_skew(),
-                activity_timed: timed.activity,
-                activity_zero_delay: zd.activity,
-            });
-        }
-    }
+/// [`AbInitioError`] from the characterization, e.g. an activity of 0
+/// when the counted window sees no transition (width 2 at one or two
+/// items).
+///
+/// # Panics
+///
+/// Panics if `width < 2`: the pipelined arrays need two operand bits.
+pub fn figure34(width: usize, items: u64, workers: Workers) -> Result<Figure34, AbInitioError> {
+    const DESIGNS: [(Architecture, &str, u32); 4] = [
+        (Architecture::RcaHorPipe2, "horizontal", 2),
+        (Architecture::RcaHorPipe4, "horizontal", 4),
+        (Architecture::RcaDiagPipe2, "diagonal", 2),
+        (Architecture::RcaDiagPipe4, "diagonal", 4),
+    ];
+    let archs = DESIGNS.map(|(arch, ..)| arch);
+    let measured = characterize_glitch_study(&archs, width, items, 7, workers)?;
+    let summaries = DESIGNS
+        .into_iter()
+        .zip(measured)
+        .map(|((_, style, stages), (row, sta, registers))| StageSummary {
+            style,
+            stages,
+            registers,
+            logical_depth: sta.logical_depth(),
+            path_spread: sta.path_spread(),
+            mean_input_skew: sta.mean_input_skew(),
+            activity_timed: row.activity,
+            activity_zero_delay: row.activity_zero_delay,
+        })
+        .collect();
     Ok(Figure34 { width, summaries })
 }
 
@@ -490,7 +493,7 @@ mod tests {
     fn figure34_diagonal_trades_depth_for_glitches() {
         // 8-bit arrays keep the test fast; the paper's Figs 3/4 are
         // also drawn at 8 bits.
-        let fig = figure34(8, 60).unwrap();
+        let fig = figure34(8, 60, Workers::Fixed(2)).unwrap();
         let get = |style: &str, stages: u32| {
             fig.summaries
                 .iter()

@@ -157,3 +157,12 @@ fn unknown_commands_and_out_of_range_specs_are_client_errors() {
         2
     );
 }
+
+#[test]
+fn a_job_that_parses_but_fails_exits_3() {
+    // Width 2 at one item counts no transition: a 422 `ab_initio_failed`.
+    assert_eq!(
+        exit_code(&["run", "-"], r#"{"job":"figure34","width":2,"items":1}"#),
+        3
+    );
+}

@@ -229,59 +229,6 @@ impl LintReport {
         }
         out
     }
-
-    /// Renders the report as a deterministic JSON object (no external
-    /// dependencies; messages are escaped).
-    pub fn to_json(&self) -> String {
-        let mut out = format!(
-            "{{\"netlist\":{},\"cells\":{},\"nets\":{},\"errors\":{},\"warnings\":{},\"diagnostics\":[",
-            json_string(&self.name),
-            self.cells,
-            self.nets,
-            self.error_count(),
-            self.warning_count()
-        );
-        for (i, d) in self.diagnostics.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"id\":\"{}\",\"rule\":\"{}\",\"severity\":\"{}\",\"cell\":{},\"net\":{},\"message\":{}}}",
-                d.rule.id(),
-                d.rule.name(),
-                d.rule.severity().label(),
-                match d.cell {
-                    Some(c) => c.index().to_string(),
-                    None => "null".to_string(),
-                },
-                match d.net {
-                    Some(n) => n.index().to_string(),
-                    None => "null".to_string(),
-                },
-                json_string(&d.message)
-            ));
-        }
-        out.push_str("]}");
-        out
-    }
-}
-
-/// Minimal JSON string escaping for names and messages.
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 /// L001: reverse reachability from endpoints over input pins. A cell
@@ -604,15 +551,6 @@ mod tests {
         assert_eq!(report.error_count(), 1, "{}", report.render_text());
         let gate = report.gate().unwrap_err();
         assert_eq!(gate.rule, LintRule::XSource);
-    }
-
-    #[test]
-    fn json_is_well_formed_and_stable() {
-        let report = LintReport::lint(&clean_netlist());
-        let json = report.to_json();
-        assert!(json.starts_with("{\"netlist\":\"clean\""));
-        assert!(json.ends_with("\"diagnostics\":[]}"));
-        assert_eq!(json, LintReport::lint(&clean_netlist()).to_json());
     }
 
     #[test]

@@ -250,9 +250,9 @@ impl Runtime {
                     alpha: 1.86,
                     fit: ablation::fit_range_sensitivity(1.86)?,
                     optimizer: ablation::optimizer_ablation()?,
-                    glitch: ablation::glitch_ablation(*items, *seed)?,
+                    glitch: ablation::glitch_ablation(*items, *seed, workers)?,
                 },
-                1,
+                workers.count(),
             ),
             JobSpec::AbInitio(s) => {
                 let workers = s.workers.map_or(workers, Workers::Fixed);
@@ -321,7 +321,10 @@ impl Runtime {
             }
             JobSpec::Figure1 { samples } => (Payload::Figure1(figure1(*samples)?), 1),
             JobSpec::Figure2 { samples } => (Payload::Figure2(figure2(*samples)?), 1),
-            JobSpec::Figure34 { width, items } => (Payload::Figure34(figure34(*width, *items)?), 1),
+            JobSpec::Figure34 { width, items } => (
+                Payload::Figure34(figure34(*width, *items, workers)?),
+                workers.count(),
+            ),
             JobSpec::Pareto { freq_points } => (
                 Payload::Pareto(figure_pareto(*freq_points, workers)?),
                 workers.count(),
@@ -445,9 +448,8 @@ impl Runtime {
     /// dead-cone prune), each generated → [`characterize_design_with`]
     /// under `config` at the paper's working point (ST LL,
     /// 31.25 MHz). Rows come back cell-major, in `raw` order, beside
-    /// each netlist's flip-flop count. `config.width` is ignored (each
-    /// cell brings its own) and `config.workers` is the job's whole
-    /// budget.
+    /// each netlist's flip-flop count. Each cell brings its own width,
+    /// and `config.workers` is the job's whole budget.
     ///
     /// With a row store attached, resident rows are served first
     /// (bit-identical by determinism) and `stats` counts hits and
@@ -497,11 +499,7 @@ impl Runtime {
             } else {
                 arch.generate(width)?
             };
-            let config = CharacterizeConfig {
-                width,
-                workers,
-                ..*config
-            };
+            let config = CharacterizeConfig { workers, ..*config };
             let (row, sta) = characterize_design_with(&design, &lib, tech, freq, &config)?;
             let extra = on_miss(&design, &row, &sta)?;
             Ok(((row, design.netlist.dff_count()), extra))

@@ -3,13 +3,17 @@
 //! build both pipeline styles of the 16-bit RCA, time them, simulate
 //! them with an inertial-delay event engine, and show the trade-off —
 //! diagonal cuts are deeper (shorter LD) but glitchier (higher a).
+//! The four designs go through the same characterization as the
+//! ab-initio table, one per core; the worker count never changes the
+//! numbers.
 //!
 //! Run with: `cargo run --release --example pipeline_glitches`
 
+use optpower_explore::Workers;
 use optpower_report::{figure34, render_figure34};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let fig = figure34(16, 150)?;
+    let fig = figure34(16, 150, Workers::Auto)?;
     println!("{}", render_figure34(&fig));
 
     let get = |style: &str, stages: u32| {

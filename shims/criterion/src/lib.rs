@@ -1,7 +1,9 @@
 //! Offline stand-in for the subset of the `criterion` crate this
 //! workspace uses: `Criterion::bench_function`, `Bencher::iter` /
 //! `iter_batched`, `BatchSize`, and the `criterion_group!` /
-//! `criterion_main!` macros.
+//! `criterion_main!` macros, plus one addition of its own,
+//! `Criterion::bench_pair`, which samples two rows in one interleaved
+//! window.
 //!
 //! The build environment has no network access, so the real crates.io
 //! `criterion` cannot be fetched; `[workspace.dependencies]` points
@@ -34,6 +36,41 @@ pub enum BatchSize {
     NumIterations(u64),
 }
 
+/// Running mean and minimum of one row's samples, in nanoseconds.
+#[derive(Clone, Copy)]
+struct Samples {
+    count: usize,
+    mean_ns: f64,
+    min_ns: f64,
+}
+
+impl Samples {
+    const EMPTY: Samples = Samples {
+        count: 0,
+        mean_ns: f64::INFINITY,
+        min_ns: f64::INFINITY,
+    };
+
+    /// Times one call of `routine` and records it.
+    fn time<O>(&mut self, routine: impl FnOnce() -> O) {
+        let t = Instant::now();
+        black_box(routine());
+        let ns = t.elapsed().as_nanos() as f64;
+        self.min_ns = self.min_ns.min(ns);
+        self.mean_ns = if self.count == 0 {
+            ns
+        } else {
+            self.mean_ns + (ns - self.mean_ns) / (self.count as f64 + 1.0)
+        };
+        self.count += 1;
+    }
+
+    /// The `(mean, min)` pair a row reports.
+    fn result(self) -> (f64, f64) {
+        (self.mean_ns, self.min_ns)
+    }
+}
+
 /// Timing loop handed to each benchmark closure.
 pub struct Bencher {
     sample_size: usize,
@@ -54,28 +91,17 @@ impl Bencher {
                 break;
             }
         }
-        let mut mean_ns = f64::INFINITY;
-        let mut min_ns = f64::INFINITY;
-        let mut samples = 0usize;
+        let mut samples = Samples::EMPTY;
         let budget_start = Instant::now();
         // At least `sample_size` samples, then keep sampling until the
         // measurement budget is spent: the min over the whole budget is
         // what makes the speedup rows robust against scheduler noise on
         // shared runners (a short burst of contention cannot poison
         // every sample of a multi-second window).
-        while samples < self.sample_size || budget_start.elapsed() < self.measurement_time {
-            let t = Instant::now();
-            black_box(routine());
-            let ns = t.elapsed().as_nanos() as f64;
-            min_ns = min_ns.min(ns);
-            mean_ns = if samples == 0 {
-                ns
-            } else {
-                mean_ns + (ns - mean_ns) / (samples as f64 + 1.0)
-            };
-            samples += 1;
+        while samples.count < self.sample_size || budget_start.elapsed() < self.measurement_time {
+            samples.time(&mut routine);
         }
-        self.result = Some((mean_ns, min_ns));
+        self.result = Some(samples.result());
     }
 
     /// Times `routine` with a fresh `setup()` value per iteration.
@@ -92,27 +118,16 @@ impl Bencher {
                 break;
             }
         }
-        let mut mean_ns = f64::INFINITY;
-        let mut min_ns = f64::INFINITY;
-        let mut samples = 0usize;
+        let mut samples = Samples::EMPTY;
         let budget_start = Instant::now();
         // Same sampling policy as `iter`: at least `sample_size`
         // samples, then fill the measurement budget (setup time counts
         // against the budget but not against the timed sections).
-        while samples < self.sample_size || budget_start.elapsed() < self.measurement_time {
+        while samples.count < self.sample_size || budget_start.elapsed() < self.measurement_time {
             let input = setup();
-            let t = Instant::now();
-            black_box(routine(input));
-            let ns = t.elapsed().as_nanos() as f64;
-            min_ns = min_ns.min(ns);
-            mean_ns = if samples == 0 {
-                ns
-            } else {
-                mean_ns + (ns - mean_ns) / (samples as f64 + 1.0)
-            };
-            samples += 1;
+            samples.time(|| routine(input));
         }
-        self.result = Some((mean_ns, min_ns));
+        self.result = Some(samples.result());
     }
 
     /// Variant of `iter_batched` that takes the input by reference.
@@ -174,20 +189,69 @@ impl Criterion {
             result: None,
         };
         f(&mut b);
-        match b.result {
-            Some((mean, min)) => println!(
-                "bench {id:<48} mean {} min {}",
-                format_ns(mean),
-                format_ns(min)
-            ),
-            None => println!("bench {id:<48} (no timing loop executed)"),
+        report(id, b.result);
+        self
+    }
+
+    /// Runs two named benchmarks in one interleaved window, for a pair
+    /// of rows whose ratio is gated: each round times one call of `a`
+    /// and one of `b`, alternating which goes first, so drift on the
+    /// host lands on both rows alike instead of on whichever window
+    /// ran second. Both rows are printed as `bench_function` prints
+    /// them, `a` first. The window is the same as one row's: at least
+    /// `sample_size` rounds, then rounds until the measurement budget
+    /// is spent.
+    pub fn bench_pair<A, B, OA, OB>(
+        &mut self,
+        id_a: &str,
+        mut a: A,
+        id_b: &str,
+        mut b: B,
+    ) -> &mut Self
+    where
+        A: FnMut() -> OA,
+        B: FnMut() -> OB,
+    {
+        let warm_start = Instant::now();
+        loop {
+            black_box(a());
+            black_box(b());
+            if warm_start.elapsed() >= self.warm_up_time {
+                break;
+            }
         }
+        let (mut sa, mut sb) = (Samples::EMPTY, Samples::EMPTY);
+        let budget_start = Instant::now();
+        while sa.count < self.sample_size || budget_start.elapsed() < self.measurement_time {
+            if sa.count % 2 == 0 {
+                sa.time(&mut a);
+                sb.time(&mut b);
+            } else {
+                sb.time(&mut b);
+                sa.time(&mut a);
+            }
+        }
+        report(id_a, Some(sa.result()));
+        report(id_b, Some(sb.result()));
         self
     }
 
     /// Called by `criterion_main!` after all groups (report hook in the
     /// real crate; a no-op here).
     pub fn final_summary(&mut self) {}
+}
+
+/// Prints one row: `bench <id> mean <t> min <t>`, the line
+/// `scripts/parse_bench.py` reads.
+fn report(id: &str, result: Option<(f64, f64)>) {
+    match result {
+        Some((mean, min)) => println!(
+            "bench {id:<48} mean {} min {}",
+            format_ns(mean),
+            format_ns(min)
+        ),
+        None => println!("bench {id:<48} (no timing loop executed)"),
+    }
 }
 
 fn format_ns(ns: f64) -> String {
@@ -249,6 +313,23 @@ mod tests {
             })
         });
         assert!(calls > 0, "routine never ran");
+    }
+
+    #[test]
+    fn bench_pair_alternates_which_row_goes_first() {
+        let mut c = Criterion::default()
+            .sample_size(4)
+            .measurement_time(Duration::ZERO)
+            .warm_up_time(Duration::ZERO);
+        let calls = std::cell::RefCell::new(Vec::new());
+        c.bench_pair(
+            "shim/pair_a",
+            || calls.borrow_mut().push('a'),
+            "shim/pair_b",
+            || calls.borrow_mut().push('b'),
+        );
+        // One warm-up call each, then four rounds, alternating order.
+        assert_eq!(calls.into_inner().iter().collect::<String>(), "ababbaabba");
     }
 
     #[test]

@@ -246,7 +246,7 @@ fn dirty_netlist() -> Netlist {
 }
 
 /// Golden lint report: on the dirty fixture every rule fires, the
-/// x-source gates, and both renderings are byte-stable
+/// x-source gates, and the text rendering is byte-stable
 /// (`UPDATE_GOLDENS=1 cargo test -q --test sta_differential`
 /// refreshes).
 #[test]
@@ -263,10 +263,6 @@ fn golden_dirty_lint_report() {
     assert_eq!(report.error_count(), 1);
     assert!(report.gate().is_err(), "the x-source must gate");
     golden_compare("tests/golden/dirty_lint.txt", &report.render_text());
-    golden_compare(
-        "tests/golden/dirty_lint.json",
-        &format!("{}\n", report.to_json()),
-    );
 }
 
 /// Golden names of the width-4 Wallace tree: pruning drops 6 dead

@@ -17,8 +17,9 @@ use optpower_mult::Architecture;
 use optpower_report::PlaneTiling;
 use optpower_sim::{Engine, MIN_RESET_WARMUP};
 use optpower_workload::{
-    AbInitioSpec, ActivitySpec, Artifact, CacheStatus, GlitchSweepSpec, JobSpec, Json, LintSpec,
-    Payload, PruneDeltaSpec, RowCacheStats, RunMeta, Runtime, StaSpec, WorkloadError, JOB_KINDS,
+    AbInitioSpec, ActivitySpec, Artifact, CacheStatus, ErrorBody, GlitchSweepSpec, JobSpec, Json,
+    LintSpec, Payload, PruneDeltaSpec, RowCacheStats, RunMeta, Runtime, StaSpec, WorkloadError,
+    JOB_KINDS,
 };
 use proptest::prelude::*;
 
@@ -346,20 +347,37 @@ fn multi_cell_prune_delta() -> JobSpec {
 
 /// The satellite acceptance test: a spec's artifact is bit-identical
 /// at 1, 2 and 8 workers — payload JSON, CSV and console text. The
-/// pool only schedules; it never changes bytes.
+/// pool only schedules; it never changes bytes. The two pipeline
+/// glitch studies map their four designs on the pool, so their
+/// `meta.workers` is the budget they ran on.
 #[test]
 fn artifacts_are_bit_identical_across_worker_counts() {
+    let glitch_studies = [
+        JobSpec::Figure34 {
+            width: 8,
+            items: 10,
+        },
+        JobSpec::Ablation { items: 10, seed: 3 },
+    ];
     for spec in representative_specs()
         .into_iter()
         .chain([multi_cell_prune_delta()])
+        .chain(glitch_studies)
     {
+        let pooled = matches!(spec, JobSpec::Figure34 { .. } | JobSpec::Ablation { .. });
         let reference = Runtime::new(Workers::Fixed(1))
             .run(&spec)
             .unwrap_or_else(|e| panic!("{}: {e}", spec.kind()));
+        if pooled {
+            assert_eq!(reference.meta.workers, 1, "{}", spec.kind());
+        }
         for workers in [2usize, 8] {
             let artifact = Runtime::new(Workers::Fixed(workers))
                 .run(&spec)
                 .unwrap_or_else(|e| panic!("{}: {e}", spec.kind()));
+            if pooled {
+                assert_eq!(artifact.meta.workers, workers, "{}", spec.kind());
+            }
             assert_eq!(
                 artifact.payload_json(),
                 reference.payload_json(),
@@ -380,6 +398,32 @@ fn artifacts_are_bit_identical_across_worker_counts() {
             );
         }
     }
+}
+
+/// Figures 3/4 at width 2 count no transition in a window of one or
+/// two items. The shared characterization refuses that zero activity,
+/// so the job fails as a 422 `ab_initio_failed`, the way an
+/// `ab_initio` of a design with no counted transition does; a third
+/// item is enough to measure.
+#[test]
+fn figure34_with_no_counted_transition_fails_as_ab_initio() {
+    let runtime = Runtime::new(Workers::Fixed(2));
+    for items in [1, 2] {
+        let err = runtime
+            .run(&JobSpec::Figure34 { width: 2, items })
+            .expect_err("a zero activity is refused");
+        let body = ErrorBody::of(&err);
+        assert_eq!(
+            (body.status, body.code),
+            (422, "ab_initio_failed"),
+            "items {items}: {}",
+            body.message
+        );
+        assert!(body.message.contains("activity = 0"), "{}", body.message);
+    }
+    runtime
+        .run(&JobSpec::Figure34 { width: 2, items: 3 })
+        .expect("three items measure a non-zero activity");
 }
 
 /// A spec survives a full JSON round-trip *and then* produces the
@@ -483,7 +527,8 @@ fn render_text_matches_the_legacy_binary_output() {
     );
 
     // figure34
-    let legacy = optpower_report::render_figure34(&optpower_report::figure34(8, 30).unwrap());
+    let legacy =
+        optpower_report::render_figure34(&optpower_report::figure34(8, 30, Workers::Auto).unwrap());
     assert_eq!(
         runtime
             .run(&JobSpec::Figure34 {
