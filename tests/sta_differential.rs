@@ -13,7 +13,10 @@
 //!   activity, and the static glitch factor dominates the measured
 //!   one;
 //! * **golden names** — the cell and net names a pruned generator
-//!   netlist prints through Verilog, DOT, VCD and lint are byte-stable.
+//!   netlist prints through Verilog, DOT, VCD and lint are byte-stable;
+//! * **golden netlists** — every generator's raw and pruned netlist at a
+//!   spread of widths keeps its cell and flip-flop counts, protocol
+//!   metadata and Verilog text.
 
 use optpower_mult::Architecture;
 use optpower_netlist::{to_dot, to_verilog, CellKind, Library, Netlist, NetlistBuilder};
@@ -290,6 +293,39 @@ fn golden_wallace4_names() {
         "tests/golden/names/wallace4_raw_lint.txt",
         &LintReport::lint(&raw).render_text(),
     );
+}
+
+/// Golden netlists: one line per (architecture, supported width,
+/// raw | pruned) with the cell and flip-flop counts, the protocol
+/// metadata and an FNV-1a hash of the Verilog text, so any change to
+/// a generator's structure, cell order or names shows up as the exact
+/// list of netlists it moved.
+#[test]
+fn golden_netlists() {
+    let mut tsv =
+        String::from("arch\twidth\tform\tcells\tdffs\tcycles_per_item\tld_scale\tverilog_fnv1a\n");
+    for arch in Architecture::ALL {
+        for width in [2, 3, 4, 5, 8, 16, 32]
+            .into_iter()
+            .filter(|&w| arch.supports_width(w))
+        {
+            for (form, design) in [
+                ("raw", arch.generate_raw(width)),
+                ("pruned", arch.generate(width)),
+            ] {
+                let d = design.unwrap_or_else(|e| panic!("{arch} @{width} {form}: {e}"));
+                tsv += &format!(
+                    "{arch}\t{width}\t{form}\t{}\t{}\t{}\t{}\t{:016x}\n",
+                    d.netlist.cells().len(),
+                    d.netlist.dff_count(),
+                    d.cycles_per_item,
+                    d.ld_scale,
+                    optpower_workload::fnv1a_64(to_verilog(&d.netlist).as_bytes()),
+                );
+            }
+        }
+    }
+    golden_compare("tests/golden/netlists.tsv", &tsv);
 }
 
 fn golden_compare(path: &str, actual: &str) {
