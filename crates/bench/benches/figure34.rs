@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use optpower_explore::Workers;
-use optpower_mult::{rca_pipelined, PipelineStyle};
+use optpower_mult::Architecture;
 use optpower_netlist::Library;
 use optpower_sta::TimingAnalysis;
 
@@ -12,12 +12,15 @@ fn bench_figure34(c: &mut Criterion) {
     println!("\n{}", optpower_report::render_figure34(&fig));
 
     c.bench_function("figure34/generate_hpipe2_16bit", |b| {
-        b.iter(|| rca_pipelined(16, 2, PipelineStyle::Horizontal).expect("generates"))
+        b.iter(|| Architecture::RcaHorPipe2.generate(16).expect("generates"))
     });
     c.bench_function("figure34/generate_dpipe4_16bit", |b| {
-        b.iter(|| rca_pipelined(16, 4, PipelineStyle::Diagonal).expect("generates"))
+        b.iter(|| Architecture::RcaDiagPipe4.generate(16).expect("generates"))
     });
-    let nl = rca_pipelined(16, 4, PipelineStyle::Diagonal).expect("generates");
+    let nl = Architecture::RcaDiagPipe4
+        .generate(16)
+        .expect("generates")
+        .netlist;
     let lib = Library::cmos13();
     c.bench_function("figure34/sta_dpipe4_16bit", |b| {
         b.iter(|| TimingAnalysis::analyze(&nl, &lib))

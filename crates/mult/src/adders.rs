@@ -1,48 +1,20 @@
-//! Reusable adder sub-generators: full/half adders, ripple-carry and
-//! Kogge–Stone carry-propagate adders, and column compression.
+//! Reusable adder sub-generators: full/half adders, the Kogge–Stone
+//! carry-propagate adder, and column compression.
 
 use optpower_netlist::{CellKind, NetId, NetlistBuilder};
 
 /// Adds a full adder (one `Xor3` + one `Maj3`); returns `(sum, carry)`.
-pub fn full_adder(b: &mut NetlistBuilder, x: NetId, y: NetId, z: NetId) -> (NetId, NetId) {
+pub(crate) fn full_adder(b: &mut NetlistBuilder, x: NetId, y: NetId, z: NetId) -> (NetId, NetId) {
     let sum = b.add_cell(CellKind::Xor3, &[x, y, z]);
     let carry = b.add_cell(CellKind::Maj3, &[x, y, z]);
     (sum, carry)
 }
 
 /// Adds a half adder (one `Xor2` + one `And2`); returns `(sum, carry)`.
-pub fn half_adder(b: &mut NetlistBuilder, x: NetId, y: NetId) -> (NetId, NetId) {
+pub(crate) fn half_adder(b: &mut NetlistBuilder, x: NetId, y: NetId) -> (NetId, NetId) {
     let sum = b.add_cell(CellKind::Xor2, &[x, y]);
     let carry = b.add_cell(CellKind::And2, &[x, y]);
     (sum, carry)
-}
-
-/// Ripple-carry adder over equal-width operands; returns `width + 1`
-/// sum bits (carry out last).
-///
-/// # Panics
-///
-/// Panics if the operand widths differ or are zero.
-pub fn ripple_adder(
-    b: &mut NetlistBuilder,
-    x: &[NetId],
-    y: &[NetId],
-    cin: Option<NetId>,
-) -> Vec<NetId> {
-    assert_eq!(x.len(), y.len(), "ripple operands must have equal width");
-    assert!(!x.is_empty(), "ripple operands must be non-empty");
-    let mut out = Vec::with_capacity(x.len() + 1);
-    let mut carry = cin;
-    for i in 0..x.len() {
-        let (s, c) = match carry {
-            Some(cn) => full_adder(b, x[i], y[i], cn),
-            None => half_adder(b, x[i], y[i]),
-        };
-        out.push(s);
-        carry = Some(c);
-    }
-    out.push(carry.expect("width >= 1 always yields a carry"));
-    out
 }
 
 /// Kogge–Stone parallel-prefix adder; returns `width + 1` sum bits
@@ -52,7 +24,7 @@ pub fn ripple_adder(
 /// # Panics
 ///
 /// Panics if the operand widths differ or are zero.
-pub fn kogge_stone_adder(
+pub(crate) fn kogge_stone_adder(
     b: &mut NetlistBuilder,
     x: &[NetId],
     y: &[NetId],
@@ -119,7 +91,7 @@ pub fn kogge_stone_adder(
 ///
 /// `columns[w]` holds the bits of weight `w`. Used by the Wallace
 /// multipliers and the 4×16 sequential datapath.
-pub fn reduce_columns(
+pub(crate) fn reduce_columns(
     b: &mut NetlistBuilder,
     mut columns: Vec<Vec<NetId>>,
 ) -> (Vec<NetId>, Vec<NetId>) {
@@ -176,6 +148,23 @@ mod tests {
     use optpower_netlist::Netlist;
     use optpower_sim::ZeroDelaySim;
 
+    /// Ripple-carry reference adder over equal-width operands; returns
+    /// `width + 1` sum bits (carry out last).
+    fn ripple_adder(b: &mut NetlistBuilder, x: &[NetId], y: &[NetId]) -> Vec<NetId> {
+        let mut out = Vec::with_capacity(x.len() + 1);
+        let mut carry = None;
+        for (&xi, &yi) in x.iter().zip(y) {
+            let (s, c) = match carry {
+                Some(cn) => full_adder(b, xi, yi, cn),
+                None => half_adder(b, xi, yi),
+            };
+            out.push(s);
+            carry = Some(c);
+        }
+        out.push(carry.expect("width >= 1 always yields a carry"));
+        out
+    }
+
     /// Builds an adder test harness: a + b (+ cin fixed 0) = p.
     fn adder_netlist(width: usize, kogge: bool) -> Netlist {
         let mut b = NetlistBuilder::new("adder");
@@ -184,7 +173,7 @@ mod tests {
         let sum = if kogge {
             kogge_stone_adder(&mut b, &xs, &ys, None)
         } else {
-            ripple_adder(&mut b, &xs, &ys, None)
+            ripple_adder(&mut b, &xs, &ys)
         };
         for (i, s) in sum.into_iter().enumerate() {
             b.add_output(format!("p{i}"), s);
@@ -265,7 +254,7 @@ mod tests {
         let bits0: Vec<NetId> = (0..5).map(|i| b.add_input(format!("a{i}"))).collect();
         let bits1: Vec<NetId> = (0..3).map(|i| b.add_input(format!("b{i}"))).collect();
         let (ra, rb) = reduce_columns(&mut b, vec![bits0, bits1]);
-        let sum = ripple_adder(&mut b, &ra, &rb, None);
+        let sum = ripple_adder(&mut b, &ra, &rb);
         for (i, s) in sum.into_iter().enumerate() {
             b.add_output(format!("p{i}"), s);
         }

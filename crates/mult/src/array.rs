@@ -13,13 +13,14 @@
 //! register placements of Figures 3/4 including the operand balancing
 //! registers.
 
-use optpower_netlist::{CellKind, NetId, Netlist, NetlistBuilder, NetlistError};
+use optpower_netlist::{CellKind, NetId, NetlistBuilder};
 
+use crate::adders::{full_adder, half_adder};
 use crate::pipeline::{Pipeliner, Staged};
 
 /// Where the pipeline register cuts run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PipelineStyle {
+pub(crate) enum PipelineStyle {
     /// Cuts between array rows (the paper's Figure 3).
     Horizontal,
     /// Cuts along anti-diagonals (the paper's Figure 4) — shorter
@@ -27,123 +28,42 @@ pub enum PipelineStyle {
     Diagonal,
 }
 
-/// Generates the basic (unpipelined) RCA array multiplier.
+/// The raw (pre-prune) builder of the basic, unpipelined RCA array
+/// multiplier. Pruning it is a no-op: the array's final ripple chain
+/// terminates cleanly.
 ///
-/// The netlist is dead-cone pruned (a no-op here — the array's final
-/// ripple chain terminates cleanly), establishing the same no-dead-logic
-/// invariant as every other generator.
+/// # Panics
 ///
-/// # Errors
-///
-/// Propagates [`NetlistError`] from validation (unreachable for valid
-/// widths — the generator is structurally correct by construction).
-pub fn rca(width: usize) -> Result<Netlist, NetlistError> {
-    rca_builder(width).build_pruned()
-}
-
-/// The raw (pre-prune) builder behind [`rca`].
+/// Panics if `width < 2`.
 pub(crate) fn rca_builder(width: usize) -> NetlistBuilder {
     rca_pipelined_impl(width, 1, PipelineStyle::Horizontal, "rca")
 }
 
 /// Embeds an unpipelined RCA array over existing operand nets and
 /// returns the `2·width` product nets — the core used by the
-/// parallelisation transform.
+/// parallelisation transform. At one stage the pipeliner inserts no
+/// register.
 ///
 /// # Panics
 ///
 /// Panics if the operand slices differ in width or are narrower than 2.
 pub(crate) fn rca_core(b: &mut NetlistBuilder, a: &[NetId], bb: &[NetId]) -> Vec<NetId> {
-    use crate::adders::{full_adder, half_adder};
-    assert_eq!(a.len(), bb.len(), "operand widths must match");
-    let w = a.len();
-    assert!(w >= 2, "multiplier width must be >= 2");
-
-    let pp = |b: &mut NetlistBuilder, i: usize, j: usize, a: &[NetId], bb: &[NetId]| {
-        b.add_cell(CellKind::And2, &[a[j], bb[i]])
-    };
-
-    let mut product: Vec<Option<NetId>> = vec![None; 2 * w];
-    let mut sums: Vec<Option<NetId>> = vec![None; w];
-    let mut carries: Vec<Option<NetId>> = vec![None; w];
-    product[0] = Some(pp(b, 0, 0, a, bb));
-    for j in 1..w {
-        sums[j - 1] = Some(pp(b, 0, j, a, bb));
-    }
-    #[allow(clippy::needless_range_loop)] // parallel-array indexing is clearer here
-    for i in 1..w {
-        let mut next_sums: Vec<Option<NetId>> = vec![None; w];
-        let mut next_carries: Vec<Option<NetId>> = vec![None; w];
-        for j in 0..w {
-            let p = pp(b, i, j, a, bb);
-            let (s, c) = match (sums[j], carries[j]) {
-                (None, None) => (p, None),
-                (Some(y), None) | (None, Some(y)) => {
-                    let (s, c) = half_adder(b, p, y);
-                    (s, Some(c))
-                }
-                (Some(y), Some(z)) => {
-                    let (s, c) = full_adder(b, p, y, z);
-                    (s, Some(c))
-                }
-            };
-            if j == 0 {
-                product[i] = Some(s);
-            } else {
-                next_sums[j - 1] = Some(s);
-            }
-            next_carries[j] = c;
-        }
-        sums = next_sums;
-        carries = next_carries;
-    }
-    let mut carry: Option<NetId> = None;
-    for j in 0..w {
-        let mut present: Vec<NetId> = [sums[j], carries[j], carry].into_iter().flatten().collect();
-        let (s, c) = match present.len() {
-            0 => (b.add_cell(CellKind::Const0, &[]), None),
-            1 => (present.pop().expect("len checked"), None),
-            2 => {
-                let (s, c) = half_adder(b, present[0], present[1]);
-                (s, Some(c))
-            }
-            _ => {
-                let (s, c) = full_adder(b, present[0], present[1], present[2]);
-                (s, Some(c))
-            }
-        };
-        product[w + j] = Some(s);
-        carry = c;
-    }
-    product
+    let stage0 =
+        |nets: &[NetId]| -> Vec<Staged> { nets.iter().map(|&n| Staged::new(n, 0)).collect() };
+    let grid = StageGrid::compute(a.len(), 1, PipelineStyle::Horizontal);
+    carry_save_array(b, &mut Pipeliner::new(), &stage0(a), &stage0(bb), &grid)
         .into_iter()
-        .map(|p| p.expect("all 2w product bits are produced"))
+        .map(|bit| bit.net)
         .collect()
 }
 
-/// Generates a pipelined RCA array multiplier with `stages` ≥ 2.
-///
-/// # Errors
-///
-/// Propagates [`NetlistError`] from validation.
+/// The raw (pre-prune) builder of a pipelined RCA array multiplier
+/// with `stages` ≥ 2.
 ///
 /// # Panics
 ///
-/// Panics if `stages < 2` (use [`rca`] for the unpipelined array) or
-/// `width < 2`.
-pub fn rca_pipelined(
-    width: usize,
-    stages: u32,
-    style: PipelineStyle,
-) -> Result<Netlist, NetlistError> {
-    rca_pipelined_builder(width, stages, style).build_pruned()
-}
-
-/// The raw (pre-prune) builder behind [`rca_pipelined`].
-///
-/// # Panics
-///
-/// Same contract as [`rca_pipelined`].
+/// Panics if `stages < 2` (use [`rca_builder`] for the unpipelined
+/// array) or `width < 2`.
 pub(crate) fn rca_pipelined_builder(
     width: usize,
     stages: u32,
@@ -163,15 +83,11 @@ fn rca_pipelined_impl(
     style: PipelineStyle,
     name: &str,
 ) -> NetlistBuilder {
-    assert!(width >= 2, "multiplier width must be >= 2, got {width}");
-    let w = width;
     let mut b = NetlistBuilder::new(name);
-    let mut pl = Pipeliner::new();
-
-    let a: Vec<Staged> = (0..w)
+    let a: Vec<Staged> = (0..width)
         .map(|j| Staged::new(b.add_input(format!("a{j}")), 0))
         .collect();
-    let bb: Vec<Staged> = (0..w)
+    let bb: Vec<Staged> = (0..width)
         .map(|i| Staged::new(b.add_input(format!("b{i}")), 0))
         .collect();
 
@@ -184,12 +100,45 @@ fn rca_pipelined_impl(
     // timing pass (`StageGrid`), cutting the critical path deeper than
     // row cuts while spreading short-path slack — the paper's
     // shorter-LD / more-glitches trade-off.
-    let grid = StageGrid::compute(w, stages, style);
-    let stage_of = |i: usize, j: usize| -> u32 { grid.stage(i, j) };
+    let grid = StageGrid::compute(width, stages, style);
+    let mut pl = Pipeliner::new();
+    let product = carry_save_array(&mut b, &mut pl, &a, &bb, &grid);
+
+    // Align all product bits to the last stage and expose them.
+    let last_stage = stages.saturating_sub(1);
+    for (k, bit) in product.into_iter().enumerate() {
+        let net = pl.at(&mut b, bit, last_stage);
+        b.add_output(format!("p{k}"), net);
+    }
+
+    b
+}
+
+/// The array itself, over staged operands: row 0 holds the partial
+/// products `a_j · b_0`, rows `1..w` add partial-product row `i` to
+/// the running sum in carry-save form, and row `w` ripples out the
+/// upper half. The cell at (row `i`, column `j`) computes in
+/// `grid.stage(i, j)`, its operands registered up to that stage by
+/// `pl`. Returns the `2·w` product bits, each at the stage of the cell
+/// that produced it.
+///
+/// # Panics
+///
+/// Panics if the operand slices differ in width or are narrower than 2.
+fn carry_save_array(
+    b: &mut NetlistBuilder,
+    pl: &mut Pipeliner,
+    a: &[Staged],
+    bb: &[Staged],
+    grid: &StageGrid,
+) -> Vec<Staged> {
+    assert_eq!(a.len(), bb.len(), "operand widths must match");
+    let w = a.len();
+    assert!(w >= 2, "multiplier width must be >= 2, got {w}");
 
     // Partial product at (i, j), with operands balanced to the stage.
     let pp = |b: &mut NetlistBuilder, pl: &mut Pipeliner, i: usize, j: usize| -> Staged {
-        let st = stage_of(i, j);
+        let st = grid.stage(i, j);
         let aj = pl.at(b, a[j], st);
         let bi = pl.at(b, bb[i], st);
         Staged::new(b.add_cell(CellKind::And2, &[aj, bi]), st)
@@ -200,12 +149,9 @@ fn rca_pipelined_impl(
     // Row 0: pure partial products.
     let mut sums: Vec<Option<Staged>> = vec![None; w]; // S[j], weight (i+1)+j
     let mut carries: Vec<Option<Staged>> = vec![None; w]; // C[j], weight (i+1)+j
-    {
-        let p00 = pp(&mut b, &mut pl, 0, 0);
-        product[0] = Some(p00);
-        for j in 1..w {
-            sums[j - 1] = Some(pp(&mut b, &mut pl, 0, j));
-        }
+    product[0] = Some(pp(b, pl, 0, 0));
+    for j in 1..w {
+        sums[j - 1] = Some(pp(b, pl, 0, j));
     }
 
     // Rows 1..w-1: carry-save addition of each partial-product row.
@@ -214,11 +160,8 @@ fn rca_pipelined_impl(
         let mut next_sums: Vec<Option<Staged>> = vec![None; w];
         let mut next_carries: Vec<Option<Staged>> = vec![None; w];
         for j in 0..w {
-            let st = stage_of(i, j);
-            let p = pp(&mut b, &mut pl, i, j);
-            let s_in = sums[j];
-            let c_in = carries[j];
-            let (s, c) = add_three(&mut b, &mut pl, p, s_in, c_in, st);
+            let p = pp(b, pl, i, j);
+            let (s, c) = add_three(b, pl, p, sums[j], carries[j], grid.stage(i, j));
             if j == 0 {
                 product[i] = Some(s);
             } else {
@@ -233,23 +176,17 @@ fn rca_pipelined_impl(
     // Final row (index w): ripple-resolve S and C over weights w..2w-1.
     let mut carry: Option<Staged> = None;
     for j in 0..w {
-        let st = stage_of(w, j);
-        let (s, c) = add_three_opt(&mut b, &mut pl, sums[j], carries[j], carry, st);
+        let (s, c) = add_three_opt(b, pl, sums[j], carries[j], carry, grid.stage(w, j));
         product[w + j] = Some(s);
         carry = c;
     }
     // The product of two w-bit numbers fits in 2w bits, so the final
     // carry (weight 2w) is provably zero and deliberately unconnected.
 
-    // Align all product bits to the last stage and expose them.
-    let last_stage = stages.saturating_sub(1);
-    for (k, bit) in product.into_iter().enumerate() {
-        let bit = bit.expect("all 2w product bits are produced");
-        let net = pl.at(&mut b, bit, last_stage);
-        b.add_output(format!("p{k}"), net);
-    }
-
-    b
+    product
+        .into_iter()
+        .map(|bit| bit.expect("all 2w product bits are produced"))
+        .collect()
 }
 
 /// Pipeline-stage assignment for every grid position, computed once
@@ -373,15 +310,13 @@ fn add_three(
         (None, None) => (Staged::new(xn, stage), None),
         (Some(y), None) | (None, Some(y)) => {
             let yn = pl.at(b, y, stage);
-            let s = b.add_cell(CellKind::Xor2, &[xn, yn]);
-            let c = b.add_cell(CellKind::And2, &[xn, yn]);
+            let (s, c) = half_adder(b, xn, yn);
             (Staged::new(s, stage), Some(Staged::new(c, stage)))
         }
         (Some(y), Some(z)) => {
             let yn = pl.at(b, y, stage);
             let zn = pl.at(b, z, stage);
-            let s = b.add_cell(CellKind::Xor3, &[xn, yn, zn]);
-            let c = b.add_cell(CellKind::Maj3, &[xn, yn, zn]);
+            let (s, c) = full_adder(b, xn, yn, zn);
             (Staged::new(s, stage), Some(Staged::new(c, stage)))
         }
     }
@@ -416,7 +351,18 @@ fn add_three_opt(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use optpower_netlist::Netlist;
     use optpower_sim::{verify_product, VerifyOutcome};
+
+    fn rca(width: usize) -> Netlist {
+        rca_builder(width).build_pruned().unwrap()
+    }
+
+    fn rca_pipelined(width: usize, stages: u32, style: PipelineStyle) -> Netlist {
+        rca_pipelined_builder(width, stages, style)
+            .build_pruned()
+            .unwrap()
+    }
 
     fn assert_multiplies(nl: &Netlist, expected_latency: Option<u32>) {
         match verify_product(nl, 60, 1, 8, 2024) {
@@ -431,7 +377,7 @@ mod tests {
 
     #[test]
     fn rca4_exhaustive() {
-        let nl = rca(4).unwrap();
+        let nl = rca(4);
         let mut sim = optpower_sim::ZeroDelaySim::new(&nl);
         for a in 0..16u64 {
             for b in 0..16u64 {
@@ -445,51 +391,33 @@ mod tests {
 
     #[test]
     fn rca8_random() {
-        assert_multiplies(&rca(8).unwrap(), Some(0));
+        assert_multiplies(&rca(8), Some(0));
     }
 
     #[test]
     fn rca16_random() {
-        assert_multiplies(&rca(16).unwrap(), Some(0));
+        assert_multiplies(&rca(16), Some(0));
     }
 
     #[test]
     fn horizontal_pipeline_2_and_4() {
-        assert_multiplies(
-            &rca_pipelined(8, 2, PipelineStyle::Horizontal).unwrap(),
-            Some(1),
-        );
-        assert_multiplies(
-            &rca_pipelined(8, 4, PipelineStyle::Horizontal).unwrap(),
-            Some(3),
-        );
-        assert_multiplies(
-            &rca_pipelined(16, 2, PipelineStyle::Horizontal).unwrap(),
-            Some(1),
-        );
+        assert_multiplies(&rca_pipelined(8, 2, PipelineStyle::Horizontal), Some(1));
+        assert_multiplies(&rca_pipelined(8, 4, PipelineStyle::Horizontal), Some(3));
+        assert_multiplies(&rca_pipelined(16, 2, PipelineStyle::Horizontal), Some(1));
     }
 
     #[test]
     fn diagonal_pipeline_2_and_4() {
-        assert_multiplies(
-            &rca_pipelined(8, 2, PipelineStyle::Diagonal).unwrap(),
-            Some(1),
-        );
-        assert_multiplies(
-            &rca_pipelined(8, 4, PipelineStyle::Diagonal).unwrap(),
-            Some(3),
-        );
-        assert_multiplies(
-            &rca_pipelined(16, 2, PipelineStyle::Diagonal).unwrap(),
-            Some(1),
-        );
+        assert_multiplies(&rca_pipelined(8, 2, PipelineStyle::Diagonal), Some(1));
+        assert_multiplies(&rca_pipelined(8, 4, PipelineStyle::Diagonal), Some(3));
+        assert_multiplies(&rca_pipelined(16, 2, PipelineStyle::Diagonal), Some(1));
     }
 
     #[test]
     fn pipelining_adds_registers() {
-        let base = rca(16).unwrap();
-        let h2 = rca_pipelined(16, 2, PipelineStyle::Horizontal).unwrap();
-        let h4 = rca_pipelined(16, 4, PipelineStyle::Horizontal).unwrap();
+        let base = rca(16);
+        let h2 = rca_pipelined(16, 2, PipelineStyle::Horizontal);
+        let h4 = rca_pipelined(16, 4, PipelineStyle::Horizontal);
         assert_eq!(base.dff_count(), 0);
         assert!(h2.dff_count() > 0);
         assert!(h4.dff_count() > h2.dff_count());
@@ -501,10 +429,10 @@ mod tests {
         use optpower_sta::TimingAnalysis;
         let lib = Library::cmos13();
         let ld = |nl: &Netlist| TimingAnalysis::analyze(nl, &lib).logical_depth();
-        let base = ld(&rca(16).unwrap());
-        let h2 = ld(&rca_pipelined(16, 2, PipelineStyle::Horizontal).unwrap());
-        let h4 = ld(&rca_pipelined(16, 4, PipelineStyle::Horizontal).unwrap());
-        let d2 = ld(&rca_pipelined(16, 2, PipelineStyle::Diagonal).unwrap());
+        let base = ld(&rca(16));
+        let h2 = ld(&rca_pipelined(16, 2, PipelineStyle::Horizontal));
+        let h4 = ld(&rca_pipelined(16, 4, PipelineStyle::Horizontal));
+        let d2 = ld(&rca_pipelined(16, 2, PipelineStyle::Diagonal));
         assert!(h2 < base && h4 < h2, "base {base} h2 {h2} h4 {h4}");
         assert!(d2 < base, "base {base} d2 {d2}");
     }
@@ -517,8 +445,8 @@ mod tests {
         use optpower_sta::TimingAnalysis;
         let lib = Library::cmos13();
         let ld = |nl: &Netlist| TimingAnalysis::analyze(nl, &lib).logical_depth();
-        let h2 = ld(&rca_pipelined(16, 2, PipelineStyle::Horizontal).unwrap());
-        let d2 = ld(&rca_pipelined(16, 2, PipelineStyle::Diagonal).unwrap());
+        let h2 = ld(&rca_pipelined(16, 2, PipelineStyle::Horizontal));
+        let d2 = ld(&rca_pipelined(16, 2, PipelineStyle::Diagonal));
         assert!(d2 < h2, "h2 {h2} d2 {d2}");
     }
 
@@ -527,7 +455,7 @@ mod tests {
         // Paper Table 1: RCA = 608 cells with FA-level cells; our
         // decomposition (FA = Xor3 + Maj3) lands in the same order of
         // magnitude.
-        let nl = rca(16).unwrap();
+        let nl = rca(16);
         let n = nl.logic_cell_count();
         assert!(n > 500 && n < 1200, "N = {n}");
     }
@@ -535,6 +463,6 @@ mod tests {
     #[test]
     #[should_panic(expected = ">= 2 stages")]
     fn pipelined_requires_stages() {
-        let _ = rca_pipelined(8, 1, PipelineStyle::Horizontal);
+        let _ = rca_pipelined_builder(8, 1, PipelineStyle::Horizontal);
     }
 }

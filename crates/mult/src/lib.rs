@@ -7,11 +7,12 @@
 //! | Wallace tree | basic, parallel ×2/×4 |
 //! | Sequential | add-and-shift, 4×16 Wallace, parallel ×2 |
 //!
-//! Each [`Architecture`] generates a [`MultiplierDesign`]: the netlist
-//! plus the protocol metadata (`cycles_per_item`, `ld_scale`) needed to
-//! convert simulator/STA measurements into the paper's architectural
-//! parameters (`a` per data period, effective `LD` per throughput
-//! period).
+//! [`Architecture`] is the way in: each one generates a
+//! [`MultiplierDesign`], the netlist plus the protocol metadata
+//! (`cycles_per_item`, `ld_scale`) needed to convert simulator/STA
+//! measurements into the paper's architectural parameters (`a` per
+//! data period, effective `LD` per throughput period). The adders,
+//! pipeliner and per-family generators behind it are private.
 //!
 //! # Examples
 //!
@@ -28,22 +29,15 @@
 #![warn(missing_docs)]
 
 mod adders;
-pub mod array;
-mod booth;
+mod array;
 mod parallel;
 mod pipeline;
 mod sequential;
-pub mod wallace;
+mod wallace;
 
-pub use adders::{full_adder, half_adder, kogge_stone_adder, reduce_columns, ripple_adder};
-pub use array::{rca, rca_pipelined, PipelineStyle};
-pub use booth::booth_radix4;
-pub use parallel::{parallelized, CoreKind};
-pub use pipeline::{Pipeliner, Staged};
-pub use sequential::{sequential, sequential_4_wallace, sequential_parallel};
-pub use wallace::wallace;
-
+use array::PipelineStyle;
 use optpower_netlist::{Netlist, NetlistBuilder, NetlistError};
+use parallel::CoreKind;
 
 /// The thirteen multiplier architectures of Table 1, in table order.
 /// The default is the first row, the basic RCA.

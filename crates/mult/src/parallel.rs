@@ -11,18 +11,19 @@
 //! registers are exactly the "overhead introduced by parallelization"
 //! that cancels the benefit on already-fast cores (Wallace par4).
 
-use optpower_netlist::{CellKind, NetId, Netlist, NetlistBuilder, NetlistError};
+use optpower_netlist::{CellKind, NetId, NetlistBuilder};
 
 /// Which combinational core to replicate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CoreKind {
+pub(crate) enum CoreKind {
     /// The RCA array core.
     Rca,
     /// The Wallace-tree core.
     Wallace,
 }
 
-/// Generates a `k`-way parallelised multiplier (`k` ∈ {2, 4}).
+/// The raw (pre-prune) builder of a `k`-way parallelised multiplier
+/// (`k` ∈ {2, 4}).
 ///
 /// Inputs: `a`, `b` operand buses and a 1-bit `rst` bus (held high for
 /// the first data item). A new operand pair arrives every clock cycle;
@@ -30,25 +31,12 @@ pub enum CoreKind {
 /// them over `k` cycles (multi-cycle paths), so the effective logical
 /// depth per data period is the core depth divided by `k`.
 ///
-/// The netlist is dead-cone pruned: the phase counter's final
-/// increment carry and the core's unconsumed cells are removed.
-///
-/// # Errors
-///
-/// Propagates [`NetlistError`] from validation.
+/// Pruning removes the phase counter's final increment carry and the
+/// core's unconsumed cells.
 ///
 /// # Panics
 ///
 /// Panics unless `k` is 2 or 4 and `width >= 2`.
-pub fn parallelized(width: usize, k: u32, core: CoreKind) -> Result<Netlist, NetlistError> {
-    parallelized_builder(width, k, core).build_pruned()
-}
-
-/// The raw (pre-prune) builder behind [`parallelized`].
-///
-/// # Panics
-///
-/// Same contract as [`parallelized`].
 pub(crate) fn parallelized_builder(width: usize, k: u32, core: CoreKind) -> NetlistBuilder {
     assert!(
         k == 2 || k == 4,
@@ -174,7 +162,12 @@ pub(crate) fn parallelized_builder(width: usize, k: u32, core: CoreKind) -> Netl
 #[cfg(test)]
 mod tests {
     use super::*;
+    use optpower_netlist::Netlist;
     use optpower_sim::{verify_product, VerifyOutcome};
+
+    fn parallelized(width: usize, k: u32, core: CoreKind) -> Netlist {
+        parallelized_builder(width, k, core).build_pruned().unwrap()
+    }
 
     fn assert_multiplies(nl: &Netlist) -> u32 {
         match verify_product(nl, 60, 1, 8, 5150) {
@@ -185,41 +178,40 @@ mod tests {
 
     #[test]
     fn rca_par2_multiplies() {
-        let lat = assert_multiplies(&parallelized(8, 2, CoreKind::Rca).unwrap());
+        let lat = assert_multiplies(&parallelized(8, 2, CoreKind::Rca));
         assert!(lat >= 2, "latency {lat}");
     }
 
     #[test]
     fn rca_par4_multiplies() {
-        let lat = assert_multiplies(&parallelized(8, 4, CoreKind::Rca).unwrap());
+        let lat = assert_multiplies(&parallelized(8, 4, CoreKind::Rca));
         assert!(lat >= 4, "latency {lat}");
     }
 
     #[test]
     fn wallace_par2_multiplies() {
-        assert_multiplies(&parallelized(8, 2, CoreKind::Wallace).unwrap());
+        assert_multiplies(&parallelized(8, 2, CoreKind::Wallace));
     }
 
     #[test]
     fn wallace_par4_multiplies() {
-        assert_multiplies(&parallelized(8, 4, CoreKind::Wallace).unwrap());
+        assert_multiplies(&parallelized(8, 4, CoreKind::Wallace));
     }
 
     #[test]
     fn par16_multiplies() {
-        assert_multiplies(&parallelized(16, 2, CoreKind::Rca).unwrap());
-        assert_multiplies(&parallelized(16, 4, CoreKind::Wallace).unwrap());
+        assert_multiplies(&parallelized(16, 2, CoreKind::Rca));
+        assert_multiplies(&parallelized(16, 4, CoreKind::Wallace));
     }
 
     #[test]
     fn replication_scales_cell_count() {
-        let base = crate::array::rca(16).unwrap().logic_cell_count();
-        let p2 = parallelized(16, 2, CoreKind::Rca)
+        let base = crate::array::rca_builder(16)
+            .build_pruned()
             .unwrap()
             .logic_cell_count();
-        let p4 = parallelized(16, 4, CoreKind::Rca)
-            .unwrap()
-            .logic_cell_count();
+        let p2 = parallelized(16, 2, CoreKind::Rca).logic_cell_count();
+        let p4 = parallelized(16, 4, CoreKind::Rca).logic_cell_count();
         // Paper: 608 -> 1256 -> 2455 (slightly over k×, due to overhead).
         assert!(p2 as f64 > 1.9 * base as f64, "p2 {p2} base {base}");
         assert!(p4 as f64 > 3.7 * base as f64, "p4 {p4} base {base}");

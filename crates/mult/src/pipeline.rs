@@ -13,37 +13,31 @@ use optpower_netlist::{CellKind, NetId, NetlistBuilder};
 
 /// A net tagged with the pipeline stage its value belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Staged {
+pub(crate) struct Staged {
     /// The carrying net.
-    pub net: NetId,
+    pub(crate) net: NetId,
     /// Pipeline stage (0 = before the first register cut).
-    pub stage: u32,
+    pub(crate) stage: u32,
 }
 
 impl Staged {
     /// Tags `net` as belonging to `stage`.
-    pub fn new(net: NetId, stage: u32) -> Self {
+    pub(crate) fn new(net: NetId, stage: u32) -> Self {
         Self { net, stage }
     }
 }
 
 /// Inserts and caches stage-balancing flip-flops.
 #[derive(Debug, Default)]
-pub struct Pipeliner {
+pub(crate) struct Pipeliner {
     /// `(source net, target stage) → delayed net`.
     cache: HashMap<(NetId, u32), NetId>,
-    registers_inserted: usize,
 }
 
 impl Pipeliner {
     /// Creates an empty pipeliner.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
-    }
-
-    /// Number of balancing DFFs inserted so far.
-    pub fn registers_inserted(&self) -> usize {
-        self.registers_inserted
     }
 
     /// Returns `sig`'s net as seen in `target` stage, inserting
@@ -53,7 +47,7 @@ impl Pipeliner {
     ///
     /// Panics if `target < sig.stage` — data cannot travel backwards
     /// through a pipeline; that is a generator staging bug.
-    pub fn at(&mut self, b: &mut NetlistBuilder, sig: Staged, target: u32) -> NetId {
+    pub(crate) fn at(&mut self, b: &mut NetlistBuilder, sig: Staged, target: u32) -> NetId {
         assert!(
             target >= sig.stage,
             "cannot move a stage-{} signal back to stage {target}",
@@ -66,7 +60,6 @@ impl Pipeliner {
                 Some(&delayed) => delayed,
                 None => {
                     let q = b.add_cell(CellKind::Dff, &[net]);
-                    self.registers_inserted += 1;
                     self.cache.insert(key, q);
                     q
                 }
@@ -87,7 +80,7 @@ mod tests {
         let mut p = Pipeliner::new();
         let out = p.at(&mut b, Staged::new(x, 0), 0);
         assert_eq!(out, x);
-        assert_eq!(p.registers_inserted(), 0);
+        assert_eq!(b.cell_count(), 1, "only the input cell");
     }
 
     #[test]
@@ -96,7 +89,7 @@ mod tests {
         let x = b.add_input("x0");
         let mut p = Pipeliner::new();
         let _ = p.at(&mut b, Staged::new(x, 0), 3);
-        assert_eq!(p.registers_inserted(), 3);
+        assert_eq!(b.cell_count(), 1 + 3);
     }
 
     #[test]
@@ -110,7 +103,7 @@ mod tests {
         assert_eq!(d2, d2_again);
         assert_ne!(d2, d3);
         // 2 DFFs for stage 2, 1 more extending to stage 3.
-        assert_eq!(p.registers_inserted(), 3);
+        assert_eq!(b.cell_count(), 1 + 3);
     }
 
     #[test]

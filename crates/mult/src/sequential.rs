@@ -9,7 +9,7 @@
 //! an activity far above 1 and an enormous effective logical depth for
 //! this family.
 
-use optpower_netlist::{CellKind, NetId, Netlist, NetlistBuilder, NetlistError};
+use optpower_netlist::{CellKind, NetId, NetlistBuilder};
 
 use crate::adders::{kogge_stone_adder, reduce_columns};
 
@@ -194,31 +194,17 @@ fn seq_core(
     p_reg
 }
 
-/// The basic add-and-shift sequential multiplier (`W` internal cycles
-/// per product; internal clock = `W ×` data clock).
+/// The raw (pre-prune) builder of the basic add-and-shift sequential
+/// multiplier (`W` internal cycles per product; internal clock =
+/// `W ×` data clock).
 ///
 /// Inputs: `a`, `b` operand buses plus a 1-bit `rst` bus that must be
-/// held high for the first data item.
-///
-/// # Errors
-///
-/// Propagates [`NetlistError`] from validation.
-///
-/// The netlist is dead-cone pruned: the counter's final increment
-/// carry and the accumulator's never-read LSB flop are removed.
+/// held high for the first data item. Pruning removes the counter's
+/// final increment carry and the accumulator's never-read LSB flop.
 ///
 /// # Panics
 ///
 /// Panics unless `width` is a power of two ≥ 4.
-pub fn sequential(width: usize) -> Result<Netlist, NetlistError> {
-    sequential_builder(width).build_pruned()
-}
-
-/// The raw (pre-prune) builder behind [`sequential`].
-///
-/// # Panics
-///
-/// Same contract as [`sequential`].
 pub(crate) fn sequential_builder(width: usize) -> NetlistBuilder {
     let mut b = NetlistBuilder::new("sequential");
     let a_in: Vec<NetId> = (0..width).map(|j| b.add_input(format!("a{j}"))).collect();
@@ -232,26 +218,14 @@ pub(crate) fn sequential_builder(width: usize) -> NetlistBuilder {
     b
 }
 
-/// The "4_16 Wallace" sequential multiplier: adds **four** partial
-/// products per cycle through a small Wallace (CSA) tree, finishing a
-/// 16-bit product in 4 internal cycles instead of 16 (Section 4).
-///
-/// # Errors
-///
-/// Propagates [`NetlistError`] from validation.
+/// The raw (pre-prune) builder of the "4_16 Wallace" sequential
+/// multiplier: adds **four** partial products per cycle through a
+/// small Wallace (CSA) tree, finishing a 16-bit product in 4 internal
+/// cycles instead of 16 (Section 4).
 ///
 /// # Panics
 ///
 /// Panics unless `width` is a multiple of 4, a power of two, ≥ 8.
-pub fn sequential_4_wallace(width: usize) -> Result<Netlist, NetlistError> {
-    sequential_4_wallace_builder(width).build_pruned()
-}
-
-/// The raw (pre-prune) builder behind [`sequential_4_wallace`].
-///
-/// # Panics
-///
-/// Same contract as [`sequential_4_wallace`].
 pub(crate) fn sequential_4_wallace_builder(width: usize) -> NetlistBuilder {
     const NIB: usize = 4;
     assert!(
@@ -335,27 +309,15 @@ pub(crate) fn sequential_4_wallace_builder(width: usize) -> NetlistBuilder {
     b
 }
 
-/// Two interleaved add-and-shift cores sharing the input buses:
-/// each core receives every other data item and advances on alternate
-/// internal cycles, so its per-step timing budget doubles ("additional
-/// clock cycles at its disposal relaxing timing constraints").
-///
-/// # Errors
-///
-/// Propagates [`NetlistError`] from validation.
+/// The raw (pre-prune) builder of two interleaved add-and-shift cores
+/// sharing the input buses: each core receives every other data item
+/// and advances on alternate internal cycles, so its per-step timing
+/// budget doubles ("additional clock cycles at its disposal relaxing
+/// timing constraints").
 ///
 /// # Panics
 ///
 /// Panics unless `width` is a power of two ≥ 4.
-pub fn sequential_parallel(width: usize) -> Result<Netlist, NetlistError> {
-    sequential_parallel_builder(width).build_pruned()
-}
-
-/// The raw (pre-prune) builder behind [`sequential_parallel`].
-///
-/// # Panics
-///
-/// Same contract as [`sequential_parallel`].
 pub(crate) fn sequential_parallel_builder(width: usize) -> NetlistBuilder {
     let w = width;
     let mut b = NetlistBuilder::new("seq_parallel");
@@ -402,7 +364,12 @@ pub(crate) fn sequential_parallel_builder(width: usize) -> NetlistBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use optpower_netlist::Netlist;
     use optpower_sim::{verify_product, VerifyOutcome};
+
+    fn pruned(builder: NetlistBuilder) -> Netlist {
+        builder.build_pruned().unwrap()
+    }
 
     fn assert_multiplies(nl: &Netlist, cycles_per_item: u32) {
         match verify_product(nl, 40, cycles_per_item, 4, 99) {
@@ -419,48 +386,48 @@ mod tests {
 
     #[test]
     fn sequential_8_multiplies() {
-        assert_multiplies(&sequential(8).unwrap(), 8);
+        assert_multiplies(&pruned(sequential_builder(8)), 8);
     }
 
     #[test]
     fn sequential_16_multiplies() {
-        assert_multiplies(&sequential(16).unwrap(), 16);
+        assert_multiplies(&pruned(sequential_builder(16)), 16);
     }
 
     #[test]
     fn seq4_wallace_8_multiplies() {
-        assert_multiplies(&sequential_4_wallace(8).unwrap(), 2);
+        assert_multiplies(&pruned(sequential_4_wallace_builder(8)), 2);
     }
 
     #[test]
     fn seq4_wallace_16_multiplies() {
-        assert_multiplies(&sequential_4_wallace(16).unwrap(), 4);
+        assert_multiplies(&pruned(sequential_4_wallace_builder(16)), 4);
     }
 
     #[test]
     fn seq_parallel_16_multiplies() {
-        assert_multiplies(&sequential_parallel(16).unwrap(), 16);
+        assert_multiplies(&pruned(sequential_parallel_builder(16)), 16);
     }
 
     #[test]
     fn sequential_is_compact() {
         // The whole point: far fewer cells than the array multiplier.
-        let seq = sequential(16).unwrap().logic_cell_count();
-        let arr = crate::array::rca(16).unwrap().logic_cell_count();
+        let seq = pruned(sequential_builder(16)).logic_cell_count();
+        let arr = pruned(crate::array::rca_builder(16)).logic_cell_count();
         assert!(seq < arr, "seq {seq} vs array {arr}");
     }
 
     #[test]
     fn seq4_needs_fewer_cycles_but_more_cells() {
-        let s1 = sequential(16).unwrap().logic_cell_count();
-        let s4 = sequential_4_wallace(16).unwrap().logic_cell_count();
+        let s1 = pruned(sequential_builder(16)).logic_cell_count();
+        let s4 = pruned(sequential_4_wallace_builder(16)).logic_cell_count();
         assert!(s4 > s1, "s4 {s4} vs s1 {s1}");
     }
 
     #[test]
     fn seq_parallel_doubles_state() {
-        let s1 = sequential(16).unwrap().dff_count();
-        let sp = sequential_parallel(16).unwrap().dff_count();
+        let s1 = pruned(sequential_builder(16)).dff_count();
+        let sp = pruned(sequential_parallel_builder(16)).dff_count();
         assert!(sp > 2 * s1 - 10, "sp {sp} vs s1 {s1}");
     }
 }

@@ -3,31 +3,15 @@
 //! adder. "Path delays are better balanced than in RCA, resulting in
 //! an overall faster architecture" (Section 4).
 
-use optpower_netlist::{CellKind, NetId, Netlist, NetlistBuilder, NetlistError};
+use optpower_netlist::{CellKind, NetId, NetlistBuilder};
 
 use crate::adders::{kogge_stone_adder, reduce_columns};
 
-/// Generates a `width × width` Wallace-tree multiplier.
-///
-/// The netlist is dead-cone pruned: the Kogge–Stone final adder's
+/// The raw (pre-prune) builder of a `width × width` Wallace-tree
+/// multiplier. Pruning removes the Kogge–Stone final adder's
 /// unconsumed top-level propagate cells (and any other logic that
-/// cannot reach a product bit) are removed, so the design lints clean
-/// and the power model charges only cells that can toggle an output.
-///
-/// # Errors
-///
-/// Propagates [`NetlistError`] from validation.
-///
-/// # Panics
-///
-/// Panics if `width < 2`.
-pub fn wallace(width: usize) -> Result<Netlist, NetlistError> {
-    wallace_builder(width).build_pruned()
-}
-
-/// The raw (pre-prune) builder behind [`wallace`], kept separate so
-/// [`crate::Architecture::generate_raw`] can reproduce the as-emitted
-/// netlist for before/after comparisons.
+/// cannot reach a product bit), so the design lints clean and the
+/// power model charges only cells that can toggle an output.
 ///
 /// # Panics
 ///
@@ -88,11 +72,16 @@ pub(crate) fn wallace_core(b: &mut NetlistBuilder, a: &[NetId], bb: &[NetId]) ->
 #[cfg(test)]
 mod tests {
     use super::*;
+    use optpower_netlist::Netlist;
     use optpower_sim::{verify_product, VerifyOutcome, ZeroDelaySim};
+
+    fn wallace(width: usize) -> Netlist {
+        wallace_builder(width).build_pruned().unwrap()
+    }
 
     #[test]
     fn wallace4_exhaustive() {
-        let nl = wallace(4).unwrap();
+        let nl = wallace(4);
         let mut sim = ZeroDelaySim::new(&nl);
         for a in 0..16u64 {
             for b in 0..16u64 {
@@ -106,7 +95,7 @@ mod tests {
 
     #[test]
     fn wallace16_random() {
-        let nl = wallace(16).unwrap();
+        let nl = wallace(16);
         match verify_product(&nl, 60, 1, 2, 77) {
             VerifyOutcome::Correct { latency_items } => assert_eq!(latency_items, 0),
             VerifyOutcome::Mismatch(m) => panic!("{m}"),
@@ -119,8 +108,10 @@ mod tests {
         use optpower_netlist::Library;
         use optpower_sta::TimingAnalysis;
         let lib = Library::cmos13();
-        let wl = TimingAnalysis::analyze(&wallace(16).unwrap(), &lib).logical_depth();
-        let rc = TimingAnalysis::analyze(&crate::array::rca(16).unwrap(), &lib).logical_depth();
+        let wl = TimingAnalysis::analyze(&wallace(16), &lib).logical_depth();
+        let rc =
+            TimingAnalysis::analyze(&crate::array::rca_builder(16).build_pruned().unwrap(), &lib)
+                .logical_depth();
         // Our FA-decomposed cells and Kogge-Stone final adder give a
         // ~0.6 ratio (the paper's custom cells reach 17/61 ≈ 0.28);
         // the ordering — the architectural claim — is what matters.
@@ -130,8 +121,11 @@ mod tests {
     #[test]
     fn wallace_cell_count_same_order_as_rca() {
         // Paper: Wallace 729 vs RCA 608 cells — same order, slightly more.
-        let wn = wallace(16).unwrap().logic_cell_count();
-        let rn = crate::array::rca(16).unwrap().logic_cell_count();
+        let wn = wallace(16).logic_cell_count();
+        let rn = crate::array::rca_builder(16)
+            .build_pruned()
+            .unwrap()
+            .logic_cell_count();
         assert!(
             wn as f64 / rn as f64 > 0.7 && (wn as f64 / rn as f64) < 2.0,
             "wallace {wn} vs rca {rn}"
@@ -140,6 +134,6 @@ mod tests {
 
     #[test]
     fn wallace_has_no_registers() {
-        assert_eq!(wallace(16).unwrap().dff_count(), 0);
+        assert_eq!(wallace(16).dff_count(), 0);
     }
 }

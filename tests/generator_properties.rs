@@ -2,10 +2,17 @@
 //! generators: every width multiplies correctly, and the verification
 //! harness actually catches sabotaged netlists.
 
-use optpower_mult::{booth_radix4, rca, rca_pipelined, wallace, PipelineStyle};
+use optpower_mult::Architecture;
 use optpower_netlist::{Cell, CellKind, Netlist, NetlistBuilder};
 use optpower_sim::verify_product;
 use proptest::prelude::*;
+
+/// The pruned netlist of `arch` at `width`.
+fn netlist(arch: Architecture, width: usize) -> Netlist {
+    arch.generate(width)
+        .unwrap_or_else(|e| panic!("{arch} @{width}: {e}"))
+        .netlist
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
@@ -13,7 +20,7 @@ proptest! {
     /// The RCA array multiplies at every width 2..=20.
     #[test]
     fn rca_all_widths(width in 2usize..=20) {
-        let nl = rca(width).unwrap();
+        let nl = netlist(Architecture::Rca, width);
         let out = verify_product(&nl, 30, 1, 2, width as u64);
         prop_assert!(out.is_correct(), "w={width}: {out:?}");
     }
@@ -21,28 +28,23 @@ proptest! {
     /// The Wallace tree multiplies at every width 2..=20.
     #[test]
     fn wallace_all_widths(width in 2usize..=20) {
-        let nl = wallace(width).unwrap();
+        let nl = netlist(Architecture::Wallace, width);
         let out = verify_product(&nl, 30, 1, 2, width as u64);
         prop_assert!(out.is_correct(), "w={width}: {out:?}");
     }
 
-    /// Booth multiplies at every even width 4..=20.
+    /// The four pipelined arrays multiply at every width 4..=16.
     #[test]
-    fn booth_all_even_widths(half in 2usize..=10) {
-        let width = 2 * half;
-        let nl = booth_radix4(width).unwrap();
-        let out = verify_product(&nl, 30, 1, 2, width as u64);
-        prop_assert!(out.is_correct(), "w={width}: {out:?}");
-    }
-
-    /// Pipelined arrays multiply for any width and stage combination.
-    #[test]
-    fn pipelined_all_widths(width in 4usize..=16, stages in 2u32..=5,
-                            diagonal in any::<bool>()) {
-        let style = if diagonal { PipelineStyle::Diagonal } else { PipelineStyle::Horizontal };
-        let nl = rca_pipelined(width, stages, style).unwrap();
+    fn pipelined_all_widths(width in 4usize..=16, pick in 0usize..4) {
+        let arch = [
+            Architecture::RcaHorPipe2,
+            Architecture::RcaHorPipe4,
+            Architecture::RcaDiagPipe2,
+            Architecture::RcaDiagPipe4,
+        ][pick];
+        let nl = netlist(arch, width);
         let out = verify_product(&nl, 30, 1, 8, width as u64);
-        prop_assert!(out.is_correct(), "w={width} s={stages} {style:?}: {out:?}");
+        prop_assert!(out.is_correct(), "w={width} {arch}: {out:?}");
     }
 }
 
@@ -78,7 +80,7 @@ fn mutate_kind(netlist: &Netlist, victim: usize, into: CellKind) -> Netlist {
 fn fault_injection_is_detected() {
     // Swap each of several XOR3 sum cells for a MAJ3: the product must
     // break and the checker must say so.
-    let golden = rca(8).unwrap();
+    let golden = netlist(Architecture::Rca, 8);
     let xor3_sites: Vec<usize> = golden
         .cells()
         .iter()
@@ -101,7 +103,7 @@ fn fault_injection_is_detected() {
 #[test]
 fn benign_mutation_is_accepted() {
     // Control case: rebuilding without mutation still verifies.
-    let golden = rca(8).unwrap();
+    let golden = netlist(Architecture::Rca, 8);
     let copy = mutate_kind(&golden, usize::MAX, CellKind::Maj3);
     assert!(verify_product(&copy, 40, 1, 2, 7).is_correct());
 }
@@ -109,7 +111,7 @@ fn benign_mutation_is_accepted() {
 #[test]
 fn verifier_rejects_output_bit_swap() {
     // Swap two product bits of a correct multiplier.
-    let golden = wallace(8).unwrap();
+    let golden = netlist(Architecture::Wallace, 8);
     let mut b = NetlistBuilder::new("swapped");
     for cell in golden.cells() {
         match cell.kind {
@@ -138,11 +140,11 @@ fn wide_multipliers_stay_consistent() {
     // 24- and 32-bit instances: generators are width-parametric well
     // beyond the paper's 16 bits.
     for width in [24usize, 32] {
-        let nl = wallace(width).unwrap();
+        let nl = netlist(Architecture::Wallace, width);
         let out = verify_product(&nl, 25, 1, 2, width as u64);
         assert!(out.is_correct(), "wallace w={width}: {out:?}");
     }
-    let nl = rca(24).unwrap();
+    let nl = netlist(Architecture::Rca, 24);
     assert!(verify_product(&nl, 25, 1, 2, 11).is_correct());
 }
 
@@ -150,9 +152,9 @@ fn wide_multipliers_stay_consistent() {
 fn cell_counts_scale_quadratically() {
     // Array multipliers are O(W^2) in cells — the scaling a user of the
     // library would rely on when extrapolating the paper's results.
-    let n8 = rca(8).unwrap().logic_cell_count() as f64;
-    let n16 = rca(16).unwrap().logic_cell_count() as f64;
-    let n32 = rca(32).unwrap().logic_cell_count() as f64;
+    let n8 = netlist(Architecture::Rca, 8).logic_cell_count() as f64;
+    let n16 = netlist(Architecture::Rca, 16).logic_cell_count() as f64;
+    let n32 = netlist(Architecture::Rca, 32).logic_cell_count() as f64;
     let r1 = n16 / n8;
     let r2 = n32 / n16;
     assert!(r1 > 3.0 && r1 < 5.0, "8->16 ratio {r1}");
