@@ -9,6 +9,7 @@
 //! argument or spec, 3 for a job that parsed but failed, 4 for a
 //! host-side failure.
 
+use std::fmt;
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -57,7 +58,7 @@ pub fn main(args: &[String]) -> ExitCode {
     match dispatch(args) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
-            eprintln!("error: {}", e.message);
+            let _ = writeln!(io::stderr(), "error: {}", e.message);
             ExitCode::from(e.exit_code())
         }
     }
@@ -65,26 +66,24 @@ pub fn main(args: &[String]) -> ExitCode {
 
 fn dispatch(args: &[String]) -> Result<(), ErrorBody> {
     let Some((command, rest)) = args.split_first() else {
-        print!("{USAGE}");
-        return Ok(());
+        return print_out(format_args!("{USAGE}"));
     };
     let mut flags = Flags {
         verb: command,
         args: rest.iter(),
     };
     match command.as_str() {
-        "help" | "--help" | "-h" => {
-            print!("{USAGE}");
-            Ok(())
-        }
+        "help" | "--help" | "-h" => print_out(format_args!("{USAGE}")),
         "list" => {
             flags.finish()?;
-            println!("job kinds (run one with `optpower run <spec.json>` or `optpower <kind>`):");
+            let mut text = String::from(
+                "job kinds (run one with `optpower run <spec.json>` or `optpower <kind>`):\n",
+            );
             for &(kind, summary) in JOB_KINDS {
-                println!("  {kind:<18} {summary}");
+                text += &format!("  {kind:<18} {summary}\n");
             }
-            println!("\ndefault specs are printable with `optpower spec <kind>`");
-            Ok(())
+            text += "\ndefault specs are printable with `optpower spec <kind>`\n";
+            print_out(format_args!("{text}"))
         }
         "spec" => {
             let kind = flags
@@ -94,8 +93,7 @@ fn dispatch(args: &[String]) -> Result<(), ErrorBody> {
             let spec = default_spec(kind).ok_or_else(|| {
                 client_error(format!("unknown job kind {kind:?}; see `optpower list`"))
             })?;
-            println!("{}", spec.to_json());
-            Ok(())
+            print_out(format_args!("{}\n", spec.to_json()))
         }
         "run" => run(flags, None),
         "serve" => serve(flags),
@@ -217,8 +215,8 @@ fn emit(
     files: impl FnOnce() -> Vec<(String, String)>,
 ) -> Result<(), ErrorBody> {
     match format {
-        WireFormat::Csv => print!("{rendered}"),
-        WireFormat::Text | WireFormat::Json => println!("{rendered}"),
+        WireFormat::Csv => print_out(format_args!("{rendered}"))?,
+        WireFormat::Text | WireFormat::Json => print_out(format_args!("{rendered}\n"))?,
     }
     let Some(dir) = out else {
         return Ok(());
@@ -231,7 +229,12 @@ fn emit(
         let path = dir.join(name);
         std::fs::write(&path, contents).map_err(|e| io_error(&path, e))?;
     }
-    eprintln!("wrote {} artifact files to {}", files.len(), dir.display());
+    let _ = writeln!(
+        io::stderr(),
+        "wrote {} artifact files to {}",
+        files.len(),
+        dir.display()
+    );
     Ok(())
 }
 
@@ -306,8 +309,10 @@ fn serve(mut flags: Flags) -> Result<(), ErrorBody> {
     }
     let handle = server::start(config)
         .map_err(|e| host_error(format!("could not start the server: {e}")))?;
-    println!("optpower serve listening on http://{}", handle.addr());
-    let _ = io::stdout().flush();
+    print_out(format_args!(
+        "optpower serve listening on http://{}\n",
+        handle.addr()
+    ))?;
     if drain_on_stdin_eof {
         // No signal handler (the workspace forbids `unsafe`), so a
         // supervisor that can't POST /v1/shutdown may simply close
@@ -320,8 +325,7 @@ fn serve(mut flags: Flags) -> Result<(), ErrorBody> {
         });
     }
     handle.join();
-    println!("optpower serve drained; exiting");
-    Ok(())
+    print_out(format_args!("optpower serve drained; exiting\n"))
 }
 
 /// The blocking shard server behind a `run --hosts` coordinator.
@@ -378,13 +382,27 @@ fn submit(mut flags: Flags) -> Result<(), ErrorBody> {
         ));
     }
     if let Some(cache) = reply.header("x-optpower-cache") {
-        eprintln!("cache: {cache}");
+        let _ = writeln!(io::stderr(), "cache: {cache}");
     }
-    print!("{}", reply.body_text());
-    if !reply.body.ends_with(b"\n") {
-        println!();
+    let newline = if reply.body.ends_with(b"\n") {
+        ""
+    } else {
+        "\n"
+    };
+    print_out(format_args!("{}{newline}", reply.body_text()))
+}
+
+/// Writes to stdout and flushes. A reader that has gone away
+/// (`BrokenPipe`) ends printing quietly, and the verb exits as it
+/// otherwise would; any other write error is a host failure (exit 4).
+fn print_out(args: fmt::Arguments) -> Result<(), ErrorBody> {
+    let mut stdout = io::stdout().lock();
+    match stdout.write_fmt(args).and_then(|()| stdout.flush()) {
+        Err(e) if e.kind() != io::ErrorKind::BrokenPipe => {
+            Err(host_error(format!("cannot write to stdout: {e}")))
+        }
+        _ => Ok(()),
     }
-    Ok(())
 }
 
 /// The spec text of `run` or `submit`: the named file, or stdin for

@@ -166,3 +166,44 @@ fn a_job_that_parses_but_fails_exits_3() {
         3
     );
 }
+
+/// Runs `optpower args` with `stdout` as its standard output and
+/// returns its exit code and stderr.
+fn run_into(args: &[&str], stdout: impl Into<Stdio>) -> (Option<i32>, String) {
+    let out = Command::new(BIN)
+        .args(args)
+        .stdin(Stdio::null())
+        .stdout(stdout)
+        .stderr(Stdio::piped())
+        .output()
+        .expect("run optpower");
+    (
+        out.status.code(),
+        String::from_utf8_lossy(&out.stderr).into_owned(),
+    )
+}
+
+#[test]
+fn a_closed_stdout_ends_printing_quietly() {
+    // The reader of the pipe is gone before the verb prints, as when
+    // `optpower ... | head` has exited: the verb still succeeds.
+    for args in [&["table2", "--json"][..], &["list"]] {
+        let (reader, writer) = std::io::pipe().expect("pipe");
+        drop(reader);
+        let (code, stderr) = run_into(args, writer);
+        assert_eq!(code, Some(0), "optpower {args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "optpower {args:?}: {stderr}");
+    }
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn a_full_stdout_is_a_host_failure() {
+    let full = std::fs::OpenOptions::new()
+        .write(true)
+        .open("/dev/full")
+        .expect("open /dev/full");
+    let (code, stderr) = run_into(&["table2", "--json"], full);
+    assert_eq!(code, Some(4), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+}

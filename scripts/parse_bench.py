@@ -6,6 +6,12 @@ The shim prints one line per benchmark:
 
     bench <id>    mean <value> <unit> min <value> <unit>
 
+and, after the two rows of a pair sampled in one interleaved window
+(`Criterion::bench_pair`), one line with the median over rounds of the
+ratio of the first row's time to the second's in the same round:
+
+    pair <id_a> <id_b> ratio_median <value>
+
 This script normalises every timing to nanoseconds, derives the
 serial-vs-parallel speedups the CI bench job tracks, and writes a JSON
 document:
@@ -16,7 +22,8 @@ document:
       "commit": "<sha or null>",
       "entries": [{"id": ..., "mean_ns": ..., "min_ns": ...}, ...],
       "speedups": {"<label>": {"serial_mean_ns": ..., "parallel_mean_ns": ...,
-                               "speedup": ..., "speedup_min": ...}, ...},
+                               "speedup": ..., "speedup_min": ...,
+                               "ratio_median": ...}, ...},
       "notes": {...}   # free-form, carried over via --notes-from
     }
 
@@ -24,7 +31,10 @@ Each speedup pair carries two ratios: "speedup" from the mean timings
 and "speedup_min" from the per-run minima. On a busy shared runner the
 means absorb scheduler interference (the same row can swing tens of
 percent between runs); the min is the noise-robust statistic, so
-guards with tight margins should read "speedup_min".
+guards with tight margins should read "speedup_min". A pair sampled
+with `bench_pair` also carries "ratio_median", the median of its
+per-round ratios: the two times of a round share the host's state, so
+it does not compare two minima taken at different moments.
 
 Usage: parse_bench.py <bench-output.txt> <out.json> [--bench NAME]
                       [--notes-from <existing-summary.json>]
@@ -45,10 +55,11 @@ build by more than 5%; the margin is far below run-to-run mean noise
 on a 1-core container, so this guard reads the min-based ratio).
 
 Rows listed in ACCEPTANCE are hard gates: when such a row is present
-in the parsed output, its "speedup_min" must meet the listed floor or
-the script exits non-zero (rows absent from the output are skipped, so
-partial bench runs still parse). The wide-plane rows gate the 256/512
-lane engines against the 64-lane engine at equal stimulus volume.
+in the parsed output, its listed statistic ("speedup_min" or
+"ratio_median") must meet the listed floor or the script exits
+non-zero (rows absent from the output are skipped, so partial bench
+runs still parse). The wide-plane rows gate the 256/512 lane engines
+against the 64-lane engine at equal stimulus volume.
 """
 
 import json
@@ -61,14 +72,20 @@ LINE = re.compile(
     r"\s+min\s+(?P<min>[0-9.]+)\s*(?P<min_unit>ns|µs|us|ms|s)\s*$"
 )
 
+PAIR = re.compile(
+    r"^pair\s+(?P<a>\S+)\s+(?P<b>\S+)\s+ratio_median\s+(?P<ratio>\S+)\s*$"
+)
+
 NS_PER = {"ns": 1.0, "us": 1e3, "µs": 1e3, "ms": 1e6, "s": 1e9}
 
-# Hard speedup_min floors, enforced whenever the row is present.
+# Hard floors, (statistic, floor), enforced whenever the row is present.
 # dist_overhead_wallace16 is another reference-vs-candidate row: the
 # same single-shard Wallace16 characterization run locally vs through
 # a loopback coordinator/worker cluster. Its ratio is local/dist time,
 # and the 0.9 floor caps the wire protocol's overhead (connect, frame
-# codec, payload re-parse, merge) at ~10% of the job it ships.
+# codec, payload re-parse, merge) at ~10% of the job it ships. It reads
+# ratio_median: the row's two minima came from different moments of a
+# drifting host and read 0.88-1.27 over 14 runs of unchanged code.
 #
 # timed_warmstart_wallace16 pairs the timed leg stepped per lane from
 # cycle 0 (one TimedSim::new per lane, warm-up on the event wheel)
@@ -76,10 +93,10 @@ NS_PER = {"ns": 1.0, "us": 1e3, "µs": 1e3, "ms": 1e6, "s": 1e9}
 # on the zero-delay plane and simulates only the counted items; both
 # run one worker at the cold_suite glitch-sweep shape.
 ACCEPTANCE = {
-    "bitparallel_256_wallace16": 2.0,
-    "bitparallel_512_wallace16": 2.0,
-    "dist_overhead_wallace16": 0.9,
-    "timed_warmstart_wallace16": 1.5,
+    "bitparallel_256_wallace16": ("speedup_min", 2.0),
+    "bitparallel_512_wallace16": ("speedup_min", 2.0),
+    "dist_overhead_wallace16": ("ratio_median", 0.9),
+    "timed_warmstart_wallace16": ("speedup_min", 1.5),
 }
 
 
@@ -88,7 +105,9 @@ def to_ns(value: str, unit: str) -> float:
 
 
 def parse(text: str):
+    """The bench rows, and the ratio_median of each (id_a, id_b) pair."""
     entries = []
+    pairs = {}
     for line in text.splitlines():
         m = LINE.match(line.strip())
         if m:
@@ -99,10 +118,13 @@ def parse(text: str):
                     "min_ns": to_ns(m.group("min"), m.group("min_unit")),
                 }
             )
-    return entries
+        m = PAIR.match(line.strip())
+        if m:
+            pairs[(m.group("a"), m.group("b"))] = float(m.group("ratio"))
+    return entries, pairs
 
 
-def derive_speedups(entries):
+def derive_speedups(entries, pairs):
     """Pairs sweep/serial_core/<label> with sweep/parallel/<label>."""
     by_id = {e["id"]: e for e in entries}
     speedups = {}
@@ -121,19 +143,21 @@ def derive_speedups(entries):
             "speedup": serial / parallel if parallel > 0 else None,
             "speedup_min": serial_min / parallel_min if parallel_min > 0 else None,
         }
+        if (eid, partner) in pairs:
+            speedups[m.group("label")]["ratio_median"] = pairs[(eid, partner)]
     return speedups
 
 
 def check_acceptance(speedups):
-    """Failed hard gates: [(label, floor, speedup_min), ...]."""
+    """Failed hard gates: [(label, statistic, floor, value), ...]."""
     failures = []
-    for label, floor in ACCEPTANCE.items():
+    for label, (stat, floor) in ACCEPTANCE.items():
         row = speedups.get(label)
         if row is None:
             continue
-        ratio = row.get("speedup_min")
-        if ratio is None or ratio < floor:
-            failures.append((label, floor, ratio))
+        ratio = row.get(stat)
+        if ratio is None or not ratio >= floor:
+            failures.append((label, stat, floor, ratio))
     return failures
 
 
@@ -167,7 +191,7 @@ def main(argv):
             print(f"error: unknown argument {flag!r}", file=sys.stderr)
             return 2
     with open(src, encoding="utf-8") as f:
-        entries = parse(f.read())
+        entries, pairs = parse(f.read())
     if not entries:
         print(f"error: no bench lines found in {src}", file=sys.stderr)
         return 1
@@ -176,7 +200,7 @@ def main(argv):
         "bench": bench_name,
         "commit": os.environ.get("GITHUB_SHA"),
         "entries": entries,
-        "speedups": derive_speedups(entries),
+        "speedups": derive_speedups(entries, pairs),
     }
     if notes is not None:
         doc["notes"] = notes
@@ -185,10 +209,10 @@ def main(argv):
         f.write("\n")
     print(f"wrote {dst}: {len(entries)} entries, {len(doc['speedups'])} speedup pairs")
     failures = check_acceptance(doc["speedups"])
-    for label, floor, ratio in failures:
+    for label, stat, floor, ratio in failures:
         shown = "missing" if ratio is None else f"{ratio:.2f}"
         print(
-            f"error: acceptance gate {label}: speedup_min {shown} < {floor}",
+            f"error: acceptance gate {label}: {stat} {shown} < {floor}",
             file=sys.stderr,
         )
     return 1 if failures else 0

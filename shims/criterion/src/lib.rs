@@ -3,7 +3,7 @@
 //! `iter_batched`, `BatchSize`, and the `criterion_group!` /
 //! `criterion_main!` macros, plus one addition of its own,
 //! `Criterion::bench_pair`, which samples two rows in one interleaved
-//! window.
+//! window and reports the median of their per-round time ratio.
 //!
 //! The build environment has no network access, so the real crates.io
 //! `criterion` cannot be fetched; `[workspace.dependencies]` points
@@ -51,8 +51,8 @@ impl Samples {
         min_ns: f64::INFINITY,
     };
 
-    /// Times one call of `routine` and records it.
-    fn time<O>(&mut self, routine: impl FnOnce() -> O) {
+    /// Times one call of `routine`, records it and returns its time.
+    fn time<O>(&mut self, routine: impl FnOnce() -> O) -> f64 {
         let t = Instant::now();
         black_box(routine());
         let ns = t.elapsed().as_nanos() as f64;
@@ -63,6 +63,7 @@ impl Samples {
             self.mean_ns + (ns - self.mean_ns) / (self.count as f64 + 1.0)
         };
         self.count += 1;
+        ns
     }
 
     /// The `(mean, min)` pair a row reports.
@@ -198,9 +199,10 @@ impl Criterion {
     /// and one of `b`, alternating which goes first, so drift on the
     /// host lands on both rows alike instead of on whichever window
     /// ran second. Both rows are printed as `bench_function` prints
-    /// them, `a` first. The window is the same as one row's: at least
-    /// `sample_size` rounds, then rounds until the measurement budget
-    /// is spent.
+    /// them, `a` first, followed by one `pair` line with the median
+    /// over rounds of `a`'s time divided by `b`'s. The window is the
+    /// same as one row's: at least `sample_size` rounds, then rounds
+    /// until the measurement budget is spent.
     pub fn bench_pair<A, B, OA, OB>(
         &mut self,
         id_a: &str,
@@ -221,18 +223,21 @@ impl Criterion {
             }
         }
         let (mut sa, mut sb) = (Samples::EMPTY, Samples::EMPTY);
+        let mut ratios = Vec::new();
         let budget_start = Instant::now();
         while sa.count < self.sample_size || budget_start.elapsed() < self.measurement_time {
-            if sa.count % 2 == 0 {
-                sa.time(&mut a);
-                sb.time(&mut b);
+            let (ta, tb) = if sa.count % 2 == 0 {
+                let ta = sa.time(&mut a);
+                (ta, sb.time(&mut b))
             } else {
-                sb.time(&mut b);
-                sa.time(&mut a);
-            }
+                let tb = sb.time(&mut b);
+                (sa.time(&mut a), tb)
+            };
+            ratios.push(ta / tb);
         }
         report(id_a, Some(sa.result()));
         report(id_b, Some(sb.result()));
+        println!("{}", pair_line(id_a, id_b, ratios));
         self
     }
 
@@ -252,6 +257,23 @@ fn report(id: &str, result: Option<(f64, f64)>) {
         ),
         None => println!("bench {id:<48} (no timing loop executed)"),
     }
+}
+
+/// The line `bench_pair` prints after its two rows,
+/// `pair <id_a> <id_b> ratio_median <r>`, where `r` is the median of
+/// the per-round ratios `a / b`: both times of a round share the
+/// host's state, so their ratio does not compare two extremes taken
+/// at different moments, as a ratio of the two rows' minima does.
+fn pair_line(id_a: &str, id_b: &str, mut ratios: Vec<f64>) -> String {
+    assert!(!ratios.is_empty(), "a pair samples at least one round");
+    ratios.sort_by(f64::total_cmp);
+    let mid = ratios.len() / 2;
+    let median = if ratios.len() % 2 == 1 {
+        ratios[mid]
+    } else {
+        (ratios[mid - 1] + ratios[mid]) / 2.0
+    };
+    format!("pair {id_a} {id_b} ratio_median {median:.4}")
 }
 
 fn format_ns(ns: f64) -> String {
@@ -330,6 +352,21 @@ mod tests {
         );
         // One warm-up call each, then four rounds, alternating order.
         assert_eq!(calls.into_inner().iter().collect::<String>(), "ababbaabba");
+    }
+
+    #[test]
+    fn pair_line_reports_the_median_per_round_ratio() {
+        // Odd count: the middle ratio, whatever the rounds' order.
+        assert_eq!(
+            pair_line("x/a", "x/b", vec![1.3, 0.8, 0.95]),
+            "pair x/a x/b ratio_median 0.9500"
+        );
+        // Even count: the mean of the two middle ratios; one outlier
+        // round moves it no further than the next round over.
+        assert_eq!(
+            pair_line("x/a", "x/b", vec![0.5, 1.0, 1.1, 7.0]),
+            "pair x/a x/b ratio_median 1.0500"
+        );
     }
 
     #[test]
