@@ -13,6 +13,8 @@
 
 use optpower_netlist::{CellKind, NetId, NetlistBuilder};
 
+use crate::sequential::counter;
+
 /// Which combinational core to replicate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum CoreKind {
@@ -57,30 +59,7 @@ pub(crate) fn parallelized_builder(width: usize, k: u32, core: CoreKind) -> Netl
 
     // Phase counter mod k with synchronous reset.
     let bits = k.trailing_zeros();
-    let phase: Vec<NetId> = {
-        let q: Vec<NetId> = (0..bits)
-            .map(|_| b.add_cell(CellKind::Dff, &[rst]))
-            .collect();
-        let mut inc = Vec::new();
-        let mut carry: Option<NetId> = None;
-        for &qi in &q {
-            match carry {
-                None => {
-                    inc.push(b.add_cell(CellKind::Inv, &[qi]));
-                    carry = Some(qi);
-                }
-                Some(c) => {
-                    inc.push(b.add_cell(CellKind::Xor2, &[qi, c]));
-                    carry = Some(b.add_cell(CellKind::And2, &[qi, c]));
-                }
-            }
-        }
-        for (i, &qi) in q.iter().enumerate() {
-            let d = b.add_cell(CellKind::And2, &[inc[i], not_rst]);
-            b.rewire(qi, 0, d);
-        }
-        q
-    };
+    let phase = counter(&mut b, bits, rst, not_rst, 0, None);
 
     // Phase decode: load_r = (phase == r).
     let phase_inv: Vec<NetId> = phase

@@ -33,7 +33,7 @@ fn drive_flop(b: &mut NetlistBuilder, q: NetId, d: NetId, en: Option<NetId>) {
 /// A free-running modulo-2^bits counter with synchronous reset to
 /// `reset_value` and optional clock-enable. Returns the Q bits
 /// (LSB first).
-fn counter(
+pub(crate) fn counter(
     b: &mut NetlistBuilder,
     bits: u32,
     rst: NetId,
@@ -45,12 +45,11 @@ fn counter(
     // Increment chain.
     let mut inc = Vec::with_capacity(bits as usize);
     let mut carry: Option<NetId> = None;
-    for (i, &qi) in q.iter().enumerate() {
+    for &qi in &q {
         match carry {
             None => {
                 inc.push(b.add_cell(CellKind::Inv, &[qi]));
                 carry = Some(qi);
-                let _ = i;
             }
             Some(c) => {
                 inc.push(b.add_cell(CellKind::Xor2, &[qi, c]));
