@@ -48,7 +48,7 @@
 //! let cf = model.closed_form()?;        // Eq. 13
 //! let err = (cf.ptot.value() - opt.ptot().value()) / opt.ptot().value();
 //! // Closed form tracks the numerical optimum to a few percent (the
-//! // paper reports ±3 % on its calibrated data; see EXPERIMENTS.md).
+//! // paper reports ±3 % on its calibrated data; see `reference`).
 //! assert!(err.abs() < 0.08);
 //! # Ok::<(), optpower::ModelError>(())
 //! ```

@@ -1,11 +1,11 @@
 //! Parameter sweeps and technology-selection studies built on the
 //! optimal-power model — the quantitative form of Section 5.
 //!
-//! The primitives here ([`log_frequency_axis`], [`sample_at`],
-//! [`optimal_ptot`], [`SweepOutcome::classify`]) are shared with the
-//! parallel exploration engine (`optpower-explore`), which guarantees
-//! the parallel sweeps are bit-identical to the serial ones: both paths
-//! evaluate exactly the same functions at exactly the same points.
+//! The parallel exploration engine (`optpower-explore`) builds its
+//! frequency axes with [`log_frequency_axis`] and classifies each point
+//! with [`SweepOutcome::classify`], and its tests hold every point
+//! bit-identical to [`sample_at`]: both paths evaluate exactly the same
+//! functions at exactly the same points.
 
 use optpower_numeric::{bisect, linspace};
 use optpower_tech::Technology;
@@ -242,10 +242,8 @@ impl TechnologyRanking {
         self.ranking.first().map(|(name, _)| *name)
     }
 
-    /// Sorts `(name, Ptot)` pairs cheapest-first into a ranking.
-    ///
-    /// Shared with the parallel counterpart in `optpower-explore` so
-    /// both paths order ties identically (stable sort on total order).
+    /// Sorts `(name, Ptot)` pairs cheapest-first into a ranking; ties
+    /// keep their input order (a stable sort on the total order).
     pub fn from_pairs(mut ranking: Vec<(&'static str, f64)>) -> Self {
         ranking.sort_by(|a, b| a.1.total_cmp(&b.1));
         TechnologyRanking { ranking }

@@ -255,7 +255,7 @@ mod tests {
     }
 
     #[test]
-    fn table1_parallel_matches_serial_for_any_worker_count() {
+    fn table1_is_identical_for_any_worker_count() {
         let serial = full_table1();
         for workers in [2, 8] {
             let par = table1(None, Workers::Fixed(workers)).unwrap();
