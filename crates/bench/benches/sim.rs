@@ -1,7 +1,7 @@
 //! Activity-measurement throughput on a Wallace-tree netlist — the
 //! hot loops of the ab-initio characterization.
 //!
-//! Two speedup pairs use the `serial_core`/`parallel` id convention so
+//! The speedup pairs use the `serial_core`/`parallel` id convention so
 //! `scripts/parse_bench.py` derives the ratios the CI bench job
 //! tracks:
 //!
@@ -25,14 +25,18 @@
 //!   plane and simulates only the counted items on the wheel; the
 //!   transition counts are asserted equal first. Acceptance ≥ 1.5×.
 //!
-//! The `timed_scalar`/`timed_wheel` rows compare the two timed engines
-//! on identical single-stream workloads with no pooling. The scalar row
-//! steps all 66 items (2 warm-up, 64 counted) on the heap engine; the
-//! wheel row is `Engine::Timed`, which runs the 2 warm-up items on a
-//! zero-delay plane and only the 64 counted items on the wheel. Their
-//! ratio is therefore the integer-tick bucket wheel + allocation-free
-//! propagation *plus* the warm start, before any threads enter the
-//! picture. Equivalence of all engines' counts is asserted by
+//! * `timed_engine_wallace16_64v` — the two timed engines on identical
+//!   single-stream workloads with no pooling, sampled in one
+//!   interleaved window (`bench_pair`). The scalar row steps all 66
+//!   items (2 warm-up, 64 counted) on the heap engine; the wheel row is
+//!   `Engine::Timed`, which runs the 2 warm-up items on a zero-delay
+//!   plane and only the 64 counted items on the wheel. Their ratio is
+//!   therefore the integer-tick bucket wheel + allocation-free
+//!   propagation *plus* the warm start, before any threads enter the
+//!   picture; the gate reads its `ratio_median` (see
+//!   `scripts/parse_bench.py`).
+//!
+//! Equivalence of all engines' counts is asserted by
 //! `tests/sim_differential.rs` and `tests/timed_differential.rs`; here
 //! only the clock runs.
 
@@ -127,23 +131,15 @@ fn bench_activity_measurement(c: &mut Criterion) {
             })
         });
     }
-    // Engine-only comparison: the frozen heap reference vs the event
-    // wheel on identical single-stream workloads.
-    c.bench_function("sim/timed_scalar/wallace16_64v", |b| {
-        b.iter(|| {
-            black_box(
-                ScalarTimedSim::measure(&design.netlist, &lib, 64, 1, 2, 42).expect("measures"),
-            )
-        })
-    });
-    c.bench_function("sim/timed_wheel/wallace16_64v", |b| {
-        b.iter(|| {
-            black_box(
-                measure_activity(&design.netlist, &lib, Engine::Timed, 64, 1, 2, 42)
-                    .expect("measures"),
-            )
-        })
-    });
+    // Engine-only acceptance pair: the frozen heap reference vs the
+    // event wheel on identical single-stream workloads, sampled in one
+    // interleaved window and gated on the median per-round ratio.
+    c.bench_pair(
+        "sim/serial_core/timed_engine_wallace16_64v",
+        || ScalarTimedSim::measure(&design.netlist, &lib, 64, 1, 2, 42).expect("measures"),
+        "sim/parallel/timed_engine_wallace16_64v",
+        || measure_activity(&design.netlist, &lib, Engine::Timed, 64, 1, 2, 42).expect("measures"),
+    );
     // Acceptance pair: the full glitch-path rebuild (wheel engine +
     // worker pool) vs the current scalar path at equal stimulus
     // volume (640 vectors, matching the zero-delay pair).

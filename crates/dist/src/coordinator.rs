@@ -6,11 +6,11 @@
 //! cluster does:
 //!
 //! * **pull-based dispatch** — each round puts the missing shards in
-//!   one queue and every live host pulls its next shard when idle, so
-//!   no shard has a home host and a slow host simply takes fewer. The
-//!   queue starts with the widest cells of a characterization (the
-//!   costliest), as in Graham's longest-processing-time-first list
-//!   scheduling;
+//!   one queue and every live host (up to one per queued shard) pulls
+//!   its next shard when idle, so no shard has a home host and a slow
+//!   host simply takes fewer. The queue starts with the widest cells
+//!   of a characterization (the costliest), as in Graham's
+//!   longest-processing-time-first list scheduling;
 //! * **result identity by shard key** — results are keyed by the shard
 //!   spec's canonical key and merged in shard order, so retries,
 //!   duplicates, arrival order and which host ran what cannot change
@@ -275,6 +275,12 @@ impl Cluster {
             if alive.is_empty() {
                 return Err(DistError::AllHostsDead { detail: last_death });
             }
+            // A host beyond one per queued shard would find the queue
+            // empty, so it gets no thread; the first host runs on this
+            // one, and a single-shard round spawns nothing.
+            let (first, rest) = alive[..alive.len().min(queue.len())]
+                .split_first()
+                .expect("a round starts with a live host and a queued shard");
             let dispatch = Dispatch {
                 queue: Mutex::new(queue),
                 stop: AtomicBool::new(false),
@@ -282,14 +288,17 @@ impl Cluster {
             let timeout_ms = self.timeout_ms;
             let round: Vec<HostOutcome> = thread::scope(|scope| {
                 let dispatch = &dispatch;
-                let handles: Vec<_> = alive
+                let handles: Vec<_> = rest
                     .iter()
                     .map(|host| scope.spawn(move || run_host(host, dispatch, timeout_ms)))
                     .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("host thread does not panic"))
-                    .collect()
+                let mut round = vec![run_host(first, dispatch, timeout_ms)];
+                round.extend(
+                    handles
+                        .into_iter()
+                        .map(|h| h.join().expect("host thread does not panic")),
+                );
+                round
             });
             queue = dispatch
                 .queue
@@ -375,9 +384,10 @@ impl Cluster {
                     row_cache: stats.row_cache,
                     ..self.meta(spec, &stats, dist)
                 };
+                let payload_json = artifact.payload_json();
                 Ok(DistRun {
-                    json: artifact.to_json(),
-                    payload_json: artifact.payload_json(),
+                    json: artifact.meta.envelope(&payload_json),
+                    payload_json,
                     csv: artifact.to_csv(),
                     text: artifact.render_text(),
                     artifact: Some(artifact),
@@ -418,7 +428,7 @@ impl Cluster {
                     ("payload", Json::Arr(entries)),
                 ]);
                 let payload_json = payload_doc.to_string();
-                let json = self.meta(spec, &stats, dist).envelope(payload_doc);
+                let json = self.meta(spec, &stats, dist).envelope(&payload_json);
                 Ok(DistRun {
                     artifact: None,
                     json,
@@ -437,7 +447,16 @@ impl Cluster {
                 let mut meta = self.meta(spec, &stats, dist);
                 meta.cache = r.cache;
                 meta.row_cache = r.row_cache;
-                let json = meta.envelope(parse_payload_doc(&r.payload_json)?);
+                // The worker's document, re-rendered compact, must be
+                // an object for meta to be spliced into it.
+                let doc = parse_payload_doc(&r.payload_json)?;
+                let Json::Obj(_) = doc else {
+                    return Err(WorkloadError::from(SpecError::new(
+                        "shard payload document is not an object",
+                    ))
+                    .into());
+                };
+                let json = meta.envelope(&doc.to_string());
                 Ok(DistRun {
                     artifact: None,
                     json,

@@ -93,19 +93,23 @@ fn accept_loop(listener: &TcpListener, runtime: &Runtime, stop: &Arc<AtomicBool>
         if stop.load(Ordering::SeqCst) {
             return;
         }
-        let Ok(stream) = conn else { continue };
+        let Ok(mut stream) = conn else { continue };
+        // Greet before spawning the connection's thread, so the
+        // coordinator reads Hello while the spawn runs. A torn
+        // connection is the coordinator's problem (it queues the shard
+        // again); the worker just moves on.
+        if greet(&mut stream).is_err() {
+            continue;
+        }
         let runtime = runtime.clone();
         thread::spawn(move || {
-            // A torn connection is the coordinator's problem (it
-            // queues the shard again); the worker just moves on.
             let _ = serve_connection(stream, &runtime);
         });
     }
 }
 
-/// One coordinator connection: Hello, then Assign → (Heartbeat…)
-/// Result/Error until the coordinator hangs up.
-fn serve_connection(mut stream: TcpStream, runtime: &Runtime) -> io::Result<()> {
+/// Opens a coordinator connection: no Nagle delay, then Hello.
+fn greet(stream: &mut TcpStream) -> io::Result<()> {
     // Frames are small and latency-bound: never let Nagle sit on a
     // Result while the coordinator's timeout clock runs.
     let _ = stream.set_nodelay(true);
@@ -113,7 +117,12 @@ fn serve_connection(mut stream: TcpStream, runtime: &Runtime) -> io::Result<()> 
         .local_addr()
         .map(|a| a.to_string())
         .unwrap_or_else(|_| "unknown".to_string());
-    ShardFrame::Hello { host }.write_to(&mut stream)?;
+    ShardFrame::Hello { host }.write_to(stream)
+}
+
+/// One greeted coordinator connection: Assign → (Heartbeat…)
+/// Result/Error until the coordinator hangs up.
+fn serve_connection(mut stream: TcpStream, runtime: &Runtime) -> io::Result<()> {
     loop {
         let frame = match ShardFrame::read_from(&mut stream) {
             Ok(frame) => frame,

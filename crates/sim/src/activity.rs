@@ -542,7 +542,7 @@ impl ScalarTimedSim<'_> {
     /// queue, per-event allocations), run from cycle 0 with no warm
     /// start. Bit-identical to [`Engine::Timed`]; it is the
     /// differential baseline the event wheel is locked against and the
-    /// `timed_scalar` bench row.
+    /// reference row of the `timed_engine_wallace16_64v` bench pair.
     ///
     /// # Errors
     ///

@@ -13,10 +13,13 @@ use optpower_netlist::CellKind;
 pub enum SimError {
     /// A library delay is unusable: not finite, negative, or beyond
     /// [`crate::MAX_DELAY_GATES`] (which would blow up the event-wheel
-    /// horizon). Before integer-tick quantization such a delay would
-    /// have poisoned `f64` event ordering silently (`NaN` comparisons
-    /// fell back to `Ordering::Equal`, corrupting the heap); now it is
-    /// rejected at construction.
+    /// horizon); for [`crate::TimedSim`] also a logic cell's delay that
+    /// quantizes to zero ticks (its event loop needs every event to land
+    /// after the tick that scheduled it). Before integer-tick
+    /// quantization such a delay would have poisoned `f64` event
+    /// ordering silently (`NaN` comparisons fell back to
+    /// `Ordering::Equal`, corrupting the heap); now it is rejected at
+    /// construction.
     InvalidDelay {
         /// Instance name of the offending cell.
         cell: String,
@@ -49,8 +52,11 @@ impl fmt::Display for SimError {
             } => write!(
                 f,
                 "invalid library delay {delay_gates} gate units for cell '{cell}' ({kind}): \
-                 delays must be finite, non-negative and at most {} gates",
-                crate::MAX_DELAY_GATES
+                 delays must be finite, non-negative and at most {} gates, and the \
+                 event-wheel engine needs every logic cell's delay to be at least one \
+                 tick (1/{} gate unit)",
+                crate::MAX_DELAY_GATES,
+                crate::TICKS_PER_GATE
             ),
             Self::Oscillation {
                 netlist,
@@ -79,6 +85,9 @@ mod tests {
         };
         assert!(e.to_string().contains("bad_cell"));
         assert!(e.to_string().contains("NaN"));
+        assert!(e
+            .to_string()
+            .contains("at least one tick (1/1000 gate unit)"));
         let e = SimError::Oscillation {
             netlist: "ring".into(),
             cycle: 3,

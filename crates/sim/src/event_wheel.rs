@@ -1,230 +1,135 @@
-//! An indexed bucket queue (timing wheel) over integer picosecond
-//! ticks — the priority queue of the hot [`crate::TimedSim`] path.
+//! An indexed bucket queue (timing wheel) over integer ticks — the
+//! event queue of [`crate::TimedSim`].
 //!
-//! The classic `BinaryHeap<Event>` pays `O(log n)` per push/pop plus
-//! comparator overhead on every sift. A gate-level simulator's events
-//! have a much stronger structure: every event is scheduled at
-//! `now + delay` with `delay ≤ max_delay`, so at any instant all live
-//! events fall inside the half-open *horizon* `[now, now + W)` as soon
-//! as the wheel size `W` exceeds the largest cell delay. Mapping tick
-//! `t` to bucket `t & (W − 1)` is then collision-free among live
-//! events: a bucket never mixes two distinct times. Push is O(1)
-//! (append to a bucket, set an occupancy bit), pop is O(1) amortised
-//! (drain the current bucket in insertion order, then hop to the next
-//! occupied bucket via a word-scanned occupancy bitmap).
+//! A gate-level simulator's events have a strong structure: every
+//! event is scheduled at `now + delay` with `1 ≤ delay ≤ max_delay`,
+//! so at any instant all pending events fall inside the horizon
+//! `(now, now + max_delay]`. With a wheel size `W` above the largest
+//! delay, mapping tick `t` to bucket `t & (W − 1)` is collision-free
+//! among pending events: a bucket never mixes two distinct ticks, and
+//! no push lands in the bucket of the tick being processed.
 //!
-//! Ordering is *identical* to the reference heap: events come out in
-//! ascending `(time, seq)`. Within one tick, insertion order equals
-//! `seq` order because the simulator allocates `seq` monotonically —
-//! so a bucket is simply drained front to back, and events scheduled
-//! *into the current tick while it drains* (zero-delay cells) are
-//! appended behind the drain point, exactly where the heap would
-//! deliver them. `tests/timed_differential.rs` locks the wheel engine
-//! to the frozen scalar reference bit for bit.
+//! An entry is a bare 4-byte net id. The engine keeps each event's due
+//! tick and value in the net's pending word and decides liveness when
+//! the entry is popped, so the wheel only orders net ids by tick:
+//!
+//! * [`EventWheel::push`] is O(1) and branch-free: it writes the
+//!   bucket's next slot and advances the bucket's length by the
+//!   caller's `live` flag, so an evaluation that schedules nothing
+//!   costs the same straight-line code as one that does;
+//! * [`EventWheel::pop_run`] hands out the whole earliest bucket at
+//!   once, in push order, hopping to it through a word-scanned
+//!   occupancy bitmap.
 
-use optpower_netlist::{Logic, NetId};
+/// One tick's entries: net ids in push order. Its slot storage always
+/// has room for one more entry, so a push never branches on whether it
+/// schedules anything.
+#[derive(Debug, Clone)]
+pub(crate) struct Bucket {
+    /// Slot storage; `slots.len() > len` always.
+    slots: Vec<u32>,
+    /// Entries in use.
+    len: usize,
+}
 
-/// One scheduled net-value change, keyed by `(time, seq)`.
-///
-/// `time` is in integer ticks ([`crate::TICKS_PER_GATE`] per gate
-/// unit), which makes event ordering *total* — the `f64` times of the
-/// pre-tick engine compared `NaN` as `Ordering::Equal` and silently
-/// corrupted heap order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TimedEvent {
-    /// Absolute event time in ticks (cycle-local: each clock cycle
-    /// restarts at tick 0).
-    pub time: u64,
-    /// Global schedule sequence number; FIFO tie-breaker within a tick
-    /// and the handle used for inertial-delay preemption.
-    pub seq: u64,
-    /// The net whose value changes.
-    pub net: NetId,
-    /// The value it changes to.
-    pub value: Logic,
+impl Default for Bucket {
+    fn default() -> Self {
+        Self {
+            slots: vec![0],
+            len: 0,
+        }
+    }
+}
+
+impl Bucket {
+    /// The entries, in push order.
+    pub(crate) fn nets(&self) -> &[u32] {
+        &self.slots[..self.len]
+    }
 }
 
 /// The timing wheel; see the module docs for the design.
 #[derive(Debug, Clone)]
-pub struct EventWheel {
+pub(crate) struct EventWheel {
     /// `W` buckets, `W` a power of two strictly greater than the
-    /// largest delay, so live events never alias within a bucket.
-    buckets: Vec<Vec<TimedEvent>>,
-    /// One bit per bucket: set iff the bucket holds events.
+    /// largest delay, so pending entries never alias within a bucket.
+    buckets: Vec<Bucket>,
+    /// One bit per bucket: set iff the bucket holds entries.
     occupied: Vec<u64>,
-    /// `W − 1`, for the `time & mask` bucket map.
+    /// `W − 1`, for the `tick & mask` bucket map.
     mask: u64,
-    /// The tick currently being drained.
+    /// The tick last handed out by [`EventWheel::pop_run`].
     cursor: u64,
-    /// Next undrained index within the cursor's bucket.
-    drain: usize,
-    /// Live (pushed, not yet popped) events.
-    len: usize,
 }
 
 impl EventWheel {
-    /// A wheel able to schedule any delay up to `max_delay_ticks`.
-    pub fn new(max_delay_ticks: u64) -> Self {
-        let size = (max_delay_ticks + 1).next_power_of_two() as usize;
+    /// A wheel able to schedule any delay in `1..=max_delay`.
+    pub(crate) fn new(max_delay: u64) -> Self {
+        let size = (max_delay + 1).next_power_of_two() as usize;
         Self {
-            buckets: vec![Vec::new(); size],
+            buckets: vec![Bucket::default(); size],
             occupied: vec![0; size.div_ceil(64)],
             mask: size as u64 - 1,
             cursor: 0,
-            drain: 0,
-            len: 0,
         }
     }
 
-    /// Number of live events.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True when no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Rewinds the wheel to tick 0 with no events, keeping bucket
+    /// Rewinds the wheel to tick 0 with no entries, keeping slot
     /// capacity (the simulator calls this at every cycle edge, so the
     /// steady state allocates nothing).
-    pub fn reset(&mut self) {
-        if self.len == 0 {
-            // Only the cursor's bucket can still hold (already-drained)
-            // events: every other bucket was cleared when exhausted.
-            let b = (self.cursor & self.mask) as usize;
-            self.buckets[b].clear();
-        } else {
-            // Abandoning pending events (e.g. after an oscillation
-            // error): full clear.
+    pub(crate) fn reset(&mut self) {
+        if self.occupied.iter().any(|&w| w != 0) {
+            // Abandoning pending entries (after an oscillation error).
             for b in &mut self.buckets {
-                b.clear();
+                b.len = 0;
             }
+            self.occupied.iter_mut().for_each(|w| *w = 0);
         }
-        self.occupied.iter_mut().for_each(|w| *w = 0);
         self.cursor = 0;
-        self.drain = 0;
-        self.len = 0;
     }
 
-    /// Schedules an event. `ev.time` must lie in the wheel's current
-    /// horizon `[cursor, cursor + W)` — guaranteed by construction
-    /// when delays are at most `max_delay_ticks` and time never flows
+    /// Writes `net` into the next slot of `tick`'s bucket and keeps it
+    /// iff `live`: a dead write is overwritten by the bucket's next
+    /// push. `tick` must lie in `(cursor, cursor + W)` — guaranteed
+    /// when every delay is in `1..=max_delay` and time never flows
     /// backwards.
     #[inline]
-    pub fn push(&mut self, ev: TimedEvent) {
-        debug_assert!(ev.time >= self.cursor, "event scheduled in the past");
-        debug_assert!(ev.time - self.cursor <= self.mask, "event beyond horizon");
-        let b = (ev.time & self.mask) as usize;
+    pub(crate) fn push(&mut self, tick: u64, net: u32, live: bool) {
         debug_assert!(
-            self.buckets[b]
-                .last()
-                .is_none_or(|last| last.time == ev.time),
-            "bucket aliases two distinct times"
+            tick > self.cursor,
+            "entry scheduled at or before the cursor"
         );
-        self.buckets[b].push(ev);
-        self.occupied[b / 64] |= 1 << (b % 64);
-        self.len += 1;
+        debug_assert!(tick - self.cursor <= self.mask, "entry beyond horizon");
+        let b = (tick & self.mask) as usize;
+        let bucket = &mut self.buckets[b];
+        bucket.slots[bucket.len] = net;
+        bucket.len += usize::from(live);
+        if bucket.len == bucket.slots.len() {
+            bucket.slots.push(0);
+        }
+        self.occupied[b / 64] |= u64::from(live) << (b % 64);
     }
 
-    /// The tick of the earliest pending event without removing it —
-    /// the simulator's "does the current tick continue?" probe.
-    /// Purely observational: the cursor does not move, so the caller
-    /// may still schedule events at or after the *current* tick (the
-    /// batch flush does exactly that) before the next [`pop`] hops
-    /// forward.
-    ///
-    /// [`pop`]: EventWheel::pop
+    /// Removes the earliest bucket in one operation, swapping it with
+    /// `run` (whose previous entries are dropped), and returns its
+    /// tick; `None` when no entry is pending. Entries come back in
+    /// push order.
     #[inline]
-    pub fn next_time(&self) -> Option<u64> {
-        if self.len == 0 {
-            return None;
-        }
-        let b = (self.cursor & self.mask) as usize;
-        if self.buckets[b].len() > self.drain {
-            return Some(self.cursor);
-        }
-        // Current bucket drained: the earliest event sits in the next
-        // occupied bucket (there is one, since len > 0).
-        Some(self.next_occupied_tick(b))
-    }
-
-    /// Removes and returns the earliest event in `(time, seq)` order.
-    #[inline]
-    pub fn pop(&mut self) -> Option<TimedEvent> {
-        if self.len == 0 {
-            return None;
-        }
-        loop {
-            let b = (self.cursor & self.mask) as usize;
-            if let Some(&ev) = self.buckets[b].get(self.drain) {
-                debug_assert_eq!(ev.time, self.cursor, "horizon invariant violated");
-                self.drain += 1;
-                self.len -= 1;
-                return Some(ev);
-            }
-            // Bucket exhausted: recycle it and hop to the next
-            // occupied one.
-            self.buckets[b].clear();
-            self.occupied[b / 64] &= !(1 << (b % 64));
-            self.drain = 0;
-            self.cursor = self.next_occupied_tick(b);
-        }
-    }
-
-    /// Removes the entire earliest-tick bucket in one operation,
-    /// swapping its contents into `run` (whose previous contents are
-    /// cleared) and returning the bucket's tick. Events come back in
-    /// insertion order — within one tick that is `seq` order, exactly
-    /// what [`EventWheel::pop`] would deliver one by one.
-    ///
-    /// This is the *bucket-run drain*: instead of freezing the current
-    /// bucket in place while popping it event by event (so that
-    /// zero-delay cells can append behind the drain point), the whole
-    /// run is taken out and the bucket is immediately free. It is only
-    /// sound when **no event can be scheduled at the run's own tick
-    /// while the run is processed** — i.e. when every delay is at
-    /// least one stride unit, since then a push from tick `t` targets
-    /// `t + d` with `1 ≤ d ≤ W − 1` and never re-enters bucket
-    /// `t & (W − 1)`. The caller asserts that precondition by using
-    /// this method at all; [`crate::TimedSim`] checks it once at
-    /// construction and falls back to [`EventWheel::pop`] when a
-    /// zero-delay evaluable cell exists.
-    ///
-    /// Must not be interleaved with [`EventWheel::pop`] mid-bucket
-    /// (run mode never is: an engine picks one drain style for its
-    /// whole lifetime).
-    #[inline]
-    pub fn pop_run(&mut self, run: &mut Vec<TimedEvent>) -> Option<u64> {
-        debug_assert_eq!(self.drain, 0, "pop_run interleaved with pop mid-bucket");
-        if self.len == 0 {
-            return None;
-        }
-        let mut b = (self.cursor & self.mask) as usize;
-        if self.buckets[b].is_empty() {
-            self.cursor = self.next_occupied_tick(b);
-            b = (self.cursor & self.mask) as usize;
-        }
+    pub(crate) fn pop_run(&mut self, run: &mut Bucket) -> Option<u64> {
+        let from = (self.cursor & self.mask) as usize;
+        let b = self.next_occupied(from)?;
+        self.cursor += ((b + self.buckets.len() - from) & self.mask as usize) as u64;
         self.occupied[b / 64] &= !(1 << (b % 64));
-        self.len -= self.buckets[b].len();
-        run.clear();
         core::mem::swap(run, &mut self.buckets[b]);
-        debug_assert!(run.iter().all(|ev| ev.time == self.cursor));
+        self.buckets[b].len = 0;
         Some(self.cursor)
     }
 
-    /// The absolute tick of the next occupied bucket strictly after
-    /// bucket `from` in circular order. Only called with `len > 0`.
-    fn next_occupied_tick(&self, from: usize) -> u64 {
-        let size = self.buckets.len();
-        if let Some(b) = self.scan_range(from + 1, size) {
-            return self.cursor + (b - from) as u64;
-        }
-        if let Some(b) = self.scan_range(0, from) {
-            return self.cursor + (size - from + b) as u64;
-        }
-        unreachable!("len > 0 implies an occupied bucket within the horizon")
+    /// The next occupied bucket strictly after bucket `from` in
+    /// circular order, if any.
+    fn next_occupied(&self, from: usize) -> Option<usize> {
+        self.scan_range(from + 1, self.buckets.len())
+            .or_else(|| self.scan_range(0, from))
     }
 
     /// Lowest set occupancy bit with bucket index in `[lo, hi)`.
@@ -256,184 +161,153 @@ impl EventWheel {
 mod tests {
     use super::*;
 
-    fn ev(time: u64, seq: u64) -> TimedEvent {
-        TimedEvent {
-            time,
-            seq,
-            net: NetId(0),
-            value: Logic::One,
-        }
+    /// Pops every bucket, returning `(tick, entries)` runs.
+    fn drain(w: &mut EventWheel) -> Vec<(u64, Vec<u32>)> {
+        let mut run = Bucket::default();
+        std::iter::from_fn(|| w.pop_run(&mut run).map(|t| (t, run.nets().to_vec()))).collect()
     }
 
     #[test]
     fn pops_in_time_then_seq_order() {
+        // Push out of tick order: ticks come out ascending, and within
+        // a tick the entries keep push order (the order the engine's
+        // global sequence numbers used to encode).
         let mut w = EventWheel::new(100);
-        // Push out of time order (but seq increases with push order,
-        // as in the simulator).
-        w.push(ev(50, 1));
-        w.push(ev(10, 2));
-        w.push(ev(50, 3));
-        w.push(ev(0, 4));
-        assert_eq!(w.len(), 4);
-        let order: Vec<(u64, u64)> =
-            std::iter::from_fn(|| w.pop().map(|e| (e.time, e.seq))).collect();
-        assert_eq!(order, vec![(0, 4), (10, 2), (50, 1), (50, 3)]);
-        assert!(w.is_empty());
-        assert_eq!(w.pop(), None);
-    }
-
-    #[test]
-    fn zero_delay_events_land_behind_the_drain_point() {
-        let mut w = EventWheel::new(4);
-        w.push(ev(3, 1));
-        let first = w.pop().unwrap();
-        assert_eq!((first.time, first.seq), (3, 1));
-        // While "at" tick 3, schedule another event at tick 3 (a
-        // zero-delay cell) and one a delay later.
-        w.push(ev(3, 2));
-        w.push(ev(7, 3));
-        assert_eq!(w.pop().map(|e| e.seq), Some(2));
-        assert_eq!(w.pop().map(|e| e.seq), Some(3));
-    }
-
-    #[test]
-    fn wraps_far_beyond_the_wheel_size() {
-        // Cursor advances tick by tick through many wheel revolutions.
-        let mut w = EventWheel::new(7);
-        let mut seq = 0;
-        let mut popped = Vec::new();
-        // Chain: each popped event schedules the next 5 ticks later.
-        w.push(ev(0, 0));
-        while let Some(e) = w.pop() {
-            popped.push(e.time);
-            if seq < 40 {
-                seq += 1;
-                w.push(ev(e.time + 5, seq));
-            }
-        }
-        assert_eq!(popped.len(), 41);
-        assert!(popped.windows(2).all(|p| p[1] == p[0] + 5));
-        assert_eq!(*popped.last().unwrap(), 200);
-    }
-
-    #[test]
-    fn reset_recycles_for_the_next_cycle() {
-        let mut w = EventWheel::new(15);
-        w.push(ev(9, 1));
-        w.push(ev(2, 2));
-        assert!(w.pop().is_some());
-        // Mid-drain reset (simulating an abandoned cycle).
-        w.reset();
-        assert!(w.is_empty());
-        assert_eq!(w.pop(), None);
-        // The wheel is back at tick 0 and fully reusable.
-        w.push(ev(1, 3));
-        assert_eq!(w.pop().map(|e| e.seq), Some(3));
-        w.reset();
-        w.push(ev(0, 4));
-        assert_eq!(w.pop().map(|e| e.seq), Some(4));
-    }
-
-    #[test]
-    fn next_time_peeks_without_consuming() {
-        let mut w = EventWheel::new(20);
-        w.push(ev(4, 1));
-        w.push(ev(4, 2));
-        w.push(ev(9, 3));
-        assert_eq!(w.next_time(), Some(4));
-        assert_eq!(w.pop().map(|e| e.seq), Some(1));
-        assert_eq!(w.next_time(), Some(4), "second tick-4 event still pending");
-        assert_eq!(w.pop().map(|e| e.seq), Some(2));
+        w.push(50, 1, true);
+        w.push(10, 2, true);
+        w.push(50, 3, true);
+        w.push(1, 4, true);
         assert_eq!(
-            w.next_time(),
-            Some(9),
-            "peek advances over the drained tick"
+            drain(&mut w),
+            vec![(1, vec![4]), (10, vec![2]), (50, vec![1, 3])]
         );
-        assert_eq!(w.pop().map(|e| e.seq), Some(3));
-        assert_eq!(w.next_time(), None);
-    }
-
-    #[test]
-    fn single_bucket_wheel_is_a_fifo() {
-        // max delay 0 : one bucket, pure FIFO at one tick per cycle.
-        let mut w = EventWheel::new(0);
-        w.push(ev(0, 1));
-        w.push(ev(0, 2));
-        w.push(ev(0, 3));
-        let seqs: Vec<u64> = std::iter::from_fn(|| w.pop().map(|e| e.seq)).collect();
-        assert_eq!(seqs, vec![1, 2, 3]);
+        assert_eq!(w.pop_run(&mut Bucket::default()), None);
     }
 
     #[test]
     fn pop_run_drains_whole_buckets_in_pop_order() {
         let mut w = EventWheel::new(100);
-        w.push(ev(50, 1));
-        w.push(ev(10, 2));
-        w.push(ev(50, 3));
-        w.push(ev(0, 4));
-        let mut run = Vec::new();
-        assert_eq!(w.pop_run(&mut run), Some(0));
-        assert_eq!(run.iter().map(|e| e.seq).collect::<Vec<_>>(), vec![4]);
-        assert_eq!(w.pop_run(&mut run), Some(10));
-        assert_eq!(run.iter().map(|e| e.seq).collect::<Vec<_>>(), vec![2]);
-        assert_eq!(w.pop_run(&mut run), Some(50));
-        assert_eq!(run.iter().map(|e| e.seq).collect::<Vec<_>>(), vec![1, 3]);
-        assert!(w.is_empty());
+        for (tick, net) in [(7u64, 1u32), (3, 2), (7, 3), (3, 4), (7, 5)] {
+            w.push(tick, net, true);
+        }
+        let mut run = Bucket::default();
+        assert_eq!(w.pop_run(&mut run), Some(3));
+        assert_eq!(run.nets(), &[2, 4]);
+        assert_eq!(w.pop_run(&mut run), Some(7));
+        assert_eq!(run.nets(), &[1, 3, 5]);
         assert_eq!(w.pop_run(&mut run), None);
-        // The last run buffer is left untouched by a `None` result.
-        assert_eq!(run.len(), 2);
+        // The last run is left untouched by a `None` result.
+        assert_eq!(run.nets(), &[1, 3, 5]);
+    }
+
+    #[test]
+    fn dead_pushes_are_overwritten_and_never_popped() {
+        let mut w = EventWheel::new(7);
+        w.push(3, 1, false);
+        w.push(3, 2, true);
+        w.push(3, 3, false);
+        w.push(5, 4, false);
+        w.push(3, 5, true);
+        assert_eq!(drain(&mut w), vec![(3, vec![2, 5])]);
+        // A bucket holding only dead writes is not occupied.
+        w.push(6, 9, false);
+        assert_eq!(w.pop_run(&mut Bucket::default()), None);
+    }
+
+    #[test]
+    fn buckets_grow_past_their_first_slot() {
+        let mut w = EventWheel::new(3);
+        let nets: Vec<u32> = (0..100).collect();
+        for &n in &nets {
+            w.push(2, n, true);
+        }
+        assert_eq!(drain(&mut w), vec![(2, nets)]);
+    }
+
+    #[test]
+    fn wraps_far_beyond_the_wheel_size() {
+        // Each popped tick schedules the next 5 ticks later: the cursor
+        // advances through many wheel revolutions.
+        let mut w = EventWheel::new(7);
+        let mut run = Bucket::default();
+        let mut popped = Vec::new();
+        w.push(5, 0, true);
+        while let Some(t) = w.pop_run(&mut run) {
+            popped.push(t);
+            if popped.len() < 41 {
+                w.push(t + 5, popped.len() as u32, true);
+            }
+        }
+        assert_eq!(popped.len(), 41);
+        assert!(popped.windows(2).all(|p| p[1] == p[0] + 5));
+        assert_eq!(*popped.last().unwrap(), 205);
     }
 
     #[test]
     fn pop_run_allows_pushes_into_later_ticks_mid_run() {
-        // Delays >= 1 stride: while processing the tick-3 run, new
-        // events land at later ticks (possibly a full wheel wrap away
-        // in absolute time, but never in the drained bucket).
+        // While the tick-3 run is processed, new entries land at later
+        // ticks, up to a full wheel size minus one away (bucket
+        // 10 & 7 = 2 lies behind the cursor's bucket).
         let mut w = EventWheel::new(7);
-        w.push(ev(3, 1));
-        let mut run = Vec::new();
+        w.push(3, 1, true);
+        let mut run = Bucket::default();
         assert_eq!(w.pop_run(&mut run), Some(3));
-        w.push(ev(4, 2));
-        w.push(ev(10, 3));
-        assert_eq!(w.pop_run(&mut run), Some(4));
-        assert_eq!(run[0].seq, 2);
-        assert_eq!(w.pop_run(&mut run), Some(10));
-        assert_eq!(run[0].seq, 3);
-        assert!(w.is_empty());
+        w.push(4, 2, true);
+        w.push(10, 3, true);
+        assert_eq!(drain(&mut w), vec![(4, vec![2]), (10, vec![3])]);
     }
 
     #[test]
     fn pop_run_matches_pop_on_a_random_schedule() {
-        // Differential: the concatenation of pop_run runs equals the
-        // pop-by-pop sequence for the same pushes (all delays >= 1).
-        let schedule: Vec<(u64, u64)> = (0..200u64).map(|i| ((i * 37) % 96, i)).collect();
-        let mut a = EventWheel::new(100);
-        let mut b = EventWheel::new(100);
-        for &(t, s) in &schedule {
-            a.push(ev(t, s));
-            b.push(ev(t, s));
+        // The runs of a scrambled schedule, concatenated, are what
+        // popping a (tick, push order) priority queue one entry at a
+        // time delivers: a stable sort by tick.
+        let schedule: Vec<(u64, u32)> = (0..200u32)
+            .map(|i| (1 + u64::from(i * 37 % 96), i))
+            .collect();
+        let mut w = EventWheel::new(100);
+        for &(tick, net) in &schedule {
+            w.push(tick, net, true);
         }
-        let by_pop: Vec<(u64, u64)> =
-            std::iter::from_fn(|| a.pop().map(|e| (e.time, e.seq))).collect();
-        let mut by_run = Vec::new();
-        let mut run = Vec::new();
-        while let Some(t) = b.pop_run(&mut run) {
-            for e in &run {
-                by_run.push((t, e.seq));
-            }
-        }
-        assert_eq!(by_pop, by_run);
+        let by_run: Vec<(u64, u32)> = drain(&mut w)
+            .into_iter()
+            .flat_map(|(t, nets)| nets.into_iter().map(move |n| (t, n)))
+            .collect();
+        let mut by_pop = schedule.clone();
+        by_pop.sort_by_key(|&(tick, _)| tick);
+        assert_eq!(by_run, by_pop);
+    }
+
+    #[test]
+    fn reset_recycles_for_the_next_cycle() {
+        let mut w = EventWheel::new(15);
+        w.push(9, 1, true);
+        w.push(2, 2, true);
+        assert_eq!(w.pop_run(&mut Bucket::default()), Some(2));
+        // Reset with an entry pending (an abandoned cycle).
+        w.reset();
+        assert_eq!(w.pop_run(&mut Bucket::default()), None);
+        // The wheel is back at tick 0 and fully reusable.
+        w.push(1, 3, true);
+        assert_eq!(drain(&mut w), vec![(1, vec![3])]);
+        w.reset();
+        w.push(9, 4, true);
+        assert_eq!(drain(&mut w), vec![(9, vec![4])]);
     }
 
     #[test]
     fn occupancy_scan_crosses_word_boundaries() {
-        // Wheel of 256 buckets = 4 occupancy words; events straddle
-        // word edges.
+        // 256 buckets = 4 occupancy words; entries straddle word edges,
+        // and the last one wraps past the end of the wheel.
         let mut w = EventWheel::new(200);
         for (i, t) in [63u64, 64, 127, 128, 255].iter().enumerate() {
-            w.push(ev(*t, i as u64));
+            w.push(*t, i as u32, true);
         }
-        let times: Vec<u64> = std::iter::from_fn(|| w.pop().map(|e| e.time)).collect();
-        assert_eq!(times, vec![63, 64, 127, 128, 255]);
+        let mut run = Bucket::default();
+        assert_eq!(w.pop_run(&mut run), Some(63));
+        assert_eq!(w.pop_run(&mut run), Some(64));
+        w.push(300, 9, true);
+        let ticks: Vec<u64> = drain(&mut w).into_iter().map(|(t, _)| t).collect();
+        assert_eq!(ticks, vec![127, 128, 255, 300]);
     }
 }

@@ -16,16 +16,18 @@
 //!   kept in **integer picosecond ticks** ([`TICKS_PER_GATE`] ticks
 //!   per gate unit, quantized once when the engine compiles the
 //!   netlist): event ordering is total (no `NaN` holes), time sums are
-//!   exact, and the event queue is the O(1) bucket wheel of
-//!   [`event_wheel`] rather than a binary heap. The hot path allocates
-//!   nothing per event. One compiled program serves every stream of a
-//!   measurement, and a stream can resume from settled net values
-//!   ([`TimedLanes`]).
+//!   exact, and the event queue is an O(1) bucket wheel of 4-byte net
+//!   ids rather than a binary heap, each net keeping its one pending
+//!   event's due tick and value. Every logic cell's delay must be at
+//!   least one tick. The hot path allocates nothing per event. One
+//!   compiled program serves every stream of a measurement, and a
+//!   stream can resume from settled net values ([`TimedLanes`]).
 //! * [`ScalarTimedSim`] — the frozen pre-wheel timed engine (binary
 //!   heap, per-event allocations) on the same tick base. Bit-identical
 //!   to [`TimedSim`] by the differential suite
 //!   (`tests/timed_differential.rs`); kept as the reference baseline
-//!   and the `timed_scalar` row of `benches/sim.rs`.
+//!   and the reference row of the `timed_engine_wallace16_64v` pair in
+//!   `benches/sim.rs`.
 //! * [`WidePlaneSim`] — 64, 256 or 512 zero-delay simulations at once
 //!   (the [`BitParallelSim`], [`BitParallelSim256`] and
 //!   [`BitParallelSim512`] aliases at `W` = 1/4/8 chunks), one
@@ -83,7 +85,7 @@ mod activity;
 mod bit_parallel;
 mod bus;
 mod error;
-pub mod event_wheel;
+mod event_wheel;
 mod timed;
 mod timed_scalar;
 mod vcd;
@@ -97,7 +99,6 @@ pub use bus::{
     StimulusGen, MAX_STIMULUS_LANES,
 };
 pub use error::SimError;
-pub use event_wheel::{EventWheel, TimedEvent};
 pub use timed::{quantize_delays, tick_stride, TimedSim, MAX_DELAY_GATES, TICKS_PER_GATE};
 pub use timed_scalar::ScalarTimedSim;
 pub use vcd::{parse_vcd, LaneProbe, NetProbe, VcdDump, VcdRecorder};

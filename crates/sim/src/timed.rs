@@ -1,5 +1,5 @@
 //! The event-driven timing engine (inertial delays, glitch counting),
-//! built on integer picosecond ticks and the indexed bucket queue of
+//! built on integer picosecond ticks and the bucket wheel of
 //! [`crate::event_wheel`].
 //!
 //! # Integer-tick time base
@@ -14,7 +14,9 @@
 //! drift deciding event order), and the event queue can be an O(1)
 //! bucket wheel instead of a binary heap. Delays that are not finite,
 //! negative, or above [`MAX_DELAY_GATES`] are rejected with a typed
-//! [`SimError::InvalidDelay`].
+//! [`SimError::InvalidDelay`], and so is a logic cell whose delay
+//! quantizes to zero ticks: every scheduled event then lies strictly
+//! after the tick that scheduled it, which the event loop relies on.
 //!
 //! # Compiled hot path
 //!
@@ -24,9 +26,9 @@
 //! [`CellKind::eval`] (so the table semantics cannot drift from the
 //! shared cell model). A [`TimedSim`] is that program, shared through
 //! an [`Arc`], plus one stimulus stream's state: one byte per net of
-//! three-valued values, the per-net schedule and the event wheel. The
-//! steady-state simulation loop touches only these arrays — no
-//! per-event allocation, no pointer chasing through `Vec<Vec<…>>`,
+//! three-valued values, one pending-event word per net and a wheel of
+//! 4-byte net ids. The steady-state loop touches only these arrays —
+//! no per-event allocation, no pointer chasing through `Vec<Vec<…>>`,
 //! no enum dispatch per evaluation. A lane-seeded measurement compiles
 //! once and starts every lane on the same program.
 //!
@@ -46,15 +48,15 @@
 //!
 //! The pre-wheel engine survives as [`crate::ScalarTimedSim`], the
 //! frozen reference the wheel engine is locked against bit for bit
-//! (`tests/timed_differential.rs`); `benches/sim.rs` tracks the
-//! `timed_scalar` vs `timed_wheel` throughput ratio.
+//! (`tests/timed_differential.rs`); `benches/sim.rs` tracks the two
+//! engines' throughput ratio as the `timed_engine_wallace16_64v` pair.
 
 use std::sync::Arc;
 
 use optpower_netlist::{CellId, CellKind, Library, Logic, NetId, Netlist};
 
 use crate::bus::{bus_inputs, bus_outputs, decode_bus};
-use crate::event_wheel::{EventWheel, TimedEvent};
+use crate::event_wheel::{Bucket, EventWheel};
 use crate::SimError;
 
 /// Integer ticks per normalised gate unit (FO4 inverter delay). With
@@ -93,10 +95,14 @@ pub fn quantize_delays(netlist: &Netlist, library: &Library) -> Result<Vec<u64>,
         .collect()
 }
 
+/// Events a cycle may process per cell before the netlist counts as
+/// oscillating (see [`event_budget`]).
+const EVENTS_PER_CELL: u64 = 10_000;
+
 /// Per-cycle event budget: a netlist that processes more events than
 /// this within one clock cycle is declared oscillating.
 pub(crate) fn event_budget(netlist: &Netlist) -> u64 {
-    10_000 * netlist.cells().len() as u64
+    EVENTS_PER_CELL * netlist.cells().len() as u64
 }
 
 /// Greatest common divisor (Euclid).
@@ -113,7 +119,7 @@ fn gcd(a: u64, b: u64) -> u64 {
 /// factor, so the wheel runs on tick/`stride` units. Exposed so static
 /// analysis (`optpower-sta`) can reproduce the engine's exact time
 /// base: arrival windows computed on the same stride compare directly
-/// against [`TimedEvent::time`].
+/// against the ticks [`TimedSim::record_events`] logs.
 pub fn tick_stride(ticks: &[u64]) -> u64 {
     ticks.iter().copied().filter(|&d| d > 0).fold(0, gcd).max(1)
 }
@@ -180,12 +186,10 @@ pub(crate) struct TimedProgram<'n> {
     lut: Vec<u8>,
     /// CSR fanout restricted to *evaluable* sinks (DFF and output
     /// ports pre-filtered): net `n`'s sinks are
-    /// `fan_sink[fan_off[n] .. fan_off[n + 1]]`.
+    /// `fan_sink[fan_off[n] .. fan_off[n + 1]]`. Cell `i` drives net
+    /// `i`, so a sink id is also the id of the net it drives.
     fan_off: Vec<u32>,
     fan_sink: Vec<u32>,
-    /// Per-cell output net, duplicated out of [`CellMeta`] as a dense
-    /// 4-byte array for the marking loop's cache behaviour.
-    out_of: Vec<u32>,
     /// `(cell, d_net, q_net)` triples of the sequential cells.
     dffs: Vec<(u32, u32, u32)>,
     /// `(cell, out_net)` pairs of the primary inputs.
@@ -202,14 +206,6 @@ pub(crate) struct TimedProgram<'n> {
     max_delay: u64,
     /// Per-cycle event budget (see [`event_budget`]).
     budget: u64,
-    /// True when every evaluable cell's delay is ≥ 1 stride unit, so
-    /// the event loop may use the bucket-run drain
-    /// ([`EventWheel::pop_run`]): no event can land in the tick
-    /// currently being processed, and the whole bucket is swapped out
-    /// instead of being frozen in place while it drains event by
-    /// event. False only for zero-delay logic cells (legal but outside
-    /// any real library), which fall back to the per-event pop loop.
-    run_drain: bool,
 }
 
 impl<'n> TimedProgram<'n> {
@@ -219,7 +215,8 @@ impl<'n> TimedProgram<'n> {
     /// # Errors
     ///
     /// [`SimError::InvalidDelay`] if any cell's library delay is not
-    /// finite, is negative, or exceeds [`MAX_DELAY_GATES`].
+    /// finite, is negative, or exceeds [`MAX_DELAY_GATES`], or if a
+    /// logic cell's delay quantizes to zero ticks.
     pub(crate) fn compile(netlist: &'n Netlist, library: &Library) -> Result<Self, SimError> {
         let ticks = quantize_delays(netlist, library)?;
         // Run the wheel on tick/stride units (see [`tick_stride`]):
@@ -260,9 +257,9 @@ impl<'n> TimedProgram<'n> {
             }
             meta.push(CellMeta {
                 ins,
-                lut_base: (kind_ix * 27) as u32,
-                delay: delays[i] as u32,
-                out: cell.output.0,
+                lut_base: (kind_ix * 27) as u16,
+                // At most MAX_DELAY_GATES × TICKS_PER_GATE = 64 000.
+                delay: delays[i] as u16,
             });
             match cell.kind {
                 CellKind::Dff => dffs.push((i as u32, cell.inputs[0].0, cell.output.0)),
@@ -270,6 +267,15 @@ impl<'n> TimedProgram<'n> {
                 CellKind::Const0 => consts.push((i as u32, cell.output.0, 0u8)),
                 CellKind::Const1 => consts.push((i as u32, cell.output.0, 1u8)),
                 CellKind::Output => ports.push(cell.output.0),
+                // The event loop needs every scheduled event to land
+                // strictly after the tick that scheduled it.
+                _ if delays[i] == 0 => {
+                    return Err(SimError::InvalidDelay {
+                        cell: cell.name.to_string(),
+                        kind: cell.kind,
+                        delay_gates: library.delay(cell.kind),
+                    })
+                }
                 _ => comb.push(i as u32),
             }
         }
@@ -287,18 +293,12 @@ impl<'n> TimedProgram<'n> {
             }
             fan_off.push(fan_sink.len() as u32);
         }
-        let out_of: Vec<u32> = meta.iter().map(|m| m.out).collect();
-        // Bucket-run drain precondition: every cell the flush can
-        // schedule has a delay of at least one stride unit, so a push
-        // from tick `t` always targets a strictly later tick.
-        let run_drain = comb.iter().all(|&c| meta[c as usize].delay >= 1);
         Ok(Self {
             netlist,
             meta,
             lut: build_luts().concat(),
             fan_off,
             fan_sink,
-            out_of,
             dffs,
             inputs,
             consts,
@@ -306,7 +306,6 @@ impl<'n> TimedProgram<'n> {
             ports,
             max_delay,
             budget: event_budget(netlist),
-            run_drain,
         })
     }
 
@@ -328,14 +327,30 @@ impl<'n> TimedProgram<'n> {
 /// activity than horizontal ones.
 ///
 /// This is the production engine: time lives in integer ticks (see
-/// the module docs), the event queue is the O(1) [`EventWheel`], the
-/// netlist is compiled once into flat index arrays, and the hot loop
-/// allocates nothing. A simulator is that compiled program, shared
-/// through an [`Arc`], plus one stimulus stream's state: it starts at
-/// cycle 0 ([`TimedSim::new`]), or resumes from the settled state a
-/// zero-delay warm-up left ([`crate::TimedLanes::lane_sim`]). Two
-/// event-count optimisations apply, both *equivalence-preserving* for
-/// positive delays:
+/// the module docs), the netlist is compiled once into flat index
+/// arrays, and the hot loop allocates nothing. A simulator is that
+/// compiled program, shared through an [`Arc`], plus one stimulus
+/// stream's state: it starts at cycle 0 ([`TimedSim::new`]), or
+/// resumes from the settled state a zero-delay warm-up left
+/// ([`crate::TimedLanes::lane_sim`]).
+///
+/// Every logic cell's delay is at least one tick ([`TimedSim::new`]
+/// refuses a zero delay), so every event lands strictly after the tick
+/// that scheduled it, and the per-stream state stays small:
+///
+/// * **due-tick preemption** — each net keeps one pending word, the
+///   due tick and value of its one in-flight event. Scheduling
+///   overwrites it, and the event wheel holds only the 4-byte net id:
+///   an entry popped at tick `t` is live iff its net's pending due
+///   tick is `t`. That is exact because a tick evaluates each dirty
+///   cell once, so a net is scheduled at most once per tick, and with
+///   one delay per cell `(net, due)` names one scheduling within a
+///   cycle; a preempted entry finds another due tick, or none;
+/// * **one event loop** — no event can land in the tick being
+///   processed, so each tick's bucket is taken whole, its live entries
+///   are applied, and then the tick's dirty cells are evaluated.
+///
+/// Two event-count optimisations apply, both *equivalence-preserving*:
 ///
 /// * **batched per-tick evaluation** — instead of re-evaluating a
 ///   sink once per arriving input event, sinks touched during a tick
@@ -345,22 +360,23 @@ impl<'n> TimedProgram<'n> {
 ///   engine's surviving event sequence is keyed on). The one
 ///   mid-tick effect that must not be deferred — an input change
 ///   preempting the sink's own not-yet-fired event due *this very
-///   tick* — is applied eagerly at dirty-marking time;
+///   tick* — is applied eagerly at dirty-marking time by clearing the
+///   sink's pending word. Same-tick order is therefore part of the
+///   semantics, in both engines: a sink whose event fires before its
+///   input's event in the same tick keeps it, one whose event comes
+///   after loses it;
 /// * **no-op elision** — an evaluation whose result equals the net's
-///   current value schedules nothing (with a pending pulse it cancels
-///   it by bumping the preemption sequence, without a push). Sound
-///   because a net's value cannot change between scheduling its
-///   latest event and that event firing, so the scalar engine's
-///   corresponding event provably fires as a no-op.
+///   current value schedules nothing: it clears a pending pulse's
+///   word, and its write into the wheel is not kept. Sound because a
+///   net's value cannot change between scheduling its latest event
+///   and that event firing, so the scalar engine's corresponding
+///   event provably fires as a no-op.
 ///
 /// Consequently settled values and per-cell transition counts are
 /// bit-identical to [`crate::ScalarTimedSim`], the frozen pre-wheel
 /// reference (locked by `tests/timed_differential.rs`), while the
 /// processed-event count reported by [`TimedSim::step`] is an
-/// engine-specific diagnostic (much smaller than the scalar
-/// engine's). The single caveat: with a *zero-delay* logic cell
-/// (legal but outside any real library) sub-tick pulse counting is
-/// scheme-dependent, so only settled values are comparable there.
+/// engine-specific diagnostic, never larger than the scalar engine's.
 #[derive(Debug, Clone)]
 pub struct TimedSim<'n> {
     program: Arc<TimedProgram<'n>>,
@@ -380,8 +396,9 @@ struct Stream {
     input_next: Vec<u8>,
     transitions: Vec<u64>,
     wheel: EventWheel,
-    /// Per-net scheduling state (preemption seq + in-flight due tick).
-    sched: Vec<NetSched>,
+    /// Per-net pending event: `due << 2 | value code`, or
+    /// [`NOT_PENDING`] (see [`pending_word`]).
+    pending: Vec<u64>,
     /// Index of each cell's *latest* occurrence in the dirty list
     /// (only read for cells currently in the list, so no generation
     /// tag is needed). Re-marking moves a cell to the back, so the
@@ -392,21 +409,21 @@ struct Stream {
     dirty: Vec<u32>,
     /// Reusable buffer for the pre-edge D values (two-phase capture).
     dff_scratch: Vec<u8>,
-    /// Reusable bucket-run buffer for the run-drain loop.
-    run_buf: Vec<TimedEvent>,
-    /// When set, every popped event is appended to `events_log` before
-    /// the inertial-preemption check (stale events included — they were
-    /// legitimately scheduled and must obey the same timing windows).
-    /// Off by default: the hot path pays one predictable branch.
+    /// Reusable buffer the wheel swaps each tick's bucket into.
+    run_buf: Bucket,
+    /// When set, every popped wheel entry is appended to `events_log`
+    /// as `(tick, net)` before the liveness check (stale entries
+    /// included — they were legitimately scheduled and must obey the
+    /// same timing windows). Off by default: the hot path pays one
+    /// predictable branch per tick.
     record: bool,
-    /// The recorded events (see `record`), in pop order across cycles.
-    events_log: Vec<TimedEvent>,
-    seq: u64,
+    /// The recorded entries (see `record`), in pop order across cycles.
+    events_log: Vec<(u64, NetId)>,
     cycle: u64,
 }
 
 /// Compiled per-cell metadata: everything one evaluation touches, in
-/// one 24-byte record.
+/// one 16-byte record. Cell `i` drives net `i`.
 #[derive(Debug, Clone, Copy)]
 struct CellMeta {
     /// Input nets; unused lanes point at the trailing always-zero
@@ -414,28 +431,28 @@ struct CellMeta {
     /// `v0 + 3·v1 + 9·v2` needs no arity branch.
     ins: [u32; 3],
     /// Offset of the cell's truth table in `lut` (kind index × 27).
-    lut_base: u32,
-    /// Propagation delay in tick/stride units.
-    delay: u32,
-    /// Output net.
-    out: u32,
+    lut_base: u16,
+    /// Propagation delay in tick/stride units, at least 1 for every
+    /// evaluable cell.
+    delay: u16,
 }
 
-/// Sentinel for "no event in flight" in [`NetSched::due`]; beyond any
-/// reachable tick.
+/// The pending word of a net with no event in flight. Its due tick,
+/// `2^62 − 1`, lies beyond any tick a cycle reaches (asserted below).
 const NOT_PENDING: u64 = u64::MAX;
 
-/// Per-net scheduling state.
-#[derive(Debug, Clone, Copy)]
-struct NetSched {
-    /// Latest scheduled event; an older pending event is cancelled
-    /// when popped (inertial-delay preemption).
-    seq: u64,
-    /// Due tick of the in-flight latest event, or [`NOT_PENDING`]. An
-    /// input change occurring in that same tick must cancel it
-    /// *eagerly*, exactly as the scalar engine's mid-tick
-    /// re-evaluation would.
-    due: u64,
+// A cycle pops at most `event_budget + 1` ticks before the budget stops
+// it (cell ids are `u32`), each at most one delay after the last, so
+// every due tick it schedules stays below `NOT_PENDING`'s.
+const _: () = assert!(
+    (EVENTS_PER_CELL * u32::MAX as u64 + 2) * (MAX_DELAY_GATES as u64 * TICKS_PER_GATE)
+        < NOT_PENDING >> 2
+);
+
+/// The pending word of an event due at tick `due` with value `code`.
+#[inline]
+fn pending_word(due: u64, code: u8) -> u64 {
+    due << 2 | u64::from(code)
 }
 
 impl<'n> TimedSim<'n> {
@@ -446,7 +463,9 @@ impl<'n> TimedSim<'n> {
     /// # Errors
     ///
     /// [`SimError::InvalidDelay`] if any cell's library delay is not
-    /// finite, is negative, or exceeds [`MAX_DELAY_GATES`].
+    /// finite, is negative, or exceeds [`MAX_DELAY_GATES`], or if a
+    /// logic cell's delay quantizes to zero ticks (no library a job
+    /// reaches has one).
     pub fn new(netlist: &'n Netlist, library: &Library) -> Result<Self, SimError> {
         Ok(Self::from_program(Arc::new(TimedProgram::compile(
             netlist, library,
@@ -470,9 +489,8 @@ impl<'n> TimedSim<'n> {
     /// core every inertial-delay event that survives preemption
     /// carries the cell's evaluation of its then-current inputs, so a
     /// cycle ends at the unique fixed point of the core — the
-    /// zero-delay values of the same cycle. Preemption sequence
-    /// numbers, the dirty list and the wheel carry nothing across a
-    /// settled edge; transition counters start at zero (the counting
+    /// zero-delay values of the same cycle. Pending words, the dirty
+    /// list and the wheel carry nothing across a settled edge; transition counters start at zero (the counting
     /// window opens here), and each primary input keeps its last
     /// applied value until set again. Output-port nets, which the
     /// engine never writes, stay `X` whatever `values` holds for them.
@@ -557,10 +575,10 @@ impl<'n> TimedSim<'n> {
 
     /// Runs one full clock cycle: clocks the DFFs, applies pending
     /// inputs at tick 0, then processes events until the netlist
-    /// settles. Returns the number of events processed — an
-    /// engine-specific diagnostic (the batching and elision described
-    /// on [`TimedSim`] make it much smaller than the scalar
-    /// reference's count for the same cycle).
+    /// settles. Returns the number of wheel entries popped, stale ones
+    /// included — an engine-specific diagnostic (the batching and
+    /// elision described on [`TimedSim`] make it much smaller than the
+    /// scalar reference's count for the same cycle).
     ///
     /// # Errors
     ///
@@ -591,20 +609,21 @@ impl<'n> TimedSim<'n> {
         self.stream.transitions.iter_mut().for_each(|t| *t = 0);
     }
 
-    /// Turns event recording on or off. While on, every event the
-    /// engine pops — including stale events later swallowed by
-    /// inertial preemption — is kept with its cycle-local due tick, so
-    /// static timing windows can be checked against the engine's real
-    /// event stream (`tests/sta_differential.rs`). Event times are in
-    /// tick/stride units; compare against windows computed on
-    /// [`tick_stride`] of [`quantize_delays`].
+    /// Turns event recording on or off. While on, every entry the
+    /// engine pops — including stale ones later found preempted — is
+    /// kept as its cycle-local due tick and net, so static timing
+    /// windows can be checked against the engine's real event stream
+    /// (`tests/sta_differential.rs`). Ticks are in tick/stride units;
+    /// compare against windows computed on [`tick_stride`] of
+    /// [`quantize_delays`].
     pub fn record_events(&mut self, on: bool) {
         self.stream.record = on;
     }
 
-    /// Drains the recorded event log (see [`TimedSim::record_events`]),
-    /// leaving it empty for further recording.
-    pub fn take_events(&mut self) -> Vec<TimedEvent> {
+    /// Drains the recorded `(tick, net)` log (see
+    /// [`TimedSim::record_events`]), leaving it empty for further
+    /// recording.
+    pub fn take_events(&mut self) -> Vec<(u64, NetId)> {
         core::mem::take(&mut self.stream.events_log)
     }
 }
@@ -621,20 +640,13 @@ impl Stream {
             input_next: vec![code_of(Logic::X); n_cells],
             transitions: vec![0; n_cells],
             wheel: EventWheel::new(p.max_delay),
-            sched: vec![
-                NetSched {
-                    seq: 0,
-                    due: NOT_PENDING,
-                };
-                n_nets
-            ],
+            pending: vec![NOT_PENDING; n_nets],
             dirty_pos: vec![0; n_cells],
             dirty: Vec::new(),
             dff_scratch: Vec::with_capacity(p.dffs.len()),
-            run_buf: Vec::new(),
+            run_buf: Bucket::default(),
             record: false,
             events_log: Vec::new(),
-            seq: 0,
             cycle: 0,
         }
     }
@@ -678,79 +690,57 @@ impl Stream {
             self.commit(p, cell, net, v);
         }
         self.flush_dirty(p, 0);
-        // 3. Event loop until quiescent: drain each tick's events
-        // (applying fired values and marking their sinks dirty), then
-        // evaluate the tick's dirty sinks in one batch. With all
-        // delays ≥ 1 stride unit the whole bucket is swapped out per
-        // tick (bucket-run drain) instead of popped event by event
-        // with a per-event "does the tick continue?" probe; both paths
-        // apply the identical sequence of value commits and flushes,
-        // so results are bit-identical.
-        let oscillation = |cycle| SimError::Oscillation {
-            netlist: p.netlist.name().to_string(),
-            cycle,
-            budget: p.budget,
-        };
+        // 3. Event loop until quiescent: take each tick's bucket whole
+        // (no event lands in the tick being processed), apply its live
+        // entries (marking their sinks dirty), then evaluate the
+        // tick's dirty sinks in one batch.
         let mut processed = 0u64;
-        if p.run_drain {
-            let mut run = core::mem::take(&mut self.run_buf);
-            while let Some(time) = self.wheel.pop_run(&mut run) {
-                processed += run.len() as u64;
-                if processed > p.budget {
-                    self.run_buf = run;
-                    return Err(oscillation(self.cycle));
-                }
-                for ev in &run {
-                    self.apply_event(p, ev);
-                }
-                self.flush_dirty(p, time);
+        let mut run = core::mem::take(&mut self.run_buf);
+        while let Some(time) = self.wheel.pop_run(&mut run) {
+            let nets = run.nets();
+            processed += nets.len() as u64;
+            if processed > p.budget {
+                self.run_buf = run;
+                return Err(SimError::Oscillation {
+                    netlist: p.netlist.name().to_string(),
+                    cycle: self.cycle,
+                    budget: p.budget,
+                });
             }
-            self.run_buf = run;
-        } else {
-            while let Some(ev) = self.wheel.pop() {
-                processed += 1;
-                if processed > p.budget {
-                    return Err(oscillation(self.cycle));
-                }
-                self.apply_event(p, &ev);
-                // Tick boundary (or queue drained): evaluate this
-                // tick's dirty sinks, scheduling their outputs one
-                // delay later.
-                let tick_continues = matches!(self.wheel.next_time(), Some(t) if t == ev.time);
-                if !tick_continues {
-                    self.flush_dirty(p, ev.time);
-                }
+            if self.record {
+                self.events_log
+                    .extend(nets.iter().map(|&net| (time, NetId(net))));
             }
+            for &net in nets {
+                self.fire(p, net as usize, time);
+            }
+            self.flush_dirty(p, time);
         }
+        self.run_buf = run;
         self.cycle += 1;
         Ok(processed)
     }
 
-    /// Applies one fired event: inertial preemption check, value
-    /// commit, transition count, dirty-marking of the sinks. Shared by
-    /// the per-event pop loop and the bucket-run drain loop.
+    /// Applies one popped entry of tick `time`: if it is still the
+    /// net's pending event (inertial preemption leaves stale entries
+    /// behind), commits its value, counts the transition and marks the
+    /// sinks dirty.
     #[inline]
-    fn apply_event(&mut self, p: &TimedProgram<'_>, ev: &TimedEvent) {
-        if self.record {
-            self.events_log.push(*ev);
+    fn fire(&mut self, p: &TimedProgram<'_>, net: usize, time: u64) {
+        let word = self.pending[net];
+        if word >> 2 != time {
+            return;
         }
-        let net = ev.net.index();
-        // Inertial preemption: a newer evaluation of the driver
-        // supersedes this event.
-        if self.sched[net].seq == ev.seq {
-            self.sched[net].due = NOT_PENDING;
-            let old = self.values[net];
-            let new = code_of(ev.value);
-            if old != new {
-                if old < 2 && new < 2 {
-                    // Net index == driving-cell index (asserted in
-                    // `TimedProgram::compile`).
-                    self.transitions[net] += 1;
-                }
-                self.values[net] = new;
-                self.mark_sinks_dirty(p, net as u32, ev.time);
-            }
-        }
+        self.pending[net] = NOT_PENDING;
+        let (old, new) = (self.values[net], (word & 3) as u8);
+        // Only value changes are scheduled, and only a net's own events
+        // change its value.
+        debug_assert_ne!(old, new, "a live event always changes its net");
+        // Net index == driving-cell index (asserted in
+        // `TimedProgram::compile`).
+        self.transitions[net] += u64::from(old < 2 && new < 2);
+        self.values[net] = new;
+        self.mark_sinks_dirty(p, net, time);
     }
 
     /// Immediately sets a cell's output (tick-0 edge semantics) and
@@ -764,7 +754,7 @@ impl Stream {
             self.transitions[cell as usize] += 1;
         }
         self.values[net as usize] = code;
-        self.mark_sinks_dirty(p, net, 0);
+        self.mark_sinks_dirty(p, net as usize, 0);
     }
 
     /// Marks every evaluable sink of `net` dirty for the current tick
@@ -775,20 +765,16 @@ impl Stream {
     /// event before it can pop. Pending events due at later ticks need
     /// no eager treatment — the end-of-tick flush preempts or cancels
     /// them before any later tick is processed.
-    fn mark_sinks_dirty(&mut self, p: &TimedProgram<'_>, net: u32, now: u64) {
-        let lo = p.fan_off[net as usize] as usize;
-        let hi = p.fan_off[net as usize + 1] as usize;
+    #[inline]
+    fn mark_sinks_dirty(&mut self, p: &TimedProgram<'_>, net: usize, now: u64) {
+        let lo = p.fan_off[net] as usize;
+        let hi = p.fan_off[net + 1] as usize;
         for &sink in &p.fan_sink[lo..hi] {
-            let out = p.out_of[sink as usize] as usize;
-            if self.sched[out].due == now {
-                self.seq += 1;
-                self.sched[out] = NetSched {
-                    seq: self.seq,
-                    due: NOT_PENDING,
-                };
+            let out = &mut self.pending[sink as usize];
+            if *out >> 2 == now {
+                *out = NOT_PENDING;
             }
-            self.dirty_pos[sink as usize] = self.dirty.len() as u32;
-            self.dirty.push(sink);
+            self.mark_dirty(sink);
         }
     }
 
@@ -803,11 +789,12 @@ impl Stream {
 
     /// Evaluates every dirty cell exactly once against the fully
     /// updated tick-`time` net values and schedules the results one
-    /// cell delay later. Evaluations that would not change the net's
-    /// value schedule nothing (a pending pulse is cancelled by
-    /// bumping its preemption sequence — no push needed); see the
-    /// equivalence argument on [`TimedSim`]. Allocation-free: the
-    /// dirty list is reused and evaluation is a truth-table lookup.
+    /// cell delay later. An evaluation that would not change the net's
+    /// value clears its pending word (cancelling an in-flight pulse)
+    /// and its wheel write is not kept; see the equivalence argument on
+    /// [`TimedSim`]. Branch-free per cell beyond the dedup check, and
+    /// allocation-free: the dirty list is reused and evaluation is a
+    /// truth-table lookup.
     fn flush_dirty(&mut self, p: &TimedProgram<'_>, time: u64) {
         let mut dirty = core::mem::take(&mut self.dirty);
         for (i, &id) in dirty.iter().enumerate() {
@@ -821,28 +808,14 @@ impl Stream {
                 + 3 * self.values[meta.ins[1] as usize] as usize
                 + 9 * self.values[meta.ins[2] as usize] as usize;
             let new = p.lut[meta.lut_base as usize + idx];
-            let net = meta.out as usize;
-            if new == self.values[net] {
-                if self.sched[net].due != NOT_PENDING {
-                    // Cancel the in-flight pulse without a push: the
-                    // stale event fizzles at the preemption check.
-                    self.seq += 1;
-                    self.sched[net] = NetSched {
-                        seq: self.seq,
-                        due: NOT_PENDING,
-                    };
-                }
+            let live = new != self.values[id as usize];
+            let due = time + u64::from(meta.delay);
+            self.pending[id as usize] = if live {
+                pending_word(due, new)
             } else {
-                self.seq += 1;
-                let due = time + u64::from(meta.delay);
-                self.sched[net] = NetSched { seq: self.seq, due };
-                self.wheel.push(TimedEvent {
-                    time: due,
-                    seq: self.seq,
-                    net: NetId(net as u32),
-                    value: logic_of(new),
-                });
-            }
+                NOT_PENDING
+            };
+            self.wheel.push(due, id, live);
         }
         dirty.clear();
         self.dirty = dirty;
@@ -1013,9 +986,18 @@ mod tests {
     fn invalid_delays_are_rejected_at_construction() {
         // A library with a NaN delay must fail `new`, not corrupt
         // event ordering at runtime (the old f64 engine compared NaN
-        // as Ordering::Equal).
+        // as Ordering::Equal). A logic delay that quantizes to zero
+        // ticks is refused too: the event loop needs every event to
+        // land after the tick that scheduled it.
         let nl = glitchy_xor();
-        for bad in [f64::NAN, f64::INFINITY, -1.0, MAX_DELAY_GATES + 1.0] {
+        for bad in [
+            f64::NAN,
+            f64::INFINITY,
+            -1.0,
+            MAX_DELAY_GATES + 1.0,
+            0.0,
+            0.0004,
+        ] {
             let lib = Library::with_uniform_delay(bad);
             let err = TimedSim::new(&nl, &lib).unwrap_err();
             match err {
@@ -1025,55 +1007,24 @@ mod tests {
                 other => panic!("expected InvalidDelay, got {other:?}"),
             }
         }
-        // Zero and MAX_DELAY_GATES are legal extremes.
-        for ok in [0.0, MAX_DELAY_GATES] {
+        // One tick and MAX_DELAY_GATES are the legal extremes.
+        for ok in [1.0 / TICKS_PER_GATE as f64, MAX_DELAY_GATES] {
             assert!(TimedSim::new(&nl, &Library::with_uniform_delay(ok)).is_ok());
         }
     }
 
     #[test]
-    fn run_drain_engages_iff_no_zero_delay_cell() {
-        let nl = glitchy_xor();
-        // cmos13: every logic delay is >= 0.1 gate units, i.e. >= 1
-        // stride unit after GCD normalisation -> bucket-run drain.
-        let prog = TimedProgram::compile(&nl, &Library::cmos13()).unwrap();
-        assert!(prog.run_drain);
-        // A zero-delay library forces the per-event fallback.
-        let prog = TimedProgram::compile(&nl, &Library::with_uniform_delay(0.0)).unwrap();
-        assert!(!prog.run_drain);
-    }
-
-    #[test]
-    fn run_drain_and_pop_loop_agree_on_forced_fallback() {
-        // Force the pop loop on a normal library (by flipping the
-        // flag) and check bit-identity against the run-drain loop:
-        // same outputs, same transition counters, same event counts.
-        let nl = glitchy_xor();
-        let lib = Library::cmos13();
-        let mut fast = TimedSim::new(&nl, &lib).unwrap();
-        let mut pop_loop = TimedProgram::compile(&nl, &lib).unwrap();
-        pop_loop.run_drain = false;
-        let mut slow = TimedSim::from_program(Arc::new(pop_loop));
-        for v in [0u64, 3, 1, 2, 0, 3, 3, 1] {
-            fast.set_input_bits("a", v & 1);
-            fast.set_input_bits("b", (v >> 1) & 1);
-            slow.set_input_bits("a", v & 1);
-            slow.set_input_bits("b", (v >> 1) & 1);
-            let ef = fast.step().unwrap();
-            let es = slow.step().unwrap();
-            assert_eq!(ef, es, "processed-event counts diverged at {v}");
-            assert_eq!(fast.output_bits("p"), slow.output_bits("p"), "v={v}");
-        }
-        assert_eq!(fast.transitions(), slow.transitions());
-    }
-
-    #[test]
     fn zero_delay_library_settles_in_one_tick() {
-        // All-zero delays exercise the single-bucket wheel: events
-        // cascade at tick 0 in pure FIFO order.
+        // All-zero logic delays: the scalar reference still accepts
+        // them and settles every cycle at tick 0, in pure FIFO order, to
+        // the zero-delay values; the wheel engine refuses them.
         let nl = glitchy_xor();
         let lib = Library::with_uniform_delay(0.0);
-        let mut sim = TimedSim::new(&nl, &lib).unwrap();
+        assert!(matches!(
+            TimedSim::new(&nl, &lib),
+            Err(SimError::InvalidDelay { .. })
+        ));
+        let mut sim = crate::ScalarTimedSim::new(&nl, &lib).unwrap();
         let mut zd = crate::ZeroDelaySim::new(&nl);
         for v in [0u64, 3, 1, 2, 3, 0] {
             sim.set_input_bits("a", v & 1);
@@ -1084,5 +1035,28 @@ mod tests {
             zd.step();
             assert_eq!(sim.output_bits("p"), zd.output_bits("p"), "v={v}");
         }
+    }
+
+    #[test]
+    fn recorded_log_holds_every_popped_entry() {
+        // Flipping both inputs of the glitchy XOR schedules the XOR
+        // twice; the recorded log holds every popped entry as
+        // (tick, net) in pop order, and the step's count is its length.
+        let nl = glitchy_xor();
+        let mut sim = TimedSim::new(&nl, &Library::cmos13()).unwrap();
+        sim.set_input_bits("a", 0);
+        sim.set_input_bits("b", 0);
+        sim.step().unwrap();
+        sim.record_events(true);
+        sim.set_input_bits("a", 1);
+        sim.set_input_bits("b", 1);
+        let popped = sim.step().unwrap();
+        let log = sim.take_events();
+        assert_eq!(log.len() as u64, popped);
+        assert!(log.windows(2).all(|w| w[0].0 <= w[1].0), "{log:?}");
+        // Buffers 1 and 2 and the XOR's rise and fall.
+        let xor = NetId(4);
+        assert_eq!(log.iter().filter(|&&(_, net)| net == xor).count(), 2);
+        assert!(sim.take_events().is_empty());
     }
 }

@@ -6,16 +6,17 @@
 //! optimised:
 //!
 //! * it is the differential baseline the production [`crate::TimedSim`]
-//!   is locked against bit for bit (values, per-cell transition counts
-//!   and processed-event counts; see `tests/timed_differential.rs`);
-//! * it is the `timed_scalar` row of `benches/sim.rs`, so the
-//!   committed `BENCH_sweep.json` keeps measuring what the event-wheel
-//!   rebuild actually bought.
+//!   is locked against bit for bit (settled values and per-cell
+//!   transition counts; see `tests/timed_differential.rs`);
+//! * it is the reference row of the `timed_engine_wallace16_64v` pair
+//!   in `benches/sim.rs`, so the committed `BENCH_sweep.json` keeps
+//!   measuring what the event-wheel rebuild actually bought.
 //!
 //! It shares the integer-tick time base (and therefore the total event
 //! ordering and the delay validation) with the wheel engine through
 //! [`crate::quantize_delays`] — the two engines may only differ in
-//! queue mechanics, never in semantics.
+//! queue mechanics, never in semantics. It still accepts a logic cell
+//! of zero delay, which the wheel engine refuses.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -23,9 +24,22 @@ use std::collections::BinaryHeap;
 use optpower_netlist::{CellId, CellKind, Library, Logic, NetId, Netlist};
 
 use crate::bus::{bus_inputs, bus_outputs, decode_bus};
-use crate::event_wheel::TimedEvent;
 use crate::timed::{event_budget, quantize_delays};
 use crate::SimError;
+
+/// One scheduled net-value change, keyed by `(time, seq)`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct TimedEvent {
+    /// Cycle-local event time in ticks.
+    time: u64,
+    /// Global schedule sequence number; FIFO tie-breaker within a tick
+    /// and the handle used for inertial-delay preemption.
+    seq: u64,
+    /// The net whose value changes.
+    net: NetId,
+    /// The value it changes to.
+    value: Logic,
+}
 
 /// Min-heap adapter: `BinaryHeap` is a max-heap, so compare reversed.
 /// Integer ticks make this ordering *total* — the old `f64` version
@@ -75,8 +89,10 @@ impl<'n> ScalarTimedSim<'n> {
     ///
     /// # Errors
     ///
-    /// [`SimError::InvalidDelay`] under exactly the conditions of
-    /// [`crate::TimedSim::new`].
+    /// [`SimError::InvalidDelay`] for a delay that is not finite, is
+    /// negative, or exceeds [`crate::MAX_DELAY_GATES`]: the conditions
+    /// of [`crate::TimedSim::new`] except that a zero delay is
+    /// accepted.
     pub fn new(netlist: &'n Netlist, library: &Library) -> Result<Self, SimError> {
         let delays = quantize_delays(netlist, library)?;
         Ok(Self {

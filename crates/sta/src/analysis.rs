@@ -70,7 +70,9 @@ impl TimingAnalysis {
     /// # Errors
     ///
     /// [`SimError::InvalidDelay`] — precisely when
-    /// [`optpower_sim::TimedSim::new`] would reject the same pair.
+    /// [`optpower_sim::quantize_delays`] rejects the pair, which
+    /// [`optpower_sim::TimedSim::new`] also does; that engine further
+    /// refuses a logic cell of zero delay, which the analysis accepts.
     pub fn try_analyze(netlist: &Netlist, library: &Library) -> Result<Self, SimError> {
         let ticks = quantize_delays(netlist, library)?;
         let stride = tick_stride(&ticks);

@@ -271,12 +271,20 @@ impl RunMeta {
         }
     }
 
-    /// The full envelope: `payload_doc` (an [`Artifact::payload_json`]
-    /// document) with this metadata appended as its `meta` object.
-    pub fn envelope(&self, payload_doc: Json) -> String {
-        let Json::Obj(mut doc) = payload_doc else {
-            unreachable!("payload documents are objects");
-        };
+    /// The full envelope: `payload_json` (a rendered
+    /// [`Artifact::payload_json`] document) with this metadata appended
+    /// as its `meta` object. The document is compact JSON that ends
+    /// with its object's closing brace, so `meta` is spliced in front
+    /// of that brace and the payload is never rendered twice.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `payload_json` does not end with `}` (payload
+    /// documents are objects).
+    pub fn envelope(&self, payload_json: &str) -> String {
+        let body = payload_json
+            .strip_suffix('}')
+            .expect("payload documents are objects");
         let mut meta = vec![
             ("seed", self.seed.map_or(Json::Null, Json::UInt)),
             ("workers", Json::UInt(self.workers as u64)),
@@ -311,8 +319,15 @@ impl RunMeta {
                 ]),
             ));
         }
-        doc.push(("meta".to_string(), Json::obj(meta)));
-        Json::Obj(doc).to_string()
+        let mut out = String::with_capacity(payload_json.len() + 160);
+        out.push_str(body);
+        if body != "{" {
+            out.push(',');
+        }
+        out.push_str("\"meta\":");
+        Json::obj(meta).write(&mut out);
+        out.push('}');
+        out
     }
 }
 
@@ -609,7 +624,7 @@ impl Artifact {
     /// The full envelope: [`Artifact::payload_json`] plus the `meta`
     /// object (wall time, resolved workers).
     pub fn to_json(&self) -> String {
-        self.meta.envelope(self.payload_value())
+        self.meta.envelope(&self.payload_json())
     }
 
     fn payload_value(&self) -> Json {

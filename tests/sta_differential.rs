@@ -82,14 +82,12 @@ fn drive_and_check_windows(
         sim.set_input_bits("a", s & 3);
         sim.set_input_bits("b", (s >> 2) & 3);
         sim.step().expect("acyclic netlists settle");
-        for ev in sim.take_events() {
-            let (earliest, latest) = sta.window_units(ev.net);
+        for (time, net) in sim.take_events() {
+            let (earliest, latest) = sta.window_units(net);
             assert!(
-                earliest <= ev.time && ev.time <= latest,
-                "cycle {t}: event on {:?} at stride-time {} escapes the \
+                earliest <= time && time <= latest,
+                "cycle {t}: event on {net:?} at stride-time {time} escapes the \
                  static window [{earliest}, {latest}]",
-                ev.net,
-                ev.time,
             );
         }
     }
@@ -157,13 +155,11 @@ fn full_architecture_suite_obeys_static_bounds() {
             sim.set_input_bits("a", *s & 0xffff);
             sim.set_input_bits("b", (*s >> 16) & 0xffff);
             sim.step().unwrap();
-            for ev in sim.take_events() {
-                let (earliest, latest) = sta.window_units(ev.net);
+            for (time, net) in sim.take_events() {
+                let (earliest, latest) = sta.window_units(net);
                 assert!(
-                    earliest <= ev.time && ev.time <= latest,
-                    "{arch}: event on {:?} at {} escapes [{earliest}, {latest}]",
-                    ev.net,
-                    ev.time,
+                    earliest <= time && time <= latest,
+                    "{arch}: event on {net:?} at {time} escapes [{earliest}, {latest}]",
                 );
             }
         }

@@ -2,11 +2,14 @@
 //! pooled timed measurement to the frozen scalar reference:
 //!
 //! * [`TimedSim`] (integer ticks + bucket wheel, allocation-free hot
-//!   path) must be *bit-identical* — settled values, per-cell
-//!   transition counts and processed-event counts — to
-//!   [`ScalarTimedSim`] (the pre-wheel binary-heap engine) on random
-//!   mixed combinational/sequential netlists and on the full
-//!   13-architecture multiplier suite;
+//!   path) must be *bit-identical* — settled values and per-cell
+//!   transition counts — to [`ScalarTimedSim`] (the pre-wheel
+//!   binary-heap engine) on random mixed combinational/sequential
+//!   netlists, under the cmos13 delays and under one uniform delay,
+//!   and on the full 13-architecture multiplier suite; its
+//!   processed-event count, an engine diagnostic, may only be lower;
+//! * same-tick event order is part of those semantics: both engines
+//!   count a glitch or none depending on which input commits first;
 //! * an `Engine::Timed` measurement, which runs its warm-up on the
 //!   zero-delay plane and resumes each lane on the wheel from the
 //!   settled net values, must equal the `ScalarTimedSim::measure`
@@ -183,35 +186,41 @@ proptest! {
     /// engine and the scalar reference yields, on every cycle, the
     /// same settled outputs, and at the end the same per-cell
     /// transition counters and per-net values. (Processed-event counts
-    /// are an engine diagnostic: batching and no-op elision make the
-    /// wheel's count strictly smaller.)
+    /// are an engine diagnostic: batching and no-op elision keep the
+    /// wheel's count at or below the scalar engine's.) It runs under
+    /// the cmos13 delays and under one uniform delay, where every
+    /// driver and its sink have equal delays, so a driver's event and
+    /// its sink's pending event fall due in the same tick and the
+    /// wheel's due-tick preemption decides the counts on every cycle.
     #[test]
     fn wheel_engine_is_bit_identical_to_scalar_reference(
         picks in prop::collection::vec((any::<u8>(), any::<u32>(), any::<u32>(), any::<u32>()), 5..40),
         stimulus in prop::collection::vec(any::<u64>(), 3..12),
     ) {
         let nl = random_netlist(&picks);
-        let lib = Library::cmos13();
-        let mut wheel = TimedSim::new(&nl, &lib).expect("cmos13 delays are valid");
-        let mut scalar = ScalarTimedSim::new(&nl, &lib).expect("cmos13 delays are valid");
-        for (t, s) in stimulus.iter().enumerate() {
-            wheel.set_input_bits("a", s & 3);
-            wheel.set_input_bits("b", (s >> 2) & 3);
-            scalar.set_input_bits("a", s & 3);
-            scalar.set_input_bits("b", (s >> 2) & 3);
-            let ew = wheel.step().expect("acyclic netlists settle");
-            let es = scalar.step().expect("acyclic netlists settle");
-            prop_assert!(ew <= es, "wheel processed {} > scalar {} at cycle {}", ew, es, t);
-            prop_assert_eq!(wheel.output_bits("p"), scalar.output_bits("p"), "cycle {}", t);
-        }
-        // Per-cell transition counts, the quantity the power model
-        // ultimately consumes, must agree cell by cell.
-        prop_assert_eq!(wheel.transitions(), scalar.transitions());
-        prop_assert_eq!(wheel.logic_transitions(), scalar.logic_transitions());
-        // And every net's settled value.
-        for net in 0..nl.cells().len() {
-            let id = optpower_netlist::NetId(net as u32);
-            prop_assert_eq!(wheel.value(id), scalar.value(id), "net {}", net);
+        for lib in [Library::cmos13(), Library::with_uniform_delay(1.0)] {
+            let mut wheel = TimedSim::new(&nl, &lib).expect("delays are valid");
+            let mut scalar = ScalarTimedSim::new(&nl, &lib).expect("delays are valid");
+            let name = lib.name();
+            for (t, s) in stimulus.iter().enumerate() {
+                wheel.set_input_bits("a", s & 3);
+                wheel.set_input_bits("b", (s >> 2) & 3);
+                scalar.set_input_bits("a", s & 3);
+                scalar.set_input_bits("b", (s >> 2) & 3);
+                let ew = wheel.step().expect("acyclic netlists settle");
+                let es = scalar.step().expect("acyclic netlists settle");
+                prop_assert!(ew <= es, "{}: wheel processed {} > scalar {} at cycle {}", name, ew, es, t);
+                prop_assert_eq!(wheel.output_bits("p"), scalar.output_bits("p"), "{} cycle {}", name, t);
+            }
+            // Per-cell transition counts, the quantity the power model
+            // ultimately consumes, must agree cell by cell.
+            prop_assert_eq!(wheel.transitions(), scalar.transitions(), "{}", name);
+            prop_assert_eq!(wheel.logic_transitions(), scalar.logic_transitions(), "{}", name);
+            // And every net's settled value.
+            for net in 0..nl.cells().len() {
+                let id = NetId(net as u32);
+                prop_assert_eq!(wheel.value(id), scalar.value(id), "{} net {}", name, net);
+            }
         }
     }
 
@@ -395,5 +404,56 @@ fn pooled_lanes_across_two_warm_up_planes_match_scalar() {
         let pooled = measure_timed_activity_pooled(nl, &lib, &config).unwrap();
         assert_eq!(pooled.transitions, scalar_sum, "{workers} workers");
         assert_eq!(pooled.items, u64::from(lanes) * items);
+    }
+}
+
+/// Same-tick order is part of the timed semantics, in both engines.
+/// Under one uniform delay, `u = Inv(a0)` and `s = Xor2(u, b0)` start
+/// from `a = b = 0` (so `u = s = 1`) and both inputs flip: at tick 0
+/// `u` and `s` both re-evaluate to 0, and both events fall due at
+/// tick 1. The input committed first at the edge decides which event
+/// goes first. When `a0` commits first, `u`'s event fires first, its
+/// change preempts `s`'s pending event, and `s` settles back at 1
+/// without a transition. When `b0` commits first, `s` falls before `u`
+/// does and rises again one delay later: a glitch of two transitions.
+#[test]
+fn same_tick_order_is_part_of_the_timed_semantics() {
+    let lib = Library::with_uniform_delay(1.0);
+    for (a_first, glitches) in [(true, 0u64), (false, 2)] {
+        let mut b = NetlistBuilder::new("order");
+        let (a0, b0) = if a_first {
+            let a0 = b.add_input("a0");
+            (a0, b.add_input("b0"))
+        } else {
+            let b0 = b.add_input("b0");
+            (b.add_input("a0"), b0)
+        };
+        let u = b.add_cell(CellKind::Inv, &[a0]);
+        let s = b.add_cell(CellKind::Xor2, &[u, b0]);
+        b.add_output("p0", s);
+        let nl = b.build().expect("valid netlist");
+        let mut wheel = TimedSim::new(&nl, &lib).expect("positive delays");
+        let mut scalar = ScalarTimedSim::new(&nl, &lib).expect("positive delays");
+        for (a, bv) in [(0, 0), (1, 1)] {
+            wheel.set_input_bits("a", a);
+            wheel.set_input_bits("b", bv);
+            scalar.set_input_bits("a", a);
+            scalar.set_input_bits("b", bv);
+            wheel.step().expect("settles");
+            scalar.step().expect("settles");
+            if a == 0 {
+                wheel.reset_transitions();
+                scalar.reset_transitions();
+            }
+        }
+        let context = if a_first { "a0 first" } else { "b0 first" };
+        assert_eq!(wheel.transitions()[s.index()], glitches, "wheel, {context}");
+        assert_eq!(
+            scalar.transitions()[s.index()],
+            glitches,
+            "scalar, {context}"
+        );
+        assert_eq!(wheel.output_bits("p"), Some(1), "{context}");
+        assert_eq!(scalar.output_bits("p"), Some(1), "{context}");
     }
 }

@@ -17,9 +17,9 @@ use optpower_mult::Architecture;
 use optpower_report::PlaneTiling;
 use optpower_sim::{Engine, MIN_RESET_WARMUP};
 use optpower_workload::{
-    AbInitioSpec, ActivitySpec, Artifact, CacheStatus, ErrorBody, GlitchSweepSpec, JobSpec, Json,
-    LintSpec, Payload, PruneDeltaSpec, RowCacheStats, RunMeta, Runtime, StaSpec, WorkloadError,
-    JOB_KINDS,
+    AbInitioSpec, ActivitySpec, Artifact, CacheStatus, DistMeta, ErrorBody, GlitchSweepSpec,
+    JobSpec, Json, LintSpec, Payload, PruneDeltaSpec, RowCacheStats, RunMeta, Runtime, StaSpec,
+    WorkloadError, JOB_KINDS,
 };
 use proptest::prelude::*;
 
@@ -770,6 +770,43 @@ fn golden_artifact_envelope_with_meta() {
     golden_compare(
         "tests/golden/artifact_envelope.json",
         &format!("{}\n", artifact.to_json()),
+    );
+}
+
+/// The envelope splices `meta` into the rendered payload document:
+/// with every optional meta field present, it parses, re-renders to the
+/// same bytes, and is the payload object plus one trailing `meta`
+/// member.
+#[test]
+fn envelope_is_the_payload_document_plus_meta() {
+    let mut artifact = Runtime::new(Workers::Fixed(1))
+        .run(&JobSpec::Table2)
+        .unwrap();
+    artifact.meta = RunMeta {
+        seed: Some(7),
+        workers: 2,
+        engine: Some("timed"),
+        wall_ms: 1.5,
+        cache: Some(CacheStatus::Miss),
+        row_cache: Some(RowCacheStats { hits: 1, misses: 2 }),
+        dist: Some(DistMeta {
+            hosts: 2,
+            shards: 3,
+            retries: 1,
+        }),
+    };
+    let envelope = artifact.to_json();
+    let doc = Json::parse(&envelope).expect("the envelope parses");
+    assert_eq!(doc.to_string(), envelope);
+    let Json::Obj(mut members) = doc else {
+        panic!("the envelope is an object");
+    };
+    let (key, meta) = members.pop().expect("meta is the last member");
+    assert_eq!(key, "meta");
+    assert_eq!(Json::Obj(members).to_string(), artifact.payload_json());
+    assert_eq!(
+        meta.to_string(),
+        r#"{"seed":7,"workers":2,"engine":"timed","wall_ms":1.5,"cache":"miss","row_cache":{"hits":1,"misses":2},"dist":{"hosts":2,"shards":3,"retries":1}}"#
     );
 }
 
