@@ -74,10 +74,11 @@ impl Library {
     /// instantaneous). A test and diagnostics helper: the timed
     /// engines validate library delays at construction, and this is
     /// the easiest way to present them a degenerate (huge, NaN) delay
-    /// profile, or one where every driver and its sink have equal
-    /// delays. `TimedSim::new` refuses a zero (or sub-tick) delay here,
-    /// since every logic cell's delay must be at least one tick; the
-    /// scalar reference engine and static timing still accept it.
+    /// profile, or one where every cell and each of its sinks have
+    /// equal delays. `TimedSim::new` refuses a zero (or sub-tick)
+    /// delay here, since every logic cell's delay must be at least one
+    /// tick; the scalar reference engine and static timing still
+    /// accept it.
     pub fn with_uniform_delay(delay_gates: f64) -> Self {
         let mut lib = Self::cmos13();
         lib.name = "uniform-delay";

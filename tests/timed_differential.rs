@@ -188,8 +188,8 @@ proptest! {
     /// transition counters and per-net values. (Processed-event counts
     /// are an engine diagnostic: batching and no-op elision keep the
     /// wheel's count at or below the scalar engine's.) It runs under
-    /// the cmos13 delays and under one uniform delay, where every
-    /// driver and its sink have equal delays, so a driver's event and
+    /// the cmos13 delays and under one uniform delay, where every cell
+    /// and each of its sinks have equal delays, so a cell's event and
     /// its sink's pending event fall due in the same tick and the
     /// wheel's due-tick preemption decides the counts on every cycle.
     #[test]
