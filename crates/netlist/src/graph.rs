@@ -333,14 +333,6 @@ impl Netlist {
         self.cells.iter().filter(|c| c.kind.is_sequential()).count()
     }
 
-    /// Per-cell logic mask, indexable by [`CellId`]: `true` for cells
-    /// counted in the paper's `N`. Simulators that count transitions in
-    /// their inner write path use this instead of re-classifying the
-    /// [`CellKind`] on every event.
-    pub fn logic_mask(&self) -> Vec<bool> {
-        self.cells.iter().map(|c| c.kind.is_logic()).collect()
-    }
-
     /// Iterator over `(CellId, &Cell)` of logic cells only.
     pub fn logic_cells(&self) -> impl Iterator<Item = (CellId, &Cell)> {
         self.cells
@@ -882,7 +874,7 @@ fn compact(
     // needs a rank map and moving — in the generators the dead cells
     // sit in the late reduction/adder stages, which keeps this pass
     // inside the build-time budget (the `prune_build_wallace16` bench
-    // row, `speedup_min >= 0.95`).
+    // row, `ratio_median >= 0.95`).
     let mut next = first_dead as u32;
     let new_id: Vec<u32> = sinks[first_dead..cells.len()]
         .iter()
@@ -956,17 +948,6 @@ mod tests {
         assert_eq!(nl.primary_outputs().len(), 2);
         assert_eq!(nl.dff_count(), 0);
         assert_eq!(nl.name(), "half_adder");
-    }
-
-    #[test]
-    fn logic_mask_matches_classification() {
-        let nl = half_adder();
-        let mask = nl.logic_mask();
-        assert_eq!(mask.len(), nl.cells().len());
-        for (i, cell) in nl.cells().iter().enumerate() {
-            assert_eq!(mask[i], cell.kind.is_logic(), "{}", cell.name);
-        }
-        assert_eq!(mask.iter().filter(|&&m| m).count(), nl.logic_cell_count());
     }
 
     #[test]

@@ -1,14 +1,14 @@
 //! The wide-plane bit-parallel zero-delay engine (64/256/512 lanes).
 //!
-//! Packs `64 * W` *independent* stimulus streams into one
-//! [`WideWord<W>`] per net — `W` chunks of `u64`, one stimulus lane per
-//! bit — and evaluates every cell's three-valued semantics with plain
-//! bitwise ops, so one topological pass advances an entire plane of
-//! simulations at once. All operations are lane-local (no carries, no
-//! shifts across lanes or chunks), so lane `L` of a [`WidePlaneSim`]
-//! run is *bit-identical* — values and transition counts — to a scalar
-//! [`crate::ZeroDelaySim`] run driven with lane `L`'s stimulus, and a
-//! `W`-chunk run is bit-identical to `W` independent 64-lane runs.
+//! Packs `64 * W` *independent* stimulus streams into `W` chunks of
+//! `u64` per net — one stimulus lane per bit — and evaluates every
+//! cell's three-valued semantics with plain bitwise ops, so one
+//! topological pass advances an entire plane of simulations at once.
+//! All operations are lane-local (no carries, no shifts across lanes or
+//! chunks), so lane `L` of a [`WidePlaneSim`] run is *bit-identical* —
+//! values and transition counts — to a scalar [`crate::ZeroDelaySim`]
+//! run driven with lane `L`'s stimulus, and a `W`-chunk run is
+//! bit-identical to `W` independent 64-lane runs.
 //! `tests/sim_differential.rs` locks both equivalences down over random
 //! netlists and the full multiplier suite.
 //!
@@ -18,12 +18,13 @@
 //! [`crate::Engine::BitParallel`]/[`crate::Engine::BitParallel256`]/
 //! [`crate::Engine::BitParallel512`] measurement engines. Nothing in
 //! the core is specific to those widths — the eval loops are written
-//! over `[u64; W]` chunks so the compiler unrolls and vectorizes them
-//! per width — but the set is closed on purpose: every width is locked
-//! by the differential suite before an engine name exposes it (see
-//! CONTRIBUTING.md for the checklist).
+//! over whole `[u64; W]` words so the compiler unrolls and vectorizes
+//! them per width — but the set is closed on purpose: every width is
+//! locked by the differential suite before an engine name exposes it
+//! (see CONTRIBUTING.md for the checklist).
 //!
-//! Three-valued logic uses a two-plane encoding per net word:
+//! Three-valued logic uses two planes, each one `[u64; W]` word per
+//! net, kept in two arrays:
 //!
 //! | plane | lane bit means |
 //! |-------|----------------|
@@ -38,19 +39,41 @@
 //!
 //! # Hot-path structure
 //!
-//! The step loop runs over a prebuilt *program*: one flat [`Op`] per
-//! combinational cell (kind, net indices, logic flag) in topological
-//! order, so the hot path never touches the netlist's cell table. Each
-//! op evaluates chunk-by-chunk in a fixed-length loop that keeps only a
-//! handful of `u64`s live — no whole-plane temporaries to spill at
-//! `W = 8` — and fuses evaluation, toggle detection and the in-place
-//! store into one pass. The total transition count is accumulated
-//! eagerly from toggle-mask popcounts; *per-lane* counts are opt-in
-//! ([`WidePlaneSim::track_lane_transitions`]) and use bit-plane ripple
-//! counters ([`LaneCounters`]) so recording a 64-lane toggle mask costs
-//! a few bitwise ops instead of one pass per set bit.
+//! [`WidePlaneSim::new`] compiles the combinational core into a step
+//! program of *runs*. Every cell gets a topological level (primary
+//! inputs and flip-flop outputs are level 0, a cell is one more than
+//! its deepest input, and a cell nothing reads moves to the last
+//! level); one O(cells) counting sort orders the cells by level and,
+//! within a level, by kind; each stretch of one kind is a run. Cells of
+//! one level never read each other, so this order computes the same
+//! values and per-lane sums as the netlist's topological order, and the
+//! step evaluates each run with a loop specialised to its kind: nothing
+//! dispatches per cell. A cell's loop body copies whole `[u64; W]`
+//! words and fuses evaluation, toggle detection and the in-place store.
+//!
+//! The runs execute under one of two programs:
+//!
+//! * the *three-valued* program reads and writes both planes. It runs
+//!   from construction, while unset inputs and unreset flip-flops may
+//!   hold `X`, and ORs every `unk` word it stores as it goes;
+//! * the *two-valued* program reads and writes only the `ones` plane,
+//!   skips constant drivers (they cannot change) and counts
+//!   `popcount(old ^ new)`. A step whose stores held no `X` lane has
+//!   written every net `X`-free, pending inputs included, and the
+//!   setters only drive known levels, so no `X` can come back: from the
+//!   next step on the plane runs the two-valued program for good. The
+//!   switch costs no scan, and a plane that never becomes `X`-free (a
+//!   flip-flop loop without reset) keeps the three-valued program.
+//!
+//! Both programs evaluate the same per-kind chunk functions; the
+//! two-valued one applies them to chunks with an all-zero `unk` plane,
+//! which the compiler folds away. The total transition count is
+//! accumulated eagerly from toggle-mask popcounts; *per-lane* counts
+//! are opt-in ([`WidePlaneSim::track_lane_transitions`]) and use
+//! bit-plane ripple counters ([`LaneCounters`]) so recording a 64-lane
+//! toggle mask costs a few bitwise ops instead of one pass per set bit.
 
-use optpower_netlist::{CellId, CellKind, Logic, Netlist};
+use optpower_netlist::{CellId, CellKind, Logic, NetId, Netlist};
 
 use crate::bus::{bus_inputs, bus_outputs, decode_bus, transpose64};
 
@@ -60,7 +83,7 @@ use crate::bus::{bus_inputs, bus_outputs, decode_bus, transpose64};
 pub const LANES: usize = 64;
 
 /// One 64-lane three-valued chunk (two-plane encoding, see module
-/// docs). [`WideWord`] is `W` of these evaluated in lock-step.
+/// docs): the unit every gate function works on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 struct Chunk {
     /// Lanes whose value is a known `1`.
@@ -139,145 +162,293 @@ fn mux2(a: Chunk, b: Chunk, sel: Chunk) -> Chunk {
     Chunk::from_planes(ones, zeros)
 }
 
-/// One `64 * W`-lane three-valued word: `W` two-plane [`u64`] chunks
-/// evaluated in lock-step. The chunk loops are fixed-length over
-/// `[u64; W]`, so each width monomorphizes into straight-line
-/// unrolled (and, where the target allows, vectorized) plane code.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct WideWord<const W: usize> {
-    /// Per-chunk lanes whose value is a known `1`.
-    ones: [u64; W],
-    /// Per-chunk lanes whose value is `X` (disjoint from `ones`).
-    unk: [u64; W],
-}
-
-impl<const W: usize> WideWord<W> {
-    /// All lanes `X`.
-    const X: Self = Self {
-        ones: [0; W],
-        unk: [u64::MAX; W],
-    };
-
-    /// All lanes the same known value.
-    #[inline]
-    fn splat(value: bool) -> Self {
-        Self {
-            ones: [if value { u64::MAX } else { 0 }; W],
-            unk: [0; W],
-        }
-    }
-
-    /// The 64-lane chunk holding lanes `64i .. 64i+64`.
-    #[inline]
-    fn chunk(&self, i: usize) -> Chunk {
-        Chunk {
-            ones: self.ones[i],
-            unk: self.unk[i],
-        }
-    }
-
-    #[cfg(test)]
-    #[inline]
-    fn set_chunk(&mut self, i: usize, c: Chunk) {
-        self.ones[i] = c.ones;
-        self.unk[i] = c.unk;
-    }
-
-    /// Applies a chunk-wise unary op across the whole plane.
-    #[cfg(test)]
-    #[inline]
-    fn map(self, f: impl Fn(Chunk) -> Chunk) -> Self {
-        let mut out = Self::X;
-        for i in 0..W {
-            out.set_chunk(i, f(self.chunk(i)));
-        }
-        out
-    }
-
-    /// Applies a chunk-wise binary op across the whole plane.
-    #[cfg(test)]
-    #[inline]
-    fn zip2(a: Self, b: Self, f: impl Fn(Chunk, Chunk) -> Chunk) -> Self {
-        let mut out = Self::X;
-        for i in 0..W {
-            out.set_chunk(i, f(a.chunk(i), b.chunk(i)));
-        }
-        out
-    }
-
-    /// Applies a chunk-wise ternary op across the whole plane.
-    #[cfg(test)]
-    #[inline]
-    fn zip3(a: Self, b: Self, c: Self, f: impl Fn(Chunk, Chunk, Chunk) -> Chunk) -> Self {
-        let mut out = Self::X;
-        for i in 0..W {
-            out.set_chunk(i, f(a.chunk(i), b.chunk(i), c.chunk(i)));
-        }
-        out
-    }
-
-    /// The three-valued value of one lane.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lane >= 64 * W` — a masked shift would silently
-    /// alias `lane % 64` otherwise.
-    #[inline]
-    fn lane(&self, lane: usize) -> Logic {
-        assert!(
-            lane < LANES * W,
-            "lane {lane} out of range (0..{})",
-            LANES * W
-        );
-        let (c, bit) = (lane / LANES, lane % LANES);
-        if (self.unk[c] >> bit) & 1 == 1 {
-            Logic::X
-        } else if (self.ones[c] >> bit) & 1 == 1 {
-            Logic::One
-        } else {
-            Logic::Zero
-        }
-    }
-}
-
-/// Reference lane-parallel [`CellKind::eval`]: each output lane equals
-/// the scalar three-valued evaluation of that lane's inputs. The
-/// production step loop uses the fused per-op stores built on the same
-/// chunk functions; this whole-word form exists so the exhaustive unit
-/// test below can sweep every kind and input combination directly.
-#[cfg(test)]
+/// The three-valued value of `lane` in a net's plane words.
+///
+/// # Panics
+///
+/// Panics if `lane >= 64 * W` — a masked shift would silently alias
+/// `lane % 64` otherwise.
 #[inline]
-fn eval_wide<const W: usize>(kind: CellKind, ins: &[WideWord<W>]) -> WideWord<W> {
-    match kind {
-        CellKind::Input => WideWord::X,
-        CellKind::Const0 => WideWord::splat(false),
-        CellKind::Const1 => WideWord::splat(true),
-        CellKind::Output | CellKind::Buf | CellKind::Dff => ins[0],
-        CellKind::Inv => ins[0].map(inv),
-        CellKind::And2 => WideWord::zip2(ins[0], ins[1], and2),
-        CellKind::Nand2 => WideWord::zip2(ins[0], ins[1], |a, b| inv(and2(a, b))),
-        CellKind::Or2 => WideWord::zip2(ins[0], ins[1], or2),
-        CellKind::Nor2 => WideWord::zip2(ins[0], ins[1], |a, b| inv(or2(a, b))),
-        CellKind::Xor2 => WideWord::zip2(ins[0], ins[1], xor2),
-        CellKind::Xnor2 => WideWord::zip2(ins[0], ins[1], |a, b| inv(xor2(a, b))),
-        CellKind::Xor3 => WideWord::zip3(ins[0], ins[1], ins[2], xor3),
-        CellKind::Maj3 => WideWord::zip3(ins[0], ins[1], ins[2], maj3),
-        CellKind::Mux2 => WideWord::zip3(ins[0], ins[1], ins[2], mux2),
+fn lane_logic<const W: usize>(ones: &[u64; W], unk: &[u64; W], lane: usize) -> Logic {
+    assert!(
+        lane < LANES * W,
+        "lane {lane} out of range (0..{})",
+        LANES * W
+    );
+    let (c, bit) = (lane / LANES, lane % LANES);
+    if (unk[c] >> bit) & 1 == 1 {
+        Logic::X
+    } else if (ones[c] >> bit) & 1 == 1 {
+        Logic::One
+    } else {
+        Logic::Zero
     }
 }
 
-/// One combinational cell of the prebuilt step program: everything the
-/// hot loop needs, flat and 4-byte indexed, so evaluating a cell never
-/// touches the netlist's cell table.
-#[derive(Debug, Clone, Copy)]
+/// One combinational cell of the step program, flat and 4-byte
+/// indexed: its output net and input nets (slots beyond the arity are
+/// unused). The kind is its [`Run`]'s.
+#[derive(Debug, Clone, Copy, Default)]
 struct Op {
-    kind: CellKind,
-    /// Counted in the transition totals (the paper's `N`).
-    logic: bool,
-    /// Output net index into the packed value vector.
     out: u32,
-    /// Input net indices; slots beyond the cell's arity are unused.
     ins: [u32; 3],
+}
+
+/// A stretch of the step program whose cells share one kind: the ops
+/// from the previous run's `end` (0 for the first run) to `end`.
+#[derive(Debug, Clone, Copy)]
+struct Run {
+    kind: CellKind,
+    end: u32,
+}
+
+/// The compiled step of a netlist: the combinational core as kind runs
+/// in level order (see the module docs), and the flip-flops as
+/// `(D net, Q net)` pairs in cell order.
+#[derive(Debug, Clone)]
+struct Program {
+    ops: Vec<Op>,
+    runs: Vec<Run>,
+    dffs: Vec<(u32, u32)>,
+}
+
+impl Program {
+    fn compile(netlist: &Netlist) -> Program {
+        const KINDS: usize = CellKind::ALL.len();
+        let cells = netlist.cells();
+        // One pass in topological order stages every combinational cell
+        // with its level: sources (inputs, flip-flop outputs) are 0, a
+        // cell is one more than its deepest input. A cell nothing reads
+        // joins the last level, so the primary outputs form one run.
+        let mut level = vec![0u32; cells.len()];
+        let mut staged = Vec::with_capacity(cells.len());
+        let mut dffs = Vec::new();
+        let mut depth = 0;
+        for &id in netlist.topo_order() {
+            let cell = &cells[id.index()];
+            match cell.kind {
+                CellKind::Input => continue,
+                CellKind::Dff => {
+                    dffs.push((cell.inputs[0].0, id.0));
+                    continue;
+                }
+                _ => {}
+            }
+            let mut op = Op {
+                out: id.0,
+                ins: [0; 3],
+            };
+            let mut deepest = 0;
+            for (slot, net) in op.ins.iter_mut().zip(cell.inputs.iter()) {
+                *slot = net.0;
+                deepest = deepest.max(level[net.index()]);
+            }
+            level[id.index()] = deepest + 1;
+            depth = depth.max(deepest + 1);
+            let sinkless = netlist.fanout(NetId(id.0)).is_empty();
+            staged.push((op, if sinkless { u32::MAX } else { deepest + 1 }, cell.kind));
+        }
+        // Counting sort on (level, kind): bucket `(level - 1) * KINDS +
+        // kind`, every level >= 1.
+        let key = |&(_, level, kind): &(Op, u32, CellKind)| {
+            (level.min(depth) as usize - 1) * KINDS + kind as usize
+        };
+        let mut bucket_end = vec![0u32; depth as usize * KINDS];
+        for cell in &staged {
+            bucket_end[key(cell)] += 1;
+        }
+        let mut next = 0;
+        for slot in &mut bucket_end {
+            (*slot, next) = (next, next + *slot);
+        }
+        // `bucket_end` now holds each bucket's start; placing a cell
+        // advances it, so it ends up holding each bucket's end.
+        let mut ops = vec![Op::default(); staged.len()];
+        for cell in &staged {
+            let slot = &mut bucket_end[key(cell)];
+            ops[*slot as usize] = cell.0;
+            *slot += 1;
+        }
+        let mut runs: Vec<Run> = Vec::new();
+        let mut start = 0;
+        for (k, &end) in bucket_end.iter().enumerate() {
+            if end == start {
+                continue;
+            }
+            let kind = cells[ops[start as usize].out as usize].kind;
+            debug_assert_eq!(kind as usize, k % KINDS);
+            // Adjacent same-kind buckets of consecutive levels stay in
+            // level order, so they merge into one run.
+            match runs.last_mut() {
+                Some(run) if run.kind == kind => run.end = end,
+                _ => runs.push(Run { kind, end }),
+            }
+            start = end;
+        }
+        Program { ops, runs, dffs }
+    }
+}
+
+/// Where a step's toggle masks are counted: the summed total, and the
+/// per-lane counters when they are tracked.
+struct Tally<'t, const W: usize> {
+    total: u64,
+    lanes: Option<&'t mut LaneCounters<W>>,
+}
+
+impl<const W: usize> Tally<'_, W> {
+    #[inline(always)]
+    fn add(&mut self, toggled: [u64; W]) {
+        let mut any = 0u64;
+        for &t in &toggled {
+            any |= t;
+        }
+        if any != 0 {
+            for &t in &toggled {
+                self.total += u64::from(t.count_ones());
+            }
+            if let Some(lanes) = self.lanes.as_deref_mut() {
+                lanes.add(&toggled);
+            }
+        }
+    }
+}
+
+/// Every net's two planes, one `[u64; W]` word per net in each.
+#[derive(Debug, Clone)]
+struct Planes<const W: usize> {
+    ones: Vec<[u64; W]>,
+    unk: Vec<[u64; W]>,
+}
+
+impl<const W: usize> Planes<W> {
+    /// `nets` nets, every lane `X`.
+    fn new(nets: usize) -> Self {
+        Self {
+            ones: vec![[0; W]; nets],
+            unk: vec![[u64::MAX; W]; nets],
+        }
+    }
+
+    /// Net `net`'s `(ones, unk)` words; under the two-valued program
+    /// (`KNOWN`) the `unk` plane is all zero and is not read.
+    #[inline(always)]
+    fn get<const KNOWN: bool>(&self, net: u32) -> ([u64; W], [u64; W]) {
+        let n = net as usize;
+        if KNOWN {
+            (self.ones[n], [0; W])
+        } else {
+            (self.ones[n], self.unk[n])
+        }
+    }
+
+    /// Stores a net's new words, counting a logic cell's known↔known
+    /// toggles and OR-ing its `X` lanes into `x_seen`. `ones` is 0 on
+    /// `X` lanes (invariant), so the XOR is exact.
+    #[inline(always)]
+    fn store<const KNOWN: bool>(
+        &mut self,
+        net: u32,
+        (ones, unk): ([u64; W], [u64; W]),
+        logic: bool,
+        tally: &mut Tally<'_, W>,
+        x_seen: &mut u64,
+    ) {
+        let n = net as usize;
+        let old_ones = core::mem::replace(&mut self.ones[n], ones);
+        let old_unk = if KNOWN {
+            [0; W]
+        } else {
+            for &u in &unk {
+                *x_seen |= u;
+            }
+            core::mem::replace(&mut self.unk[n], unk)
+        };
+        if logic {
+            let mut toggled = [0u64; W];
+            for c in 0..W {
+                toggled[c] = (old_ones[c] ^ ones[c]) & !(old_unk[c] | unk[c]);
+            }
+            tally.add(toggled);
+        }
+    }
+
+    /// Evaluates one run of `ARITY`-input cells with gate function `f`.
+    #[inline(always)]
+    fn run<const KNOWN: bool, const ARITY: usize>(
+        &mut self,
+        ops: &[Op],
+        logic: bool,
+        tally: &mut Tally<'_, W>,
+        x_seen: &mut u64,
+        f: impl Fn(Chunk, Chunk, Chunk) -> Chunk,
+    ) {
+        for op in ops {
+            let pin = |k: usize| {
+                if k < ARITY {
+                    self.get::<KNOWN>(op.ins[k])
+                } else {
+                    ([0; W], [0; W])
+                }
+            };
+            let (a, b, c) = (pin(0), pin(1), pin(2));
+            let (mut ones, mut unk) = ([0u64; W], [0u64; W]);
+            for i in 0..W {
+                let chunk = |(o, u): ([u64; W], [u64; W])| Chunk {
+                    ones: o[i],
+                    unk: u[i],
+                };
+                let r = f(chunk(a), chunk(b), chunk(c));
+                ones[i] = r.ones;
+                if !KNOWN {
+                    unk[i] = r.unk;
+                }
+            }
+            self.store::<KNOWN>(op.out, (ones, unk), logic, tally, x_seen);
+        }
+    }
+
+    /// Evaluates the whole combinational core once, run by run. Only
+    /// primary outputs and constant drivers are uncounted (see
+    /// [`CellKind::is_logic`]).
+    fn exec<const KNOWN: bool>(
+        &mut self,
+        program: &Program,
+        tally: &mut Tally<'_, W>,
+        x_seen: &mut u64,
+    ) {
+        let mut start = 0;
+        for run in &program.runs {
+            let ops = &program.ops[start..run.end as usize];
+            start = run.end as usize;
+            let (t, x) = (&mut *tally, &mut *x_seen);
+            match run.kind {
+                // Excluded from the program at compile time.
+                CellKind::Input | CellKind::Dff => {}
+                // A stored constant never changes.
+                CellKind::Const0 | CellKind::Const1 if KNOWN => {}
+                CellKind::Const0 => {
+                    self.run::<KNOWN, 0>(ops, false, t, x, |_, _, _| Chunk::default())
+                }
+                CellKind::Const1 => self.run::<KNOWN, 0>(ops, false, t, x, |_, _, _| Chunk {
+                    ones: u64::MAX,
+                    unk: 0,
+                }),
+                CellKind::Output => self.run::<KNOWN, 1>(ops, false, t, x, |a, _, _| a),
+                CellKind::Buf => self.run::<KNOWN, 1>(ops, true, t, x, |a, _, _| a),
+                CellKind::Inv => self.run::<KNOWN, 1>(ops, true, t, x, |a, _, _| inv(a)),
+                CellKind::And2 => self.run::<KNOWN, 2>(ops, true, t, x, |a, b, _| and2(a, b)),
+                CellKind::Nand2 => self.run::<KNOWN, 2>(ops, true, t, x, |a, b, _| inv(and2(a, b))),
+                CellKind::Or2 => self.run::<KNOWN, 2>(ops, true, t, x, |a, b, _| or2(a, b)),
+                CellKind::Nor2 => self.run::<KNOWN, 2>(ops, true, t, x, |a, b, _| inv(or2(a, b))),
+                CellKind::Xor2 => self.run::<KNOWN, 2>(ops, true, t, x, |a, b, _| xor2(a, b)),
+                CellKind::Xnor2 => self.run::<KNOWN, 2>(ops, true, t, x, |a, b, _| inv(xor2(a, b))),
+                CellKind::Xor3 => self.run::<KNOWN, 3>(ops, true, t, x, xor3),
+                CellKind::Maj3 => self.run::<KNOWN, 3>(ops, true, t, x, maj3),
+                CellKind::Mux2 => self.run::<KNOWN, 3>(ops, true, t, x, mux2),
+            }
+        }
+    }
 }
 
 /// Number of bit-plane counter levels: pending per-lane counts up to
@@ -362,8 +533,17 @@ impl<const W: usize> LaneCounters<W> {
 /// topological pass; glitch-free), applied to a whole plane of
 /// independent stimulus lanes at once. `W = 1` is the classic 64-lane
 /// [`BitParallelSim`]; `W = 4`/`W = 8` widen the plane to 256/512
-/// lanes per pass, amortising the per-cell bookkeeping (topological
-/// walk, operand gathering, change detection) over 4–8× more streams.
+/// lanes per pass, amortising the per-cell work that does not grow
+/// with the lane count (loading the op, indexing its nets) over 4–8×
+/// more streams.
+///
+/// Construction compiles the combinational core into runs of one cell
+/// kind per topological level, each evaluated by a loop specialised to
+/// its kind. Steps run a three-valued program until the first step that
+/// leaves no `X` lane on any net, and a two-valued program on the
+/// `ones` plane alone from then on: the setters only drive known
+/// levels, so no `X` can come back. Neither choice is visible in values
+/// or counts.
 ///
 /// Transition counting matches the scalar engine per lane: a lane
 /// counts one transition when a logic cell's output toggles between two
@@ -399,21 +579,17 @@ impl<const W: usize> LaneCounters<W> {
 #[derive(Debug, Clone)]
 pub struct WidePlaneSim<'n, const W: usize = 1> {
     netlist: &'n Netlist,
-    /// Current packed value of every net.
-    values: Vec<WideWord<W>>,
-    /// Pending primary-input words applied at the next step.
-    input_next: Vec<WideWord<W>>,
-    /// `true` for cells counted in the transition totals (logic cells);
-    /// used by the DFF/input store paths (combinational cells carry
-    /// the flag in their [`Op`]).
-    is_logic: Vec<bool>,
-    /// The combinational step program, in topological order.
-    ops: Vec<Op>,
-    /// The sequential cells, precomputed so [`WidePlaneSim::step`]
-    /// does not rescan the whole cell list every cycle.
-    dffs: Vec<CellId>,
+    /// Current planes of every net.
+    values: Planes<W>,
+    /// Pending primary-input words applied at the next step, indexed
+    /// by cell.
+    input_next: Planes<W>,
+    program: Program,
     /// Reusable buffer for the pre-edge D words (two-phase capture).
-    dff_scratch: Vec<WideWord<W>>,
+    dff_scratch: Vec<([u64; W], [u64; W])>,
+    /// Set once a step has stored no `X`: the two-valued program runs
+    /// from then on.
+    known: bool,
     /// Total known↔known transitions across all lanes (logic cells).
     transitions_total: u64,
     /// Per-lane counters, present only after
@@ -437,43 +613,14 @@ impl<'n, const W: usize> WidePlaneSim<'n, W> {
 
     /// Creates a simulator with every net at `X` in every lane.
     pub fn new(netlist: &'n Netlist) -> Self {
-        let is_logic = netlist.logic_mask();
-        let dffs: Vec<CellId> = netlist
-            .cells()
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| c.kind.is_sequential())
-            .map(|(i, _)| CellId(i as u32))
-            .collect();
-        let dff_scratch = Vec::with_capacity(dffs.len());
-        // Compile the combinational core into the flat step program.
-        // Inputs and DFFs update through their own phases of `step`.
-        let ops: Vec<Op> = netlist
-            .topo_order()
-            .iter()
-            .map(|&id| (id, netlist.cell(id)))
-            .filter(|(_, c)| !matches!(c.kind, CellKind::Input | CellKind::Dff))
-            .map(|(id, cell)| {
-                let mut ins = [0u32; 3];
-                for (slot, net) in ins.iter_mut().zip(cell.inputs.iter()) {
-                    *slot = net.index() as u32;
-                }
-                Op {
-                    kind: cell.kind,
-                    logic: is_logic[id.index()],
-                    out: cell.output.index() as u32,
-                    ins,
-                }
-            })
-            .collect();
+        let program = Program::compile(netlist);
         Self {
             netlist,
-            values: vec![WideWord::X; netlist.cells().len()],
-            input_next: vec![WideWord::X; netlist.cells().len()],
-            is_logic,
-            ops,
-            dffs,
-            dff_scratch,
+            values: Planes::new(netlist.cells().len()),
+            input_next: Planes::new(netlist.cells().len()),
+            dff_scratch: Vec::with_capacity(program.dffs.len()),
+            program,
+            known: false,
             transitions_total: 0,
             lane_track: None,
             cycle: 0,
@@ -527,9 +674,8 @@ impl<'n, const W: usize> WidePlaneSim<'n, W> {
             "{input:?} is not a primary input"
         );
         assert_eq!(ones.len(), W, "plane must carry {W} chunk words");
-        let mut w = WideWord::splat(false);
-        w.ones.copy_from_slice(ones);
-        self.input_next[input.index()] = w;
+        self.input_next.ones[input.index()].copy_from_slice(ones);
+        self.input_next.unk[input.index()] = [0; W];
     }
 
     /// Sets one primary input to the same known level in every lane
@@ -539,11 +685,7 @@ impl<'n, const W: usize> WidePlaneSim<'n, W> {
     ///
     /// Panics if `input` is not a primary-input cell.
     pub fn set_input_all_lanes(&mut self, input: CellId, value: bool) {
-        assert!(
-            self.netlist.cell(input).kind == CellKind::Input,
-            "{input:?} is not a primary input"
-        );
-        self.input_next[input.index()] = WideWord::splat(value);
+        self.set_input_plane(input, &[if value { u64::MAX } else { 0 }; W]);
     }
 
     /// Sets an entire input bus `{prefix}{0..}` from per-lane
@@ -590,15 +732,20 @@ impl<'n, const W: usize> WidePlaneSim<'n, W> {
     }
 
     /// Current value of a net in one lane.
-    pub fn value(&self, net: optpower_netlist::NetId, lane: usize) -> Logic {
-        self.values[net.index()].lane(lane)
+    pub fn value(&self, net: NetId, lane: usize) -> Logic {
+        let n = net.index();
+        lane_logic(&self.values.ones[n], &self.values.unk[n], lane)
     }
 
     /// Every net's current value in one lane, indexed by net: the
     /// lane's whole state between steps, from which
     /// [`crate::TimedLanes`] resumes the lane on the event wheel.
     pub fn lane_values(&self, lane: usize) -> Vec<Logic> {
-        self.values.iter().map(|w| w.lane(lane)).collect()
+        let Planes { ones, unk } = &self.values;
+        ones.iter()
+            .zip(unk)
+            .map(|(o, u)| lane_logic(o, u, lane))
+            .collect()
     }
 
     /// Decodes an output bus `{prefix}{0..}` in one lane; `None` if any
@@ -610,7 +757,7 @@ impl<'n, const W: usize> WidePlaneSim<'n, W> {
         }
         let bits: Vec<Logic> = bus
             .iter()
-            .map(|&id| self.values[self.netlist.cell(id).inputs[0].index()].lane(lane))
+            .map(|&id| self.value(self.netlist.cell(id).inputs[0], lane))
             .collect();
         decode_bus(&bits)
     }
@@ -618,144 +765,54 @@ impl<'n, const W: usize> WidePlaneSim<'n, W> {
     /// Advances one clock cycle in every lane: clocks every DFF
     /// (capturing the D word settled in the previous cycle), applies
     /// pending inputs, then evaluates the combinational core once in
-    /// topological order — the exact step semantics of
+    /// level order — the exact step semantics of
     /// [`crate::ZeroDelaySim`], a whole plane of lanes at a time.
     pub fn step(&mut self) {
-        // 1. Sample every D pin first (pre-edge words; DFF-to-DFF
-        // chains must not see this cycle's Q), then update all Q
-        // outputs. The scratch buffer is reused across steps.
-        let dffs = core::mem::take(&mut self.dffs);
-        let mut scratch = core::mem::take(&mut self.dff_scratch);
-        scratch.clear();
-        scratch.extend(
-            dffs.iter()
-                .map(|&id| self.values[self.netlist.cell(id).inputs[0].index()]),
-        );
-        for (&id, &q) in dffs.iter().zip(scratch.iter()) {
-            let net = self.netlist.cell(id).output.index();
-            let logic = self.is_logic[id.index()];
-            self.store(net, logic, q.ones, q.unk);
+        if self.known {
+            self.step_with::<true>();
+        } else {
+            // Every net was just stored, so a step that stored no `X`
+            // lane leaves the plane `X`-free, and it stays so.
+            self.known = self.step_with::<false>() == 0;
         }
-        self.dffs = dffs;
-        self.dff_scratch = scratch;
-        // 2. Apply primary inputs.
-        for &id in self.netlist.primary_inputs() {
-            let w = self.input_next[id.index()];
-            let net = self.netlist.cell(id).output.index();
-            let logic = self.is_logic[id.index()];
-            self.store(net, logic, w.ones, w.unk);
-        }
-        // 3. One pass over the prebuilt combinational program.
-        let ops = core::mem::take(&mut self.ops);
-        for op in &ops {
-            self.exec(op);
-        }
-        self.ops = ops;
         self.cycle += 1;
     }
 
-    /// Evaluates one op of the step program with the fused
-    /// per-chunk store.
+    /// One step under the two-valued (`KNOWN`) or three-valued program;
+    /// returns the OR of every `unk` word stored (0 when `KNOWN`).
     #[inline(always)]
-    fn exec(&mut self, op: &Op) {
-        match op.kind {
-            // Excluded from the program at build time.
-            CellKind::Input | CellKind::Dff => {}
-            CellKind::Const0 => {
-                let w = WideWord::splat(false);
-                self.store(op.out as usize, op.logic, w.ones, w.unk);
-            }
-            CellKind::Const1 => {
-                let w = WideWord::splat(true);
-                self.store(op.out as usize, op.logic, w.ones, w.unk);
-            }
-            CellKind::Output | CellKind::Buf => self.store1(op, |a| a),
-            CellKind::Inv => self.store1(op, inv),
-            CellKind::And2 => self.store2(op, and2),
-            CellKind::Nand2 => self.store2(op, |a, b| inv(and2(a, b))),
-            CellKind::Or2 => self.store2(op, or2),
-            CellKind::Nor2 => self.store2(op, |a, b| inv(or2(a, b))),
-            CellKind::Xor2 => self.store2(op, xor2),
-            CellKind::Xnor2 => self.store2(op, |a, b| inv(xor2(a, b))),
-            CellKind::Xor3 => self.store3(op, xor3),
-            CellKind::Maj3 => self.store3(op, maj3),
-            CellKind::Mux2 => self.store3(op, mux2),
+    fn step_with<const KNOWN: bool>(&mut self) -> u64 {
+        let Self {
+            netlist,
+            values,
+            input_next,
+            program,
+            dff_scratch,
+            lane_track,
+            ..
+        } = self;
+        let mut tally = Tally {
+            total: 0,
+            lanes: lane_track.as_mut(),
+        };
+        let mut x_seen = 0u64;
+        // 1. Sample every D pin first (pre-edge words; DFF-to-DFF
+        // chains must not see this cycle's Q), then update all Q
+        // outputs.
+        dff_scratch.clear();
+        dff_scratch.extend(program.dffs.iter().map(|&(d, _)| values.get::<KNOWN>(d)));
+        for (&(_, q), &words) in program.dffs.iter().zip(dff_scratch.iter()) {
+            values.store::<KNOWN>(q, words, true, &mut tally, &mut x_seen);
         }
-    }
-
-    /// Applies a unary chunk op and stores the result.
-    #[inline(always)]
-    fn store1(&mut self, op: &Op, f: impl Fn(Chunk) -> Chunk) {
-        let a = self.values[op.ins[0] as usize];
-        let (mut ones, mut unk) = ([0u64; W], [0u64; W]);
-        for c in 0..W {
-            let r = f(a.chunk(c));
-            ones[c] = r.ones;
-            unk[c] = r.unk;
+        // 2. Apply primary inputs (uncounted).
+        for &id in netlist.primary_inputs() {
+            let words = input_next.get::<KNOWN>(id.0);
+            values.store::<KNOWN>(id.0, words, false, &mut tally, &mut x_seen);
         }
-        self.store(op.out as usize, op.logic, ones, unk);
-    }
-
-    /// Applies a binary chunk op and stores the result.
-    #[inline(always)]
-    fn store2(&mut self, op: &Op, f: impl Fn(Chunk, Chunk) -> Chunk) {
-        let a = self.values[op.ins[0] as usize];
-        let b = self.values[op.ins[1] as usize];
-        let (mut ones, mut unk) = ([0u64; W], [0u64; W]);
-        for c in 0..W {
-            let r = f(a.chunk(c), b.chunk(c));
-            ones[c] = r.ones;
-            unk[c] = r.unk;
-        }
-        self.store(op.out as usize, op.logic, ones, unk);
-    }
-
-    /// Applies a ternary chunk op and stores the result.
-    #[inline(always)]
-    fn store3(&mut self, op: &Op, f: impl Fn(Chunk, Chunk, Chunk) -> Chunk) {
-        let a = self.values[op.ins[0] as usize];
-        let b = self.values[op.ins[1] as usize];
-        let c3 = self.values[op.ins[2] as usize];
-        let (mut ones, mut unk) = ([0u64; W], [0u64; W]);
-        for c in 0..W {
-            let r = f(a.chunk(c), b.chunk(c), c3.chunk(c));
-            ones[c] = r.ones;
-            unk[c] = r.unk;
-        }
-        self.store(op.out as usize, op.logic, ones, unk);
-    }
-
-    /// Stores a computed plane word into its output net, counting
-    /// known↔known toggles for logic cells. One fused pass: toggle
-    /// masks fall out of the old/new diff, the total advances by their
-    /// popcounts, and per-lane counters (when tracking) absorb the
-    /// masks via the bit-plane ripple.
-    #[inline(always)]
-    fn store(&mut self, net: usize, logic: bool, ones: [u64; W], unk: [u64; W]) {
-        let old = self.values[net];
-        if logic {
-            let mut toggled = [0u64; W];
-            let mut any = 0u64;
-            for c in 0..W {
-                // A lane transitions when both the old and new values
-                // are known and the level actually toggles. `ones` is
-                // 0 on X lanes (invariant), so the XOR is exact.
-                let t = (old.ones[c] ^ ones[c]) & !(old.unk[c] | unk[c]);
-                toggled[c] = t;
-                any |= t;
-            }
-            if any != 0 {
-                let mut delta = 0u64;
-                for &t in &toggled {
-                    delta += u64::from(t.count_ones());
-                }
-                self.transitions_total += delta;
-                if let Some(track) = &mut self.lane_track {
-                    track.add(&toggled);
-                }
-            }
-        }
-        self.values[net] = WideWord { ones, unk };
+        // 3. One pass over the combinational program.
+        values.exec::<KNOWN>(program, &mut tally, &mut x_seen);
+        self.transitions_total += tally.total;
+        x_seen
     }
 
     /// Total known↔known transitions of logic-cell outputs, summed over
@@ -799,71 +856,112 @@ mod tests {
     use optpower_netlist::NetlistBuilder;
     use Logic::{One, Zero, X};
 
-    /// Every 1/2/3-input kind, every three-valued input combination:
-    /// each lane of `eval_wide` equals the scalar `CellKind::eval`, at
-    /// one, four and eight chunks.
+    /// A net's planes in tests: `(ones, unk)`.
+    type Words<const W: usize> = ([u64; W], [u64; W]);
+
+    /// Runs a one-op step program of `kind` under the two-valued
+    /// (`KNOWN`) or three-valued program: nets `0..ins.len()` hold
+    /// `ins`, the output net (the next one) holds `old`. Returns the
+    /// output's new words and the counted transitions.
+    fn exec_one<const W: usize, const KNOWN: bool>(
+        kind: CellKind,
+        ins: &[Words<W>],
+        old: Words<W>,
+    ) -> (Words<W>, u64) {
+        let out = ins.len();
+        let mut planes = Planes::<W>::new(out + 1);
+        for (n, &(o, u)) in ins.iter().chain([&old]).enumerate() {
+            planes.ones[n] = o;
+            planes.unk[n] = u;
+        }
+        let mut op = Op {
+            out: out as u32,
+            ins: [0; 3],
+        };
+        for (k, slot) in op.ins.iter_mut().take(out).enumerate() {
+            *slot = k as u32;
+        }
+        let program = Program {
+            ops: vec![op],
+            runs: vec![Run { kind, end: 1 }],
+            dffs: Vec::new(),
+        };
+        let mut tally = Tally {
+            total: 0,
+            lanes: None,
+        };
+        planes.exec::<KNOWN>(&program, &mut tally, &mut 0);
+        ((planes.ones[out], planes.unk[out]), tally.total)
+    }
+
+    /// Every kind the step program holds, every three-valued input
+    /// combination and old output level, one combination per lane: the
+    /// three-valued run's output equals the scalar `CellKind::eval` in
+    /// every lane and counts exactly the scalar engine's known↔known
+    /// toggles of logic cells; the two-valued run does the same on
+    /// known levels. At one, four and eight chunks (only the wider
+    /// planes have a lane for every three-input combination).
     #[test]
     fn eval_wide_matches_scalar_eval_exhaustively() {
-        fn check<const W: usize>(lanes: &[usize]) {
-            let levels = [Zero, One, X];
-            let word_of = |v: Logic, lane: usize| -> WideWord<W> {
-                let mut w = WideWord::splat(false);
-                match v {
-                    Zero => {}
-                    One => w.ones[lane / LANES] |= 1 << (lane % LANES),
-                    X => w.unk[lane / LANES] |= 1 << (lane % LANES),
-                }
-                w
-            };
+        fn check<const W: usize, const KNOWN: bool>() {
+            let levels: &[Logic] = if KNOWN { &[Zero, One] } else { &[Zero, One, X] };
             for kind in CellKind::ALL {
-                let arity = kind.arity();
-                let combos = 3usize.pow(arity as u32);
-                for combo in 0..combos {
-                    let mut scalar_ins = Vec::with_capacity(arity);
-                    let mut c = combo;
-                    for _ in 0..arity {
-                        scalar_ins.push(levels[c % 3]);
-                        c /= 3;
-                    }
-                    // Spread the same combo over a few lanes, including
-                    // the top lane, to catch shift/sign mistakes.
-                    for &lane in lanes {
-                        let words: Vec<WideWord<W>> =
-                            scalar_ins.iter().map(|&v| word_of(v, lane)).collect();
-                        let got = eval_wide(kind, &words).lane(lane);
-                        let want = kind.eval(&scalar_ins);
-                        // Input cells: scalar eval returns X; eval_wide
-                        // is never called on them in `step`, but keep
-                        // parity.
-                        assert_eq!(got, want, "{kind} {scalar_ins:?} lane {lane} W={W}");
-                        // Off-combo lanes saw all-known-0 inputs: they
-                        // must hold the all-zero evaluation, not leak
-                        // lane data.
-                        if lane != 0 {
-                            let zero_ins = vec![Zero; arity];
-                            assert_eq!(
-                                eval_wide(kind, &words).lane(0),
-                                kind.eval(&zero_ins),
-                                "{kind} cross-lane leak W={W}"
-                            );
+                // Flip-flops and inputs update in their own step
+                // phases; the two-valued program never re-stores a
+                // constant.
+                let skip =
+                    matches!(kind, CellKind::Input | CellKind::Dff) || (KNOWN && kind.arity() == 0);
+                if skip {
+                    continue;
+                }
+                // Lane `L` reads digit `k` of `L` in base `levels.len()`
+                // as input `k`, and the next digit as the old output.
+                let level = |lane: usize, k: usize| {
+                    levels[lane / levels.len().pow(k as u32) % levels.len()]
+                };
+                let words = |k: usize| {
+                    let mut w: Words<W> = ([0; W], [0; W]);
+                    for lane in 0..LANES * W {
+                        let bit = 1 << (lane % LANES);
+                        match level(lane, k) {
+                            Zero => {}
+                            One => w.0[lane / LANES] |= bit,
+                            X => w.1[lane / LANES] |= bit,
                         }
                     }
+                    w
+                };
+                let arity = kind.arity();
+                let ins: Vec<Words<W>> = (0..arity).map(words).collect();
+                let ((ones, unk), counted) = exec_one::<W, KNOWN>(kind, &ins, words(arity));
+                let mut want_count = 0;
+                for lane in 0..LANES * W {
+                    let scalar: Vec<Logic> = (0..arity).map(|k| level(lane, k)).collect();
+                    let (want, old) = (kind.eval(&scalar), level(lane, arity));
+                    let got = lane_logic(&ones, &unk, lane);
+                    assert_eq!(got, want, "{kind} {scalar:?} lane {lane} W={W} {KNOWN}");
+                    if kind.is_logic() && old.is_known() && want.is_known() && old != want {
+                        want_count += 1;
+                    }
                 }
+                assert_eq!(counted, want_count, "{kind} toggles W={W} {KNOWN}");
             }
         }
-        check::<1>(&[0, 1, 31, 63]);
-        check::<4>(&[0, 64, 130, 255]);
-        check::<8>(&[0, 63, 64, 320, 511]);
+        check::<1, false>();
+        check::<4, false>();
+        check::<8, false>();
+        check::<1, true>();
+        check::<4, true>();
+        check::<8, true>();
     }
 
     #[test]
     fn word_invariant_holds_after_eval() {
-        let mut a = WideWord::<4>::splat(false);
-        a.ones = [0b0110, 0, 0b0110, u64::MAX >> 1];
-        a.unk = [0b1000, u64::MAX, 0b1000, 0];
-        let mut b = WideWord::<4>::splat(false);
-        b.ones = [0b0101, 0b0101, 0, 1 << 63];
-        b.unk = [0b0010, 0b0010, u64::MAX, 0];
+        let a = (
+            [0b0110, 0, 0b0110, u64::MAX >> 1],
+            [0b1000, u64::MAX, 0b1000, 0],
+        );
+        let b = ([0b0101, 0b0101, 0, 1 << 63], [0b0010, 0b0010, u64::MAX, 0]);
         for kind in [
             CellKind::And2,
             CellKind::Nand2,
@@ -872,11 +970,60 @@ mod tests {
             CellKind::Xor2,
             CellKind::Xnor2,
         ] {
-            let w = eval_wide(kind, &[a, b]);
+            let ((ones, unk), _) = exec_one::<4, false>(kind, &[a, b], a);
             for c in 0..4 {
-                assert_eq!(w.ones[c] & w.unk[c], 0, "{kind} chunk {c}");
+                assert_eq!(ones[c] & unk[c], 0, "{kind} chunk {c}");
             }
         }
+    }
+
+    /// A `bits`-bit ripple-carry adder from a constant carry-in, its
+    /// sums registered: a deep chain of alternating kinds.
+    fn registered_ripple_adder(bits: usize) -> Netlist {
+        let mut b = NetlistBuilder::new("rca");
+        let a: Vec<_> = (0..bits).map(|i| b.add_input(format!("a{i}"))).collect();
+        let x: Vec<_> = (0..bits).map(|i| b.add_input(format!("b{i}"))).collect();
+        let mut carry = b.add_cell(CellKind::Const0, &[]);
+        for i in 0..bits {
+            let s = b.add_cell(CellKind::Xor3, &[a[i], x[i], carry]);
+            carry = b.add_cell(CellKind::Maj3, &[a[i], x[i], carry]);
+            let q = b.add_cell(CellKind::Dff, &[s]);
+            b.add_output(format!("p{i}"), q);
+        }
+        b.add_output(format!("p{bits}"), carry);
+        b.build().unwrap()
+    }
+
+    /// The compiled program holds every combinational cell once, in
+    /// runs of one kind ordered after every cell they read, with the
+    /// primary outputs in one final run.
+    #[test]
+    fn program_runs_are_level_ordered_kind_runs() {
+        let nl = registered_ripple_adder(6);
+        let program = Program::compile(&nl);
+        let mut placed: Vec<bool> = nl
+            .cells()
+            .iter()
+            .map(|c| matches!(c.kind, CellKind::Input | CellKind::Dff))
+            .collect();
+        let mut start = 0;
+        for run in &program.runs {
+            for op in &program.ops[start..run.end as usize] {
+                let cell = nl.cell(CellId(op.out));
+                assert_eq!(cell.kind, run.kind, "{}", cell.name);
+                for net in cell.inputs.iter() {
+                    assert!(placed[net.index()], "{} reads {net:?} early", cell.name);
+                }
+                placed[op.out as usize] = true;
+            }
+            start = run.end as usize;
+        }
+        assert_eq!(start, program.ops.len());
+        assert!(placed.iter().all(|&p| p), "every cell is placed");
+        let outputs: Vec<usize> = (0..program.runs.len())
+            .filter(|&r| program.runs[r].kind == CellKind::Output)
+            .collect();
+        assert_eq!(outputs, [program.runs.len() - 1]);
     }
 
     fn full_adder() -> Netlist {

@@ -8,9 +8,11 @@
 //!   The *authoritative* engine for functional verification of the
 //!   multipliers and the reference semantics the other engines are
 //!   checked against.
-//! * [`TimedSim`] — event-driven simulation with per-cell transport
-//!   delays from the [`optpower_netlist::Library`]; counts *every*
-//!   output transition, so unbalanced path delays produce the glitch
+//! * [`TimedSim`] — event-driven simulation with per-cell inertial
+//!   delays from the [`optpower_netlist::Library`] (a re-evaluation
+//!   preempts the cell's pending output event, so pulses narrower than
+//!   the cell's delay are swallowed); counts *every* surviving output
+//!   transition, so unbalanced path delays produce the glitch
 //!   activity the paper observes on diagonal pipelines. Authoritative
 //!   for the paper's activity factor `a` (glitches included). Time is
 //!   kept in **integer picosecond ticks** ([`TICKS_PER_GATE`] ticks
@@ -38,9 +40,11 @@
 //!   and that the wide planes equal their chunked 64-lane runs), it is
 //!   simply 1–2 orders of magnitude faster per stimulus vector. Use it
 //!   wherever glitch-free statistics are wanted at scale, e.g. the
-//!   ab-initio glitch-free activity baseline; the wider planes amortise
-//!   the per-cell bookkeeping of the topological pass over 4–8× more
-//!   streams per step.
+//!   ab-initio glitch-free activity baseline. Each plane compiles the
+//!   netlist into runs of one cell kind per topological level and
+//!   switches to a two-valued program once reset has flushed every `X`
+//!   (see [`WidePlaneSim`]); the wider planes spread the per-cell work
+//!   that does not grow with the lane count over 4–8× more streams.
 //!
 //! [`measure_activity`] runs random stimulus through any engine and
 //! returns the paper's activity factor

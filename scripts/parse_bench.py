@@ -50,16 +50,16 @@ Not every speedup row is a parallelism ratio: the serial_core/parallel
 id pairing is just "reference vs candidate". The prune_build_wallace16
 row pairs the raw (unpruned) Wallace netlist build against the
 production pruned one; its ratio is raw/pruned build time and the
-acceptance is "speedup_min" >= 0.95 (pruning must not slow netlist
-build by more than 5%; the margin is far below run-to-run mean noise
-on a 1-core container, so this guard reads the min-based ratio).
+acceptance is "ratio_median" >= 0.95 (pruning must not slow netlist
+build by more than 5%).
 
 Rows listed in ACCEPTANCE are hard gates: when such a row is present
 in the parsed output, its listed statistic ("speedup_min" or
 "ratio_median") must meet the listed floor or the script exits
 non-zero (rows absent from the output are skipped, so partial bench
 runs still parse). The wide-plane rows gate the 256/512 lane engines
-against the 64-lane engine at equal stimulus volume.
+against the 64-lane engine at equal stimulus volume, and
+wallace16_640v the 64-lane engine against the scalar zero-delay one.
 """
 
 import json
@@ -101,12 +101,35 @@ NS_PER = {"ns": 1.0, "us": 1e3, "µs": 1e3, "ms": 1e6, "s": 1e9}
 # due-tick preemption read ratio_median 4.90-5.19 on a 2-vCPU host,
 # where the kernel before it read 3.62-3.86; the 4.3 floor sits
 # between the two (BENCH_sweep.json's timed_engine note lists the runs).
+#
+# wallace16_640v pairs the scalar ZeroDelaySim (640 vectors on one
+# stream) with the 64-lane plane (10 items of 64 lanes), sampled
+# interleaved; the scalar engine is the frozen reference, so the ratio
+# moves only with the plane. Ten runs of the level-batched, two-valued
+# plane read ratio_median 216-256 on a 2-vCPU host, where the
+# per-cell dispatching kernel before it read 146-158; the 190 floor
+# sits between the two.
+#
+# bitparallel_256/512_wallace16 pair the 64-lane plane with the
+# 256/512-lane planes at 10240 vectors, sampled interleaved; the ratio
+# is what the wider plane saves per vector. They read speedup_min
+# before, which divides two minima taken in separate windows and failed
+# 2 of 10 runs of unchanged code. With the level-batched plane, ten
+# runs read ratio_median 1.43-1.45 (256) and 1.30-1.31 (512); the
+# floors, 1.3 and 1.2, sit below those (BENCH_sweep.json's wide_plane
+# note lists the runs).
+#
+# prune_build_wallace16 pairs the raw Wallace16 build with the pruned
+# production build, sampled interleaved; ten runs read ratio_median
+# 0.97-0.99, holding the documented 0.95.
 ACCEPTANCE = {
-    "bitparallel_256_wallace16": ("speedup_min", 2.0),
-    "bitparallel_512_wallace16": ("speedup_min", 2.0),
+    "bitparallel_256_wallace16": ("ratio_median", 1.3),
+    "bitparallel_512_wallace16": ("ratio_median", 1.2),
     "dist_overhead_wallace16": ("ratio_median", 0.9),
+    "prune_build_wallace16": ("ratio_median", 0.95),
     "timed_engine_wallace16_64v": ("ratio_median", 4.3),
     "timed_warmstart_wallace16": ("speedup_min", 1.5),
+    "wallace16_640v": ("ratio_median", 190.0),
 }
 
 

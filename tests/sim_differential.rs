@@ -5,10 +5,14 @@
 //! seed, and each wide plane must equal its independent chunked
 //! 64-lane runs, on random netlists and on the full 13-architecture
 //! multiplier suite; and the zero-delay activity must lower-bound the
-//! timed activity on the same netlist and seed.
+//! timed activity on the same netlist and seed. A plane runs its
+//! three-valued program until a step leaves no `X` anywhere and its
+//! two-valued program from then on; dedicated cases pin both sides of
+//! that switch: a netlist that never becomes `X`-free, and per-lane
+//! counts across the switch.
 
 use optpower_mult::Architecture;
-use optpower_netlist::{CellKind, Library, Netlist, NetlistBuilder};
+use optpower_netlist::{CellKind, Library, Logic, Netlist, NetlistBuilder};
 use optpower_sim::{
     lane_seed, measure_activity, BitParallelSim, Engine, StimulusGen, WidePlaneSim, ZeroDelaySim,
     LANES,
@@ -16,8 +20,9 @@ use optpower_sim::{
 use proptest::prelude::*;
 
 /// Builds a random mixed combinational/sequential DAG with `a` and `b`
-/// input buses of two bits each, gate kinds and fan-ins drawn from
-/// `picks`, and the last four nets exposed as the `p` output bus.
+/// input buses of two bits each, cell kinds (constant drivers included)
+/// and fan-ins drawn from `picks`, and the last four nets exposed as the
+/// `p` output bus.
 fn random_netlist(picks: &[(u8, u32, u32, u32)]) -> Netlist {
     let mut b = NetlistBuilder::new("random");
     let mut nets = Vec::new();
@@ -41,10 +46,13 @@ fn random_netlist(picks: &[(u8, u32, u32, u32)]) -> Netlist {
             CellKind::Xor3,
             CellKind::Maj3,
             CellKind::Dff,
+            CellKind::Const0,
+            CellKind::Const1,
         ];
         let kind = kinds[kind_ix as usize % kinds.len()];
         let pick = |v: u32| nets[v as usize % nets.len()];
         let ins: Vec<_> = match kind.arity() {
+            0 => vec![],
             1 => vec![pick(x)],
             2 => vec![pick(x), pick(y)],
             _ => vec![pick(x), pick(y), pick(z)],
@@ -61,10 +69,11 @@ fn random_netlist(picks: &[(u8, u32, u32, u32)]) -> Netlist {
 /// and checks, lane by lane, that output values and transition counts
 /// are bit-identical to (a) a dedicated scalar [`ZeroDelaySim`] run on
 /// that lane's stream and (b) `W` independent chunked 64-lane
-/// [`BitParallelSim`] runs over the same streams. Plain `assert!`s on
-/// purpose: the proptest harness reports the failing inputs either way,
-/// and the helper stays monomorphic per width.
-fn check_wide_plane<const W: usize>(nl: &Netlist, seed: u64, items: u64) {
+/// [`BitParallelSim`] runs over the same streams, with per-lane
+/// counting on. Returns the wide plane for further checks. Plain
+/// `assert!`s on purpose: the proptest harness reports the failing
+/// inputs either way, and the helper stays monomorphic per width.
+fn check_wide_plane<const W: usize>(nl: &Netlist, seed: u64, items: u64) -> WidePlaneSim<'_, W> {
     let lanes = LANES * W;
     let mut wide = WidePlaneSim::<W>::new(nl);
     wide.track_lane_transitions();
@@ -138,6 +147,7 @@ fn check_wide_plane<const W: usize>(nl: &Netlist, seed: u64, items: u64) {
         chunk_total += sim.logic_transitions();
     }
     assert_eq!(wide.logic_transitions(), chunk_total, "W={W} chunk total");
+    wide
 }
 
 proptest! {
@@ -371,5 +381,81 @@ fn full_architecture_suite_wide_planes_are_bit_identical() {
         );
         assert_eq!(wide256.items, 256, "{arch}");
         assert_eq!(wide512.items, 512, "{arch}");
+    }
+}
+
+/// Whether any net holds `X` in any of the plane's lanes.
+fn any_x<const W: usize>(sim: &WidePlaneSim<'_, W>) -> bool {
+    (0..sim.lanes()).any(|lane| sim.lane_values(lane).contains(&Logic::X))
+}
+
+/// A flip-flop fed back through an inverter with no reset holds `X`
+/// forever, so the plane never leaves its three-valued program; its `X`
+/// reaches the outputs only in lanes whose operands do not mask it.
+/// Values and per-lane counts stay exact against scalar runs at every
+/// width.
+#[test]
+fn plane_that_never_becomes_x_free_matches_scalar_runs() {
+    let mut b = NetlistBuilder::new("free_running_toggle");
+    let a: Vec<_> = (0..2).map(|i| b.add_input(format!("a{i}"))).collect();
+    let x: Vec<_> = (0..2).map(|i| b.add_input(format!("b{i}"))).collect();
+    let q = b.add_cell(CellKind::Dff, &[a[0]]);
+    let nq = b.add_cell(CellKind::Inv, &[q]);
+    b.rewire(q, 0, nq);
+    let sum = b.add_cell(CellKind::Xor2, &[a[0], x[0]]);
+    let gated = b.add_cell(CellKind::And2, &[q, a[1]]);
+    let masked = b.add_cell(CellKind::Or2, &[gated, x[1]]);
+    let mix = b.add_cell(CellKind::Maj3, &[masked, sum, x[0]]);
+    b.add_output("p0", sum);
+    b.add_output("p1", masked);
+    b.add_output("p2", mix);
+    let nl = b.build().unwrap();
+    for seed in [3, 11] {
+        let wide1 = check_wide_plane::<1>(&nl, seed, 9);
+        let wide4 = check_wide_plane::<4>(&nl, seed, 9);
+        let wide8 = check_wide_plane::<8>(&nl, seed, 9);
+        assert_eq!(wide1.value(q, 0), Logic::X);
+        assert_eq!(wide4.value(nq, 255), Logic::X);
+        assert_eq!(wide8.value(q, 511), Logic::X);
+        // Some lanes see the loop's X on `p1`, others a known level.
+        let p1: Vec<Option<u64>> = (0..64).map(|l| wide1.output_bits_lane("p", l)).collect();
+        assert!(p1.contains(&None) && p1.iter().any(Option::is_some));
+    }
+}
+
+/// A registered pipeline without reset leaves `X` on its flip-flops
+/// until the operands have reached the last stage, so the plane
+/// switches to its two-valued program mid-run. Per-lane counts, tracked
+/// from the first step, equal scalar runs across the switch at every
+/// width.
+#[test]
+fn lane_counts_stay_exact_across_the_two_valued_switch() {
+    let mut b = NetlistBuilder::new("three_stage");
+    let a: Vec<_> = (0..2).map(|i| b.add_input(format!("a{i}"))).collect();
+    let x: Vec<_> = (0..2).map(|i| b.add_input(format!("b{i}"))).collect();
+    let s0 = b.add_cell(CellKind::Xor2, &[a[0], x[0]]);
+    let c0 = b.add_cell(CellKind::And2, &[a[1], x[1]]);
+    let r0 = b.add_cell(CellKind::Dff, &[s0]);
+    let r1 = b.add_cell(CellKind::Dff, &[c0]);
+    let s1 = b.add_cell(CellKind::Nand2, &[r0, r1]);
+    let r2 = b.add_cell(CellKind::Dff, &[s1]);
+    let m = b.add_cell(CellKind::Mux2, &[r2, r0, a[0]]);
+    let one = b.add_cell(CellKind::Const1, &[]);
+    let s2 = b.add_cell(CellKind::Xnor2, &[m, one]);
+    b.add_output("p0", s2);
+    b.add_output("p1", r2);
+    let nl = b.build().unwrap();
+    // X before the last stage fills, X-free after it.
+    let mut plane = BitParallelSim::new(&nl);
+    for steps in 1..=4 {
+        plane.set_input_bits_lanes("a", &[1; LANES]);
+        plane.set_input_bits_lanes("b", &[2; LANES]);
+        plane.step();
+        assert_eq!(any_x(&plane), steps < 3, "after step {steps}");
+    }
+    for seed in [5, 17] {
+        assert!(!any_x(&check_wide_plane::<1>(&nl, seed, 8)));
+        assert!(!any_x(&check_wide_plane::<4>(&nl, seed, 8)));
+        assert!(!any_x(&check_wide_plane::<8>(&nl, seed, 8)));
     }
 }
